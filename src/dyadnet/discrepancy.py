@@ -74,13 +74,9 @@ class DiscrepancyContext:
     def build(cls, source: GeneratorSet | F2Subspace,
               shift: DigitShift | DyadicPoint | None = None,
               cap: int = DEFAULT_ENUM_CAP) -> "DiscrepancyContext":
-        if isinstance(source, GeneratorSet):
-            sub = as_subspace(source)
-            quality: NetQuality | None = certify_deficiency(source, cap=cap)
-        else:
-            sub = source
-            quality = None
+        sub = as_subspace(source) if isinstance(source, GeneratorSet) else source
         n, s = sub.n, sub.s
+        quality = certify_deficiency(sub) if sub.dim == s else None
         if isinstance(shift, DigitShift):
             t = shift.point
         elif shift is None:
@@ -108,13 +104,6 @@ class DiscrepancyContext:
                 dual_points = ((0,) * n,)
         else:
             dual_points = None
-        if quality is None and dual_points is not None and s > 0 and sub.dim == s:
-            nonzero = [L for L in dual_points if any(L)]
-            if nonzero:
-                w = min(sum(l.bit_length() for l in L) for L in nonzero)
-                quality = NetQuality(s + 1 - w, w, True)
-            else:
-                quality = NetQuality(0, s + 1, True)
         ctx = cls(n, s, sub, dual, t, points, dual_points, None, quality)
         if dual_points is not None:
             signs = tuple(ctx.shift_sign(L) for L in dual_points)
@@ -271,8 +260,8 @@ def approximation_gap(ctx: DiscrepancyContext, resolution: int | None = None,
     Defaults to the exhaustive dyadic grid two digits finer than the net.
     The certified bound is n * 2^deficiency.
     """
-    if ctx.quality is None or not ctx.quality.exhaustive:
-        raise ValueError("gap bound needs an exhaustively certified deficiency")
+    if ctx.quality is None:
+        raise ValueError("gap bound needs a certified deficiency")
     bound = ctx.n * (1 << ctx.quality.deficiency)
     if ys is None:
         g = ctx.s + 2 if resolution is None else resolution
@@ -361,7 +350,7 @@ def lambda_group(ctx: DiscrepancyContext, rho_bar: Sequence[int]) -> LambdaGroup
     members = tuple(L for L in ctx.require_dual() if rho_vector(L) == rho_bar)
     lam0 = _lambda0_members(ctx, rho_bar)
     bound_ok: bool | None = None
-    if ctx.quality is not None and ctx.quality.exhaustive and any(any(L) for L in members):
+    if ctx.quality is not None and any(any(L) for L in members):
         exponent = sum(rho_bar) - ctx.s + ctx.quality.deficiency
         bound_ok = exponent >= 0 and len(lam0) <= (1 << exponent)
     representative = min(members) if members else None

@@ -9,7 +9,6 @@ Rosenbloom-Tsfasman weight.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -255,12 +254,6 @@ def _nullspace(rows: Iterable[int], width: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class MinWeightResult:
-    weight: int
-    exhaustive: bool
-
-
-@dataclass(frozen=True)
 class F2Subspace:
     """Linear point distribution: a subspace of Q^n(2^s) under XOR.
 
@@ -336,35 +329,15 @@ class F2Subspace:
         rows = [_rev_packed(b, self.n, self.s) for b in self.basis]
         return F2Subspace(self.n, self.s, _reduce(_nullspace(rows, self.ambient_dim)))
 
-    def min_weight(self, cap: int = DEFAULT_ENUM_CAP, samples: int = 20000,
-                   seed: int = 0) -> MinWeightResult:
-        """Minimum RT weight over nonzero elements.
-
-        Exhaustive under the cap; otherwise a randomized search whose
-        result is an upper bound on the true minimum (exhaustive=False).
-        """
+    def min_weight(self, cap: int = DEFAULT_ENUM_CAP) -> int:
+        """Minimum RT weight over nonzero elements, by exhaustive enumeration."""
         if self.dim == 0:
             raise UndefinedWeightError("zero subspace has no nonzero element")
-        if self.cardinality <= cap:
-            best = min(
-                _packed_weight(v, self.n, self.s)
-                for v in self.enumerate_packed(cap)
-                if v
-            )
-            return MinWeightResult(best, True)
-        rng = random.Random(seed)
-        best = min(_packed_weight(b, self.n, self.s) for b in self.basis)
-        for _ in range(samples):
-            mask = rng.getrandbits(self.dim)
-            if mask == 0:
-                continue
-            v = 0
-            m = mask
-            while m:
-                v ^= self.basis[(m & -m).bit_length() - 1]
-                m &= m - 1
-            best = min(best, _packed_weight(v, self.n, self.s))
-        return MinWeightResult(best, False)
+        return min(
+            _packed_weight(v, self.n, self.s)
+            for v in self.enumerate_packed(cap)
+            if v
+        )
 
 
 def iter_grid(n: int, s: int) -> Iterator[DyadicPoint]:

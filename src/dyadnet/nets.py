@@ -21,10 +21,9 @@ import numpy as np
 from .f2core import (
     DyadicPoint,
     F2Subspace,
+    _reduce,
     parity,
 )
-
-DEFAULT_CERTIFY_CAP = 1 << 24
 
 
 class GeneratorFormatError(ValueError):
@@ -80,13 +79,12 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class NetQuality:
-    """Deficiency certificate: every dyadic box of volume 2^(deficiency-s)
-    holds exactly 2^deficiency points.  When not exhaustive the deficiency
-    is a certified lower bound (the dual weight an upper bound)."""
+    """Exact deficiency certificate: every dyadic box of volume
+    2^(deficiency-s) holds exactly 2^deficiency points, and the minimum RT
+    weight of the nonzero dual is s + 1 - deficiency."""
 
     deficiency: int
     dual_rt_weight: int
-    exhaustive: bool
 
 
 @dataclass(frozen=True)
@@ -165,25 +163,35 @@ def as_subspace(gen: GeneratorSet) -> F2Subspace:
     return sub
 
 
-def certify_deficiency(gen: GeneratorSet, cap: int = DEFAULT_CERTIFY_CAP,
-                       samples: int = 20000, seed: int = 0) -> NetQuality:
-    """Deficiency from the minimum dual RT weight.
+def certify_deficiency(net: GeneratorSet | F2Subspace) -> NetQuality:
+    """Exact deficiency from rank conditions on the leading digits.
 
-    Exhaustive when the dual fits under the cap.  Otherwise a randomized
-    weight search upper-bounds the dual weight, which certifies a lower
-    bound on the deficiency.
+    Boxes of volume 2^-m are fair exactly when, for every composition
+    d_1 + ... + d_n = m, the leading d_j digits of the coordinates are
+    independent over GF(2): the net's basis masked to those digits has
+    rank m.  The condition only weakens as m drops, so the first failing
+    m gives deficiency s + 1 - m and is the minimum dual RT weight; no
+    dual is enumerated.
     """
-    sub = as_subspace(gen)
-    dual = sub.dual()
-    if dual.dim == 0:
-        return NetQuality(0, gen.s + 1, True)
-    mw = dual.min_weight(cap=cap, samples=samples, seed=seed)
-    delta = gen.s + 1 - mw.weight
-    if delta < 0:
-        raise AssertionError(
-            f"dual weight {mw.weight} exceeds s+1; inconsistent net state"
-        )
-    return NetQuality(delta, mw.weight, mw.exhaustive)
+    sub = as_subspace(net) if isinstance(net, GeneratorSet) else net
+    n, s = sub.n, sub.s
+    if sub.dim != s:
+        raise ValueError(f"a subspace of dimension {sub.dim} is not a net of 2^{s} points")
+    m = 1
+    while m <= s and all(
+        len(_reduce(b & _leading_digits_mask(d, s) for b in sub.basis)) == m
+        for d in _compositions(m, n)
+    ):
+        m += 1
+    return NetQuality(s + 1 - m, m)
+
+
+def _leading_digits_mask(shape: Sequence[int], s: int) -> int:
+    """Packed-word mask keeping the leading shape[j] digits of coordinate j."""
+    mask = 0
+    for j, d in enumerate(shape):
+        mask |= ((1 << d) - 1) << (s - d + j * s)
+    return mask
 
 
 def _compositions(total: int, parts: int):

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .discrepancy import DiscrepancyContext
+from .f2core import bit_reverse
 from .nets import PointSet
 from .walsh import rho_total
 
@@ -86,26 +87,15 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(block))
 
 
-def _block_uniforms(seed: int, block: int, size: int, dims: int,
-                    stratified: bool) -> np.ndarray:
-    rng = _block_rng(seed, block)
-    u = rng.random((size, dims))
-    if stratified:
-        # Per-axis equal strata within the block (latin hypercube).
-        for j in range(dims):
-            perm = rng.permutation(size)
-            u[:, j] = (perm + u[:, j]) / size
-    return u
+def _block_moments(eval_block: Callable[[np.random.Generator, int], np.ndarray],
+                   qs: Sequence[float], samples: int, seed: int,
+                   workers: int = 1) -> list[LqEstimate]:
+    """(mean |f|^q)^(1/q) for every q in the grid, f sampled blockwise.
 
-
-def lq_norms_mc(f: Callable[[np.ndarray], np.ndarray], dims: int,
-                qs: Sequence[float], samples: int, seed: int,
-                workers: int = 1, stratified: bool = False) -> list[LqEstimate]:
-    """(mean |f|^q)^(1/q) over uniform samples, for every q in the grid.
-
-    One pass evaluates f per block and accumulates the q-th and 2q-th
-    absolute moments; the standard error of the norm comes from the delta
-    method applied to the q-th moment.
+    Block b evaluates `eval_block` on its own substream and accumulates
+    the q-th and 2q-th absolute moments; blocks are reduced in order with
+    compensated sums, and the standard error of the norm comes from the
+    delta method applied to the q-th moment.
     """
     qs = q_grid(qs)
     if samples < 1:
@@ -114,8 +104,8 @@ def lq_norms_mc(f: Callable[[np.ndarray], np.ndarray], dims: int,
     sizes = [min(_BLOCK, samples - b * _BLOCK) for b in range(blocks)]
 
     def run_block(b: int) -> list[tuple[float, float]]:
-        u = _block_uniforms(seed, b, sizes[b], dims, stratified)
-        vals = np.abs(np.asarray(f(u), dtype=np.float64))
+        vals = np.abs(np.asarray(eval_block(_block_rng(seed, b), sizes[b]),
+                                 dtype=np.float64))
         out = []
         for q in qs:
             p = vals**q
@@ -134,12 +124,26 @@ def lq_norms_mc(f: Callable[[np.ndarray], np.ndarray], dims: int,
         m2 = math.fsum(pb[qi][1] for pb in per_block) / samples
         var_mean = max(m2 - m1 * m1, 0.0) / samples
         value = m1 ** (1.0 / q)
-        if m1 > 0:
-            stderr = (value / (q * m1)) * math.sqrt(var_mean)
-        else:
-            stderr = 0.0
+        stderr = (value / (q * m1)) * math.sqrt(var_mean) if m1 > 0 else 0.0
         results.append(LqEstimate(q, value, stderr, samples))
     return results
+
+
+def lq_norms_mc(f: Callable[[np.ndarray], np.ndarray], dims: int,
+                qs: Sequence[float], samples: int, seed: int,
+                workers: int = 1, stratified: bool = False) -> list[LqEstimate]:
+    """(mean |f|^q)^(1/q) over uniform samples, for every q in the grid."""
+
+    def eval_block(rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random((size, dims))
+        if stratified:
+            # Per-axis equal strata within the block (latin hypercube).
+            for j in range(dims):
+                perm = rng.permutation(size)
+                u[:, j] = (perm + u[:, j]) / size
+        return f(u)
+
+    return _block_moments(eval_block, qs, samples, seed, workers)
 
 
 def lq_norm_mc(f, dims: int, q: float, samples: int, seed: int,
@@ -183,9 +187,9 @@ def m_sampler(ctx: DiscrepancyContext) -> Callable[[np.ndarray], np.ndarray]:
             k = tau.bit_length()
             per_coord.append((
                 rho,
-                np.int64(_bit_reverse_int(tau, k)) if tau else np.int64(0),
+                np.int64(bit_reverse(tau, k)) if tau else np.int64(0),
                 k,
-                np.int64(_bit_reverse_int(l, s)),
+                np.int64(bit_reverse(l, s)),
             ))
             base *= 2.0 ** (-rho - 1)
         rows.append((per_coord, base))
@@ -216,14 +220,6 @@ def m_sampler(ctx: DiscrepancyContext) -> Callable[[np.ndarray], np.ndarray]:
         return total
 
     return f
-
-
-def _bit_reverse_int(word: int, width: int) -> int:
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (word & 1)
-        word >>= 1
-    return out
 
 
 def l2_m_exact(ctx: DiscrepancyContext) -> Fraction:
@@ -267,39 +263,6 @@ class RatioEstimate:
     samples: int
 
 
-def _sign_series_norms(eval_block: Callable[[np.random.Generator, int], np.ndarray],
-                       qs: Sequence[float], samples: int, seed: int,
-                       workers: int = 1) -> list[LqEstimate]:
-    """Shared driver: digit-sign series sampled blockwise, all q at once."""
-    qs = q_grid(qs)
-    blocks = (samples + _BLOCK - 1) // _BLOCK
-    sizes = [min(_BLOCK, samples - b * _BLOCK) for b in range(blocks)]
-
-    def run_block(b: int) -> list[tuple[float, float]]:
-        rng = _block_rng(seed, b)
-        vals = np.abs(eval_block(rng, sizes[b]))
-        out = []
-        for q in qs:
-            p = vals**q
-            out.append((float(p.sum()), float((p * p).sum())))
-        return out
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_block = list(pool.map(run_block, range(blocks)))
-    else:
-        per_block = [run_block(b) for b in range(blocks)]
-    results = []
-    for qi, q in enumerate(qs):
-        m1 = math.fsum(pb[qi][0] for pb in per_block) / samples
-        m2 = math.fsum(pb[qi][1] for pb in per_block) / samples
-        var_mean = max(m2 - m1 * m1, 0.0) / samples
-        value = m1 ** (1.0 / q)
-        stderr = (value / (q * m1)) * math.sqrt(var_mean) if m1 > 0 else 0.0
-        results.append(LqEstimate(q, value, stderr, samples))
-    return results
-
-
 def khinchin_ratios(coeffs: Sequence[float], qs: Sequence[float], samples: int,
                     seed: int, workers: int = 1) -> list[RatioEstimate]:
     """Norm of a digit-sign series over sqrt(q) times the coefficient norm.
@@ -316,7 +279,7 @@ def khinchin_ratios(coeffs: Sequence[float], qs: Sequence[float], samples: int,
         signs = rng.integers(0, 2, size=(size, c.size)).astype(np.float64) * 2 - 1
         return signs @ c
 
-    norms = _sign_series_norms(eval_block, qs, samples, seed, workers)
+    norms = _block_moments(eval_block, qs, samples, seed, workers)
     return [
         RatioEstimate(e.q, e.value / (math.sqrt(e.q) * c2),
                       e.stderr / (math.sqrt(e.q) * c2), e.samples)
@@ -385,7 +348,7 @@ def hyperbolic_lp_ratios(coeffs: dict[tuple[int, ...], float], offset: Sequence[
             vals += term
         return vals
 
-    norms = _sign_series_norms(eval_block, qs, samples, seed, workers)
+    norms = _block_moments(eval_block, qs, samples, seed, workers)
     scale = (n - 1) / 2
     return [
         RatioEstimate(e.q, e.value / (e.q**scale * c2),

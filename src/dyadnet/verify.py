@@ -261,7 +261,7 @@ def check_fine_square_norm(l_max: int = 64) -> IdentityResult:
 def run_net_suite(ctx: DiscrepancyContext, gap_resolution: int | None = None
                   ) -> list[IdentityResult]:
     results = [check_poisson(ctx), check_route_equivalence(ctx)]
-    if ctx.quality is not None and ctx.quality.exhaustive:
+    if ctx.quality is not None:
         results.append(check_approximation_gap(ctx, resolution=gap_resolution))
     results.append(check_delta_identities(ctx))
     return results

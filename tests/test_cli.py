@@ -64,6 +64,24 @@ class TestGen:
         assert result.exit_code == 2
         assert "line" in result.output
 
+    def test_retries_never_repeat_a_shift(self, runner, monkeypatch):
+        import dyadnet.nets as nets_mod
+
+        real = nets_mod._rescale_once
+        tried = []
+
+        def spy(gen, count, shift):
+            tried.append(shift.seed)
+            return real(gen, count, shift)
+
+        monkeypatch.setattr(nets_mod, "_rescale_once", spy)
+        # Shift seeds 1, 2 and 3 all hit a tie at count 17; seed 4 does not.
+        out = run_ok(runner, ["gen", "--net", "sobol", "--n", "2", "--s", "5",
+                              "--count", "17", "--shift-seed", "1"])
+        assert len(set(tried)) == len(tried)
+        assert tried == [1, 2, 3, 4]
+        assert "# shift_applied: 4" in out
+
     def test_file_net_round_trip(self, runner, tmp_path):
         gen = sobol_generators(2, 4)
         p = tmp_path / "net.txt"
@@ -98,13 +116,15 @@ class TestCertify:
         result = runner.invoke(main, ["certify", "--net", f"file:{bad}", "--s", "3"])
         assert result.exit_code == 2
 
-    def test_cap_exceeded_not_fatal(self, runner):
-        out = run_ok(runner, ["certify", "--net", "sobol", "--n", "4", "--s", "7",
-                              "--cap", "1024"])
+    def test_exact_without_dual_enumeration(self, runner):
+        # The dual has 2^40 elements; the rank conditions still give t exactly.
+        out = run_ok(runner, ["certify", "--net", "sobol", "--n", "6", "--s", "8"])
         doc = json.loads(out)
         row = dict(zip(doc["columns"], doc["rows"][0]))
-        assert row["exhaustive"] is False
-        assert row["box_counts_ok"] is None
+        assert "cap" not in doc["config"]
+        assert (row["deficiency"], row["dual_rt_weight"]) == (4, 5)
+        assert row["exhaustive"] is True
+        assert row["box_counts_ok"] is True
 
 
 class TestVerify:

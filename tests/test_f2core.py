@@ -163,7 +163,7 @@ class TestSubspace:
         sub = as_subspace(van_der_corput_generators(2))
         d = sub.dual()
         assert d.dim == 2
-        assert d.min_weight().weight == 3
+        assert d.min_weight() == 3
         assert dual_oracle(sub) == {p.words for p in d.enumerate_points()}
 
     def test_dual_against_oracle_random(self):
@@ -227,12 +227,6 @@ class TestSubspace:
     def test_min_weight_zero_space(self):
         with pytest.raises(UndefinedWeightError):
             F2Subspace.zero(2, 3).min_weight()
-
-    def test_min_weight_randomized_is_upper_bound(self):
-        sub = F2Subspace.full(5, 5)  # true minimum is 1
-        res = sub.min_weight(cap=1 << 10, samples=2000, seed=1)
-        assert not res.exhaustive
-        assert res.weight >= 1
 
     def test_contains(self):
         sub = as_subspace(van_der_corput_generators(3))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,19 +78,16 @@ class TestCertify:
     def test_vdc_deficiency_zero(self):
         for s in range(1, 9):
             q = certify_deficiency(van_der_corput_generators(s))
-            assert q.exhaustive
             assert q.deficiency == 0
             assert q.dual_rt_weight == s + 1
 
     def test_sobol_high_dim_positive_deficiency(self):
         q = certify_deficiency(sobol_generators(4, 6))
-        assert q.exhaustive
         assert q.deficiency > 0
 
     def test_quality_invariant(self):
         for n, s in ((2, 4), (3, 4), (4, 4)):
             q = certify_deficiency(sobol_generators(n, s))
-            assert q.exhaustive
             assert q.dual_rt_weight == s - q.deficiency + 1
 
     def test_agrees_with_box_counting(self):
@@ -104,12 +102,55 @@ class TestCertify:
                 # Certified deficiency is minimal.
                 assert not verify_box_counts(pts, q.deficiency - 1)
 
-    def test_randomized_bound_flagged(self):
-        gen = sobol_generators(4, 7)  # dual has 2^21 elements
-        q = certify_deficiency(gen, cap=1 << 10, samples=500, seed=0)
-        assert not q.exhaustive
-        exact = certify_deficiency(gen)
-        assert q.deficiency <= exact.deficiency
+
+def _dual_weight_oracle(gen: GeneratorSet) -> int:
+    """Minimum RT weight of the nonzero dual by enumeration; s + 1 when the
+    dual is zero."""
+    dual = as_subspace(gen).dual()
+    return gen.s + 1 if dual.dim == 0 else dual.min_weight()
+
+
+def _random_injective_generators(rng: random.Random, n: int, s: int) -> GeneratorSet:
+    while True:
+        rows = tuple(tuple(rng.getrandbits(s) for _ in range(s)) for _ in range(n))
+        gen = GeneratorSet(n, s, rows)
+        try:
+            as_subspace(gen)
+        except InjectivityError:
+            continue
+        return gen
+
+
+class TestRankCertificateAgainstDualOracle:
+    """The rank certificate equals the exhaustive dual weight."""
+
+    def _check(self, gen: GeneratorSet):
+        q = certify_deficiency(gen)
+        want = _dual_weight_oracle(gen)
+        assert (q.deficiency, q.dual_rt_weight) == (gen.s + 1 - want, want), (
+            gen.name, gen.n, gen.s, gen.rows)
+        assert certify_deficiency(as_subspace(gen)) == q
+
+    def test_sobol(self):
+        for n in range(1, 7):
+            for s in range(1, 9):
+                if (n - 1) * s <= 18:  # dual has at most 2^18 elements
+                    self._check(sobol_generators(n, s))
+
+    def test_van_der_corput(self):
+        for s in range(1, 9):
+            self._check(van_der_corput_generators(s))
+
+    def test_random_generator_sets(self):
+        rng = random.Random(1306)
+        for _ in range(200):
+            self._check(_random_injective_generators(rng, rng.randint(1, 4),
+                                                     rng.randint(1, 6)))
+
+    def test_subspace_of_wrong_dimension_rejected(self):
+        sub = as_subspace(sobol_generators(3, 4))
+        with pytest.raises(ValueError):
+            certify_deficiency(sub.dual())
 
 
 class TestBoxCounts:
