@@ -280,30 +280,27 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
     columns = ["target", "q", "estimate", "stderr", "samples", "normalized_ratio"]
     rows: list[list] = []
     extras: dict = {}
-    try:
-        reports: list[NormReport] = []
-        if target in ("dn", "both"):
-            shift = random_shift(nn, ss, shift_seed)
-            pts = net_points(gen_set, shift)
-            ests = lq_norms_mc(dn_sampler(pts), nn, qs, samples, seed,
-                               workers=workers, stratified=stratified)
-            reports.append(NormReport("dn", tuple(ests), seed, samples))
-        if target in ("m", "both"):
-            ctx = DiscrepancyContext.build(gen_set)
-            ests = lq_norms_mc(m_sampler(ctx), 2 * nn, qs, samples, seed + 1,
-                               workers=workers, stratified=stratified)
-            reports.append(NormReport("m", tuple(ests), seed + 1, samples))
-            extras["m_l2_exact"] = float(l2_m_exact(ctx)) ** 0.5
-        for report in reports:
-            for e, ratio in zip(report.estimates, report.ratios(ss, nn)):
-                rows.append([report.target, e.q, e.value, e.stderr, e.samples,
-                             ratio])
-            orl = report.orlicz(theta=theta_val)
-            extras[f"{report.target}_exp_orlicz"] = {
-                "value": orl.value, "theta": orl.theta, "at_q": orl.at_q,
-            }
-    except RouteUnavailableError as exc:
-        raise _Failure(str(exc), EXIT_RUNTIME)
+    reports: list[NormReport] = []
+    if target in ("dn", "both"):
+        shift = random_shift(nn, ss, shift_seed)
+        pts = net_points(gen_set, shift)
+        ests = lq_norms_mc(dn_sampler(pts), nn, qs, samples, seed,
+                           workers=workers, stratified=stratified)
+        reports.append(NormReport("dn", tuple(ests), seed, samples))
+    if target in ("m", "both"):
+        ctx = DiscrepancyContext.build(gen_set)
+        ests = lq_norms_mc(m_sampler(ctx), 2 * nn, qs, samples, seed + 1,
+                           workers=workers, stratified=stratified)
+        reports.append(NormReport("m", tuple(ests), seed + 1, samples))
+        extras["m_l2_exact"] = float(l2_m_exact(ctx)) ** 0.5
+    for report in reports:
+        for e, ratio in zip(report.estimates, report.ratios(ss, nn)):
+            rows.append([report.target, e.q, e.value, e.stderr, e.samples,
+                         ratio])
+        orl = report.orlicz(theta=theta_val)
+        extras[f"{report.target}_exp_orlicz"] = {
+            "value": orl.value, "theta": orl.theta, "at_q": orl.at_q,
+        }
     _emit(out, fmt, "norms", config, "float", columns, rows, extras)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .f2core import (
@@ -53,11 +53,15 @@ class IdentityViolation(AssertionError):
 
 @dataclass(frozen=True)
 class DiscrepancyContext:
-    """A (possibly shifted) linear distribution with its dual enumerated.
+    """A (possibly shifted) linear distribution, its net words, and its
+    dual enumerated on first use.
 
-    `dual_points` lists the dual as integer index vectors (grid words),
-    `dual_signs` the matching characters evaluated at the shift, and
-    `groups` buckets the dual by per-coordinate leading-digit positions.
+    `dual_points` lists the dual as integer index vectors (grid words), or
+    is None above `cap`, and `dual_signs` the matching characters
+    evaluated at the shift; both are computed on first access and stored
+    in the instance dict, so routes that stay on the net side never pay
+    for the dual.  `groups` buckets the dual by per-coordinate
+    leading-digit positions.
     """
 
     n: int
@@ -66,9 +70,8 @@ class DiscrepancyContext:
     dual: F2Subspace
     shift: DyadicPoint
     point_words: tuple[tuple[int, ...], ...]
-    dual_points: tuple[tuple[int, ...], ...] | None
-    dual_signs: tuple[int, ...] | None
     quality: NetQuality | None
+    cap: int
 
     @classmethod
     def build(cls, source: GeneratorSet | F2Subspace,
@@ -93,32 +96,30 @@ class DiscrepancyContext:
             )
         else:
             points = ((0,) * n,)
-        dual = sub.dual()
-        dual_points: tuple[tuple[int, ...], ...] | None
-        if dual.cardinality <= cap:
-            if s > 0:
-                dual_points = tuple(sorted(
-                    tuple(p.words) for p in dual.enumerate_points(cap)
-                ))
-            else:
-                dual_points = ((0,) * n,)
-        else:
-            dual_points = None
-        ctx = cls(n, s, sub, dual, t, points, dual_points, None, quality)
-        if dual_points is not None:
-            signs = tuple(ctx.shift_sign(L) for L in dual_points)
-            ctx = replace(ctx, dual_signs=signs)
-        return ctx
+        return cls(n, s, sub, sub.dual(), t, points, quality, cap)
 
     @property
     def cardinality(self) -> int:
         return self.subspace.cardinality
 
+    @cached_property
+    def dual_points(self) -> tuple[tuple[int, ...], ...] | None:
+        if self.dual.cardinality > self.cap:
+            return None
+        if self.s == 0:
+            return ((0,) * self.n,)
+        return tuple(sorted(tuple(p.words) for p in self.dual.enumerate_points(self.cap)))
+
+    @cached_property
+    def dual_signs(self) -> tuple[int, ...] | None:
+        pts = self.dual_points
+        return None if pts is None else tuple(self.shift_sign(L) for L in pts)
+
     def with_dual_points(self, dual_points) -> "DiscrepancyContext":
         """Test hook: replace the enumerated dual (e.g. to corrupt it)."""
-        pts = tuple(tuple(L) for L in dual_points)
-        out = replace(self, dual_points=pts, dual_signs=None)
-        return replace(out, dual_signs=tuple(out.shift_sign(L) for L in pts))
+        out = replace(self)
+        vars(out)["dual_points"] = tuple(tuple(L) for L in dual_points)
+        return out
 
     def require_dual(self) -> tuple[tuple[int, ...], ...]:
         if self.dual_points is None:

@@ -76,6 +76,22 @@ class GeneratorSet:
     def basis_images(self) -> list[DyadicPoint]:
         return [self.point(1 << k) for k in range(self.s)]
 
+    @cached_property
+    def point_words(self) -> tuple[tuple[int, ...], ...]:
+        """Digit words of all 2^s net points, in Gray-code order of the
+        index word; raises InjectivityError if two points coincide."""
+        images = [p.words for p in self.basis_images()]
+        cur = [0] * self.n
+        words = [tuple(cur)]
+        for i in range(1, 1 << self.s):
+            img = images[(i & -i).bit_length() - 1]
+            for j in range(self.n):
+                cur[j] ^= img[j]
+            words.append(tuple(cur))
+        if len(set(words)) != len(words):
+            raise InjectivityError("generator map is singular (duplicate points)")
+        return tuple(words)
+
 
 @dataclass(frozen=True)
 class NetQuality:
@@ -129,20 +145,11 @@ class PointSet:
 
 def net_points(gen: GeneratorSet, shift: DigitShift | None = None) -> PointSet:
     """All 2^s net points, XOR-translated when a shift is given."""
-    shift_words = _shift_words(gen, shift)
-    images = [p.words for p in gen.basis_images()]
-    n, s = gen.n, gen.s
-    den = 1 << s
-    cur = list(shift_words)
-    pts = [tuple(Fraction(w, den) for w in cur)]
-    for i in range(1, 1 << s):
-        img = images[(i & -i).bit_length() - 1]
-        for j in range(n):
-            cur[j] ^= img[j]
-        pts.append(tuple(Fraction(w, den) for w in cur))
-    if len(set(pts)) != len(pts):
-        raise InjectivityError("generator map is singular (duplicate points)")
-    return PointSet(tuple(pts), n)
+    t = _shift_words(gen, shift)
+    den = 1 << gen.s
+    return PointSet(tuple(
+        tuple(Fraction(w ^ tw, den) for w, tw in zip(x, t)) for x in gen.point_words
+    ), gen.n)
 
 
 def _shift_words(gen: GeneratorSet, shift: DigitShift | None) -> tuple[int, ...]:
@@ -278,21 +285,27 @@ def rescale_to_N(gen: GeneratorSet, count: int, shift: DigitShift | None = None,
 
 
 def _rescale_once(gen: GeneratorSet, count: int, shift: DigitShift | None) -> RescaleResult:
-    pts = net_points(gen, shift)
-    if count == pts.size:
-        return RescaleResult(pts, Fraction(1), shift)
-    ranked = sorted(pts.points, key=max)
+    den = 1 << gen.s
+    if count == den:
+        return RescaleResult(net_points(gen, shift), Fraction(1), shift)
+    # Rank on integer words; an XOR shift keeps the points distinct.
+    t = _shift_words(gen, shift)
+    ranked = sorted(
+        (tuple(w ^ tw for w, tw in zip(x, t)) for x in gen.point_words), key=max
+    )
     threshold = max(ranked[count - 1])
     nxt = max(ranked[count])
     if nxt == threshold:
         raise RescaleError(
-            f"tie at max-coordinate {threshold}: counts jump past {count}"
+            f"tie at max-coordinate {Fraction(threshold, den)}: counts jump past {count}"
         )
-    if nxt <= Fraction(1, 2):
-        raise RescaleError(f"threshold window below 1/2 (next={nxt})")
-    a = (max(threshold, Fraction(1, 2)) + nxt) / 2
-    kept = tuple(tuple(c / a for c in p) for p in ranked[:count])
-    return RescaleResult(PointSet(kept, pts.n), a, shift)
+    half = den >> 1
+    if nxt <= half:
+        raise RescaleError(f"threshold window below 1/2 (next={Fraction(nxt, den)})")
+    # Divisor a = (max(threshold, 1/2) + next) / 2, so w/den / a = 2w / (that sum).
+    twice_a = max(threshold, half) + nxt
+    kept = tuple(tuple(Fraction(2 * w, twice_a) for w in p) for p in ranked[:count])
+    return RescaleResult(PointSet(kept, gen.n), Fraction(twice_a, 2 * den), shift)
 
 
 # Primitive-polynomial degree, encoded interior coefficients, and initial

@@ -20,14 +20,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .discrepancy import DiscrepancyContext
-from .f2core import bit_reverse
 from .nets import PointSet
-from .walsh import rho_total
 
 DEFAULT_Q_GRID = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0)
 _BLOCK = 4096
-
-_popcount = np.bitwise_count
 
 
 def q_grid(values: Sequence[float] | None = None) -> tuple[float, ...]:
@@ -165,73 +161,62 @@ def dn_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
+def _net_words(ctx: DiscrepancyContext) -> list[tuple[int, ...]]:
+    """The unshifted distribution's words; the context's own shift is
+    undone, since the sampler and the oracle draw or average the shift."""
+    return [tuple(w ^ t for w, t in zip(p, ctx.shift.words)) for p in ctx.point_words]
+
+
 def m_sampler(ctx: DiscrepancyContext) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized truncated approximation over joint (query, shift) samples.
 
     Input columns: n query coordinates, then n uniforms that are floored
-    to grid words acting as the random digit shift.
+    to grid words acting as the random digit shift.  Evaluated as the
+    kernel sum over the XOR-shifted net,
+    M(y, t) = sum_x prod_j clip(2^s y_j - (x_j xor t_j), 0, 1) - N prod_j y_j,
+    one net point at a time so a block's working set stays O(block * n).
     """
-    dual = [L for L in ctx.require_dual() if any(L)]
     n, s = ctx.n, ctx.s
     card = float(ctx.cardinality)
-    rows = []
-    for L in dual:
-        per_coord = []
-        base = card
-        for l in L:
-            rho = l.bit_length()
-            if rho == 0:
-                per_coord.append(None)
-                continue
-            tau = l ^ (1 << (rho - 1))
-            k = tau.bit_length()
-            per_coord.append((
-                rho,
-                np.int64(bit_reverse(tau, k)) if tau else np.int64(0),
-                k,
-                np.int64(bit_reverse(l, s)),
-            ))
-            base *= 2.0 ** (-rho - 1)
-        rows.append((per_coord, base))
+    net = _net_words(ctx)
 
     def f(u: np.ndarray) -> np.ndarray:
         y = u[:, :n]
-        twords = np.minimum((u[:, n:] * (1 << s)).astype(np.int64), (1 << s) - 1)
+        scaled = np.ascontiguousarray((y * (1 << s)).T)
+        twords = np.ascontiguousarray(
+            np.minimum((u[:, n:] * (1 << s)).astype(np.int64), (1 << s) - 1).T)
         total = np.zeros(u.shape[0], dtype=np.float64)
-        for per_coord, base in rows:
-            term = np.full(u.shape[0], base)
-            for j, info in enumerate(per_coord):
-                if info is None:
-                    term = term * y[:, j]
-                    continue
-                rho, revtau, k, revl = info
-                yj = y[:, j]
-                period = 2.0 ** (1 - rho)
-                r = np.mod(yj, period)
-                tri = np.minimum(r, period - r)
-                om = tri * float(1 << (rho + 1))
-                if k:
-                    yw = (yj * (1 << k)).astype(np.int64)
-                    sign = 1.0 - 2.0 * (_popcount(yw & revtau) & 1)
-                    term = term * sign
-                tsign = 1.0 - 2.0 * (_popcount(twords[:, j] & revl) & 1)
-                term = term * om * tsign
+        for x in net:
+            term = np.clip(scaled[0] - (twords[0] ^ x[0]), 0.0, 1.0)
+            for j in range(1, n):
+                term *= np.clip(scaled[j] - (twords[j] ^ x[j]), 0.0, 1.0)
             total += term
-        return total
+        return total - card * y.prod(axis=1)
 
     return f
 
 
 def l2_m_exact(ctx: DiscrepancyContext) -> Fraction:
     """Exact squared L^2 norm of the truncated approximation, jointly in
-    query and shift: cardinality^2 / 3^n times the sum of 4^-rho over the
-    nonzero dual."""
-    acc = Fraction(0)
-    for L in ctx.require_dual():
-        if not any(L):
-            continue
-        acc += Fraction(1, 1 << (2 * rho_total(L)))
-    return Fraction(ctx.cardinality**2, 3**ctx.n) * acc
+    query and shift.
+
+    Over the nonzero dual this is N^2/3^n times the sum of 4^-rho(L); by
+    Poisson summation it equals N^2/3^n ((1/N) sum_x prod_j (1 + f_s(x_j)) - 1)
+    over the N unshifted points, with the digit-shift-invariant kernel
+    f_s(x) = 1/2 - 3 2^(-a-1) at leading-digit position a of x, and
+    f_s(0) = 1/2 - 2^(-s-1) (Dick & Pillichshammer, Acta Arith. 117, 2005).
+    Each factor is kept as the integer 2^(s+1) (1 + f_s(x_j)).
+    """
+    n, s = ctx.n, ctx.s
+    full = 3 << s
+    total = 0
+    for x in _net_words(ctx):
+        prod = 1
+        for w in x:
+            prod *= full - (3 << (w.bit_length() - 1)) if w else full - 1
+        total += prod
+    card = ctx.cardinality
+    return Fraction(card, 3**n) * (Fraction(total, 1 << ((s + 1) * n)) - card)
 
 
 def exp_orlicz_estimate(estimates: Sequence[LqEstimate], alpha: float | None = None,

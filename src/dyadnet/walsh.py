@@ -99,10 +99,6 @@ def rho_vector(L) -> tuple[int, ...]:
     return tuple(rho_index(l) for l in L)
 
 
-def rho_total(L) -> int:
-    return sum(rho_index(l) for l in L)
-
-
 def tau_vector(L) -> tuple[int, ...]:
     return tuple(decompose(l).trunc for l in L)
 

@@ -184,6 +184,13 @@ class TestNorms:
         exact = doc["extras"]["m_l2_exact"]
         assert abs(row["estimate"] - exact) <= 3 * row["stderr"]
 
+    def test_m_target_above_the_dual_cap(self, runner):
+        # The dual of this net has 2^40 elements; M and its oracle stay on the net.
+        out = run_ok(runner, ["norms", "--net", "sobol", "--n", "5", "--s", "10",
+                              "--target", "m", "--samples", "4096", "--q-grid", "2"])
+        assert "# m_l2_exact" in out
+        assert len(data_rows(out)) == 1
+
     def test_workers_identical(self, runner, tmp_path):
         base = ["norms", "--net", "van-der-corput", "--s", "4",
                 "--samples", "30000", "--q-grid", "2,4", "--seed", "5"]

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadnet.discrepancy import DiscrepancyContext
-from dyadnet.f2core import F2Subspace
+from dyadnet.discrepancy import DiscrepancyContext, RouteUnavailableError, m_direct, m_dual_sum
+from dyadnet.f2core import DyadicPoint, F2Subspace
 from dyadnet.nets import net_points, random_shift, sobol_generators, van_der_corput_generators
 from dyadnet.norms import (
     DEFAULT_Q_GRID,
@@ -123,6 +123,79 @@ class TestExactSecondMoment:
         target = float(l2_m_exact(ctx)) ** 0.5
         est = lq_norm_mc(m_sampler(ctx), 2 * ctx.n, 2.0, 60000, seed=12)
         assert abs(est.value - target) <= 3 * est.stderr
+
+
+def _dual_l2(ctx):
+    """The squared L^2 norm of M summed over the enumerated nonzero dual."""
+    acc = Fraction(0)
+    for L in ctx.require_dual():
+        if any(L):
+            acc += Fraction(1, 4 ** sum(l.bit_length() for l in L))
+    return Fraction(ctx.cardinality**2, 3**ctx.n) * acc
+
+
+class TestNetSideOracle:
+    @pytest.mark.parametrize("source", [
+        *(sobol_generators(n, s) for n in (2, 3, 4) for s in range(1, 6)),
+        F2Subspace.full(2, 3),
+    ])
+    def test_closed_form_equals_dual_sum(self, source):
+        ctx = DiscrepancyContext.build(source)
+        assert l2_m_exact(ctx) == _dual_l2(ctx)
+
+    def test_context_shift_does_not_enter(self):
+        # The sampler draws the shift and the oracle averages over it.
+        gen = sobol_generators(3, 4)
+        plain = DiscrepancyContext.build(gen)
+        u = np.random.default_rng(2).random((128, 6))
+        for seed in range(4):
+            shifted = DiscrepancyContext.build(gen, random_shift(3, 4, seed))
+            assert l2_m_exact(shifted) == l2_m_exact(plain)
+            assert np.array_equal(m_sampler(shifted)(u), m_sampler(plain)(u))
+
+    def test_net_side_routes_leave_the_dual_unenumerated(self):
+        ctx = DiscrepancyContext.build(sobol_generators(3, 5))
+        m_sampler(ctx)(np.random.default_rng(0).random((256, 6)))
+        l2_m_exact(ctx)
+        assert "dual_points" not in vars(ctx)
+        assert "dual_signs" not in vars(ctx)
+        assert len(ctx.require_dual()) == 1 << 10
+        assert "dual_points" in vars(ctx)
+
+    def test_above_the_cap(self):
+        ctx = DiscrepancyContext.build(sobol_generators(3, 4), cap=8)
+        with pytest.raises(RouteUnavailableError):
+            ctx.require_dual()
+        full = DiscrepancyContext.build(sobol_generators(3, 4))
+        assert l2_m_exact(ctx) == l2_m_exact(full)
+        u = np.random.default_rng(1).random((128, 6))
+        assert np.array_equal(m_sampler(ctx)(u), m_sampler(full)(u))
+
+
+def _sampler_nets():
+    nets = [van_der_corput_generators(s) for s in range(3, 7)]
+    # Sobol n = 2..4 with s <= 6, where the dual oracle has at most 2^12 elements.
+    nets += [sobol_generators(n, s) for n in (2, 3, 4) for s in range(2, 7)
+             if (n - 1) * s <= 12]
+    return nets
+
+
+class TestNetSideSampler:
+    @pytest.mark.parametrize("gen", _sampler_nets(), ids=lambda g: f"{g.name}-{g.n}-{g.s}")
+    def test_matches_the_exact_dual_route(self, gen):
+        n, s = gen.n, gen.s
+        rng = np.random.default_rng(1000 * n + s)
+        k = rng.integers(0, 1 << (s + 2), size=(6, n))
+        ut = rng.random((6, n))
+        values = m_sampler(DiscrepancyContext.build(gen))(
+            np.hstack([k / (1 << (s + 2)), ut]))
+        for ki, ti, value in zip(k, ut, values):
+            t = tuple(min(int(x * (1 << s)), (1 << s) - 1) for x in ti)
+            ctx_t = DiscrepancyContext.build(gen, DyadicPoint(t, s))
+            Y = tuple(Fraction(int(v), 1 << (s + 2)) for v in ki)
+            exact = m_dual_sum(ctx_t, Y)
+            assert m_direct(ctx_t, Y) == exact
+            assert abs(value - float(exact)) <= 1e-12 * max(1.0, abs(value))
 
 
 class TestExpOrlicz:
