@@ -10,6 +10,7 @@ drive the moment bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -19,11 +20,14 @@ from .f2core import (
     DEFAULT_ENUM_CAP,
     DyadicPoint,
     F2Subspace,
-    bit_reverse,
+    _character_sum,
+    _rev_packed,
+    _rev_words,
+    iter_grid,
     parity,
 )
 from .nets import DigitShift, GeneratorSet, NetQuality, PointSet, as_subspace, certify_deficiency
-from .walsh import rho_vector
+from .walsh import digit_word, rho_vector
 
 __all__ = [
     "DiscrepancyContext",
@@ -138,10 +142,7 @@ class DiscrepancyContext:
         """Tensor character of the shift at index vector L."""
         if self.s == 0:
             return 1
-        acc = 0
-        for l, tw in zip(L, self.shift.words):
-            acc ^= parity(bit_reverse(l, self.s) & tw)
-        return -1 if acc else 1
+        return -1 if parity(_rev_words(L, self.s) & self.shift.pack()) else 1
 
 
 def _grid_words(Y, s: int) -> tuple[int, tuple[int, ...]]:
@@ -193,17 +194,19 @@ def _chi_num(l: int, u: int, g: int) -> int:
     if tau == 0:
         return tri
     k = tau.bit_length()
-    return -tri if parity(bit_reverse(tau, k) & (u >> (g - k))) else tri
+    return -tri if parity(_rev_packed(tau, 1, k) & (u >> (g - k))) else tri
 
 
-def m_direct(ctx: DiscrepancyContext, Y) -> Fraction:
-    """Truncated-kernel route: cell-overlap sum over the shifted points
-    minus cardinality times the box volume."""
-    g, us = _grid_words(Y, ctx.s)
-    if len(us) != ctx.n:
-        raise ValueError("query dimension mismatch")
+def _box_kernel(ctx: DiscrepancyContext, g: int, us: Sequence[int]) -> tuple[int, int]:
+    """Net points in the box [0, us/2^g) and the truncated-kernel sum.
+
+    The kernel term of a point is its cell's overlap with the box, in
+    units of 2^-g per coordinate; it is positive exactly when the point
+    lies in the box.
+    """
     step = 1 << (g - ctx.s)
-    total = 0
+    count = 0
+    kernel = 0
     for words in ctx.point_words:
         prod = 1
         for w, u in zip(words, us):
@@ -212,11 +215,20 @@ def m_direct(ctx: DiscrepancyContext, Y) -> Fraction:
                 prod = 0
                 break
             prod *= min(nu, step)
-        total += prod
-    vol = 1
-    for u in us:
-        vol *= u
-    num = (total << (ctx.s * ctx.n)) - ctx.cardinality * vol
+        if prod:
+            count += 1
+            kernel += prod
+    return count, kernel
+
+
+def m_direct(ctx: DiscrepancyContext, Y) -> Fraction:
+    """Truncated-kernel route: cell-overlap sum over the shifted points
+    minus cardinality times the box volume."""
+    g, us = _grid_words(Y, ctx.s)
+    if len(us) != ctx.n:
+        raise ValueError("query dimension mismatch")
+    _, kernel = _box_kernel(ctx, g, us)
+    num = (kernel << (ctx.s * ctx.n)) - ctx.cardinality * math.prod(us)
     return Fraction(num, 1 << (g * ctx.n))
 
 
@@ -227,8 +239,9 @@ def m_dual_sum(ctx: DiscrepancyContext, Y) -> Fraction:
     if len(us) != ctx.n:
         raise ValueError("query dimension mismatch")
     total = 0
+    dual = ctx.require_dual()
     signs = ctx.dual_signs
-    for idx, L in enumerate(ctx.require_dual()):
+    for idx, L in enumerate(dual):
         if not any(L):
             continue
         prod = 1
@@ -237,8 +250,7 @@ def m_dual_sum(ctx: DiscrepancyContext, Y) -> Fraction:
             if prod == 0:
                 break
         if prod:
-            sign = signs[idx] if signs is not None else ctx.shift_sign(L)
-            total += sign * prod
+            total += signs[idx] * prod
     return Fraction(ctx.cardinality * total, 1 << (g * ctx.n))
 
 
@@ -266,7 +278,7 @@ def approximation_gap(ctx: DiscrepancyContext, resolution: int | None = None,
     bound = ctx.n * (1 << ctx.quality.deficiency)
     if ys is None:
         g = ctx.s + 2 if resolution is None else resolution
-        queries: Iterable = _grid_iter(ctx.n, g)
+        queries: Iterable = ((g, Y.words) for Y in iter_grid(ctx.n, g))
     else:
         queries = (_grid_words(Y, ctx.s) for Y in ys)
     worst = Fraction(-1)
@@ -274,24 +286,9 @@ def approximation_gap(ctx: DiscrepancyContext, resolution: int | None = None,
     checked = 0
     card = ctx.cardinality
     for g, us in queries:
-        step = 1 << (g - ctx.s)
         den = 1 << (g * ctx.n)
-        count = 0
-        kernel = 0
-        for words in ctx.point_words:
-            prod = 1
-            for w, u in zip(words, us):
-                nu = u - w * step
-                if nu <= 0:
-                    prod = 0
-                    break
-                prod *= min(nu, step)
-            if prod:
-                count += 1
-            kernel += prod
-        vol = 1
-        for u in us:
-            vol *= u
+        count, kernel = _box_kernel(ctx, g, us)
+        vol = math.prod(us)
         d_num = count * den - card * vol
         m_num = (kernel << (ctx.s * ctx.n)) - card * vol
         gap = Fraction(abs(d_num - m_num), den)
@@ -300,18 +297,6 @@ def approximation_gap(ctx: DiscrepancyContext, resolution: int | None = None,
             worst = gap
             argmax = tuple(Fraction(u, 1 << g) for u in us)
     return GapReport(worst, bound, argmax, checked)
-
-
-def _grid_iter(n: int, g: int):
-    top = 1 << g
-    us = [0] * n
-    total = top**n
-    for idx in range(total):
-        v = idx
-        for j in range(n):
-            us[j] = v % top
-            v //= top
-        yield g, tuple(us)
 
 
 @dataclass(frozen=True)
@@ -372,30 +357,30 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar: Sequence[int], Y) -> int:
             {"rho_bar": tuple(rho_bar)},
         )
     if ctx.s == 0:
-        yt_words: tuple[int, ...] = (0,) * ctx.n
-    elif isinstance(Y, DyadicPoint):
-        yt_words = Y.truncate(ctx.s).words
+        return len(lam0)  # every character of the one-point grid is 1
+    if isinstance(Y, DyadicPoint):
+        y = Y.truncate(ctx.s).pack()
     else:
-        yt_words = []
-        for y in Y:
-            fy = Fraction(y)
+        words = []
+        for v in Y:
+            fy = Fraction(v)
             if not 0 <= fy < 1:
-                raise ValueError(f"{y} outside [0,1)")
-            yt_words.append((fy.numerator << ctx.s) // fy.denominator)
-        yt_words = tuple(yt_words)
-    total = 0
-    orthogonal = True
-    for L in lam0:
-        acc = 0
-        for l, yw in zip(L, yt_words):
-            acc ^= parity(bit_reverse(l, ctx.s) & yw)
-        total += -1 if acc else 1
-        if acc:
-            orthogonal = False
-    predicted = len(lam0) if orthogonal else 0
+                raise ValueError(f"{v} outside [0,1)")
+            words.append(digit_word(fy, ctx.s))
+        y = DyadicPoint(tuple(words), ctx.s).pack()
+    total, predicted = _lambda0_sum([_rev_words(L, ctx.s) for L in lam0], y)
     if total != predicted:
         raise IdentityViolation(
             "character sum disagrees with the orthogonality form",
             {"rho_bar": tuple(rho_bar), "sum": total, "predicted": predicted},
         )
     return total
+
+
+def _lambda0_sum(rev_lam0: Sequence[int], y: int) -> tuple[int, int]:
+    """Character sum over a strictly-below subgroup at the packed query y,
+    its members given by `_rev_packed` words, and the orthogonality form
+    of that sum: the subgroup size when y annihilates every member, else
+    zero."""
+    total = _character_sum(rev_lam0, y)
+    return total, (total if total == len(rev_lam0) else 0)

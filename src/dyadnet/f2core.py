@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUM_CAP = 1 << 24
@@ -174,11 +175,29 @@ def oplus(a, b):
 
 
 def _rev_packed(packed: int, n: int, s: int) -> int:
+    """Bit-reverse each coordinate word of a packed point.
+
+    This is the one evaluation of the tensor character: the pairing of
+    packed points a and b is parity(_rev_packed(a, n, s) & b).  Callers
+    that pair one point against many reverse it once.
+    """
     mask = (1 << s) - 1
     out = 0
     for j in range(n):
         out |= bit_reverse((packed >> (j * s)) & mask, s) << (j * s)
     return out
+
+
+def _rev_words(words: Sequence[int], s: int) -> int:
+    """`_rev_packed` of the point with these coordinate words."""
+    return _rev_packed(DyadicPoint(tuple(words), s).pack(), len(words), s)
+
+
+def _character_sum(words: Iterable[int], other: int) -> int:
+    """Sum over `words` of the +1/-1 characters parity(a & other), where
+    either `other` or every a has been through `_rev_packed` (the pairing
+    is symmetric, so either side may carry the reversal)."""
+    return sum(-1 if parity(a & other) else 1 for a in words)
 
 
 def pairing(x, y) -> int:
@@ -190,16 +209,13 @@ def pairing(x, y) -> int:
     if isinstance(x, DyadicCoord) and isinstance(y, DyadicCoord):
         if x.s != y.s:
             raise DimensionMismatchError(f"resolutions differ: {x.s} != {y.s}")
-        return parity(bit_reverse(x.word, x.s) & y.word)
+        return parity(_rev_packed(x.word, 1, x.s) & y.word)
     if isinstance(x, DyadicPoint) and isinstance(y, DyadicPoint):
         if x.s != y.s or x.n != y.n:
             raise DimensionMismatchError(
                 f"grids differ: (n={x.n}, s={x.s}) vs (n={y.n}, s={y.s})"
             )
-        acc = 0
-        for a, b in zip(x.words, y.words):
-            acc ^= parity(bit_reverse(a, x.s) & b)
-        return acc
+        return parity(_rev_packed(x.pack(), x.n, x.s) & y.pack())
     raise TypeError("pairing expects two DyadicCoord or two DyadicPoint values")
 
 
@@ -341,13 +357,7 @@ class F2Subspace:
 
 
 def iter_grid(n: int, s: int) -> Iterator[DyadicPoint]:
-    """All points of Q^n(2^s) in counter order."""
-    top = 1 << s
-    words = [0] * n
-    total = top**n
-    for idx in range(total):
-        v = idx
-        for j in range(n):
-            words[j] = v % top
-            v //= top
-        yield DyadicPoint(tuple(words), s)
+    """All points of Q^n(2^s) in counter order, coordinate 0 fastest:
+    the v-th point is DyadicPoint.from_packed(v, n, s)."""
+    for words in product(range(1 << s), repeat=n):
+        yield DyadicPoint(words[::-1], s)

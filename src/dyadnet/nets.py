@@ -24,6 +24,7 @@ from .f2core import (
     _reduce,
     parity,
 )
+from .walsh import digit_word
 
 
 class GeneratorFormatError(ValueError):
@@ -225,9 +226,7 @@ def verify_box_counts(points: PointSet, deficiency: int) -> bool:
     for shape in _compositions(m, points.n):
         buckets: dict[tuple[int, ...], int] = {}
         for p in points.points:
-            key = tuple(
-                (c.numerator << d) // c.denominator for c, d in zip(p, shape)
-            )
+            key = tuple(digit_word(c, d) for c, d in zip(p, shape))
             buckets[key] = buckets.get(key, 0) + 1
         if any(v != want for v in buckets.values()):
             return False

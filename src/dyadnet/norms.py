@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .discrepancy import DiscrepancyContext
-from .nets import PointSet
+from .nets import PointSet, _compositions
 
 DEFAULT_Q_GRID = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0)
 _BLOCK = 4096
@@ -283,13 +283,7 @@ def hyperbolic_indices(n: int, k: int) -> list[tuple[int, ...]]:
     """All positive integer vectors of length n with entries summing to k."""
     if n < 1 or k < n:
         raise ValueError("need k >= n >= 1 for positive entries")
-    if n == 1:
-        return [(k,)]
-    out = []
-    for head in range(1, k - n + 2):
-        for rest in hyperbolic_indices(n - 1, k - head):
-            out.append((head,) + rest)
-    return out
+    return [tuple(d + 1 for d in c) for c in _compositions(k - n, n)]
 
 
 def hyperbolic_lp_ratios(coeffs: dict[tuple[int, ...], float], offset: Sequence[int],

@@ -12,12 +12,21 @@ from fractions import Fraction
 
 from .discrepancy import (
     DiscrepancyContext,
+    _lambda0_sum,
     lambda_group,
     m_direct,
     m_dual_sum,
     approximation_gap,
 )
-from .f2core import bit_reverse, iter_grid, parity
+from .f2core import (
+    DyadicPoint,
+    F2Subspace,
+    _character_sum,
+    _rev_packed,
+    _rev_words,
+    iter_grid,
+    parity,
+)
 from .walsh import fine_coefficient, rho_index, walsh_1d
 
 
@@ -35,50 +44,44 @@ class IdentityResult:
         return f"{self.name}: {status} ({self.checked} cases){extra}"
 
 
-def _tensor_sign(L, words, s: int) -> int:
-    acc = 0
-    for l, w in zip(L, words):
-        acc ^= parity(bit_reverse(l, s) & w)
-    return -1 if acc else 1
-
-
 def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
     """Character sums over the net hit cardinality exactly on the dual,
     zero elsewhere; and symmetrically with net and dual exchanged."""
     n, s = ctx.n, ctx.s
     card = ctx.cardinality
-    net_words = [tuple(p.words) for p in ctx.subspace.enumerate_points()]
-    dual_set = set(ctx.require_dual())
+    net = list(ctx.subspace.enumerate_packed())
+    rev_net = [_rev_packed(x, n, s) for x in net]
+    dual_set = {DyadicPoint(L, s).pack() for L in ctx.require_dual()}
+    grid = range(1 << (n * s))
     checked = 0
-    for L in iter_grid(n, s):
-        total = sum(_tensor_sign(L.words, X, s) for X in net_words)
-        want = card if tuple(L.words) in dual_set else 0
+    for v in grid:
+        total = _character_sum(net, _rev_packed(v, n, s))
+        want = card if v in dual_set else 0
         checked += 1
         if total != want:
             return IdentityResult(
                 "poisson-summation", False, checked,
-                witness={"L": L.words, "sum": total, "expected": want},
+                witness={"L": DyadicPoint.from_packed(v, n, s).words,
+                         "sum": total, "expected": want},
             )
-    for X in iter_grid(n, s):
-        total = sum(_tensor_sign(L, X.words, s) for L in net_words)
-        want = card if tuple(X.words) in dual_set else 0
+    for v in grid:
+        total = _character_sum(rev_net, v)
+        want = card if v in dual_set else 0
         checked += 1
         if total != want:
             return IdentityResult(
                 "poisson-summation", False, checked,
-                witness={"X": X.words, "sum": total, "expected": want,
-                         "direction": "dual"},
+                witness={"X": DyadicPoint.from_packed(v, n, s).words,
+                         "sum": total, "expected": want, "direction": "dual"},
             )
     return IdentityResult("poisson-summation", True, checked)
 
 
-def check_route_equivalence(ctx: DiscrepancyContext,
-                            resolution: int | None = None) -> IdentityResult:
-    """The kernel-sum and dual-sum evaluations agree exactly on a full
-    dyadic grid of queries."""
-    g = ctx.s if resolution is None else resolution
+def check_route_equivalence(ctx: DiscrepancyContext) -> IdentityResult:
+    """The kernel-sum and dual-sum evaluations agree exactly on the full
+    dyadic grid of the net's resolution."""
     checked = 0
-    for Y in iter_grid(ctx.n, g):
+    for Y in iter_grid(ctx.n, ctx.s):
         a = m_direct(ctx, Y)
         b = m_dual_sum(ctx, Y)
         checked += 1
@@ -89,12 +92,11 @@ def check_route_equivalence(ctx: DiscrepancyContext,
                          "direct": str(a), "dual_sum": str(b)},
             )
     return IdentityResult("route-equivalence", True, checked,
-                          details={"resolution": g})
+                          details={"resolution": ctx.s})
 
 
-def check_approximation_gap(ctx: DiscrepancyContext,
-                            resolution: int | None = None) -> IdentityResult:
-    report = approximation_gap(ctx, resolution=resolution)
+def check_approximation_gap(ctx: DiscrepancyContext) -> IdentityResult:
+    report = approximation_gap(ctx)
     witness = None
     if not report.within_bound:
         witness = {"Y": [str(v) for v in report.argmax], "gap": str(report.max_gap)}
@@ -105,14 +107,13 @@ def check_approximation_gap(ctx: DiscrepancyContext,
     )
 
 
-def check_delta_identities(ctx: DiscrepancyContext,
-                           direct_sums: bool | None = None) -> IdentityResult:
+def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
     """Group slice identities: two-valued indicator, unit grid average,
     cardinality bound, and the representative factorization.
 
     The indicator value comes from orthogonality against a basis of the
-    strictly-below subgroup; with direct_sums (default for small duals)
-    the full character sum is recomputed per query as well.
+    strictly-below subgroup; for duals of at most 64 elements the full
+    character sum is recomputed per query as well.
     """
     n, s = ctx.n, ctx.s
     dual = ctx.require_dual()
@@ -120,9 +121,7 @@ def check_delta_identities(ctx: DiscrepancyContext,
     if sum(len(v) for v in groups.values()) != len(dual):
         return IdentityResult("delta-identities", False, 0,
                               witness={"reason": "grouping does not partition"})
-    if direct_sums is None:
-        direct_sums = len(dual) <= 64
-    grid = list(iter_grid(n, s))
+    direct_sums = len(dual) <= 64
     checked = 0
     for rho_bar, members in sorted(groups.items()):
         if not any(any(L) for L in members):
@@ -135,42 +134,37 @@ def check_delta_identities(ctx: DiscrepancyContext,
                          "reason": "cardinality bound"},
             )
         count = grp.lambda0_count
-        basis_masks = _subgroup_basis_masks(grp.lambda0, n, s)
-        if count != 1 << len(basis_masks):
+        span = F2Subspace.from_packed(n, s, (DyadicPoint(L, s).pack() for L in grp.lambda0))
+        if count != span.cardinality:
             return IdentityResult(
                 "delta-identities", False, checked,
                 witness={"rho_bar": rho_bar, "lambda0": count,
                          "reason": "not a subgroup"},
             )
-        member_masks = [
-            tuple(bit_reverse(l, s) for l in L) for L in members
-        ]
-        rep_mask = tuple(bit_reverse(l, s) for l in grp.representative)
-        lam0_masks = [tuple(bit_reverse(l, s) for l in L) for L in grp.lambda0]
+        rev_basis = [_rev_packed(b, n, s) for b in span.basis]
+        rev_members = [_rev_words(L, s) for L in members]
+        rev_rep = _rev_words(grp.representative, s)
+        rev_lam0 = [_rev_words(L, s) for L in grp.lambda0]
         total = 0
-        for Y in grid:
-            yw = Y.words
-            orth = all(
-                not _mask_parity(bm, yw) for bm in basis_masks
-            )
-            val = count if orth else 0
+        for y in range(1 << (n * s)):
+            val = 0 if any(parity(b & y) for b in rev_basis) else count
             checked += 1
             if direct_sums:
-                direct = sum(
-                    -1 if _mask_parity(lm, yw) else 1 for lm in lam0_masks
-                )
+                direct, _ = _lambda0_sum(rev_lam0, y)
                 if direct != val:
                     return IdentityResult(
                         "delta-identities", False, checked,
-                        witness={"rho_bar": rho_bar, "Y": yw,
+                        witness={"rho_bar": rho_bar,
+                                 "Y": DyadicPoint.from_packed(y, n, s).words,
                                  "direct_sum": direct, "orthogonality": val},
                     )
-            rep_sign = -1 if _mask_parity(rep_mask, yw) else 1
-            lhs = sum(-1 if _mask_parity(mm, yw) else 1 for mm in member_masks)
+            rep_sign = -1 if parity(rev_rep & y) else 1
+            lhs = _character_sum(rev_members, y)
             if lhs != rep_sign * val:
                 return IdentityResult(
                     "delta-identities", False, checked,
-                    witness={"rho_bar": rho_bar, "Y": yw,
+                    witness={"rho_bar": rho_bar,
+                             "Y": DyadicPoint.from_packed(y, n, s).words,
                              "group_sum": lhs, "factored": rep_sign * val},
                 )
             total += val
@@ -182,35 +176,6 @@ def check_delta_identities(ctx: DiscrepancyContext,
             )
     return IdentityResult("delta-identities", True, checked,
                           details={"groups": len(groups)})
-
-
-def _mask_parity(masks: tuple[int, ...], words: tuple[int, ...]) -> int:
-    acc = 0
-    for m, w in zip(masks, words):
-        acc ^= parity(m & w)
-    return acc
-
-
-def _subgroup_basis_masks(members, n: int, s: int) -> list[tuple[int, ...]]:
-    """Reversed-word masks for a basis of the packed span of `members`."""
-    from .f2core import F2Subspace
-
-    sub = F2Subspace.from_packed(n, s, (
-        _pack_words(L, s) for L in members
-    ))
-    out = []
-    mask = (1 << s) - 1
-    for b in sub.basis:
-        words = tuple((b >> (j * s)) & mask for j in range(n))
-        out.append(tuple(bit_reverse(w, s) for w in words))
-    return out
-
-
-def _pack_words(words, s: int) -> int:
-    acc = 0
-    for j, w in enumerate(words):
-        acc |= w << (j * s)
-    return acc
 
 
 def check_fine_closed_form(l_max: int = 64, resolution: int = 8) -> IdentityResult:
@@ -258,10 +223,9 @@ def check_fine_square_norm(l_max: int = 64) -> IdentityResult:
     return IdentityResult("interval-coefficient-square-norm", True, checked)
 
 
-def run_net_suite(ctx: DiscrepancyContext, gap_resolution: int | None = None
-                  ) -> list[IdentityResult]:
+def run_net_suite(ctx: DiscrepancyContext) -> list[IdentityResult]:
     results = [check_poisson(ctx), check_route_equivalence(ctx)]
     if ctx.quality is not None:
-        results.append(check_approximation_gap(ctx, resolution=gap_resolution))
+        results.append(check_approximation_gap(ctx))
     results.append(check_delta_identities(ctx))
     return results

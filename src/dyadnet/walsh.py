@@ -33,7 +33,7 @@ def rademacher(i: int, x) -> int:
     fx = as_fraction(x)
     if not 0 <= fx < 1:
         raise ValueError(f"{x} outside [0,1)")
-    return -1 if ((fx.numerator << i) // fx.denominator) & 1 else 1
+    return -1 if digit_word(fx, i) & 1 else 1
 
 
 def walsh_1d(l: int, x) -> int:
@@ -97,10 +97,6 @@ def rho_index(l: int) -> int:
 
 def rho_vector(L) -> tuple[int, ...]:
     return tuple(rho_index(l) for l in L)
-
-
-def tau_vector(L) -> tuple[int, ...]:
-    return tuple(decompose(l).trunc for l in L)
 
 
 def omega(m: int, y) -> Fraction:

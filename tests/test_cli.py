@@ -138,11 +138,21 @@ class TestVerify:
         assert out.count("route-equivalence,True") == 3
         assert "interval-coefficient-closed-form,True" in out
         assert "interval-coefficient-square-norm,True" in out
+        # Case counts of the planar builtin at s = 2, 3, 4: the 2^(2s) grid
+        # walked twice, the grid once, the 2^(2s+4) gap grid, and the grid
+        # once per nonzero leading-digit group.
+        want = [("interval-coefficient-closed-form", 16448),
+                ("interval-coefficient-square-norm", 64)]
+        for counts in ((32, 16, 256, 48), (128, 64, 1024, 384),
+                       (512, 256, 4096, 2560)):
+            want += zip(("poisson-summation", "route-equivalence",
+                         "approximation-gap", "delta-identities"), counts)
+        assert data_rows(out) == [f"{name},True,{k}," for name, k in want]
 
     def test_failure_exit_code(self, runner, monkeypatch):
         import dyadnet.cli as cli_mod
 
-        def fake_suite(ctx, gap_resolution=None):
+        def fake_suite(ctx):
             return [IdentityResult("poisson-summation", False, 1,
                                    witness={"L": (1, 0)})]
 

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from dyadnet.f2core import (
     pairing,
     rt_weight,
 )
+import dyadnet
 from dyadnet.nets import van_der_corput_generators, as_subspace, net_points
 from dyadnet.walsh import walsh_nd
 
@@ -244,3 +247,26 @@ class TestCharacterCompatibility:
                 lhs = walsh_nd(y.words, x)
                 rhs = -1 if pairing(x, y) else 1
                 assert lhs == rhs
+
+
+class TestOneCharacter:
+    def test_no_hand_written_character_outside_f2core(self):
+        # The tensor character is parity(_rev_packed(a) & b), kept in
+        # f2core; walsh_1d stays as the independent test oracle.
+        offenders = []
+        for path in sorted(Path(dyadnet.__file__).parent.glob("*.py")):
+            if path.stem == "f2core":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                called = {
+                    c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+                    for c in ast.walk(node)
+                    if isinstance(c, ast.Call)
+                    and isinstance(c.func, (ast.Name, ast.Attribute))
+                }
+                name = f"{path.stem}.{node.name}"
+                if {"bit_reverse", "parity"} <= called and name != "walsh.walsh_1d":
+                    offenders.append(name)
+        assert offenders == []
