@@ -20,11 +20,11 @@ from .f2core import (
     DEFAULT_ENUM_CAP,
     DyadicPoint,
     F2Subspace,
+    _character,
     _character_sum,
-    _rev_packed,
     _rev_words,
+    bit_reverse,
     iter_grid,
-    parity,
 )
 from .nets import DigitShift, GeneratorSet, NetQuality, PointSet, as_subspace, certify_deficiency
 from .walsh import digit_word, rho_vector
@@ -142,7 +142,7 @@ class DiscrepancyContext:
         """Tensor character of the shift at index vector L."""
         if self.s == 0:
             return 1
-        return -1 if parity(_rev_words(L, self.s) & self.shift.pack()) else 1
+        return _character(_rev_words(L, self.s), self.shift.pack())
 
 
 def _grid_words(Y, s: int) -> tuple[int, tuple[int, ...]]:
@@ -194,7 +194,7 @@ def _chi_num(l: int, u: int, g: int) -> int:
     if tau == 0:
         return tri
     k = tau.bit_length()
-    return -tri if parity(_rev_packed(tau, 1, k) & (u >> (g - k))) else tri
+    return tri * _character(bit_reverse(tau, k), u >> (g - k))
 
 
 def _box_kernel(ctx: DiscrepancyContext, g: int, us: Sequence[int]) -> tuple[int, int]:
@@ -368,7 +368,8 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar: Sequence[int], Y) -> int:
                 raise ValueError(f"{v} outside [0,1)")
             words.append(digit_word(fy, ctx.s))
         y = DyadicPoint(tuple(words), ctx.s).pack()
-    total, predicted = _lambda0_sum([_rev_words(L, ctx.s) for L in lam0], y)
+    total = _character_sum([_rev_words(L, ctx.s) for L in lam0], y)
+    predicted = total if total == len(lam0) else 0
     if total != predicted:
         raise IdentityViolation(
             "character sum disagrees with the orthogonality form",
@@ -376,11 +377,3 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar: Sequence[int], Y) -> int:
         )
     return total
 
-
-def _lambda0_sum(rev_lam0: Sequence[int], y: int) -> tuple[int, int]:
-    """Character sum over a strictly-below subgroup at the packed query y,
-    its members given by `_rev_packed` words, and the orthogonality form
-    of that sum: the subgroup size when y annihilates every member, else
-    zero."""
-    total = _character_sum(rev_lam0, y)
-    return total, (total if total == len(rev_lam0) else 0)

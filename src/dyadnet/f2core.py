@@ -175,12 +175,8 @@ def oplus(a, b):
 
 
 def _rev_packed(packed: int, n: int, s: int) -> int:
-    """Bit-reverse each coordinate word of a packed point.
-
-    This is the one evaluation of the tensor character: the pairing of
-    packed points a and b is parity(_rev_packed(a, n, s) & b).  Callers
-    that pair one point against many reverse it once.
-    """
+    """Bit-reverse each coordinate word of a packed point: the pairing of
+    packed points a and b is parity(_rev_packed(a, n, s) & b)."""
     mask = (1 << s) - 1
     out = 0
     for j in range(n):
@@ -193,11 +189,20 @@ def _rev_words(words: Sequence[int], s: int) -> int:
     return _rev_packed(DyadicPoint(tuple(words), s).pack(), len(words), s)
 
 
+def _character(rev_a: int, b: int) -> int:
+    """The tensor Walsh character (-1)^pairing(a, b) of packed points, in
+    {+1, -1}, with a given through `_rev_packed`.
+
+    This is the one evaluation of the character.  The pairing is
+    symmetric, so either side may carry the reversal; callers that pair
+    one point against many reverse it once.
+    """
+    return -1 if parity(rev_a & b) else 1
+
+
 def _character_sum(words: Iterable[int], other: int) -> int:
-    """Sum over `words` of the +1/-1 characters parity(a & other), where
-    either `other` or every a has been through `_rev_packed` (the pairing
-    is symmetric, so either side may carry the reversal)."""
-    return sum(-1 if parity(a & other) else 1 for a in words)
+    """Sum of `_character(a, other)` over the words a."""
+    return sum(_character(a, other) for a in words)
 
 
 def pairing(x, y) -> int:
@@ -209,7 +214,7 @@ def pairing(x, y) -> int:
     if isinstance(x, DyadicCoord) and isinstance(y, DyadicCoord):
         if x.s != y.s:
             raise DimensionMismatchError(f"resolutions differ: {x.s} != {y.s}")
-        return parity(_rev_packed(x.word, 1, x.s) & y.word)
+        return parity(bit_reverse(x.word, x.s) & y.word)
     if isinstance(x, DyadicPoint) and isinstance(y, DyadicPoint):
         if x.s != y.s or x.n != y.n:
             raise DimensionMismatchError(

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .discrepancy import (
     DiscrepancyContext,
-    _lambda0_sum,
     lambda_group,
     m_direct,
     m_dual_sum,
@@ -21,11 +20,11 @@ from .discrepancy import (
 from .f2core import (
     DyadicPoint,
     F2Subspace,
+    _character,
     _character_sum,
     _rev_packed,
     _rev_words,
     iter_grid,
-    parity,
 )
 from .walsh import fine_coefficient, rho_index, walsh_1d
 
@@ -147,10 +146,10 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
         rev_lam0 = [_rev_words(L, s) for L in grp.lambda0]
         total = 0
         for y in range(1 << (n * s)):
-            val = 0 if any(parity(b & y) for b in rev_basis) else count
+            val = count if all(_character(b, y) == 1 for b in rev_basis) else 0
             checked += 1
             if direct_sums:
-                direct, _ = _lambda0_sum(rev_lam0, y)
+                direct = _character_sum(rev_lam0, y)
                 if direct != val:
                     return IdentityResult(
                         "delta-identities", False, checked,
@@ -158,7 +157,7 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
                                  "Y": DyadicPoint.from_packed(y, n, s).words,
                                  "direct_sum": direct, "orthogonality": val},
                     )
-            rep_sign = -1 if parity(rev_rep & y) else 1
+            rep_sign = _character(rev_rep, y)
             lhs = _character_sum(rev_members, y)
             if lhs != rep_sign * val:
                 return IdentityResult(

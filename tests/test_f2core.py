@@ -13,6 +13,8 @@ from dyadnet.f2core import (
     EnumerationCapError,
     F2Subspace,
     UndefinedWeightError,
+    _character,
+    _rev_packed,
     iter_grid,
     oplus,
     pairing,
@@ -247,12 +249,17 @@ class TestCharacterCompatibility:
                 lhs = walsh_nd(y.words, x)
                 rhs = -1 if pairing(x, y) else 1
                 assert lhs == rhs
+                # The packed character; the reversal may sit on either side.
+                assert _character(_rev_packed(y.pack(), n, s), x.pack()) == lhs
+                assert _character(_rev_packed(x.pack(), n, s), y.pack()) == lhs
 
 
 class TestOneCharacter:
     def test_no_hand_written_character_outside_f2core(self):
-        # The tensor character is parity(_rev_packed(a) & b), kept in
-        # f2core; walsh_1d stays as the independent test oracle.
+        # The tensor character is f2core._character; outside f2core no
+        # function pairs a bit reversal with parity by hand.  walsh_1d
+        # stays as the independent test oracle.
+        reversals = {"bit_reverse", "_rev_packed", "_rev_words"}
         offenders = []
         for path in sorted(Path(dyadnet.__file__).parent.glob("*.py")):
             if path.stem == "f2core":
@@ -267,6 +274,7 @@ class TestOneCharacter:
                     and isinstance(c.func, (ast.Name, ast.Attribute))
                 }
                 name = f"{path.stem}.{node.name}"
-                if {"bit_reverse", "parity"} <= called and name != "walsh.walsh_1d":
+                if ("parity" in called and called & reversals
+                        and name != "walsh.walsh_1d"):
                     offenders.append(name)
         assert offenders == []
