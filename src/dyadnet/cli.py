@@ -2,9 +2,9 @@
 verification, norm estimation, and the growth-law sweep.
 
 Every output starts with a provenance header (config echo, seeds,
-version, arithmetic mode) and is byte-reproducible for a fixed config;
-worker count never changes results.  Exit codes: 0 ok, 1 runtime
-failure, 2 input error, 3 identity-suite failure.
+version, arithmetic mode) and is byte-reproducible for a fixed config.
+Exit codes: 0 ok, 1 runtime failure, 2 input error, 3 identity-suite
+failure.
 """
 
 from __future__ import annotations
@@ -257,17 +257,16 @@ def verify(net, n, s, shift_seed, fmt, out):
               "the truncated approximation jointly over shifts (m).")
 @click.option("--shift-seed", type=int, default=0, show_default=True)
 @click.option("--q-grid", "q_text", default=None, help="Comma-separated exponents.")
-@click.option("--samples", type=int, default=10000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--theta", type=float, default=None,
               help="Orlicz exponent; defaults to (n+1)/2.")
 @click.option("--stratified", is_flag=True, help="Per-axis stratified sampling.")
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratified,
-          workers, fmt, out):
+          fmt, out):
     """Estimate moment norms over a q grid, with the exact second-moment
     oracle and the exponential-Orlicz estimate."""
     qs = _parse_q_grid(q_text)
@@ -285,12 +284,12 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
         shift = random_shift(nn, ss, shift_seed)
         pts = net_points(gen_set, shift)
         ests = lq_norms_mc(dn_sampler(pts), nn, qs, samples, seed,
-                           workers=workers, stratified=stratified)
+                           stratified=stratified)
         reports.append(NormReport("dn", tuple(ests), seed, samples))
     if target in ("m", "both"):
         ctx = DiscrepancyContext.build(gen_set)
         ests = lq_norms_mc(m_sampler(ctx), 2 * nn, qs, samples, seed + 1,
-                           workers=workers, stratified=stratified)
+                           stratified=stratified)
         reports.append(NormReport("m", tuple(ests), seed + 1, samples))
         extras["m_l2_exact"] = float(l2_m_exact(ctx)) ** 0.5
     for report in reports:
@@ -308,16 +307,15 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
 @_net_options
 @click.option("--s-min", type=int, default=4, show_default=True)
 @click.option("--s-max", type=int, default=10, show_default=True)
-@click.option("--shifts", type=int, default=8, show_default=True,
+@click.option("--shifts", type=click.IntRange(min=1), default=8, show_default=True,
               help="Random digit shifts per resolution.")
 @click.option("--q-grid", "q_text", default="2,4,8", show_default=True)
-@click.option("--samples", type=int, default=10000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, workers, fmt, out):
+def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, fmt, out):
     """Growth-law table: discrepancy norms across resolutions and shifts,
     normalized by the expected moment profile."""
     qs = _parse_q_grid(q_text)
@@ -338,7 +336,7 @@ def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, workers, fmt, 
             shift = random_shift(nn, si, shift_seed)
             pts = net_points(gen_set, shift)
             ests = lq_norms_mc(dn_sampler(pts), nn, qs, samples,
-                               seed + 104729 * si + r, workers=workers)
+                               seed + 104729 * si + r)
             for e in ests:
                 ratio = normalized_ratio(e.value, e.q, si, nn)
                 per_q[e.q].append(ratio)

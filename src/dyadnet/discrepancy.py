@@ -23,10 +23,10 @@ from .f2core import (
     _character,
     _character_sum,
     _rev_words,
-    bit_reverse,
     iter_grid,
 )
 from .nets import DigitShift, GeneratorSet, NetQuality, PointSet, as_subspace, certify_deficiency
+from . import walsh
 from .walsh import digit_word, rho_vector
 
 __all__ = [
@@ -179,22 +179,10 @@ def discrepancy_exact(points: PointSet, Y) -> Fraction:
     return count - points.size * vol
 
 
-@lru_cache(maxsize=1 << 20)
-def _chi_num(l: int, u: int, g: int) -> int:
-    """Numerator over 2^g of the integral of w_l on [0, u/2^g)."""
-    if l == 0:
-        return u
-    rho = l.bit_length()
-    period = 1 << (g + 1 - rho)
-    r = u % period
-    tri = min(r, period - r)
-    if tri == 0:
-        return 0
-    tau = l ^ (1 << (rho - 1))
-    if tau == 0:
-        return tri
-    k = tau.bit_length()
-    return tri * _character(bit_reverse(tau, k), u >> (g - k))
+# The dual route meets the same few coefficients for every dual index.  The
+# cache lives here, not in walsh, so the one-off coefficients of the
+# calculus checks do not fill it.
+_chi_num = lru_cache(maxsize=1 << 20)(walsh._chi_num)
 
 
 def _box_kernel(ctx: DiscrepancyContext, g: int, us: Sequence[int]) -> tuple[int, int]:

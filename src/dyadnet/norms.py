@@ -5,14 +5,12 @@ ratio experiments.
 
 Sampling is counter-based: each fixed-size block owns a jumped Philox
 substream, and block moments are reduced with compensated summation in
-block order, so results depend on the seed but never on the worker
-count.
+block order, so a seeded run is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -84,35 +82,27 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _block_moments(eval_block: Callable[[np.random.Generator, int], np.ndarray],
-                   qs: Sequence[float], samples: int, seed: int,
-                   workers: int = 1) -> list[LqEstimate]:
+                   qs: Sequence[float], samples: int, seed: int) -> list[LqEstimate]:
     """(mean |f|^q)^(1/q) for every q in the grid, f sampled blockwise.
 
-    Block b evaluates `eval_block` on its own substream and accumulates
-    the q-th and 2q-th absolute moments; blocks are reduced in order with
-    compensated sums, and the standard error of the norm comes from the
-    delta method applied to the q-th moment.
+    Block b evaluates `eval_block` on its own jumped substream and
+    accumulates the q-th and 2q-th absolute moments; the block sums are
+    reduced in block order with compensated sums.  Together these make a
+    seeded result byte-identical across runs.  The standard error of the
+    norm comes from the delta method applied to the q-th moment.
     """
     qs = q_grid(qs)
     if samples < 1:
         raise ValueError("need at least one sample")
-    blocks = (samples + _BLOCK - 1) // _BLOCK
-    sizes = [min(_BLOCK, samples - b * _BLOCK) for b in range(blocks)]
-
-    def run_block(b: int) -> list[tuple[float, float]]:
-        vals = np.abs(np.asarray(eval_block(_block_rng(seed, b), sizes[b]),
-                                 dtype=np.float64))
-        out = []
+    per_block = []
+    for b, start in enumerate(range(0, samples, _BLOCK)):
+        size = min(_BLOCK, samples - start)
+        vals = np.abs(np.asarray(eval_block(_block_rng(seed, b), size), dtype=np.float64))
+        sums = []
         for q in qs:
             p = vals**q
-            out.append((float(p.sum()), float((p * p).sum())))
-        return out
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_block = list(pool.map(run_block, range(blocks)))
-    else:
-        per_block = [run_block(b) for b in range(blocks)]
+            sums.append((float(p.sum()), float((p * p).sum())))
+        per_block.append(sums)
 
     results = []
     for qi, q in enumerate(qs):
@@ -127,7 +117,7 @@ def _block_moments(eval_block: Callable[[np.random.Generator, int], np.ndarray],
 
 def lq_norms_mc(f: Callable[[np.ndarray], np.ndarray], dims: int,
                 qs: Sequence[float], samples: int, seed: int,
-                workers: int = 1, stratified: bool = False) -> list[LqEstimate]:
+                stratified: bool = False) -> list[LqEstimate]:
     """(mean |f|^q)^(1/q) over uniform samples, for every q in the grid."""
 
     def eval_block(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -139,12 +129,12 @@ def lq_norms_mc(f: Callable[[np.ndarray], np.ndarray], dims: int,
                 u[:, j] = (perm + u[:, j]) / size
         return f(u)
 
-    return _block_moments(eval_block, qs, samples, seed, workers)
+    return _block_moments(eval_block, qs, samples, seed)
 
 
 def lq_norm_mc(f, dims: int, q: float, samples: int, seed: int,
-               workers: int = 1, stratified: bool = False) -> LqEstimate:
-    return lq_norms_mc(f, dims, [q], samples, seed, workers, stratified)[0]
+               stratified: bool = False) -> LqEstimate:
+    return lq_norms_mc(f, dims, [q], samples, seed, stratified)[0]
 
 
 def dn_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:
@@ -249,7 +239,7 @@ class RatioEstimate:
 
 
 def khinchin_ratios(coeffs: Sequence[float], qs: Sequence[float], samples: int,
-                    seed: int, workers: int = 1) -> list[RatioEstimate]:
+                    seed: int) -> list[RatioEstimate]:
     """Norm of a digit-sign series over sqrt(q) times the coefficient norm.
 
     The independent fair signs are drawn directly; evaluating the digit
@@ -264,7 +254,7 @@ def khinchin_ratios(coeffs: Sequence[float], qs: Sequence[float], samples: int,
         signs = rng.integers(0, 2, size=(size, c.size)).astype(np.float64) * 2 - 1
         return signs @ c
 
-    norms = _block_moments(eval_block, qs, samples, seed, workers)
+    norms = _block_moments(eval_block, qs, samples, seed)
     return [
         RatioEstimate(e.q, e.value / (math.sqrt(e.q) * c2),
                       e.stderr / (math.sqrt(e.q) * c2), e.samples)
@@ -272,11 +262,11 @@ def khinchin_ratios(coeffs: Sequence[float], qs: Sequence[float], samples: int,
     ]
 
 
-def khinchin_ratio(coeffs: Sequence[float], q: float, samples: int, seed: int,
-                   workers: int = 1) -> RatioEstimate:
+def khinchin_ratio(coeffs: Sequence[float], q: float, samples: int,
+                   seed: int) -> RatioEstimate:
     if q < 2:
         raise ValueError("ratio is calibrated for q >= 2")
-    return khinchin_ratios(coeffs, [q], samples, seed, workers)[0]
+    return khinchin_ratios(coeffs, [q], samples, seed)[0]
 
 
 def hyperbolic_indices(n: int, k: int) -> list[tuple[int, ...]]:
@@ -287,8 +277,8 @@ def hyperbolic_indices(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 def hyperbolic_lp_ratios(coeffs: dict[tuple[int, ...], float], offset: Sequence[int],
-                         qs: Sequence[float], samples: int, seed: int,
-                         workers: int = 1) -> list[RatioEstimate]:
+                         qs: Sequence[float], samples: int,
+                         seed: int) -> list[RatioEstimate]:
     """Hyperbolic digit-sign sums: norm over q^((n-1)/2) times coefficient norm.
 
     Coefficients are indexed by positive integer vectors of one common
@@ -327,7 +317,7 @@ def hyperbolic_lp_ratios(coeffs: dict[tuple[int, ...], float], offset: Sequence[
             vals += term
         return vals
 
-    norms = _block_moments(eval_block, qs, samples, seed, workers)
+    norms = _block_moments(eval_block, qs, samples, seed)
     scale = (n - 1) / 2
     return [
         RatioEstimate(e.q, e.value / (e.q**scale * c2),
@@ -336,6 +326,6 @@ def hyperbolic_lp_ratios(coeffs: dict[tuple[int, ...], float], offset: Sequence[
     ]
 
 
-def hyperbolic_lp_ratio(coeffs, offset, q: float, samples: int, seed: int,
-                        workers: int = 1) -> RatioEstimate:
-    return hyperbolic_lp_ratios(coeffs, offset, [q], samples, seed, workers)[0]
+def hyperbolic_lp_ratio(coeffs, offset, q: float, samples: int,
+                        seed: int) -> RatioEstimate:
+    return hyperbolic_lp_ratios(coeffs, offset, [q], samples, seed)[0]

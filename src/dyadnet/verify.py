@@ -45,15 +45,13 @@ class IdentityResult:
 
 def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
     """Character sums over the net hit cardinality exactly on the dual,
-    zero elsewhere; and symmetrically with net and dual exchanged."""
+    zero elsewhere."""
     n, s = ctx.n, ctx.s
     card = ctx.cardinality
     net = list(ctx.subspace.enumerate_packed())
-    rev_net = [_rev_packed(x, n, s) for x in net]
     dual_set = {DyadicPoint(L, s).pack() for L in ctx.require_dual()}
-    grid = range(1 << (n * s))
     checked = 0
-    for v in grid:
+    for v in range(1 << (n * s)):
         total = _character_sum(net, _rev_packed(v, n, s))
         want = card if v in dual_set else 0
         checked += 1
@@ -62,16 +60,6 @@ def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
                 "poisson-summation", False, checked,
                 witness={"L": DyadicPoint.from_packed(v, n, s).words,
                          "sum": total, "expected": want},
-            )
-    for v in grid:
-        total = _character_sum(rev_net, v)
-        want = card if v in dual_set else 0
-        checked += 1
-        if total != want:
-            return IdentityResult(
-                "poisson-summation", False, checked,
-                witness={"X": DyadicPoint.from_packed(v, n, s).words,
-                         "sum": total, "expected": want, "direction": "dual"},
             )
     return IdentityResult("poisson-summation", True, checked)
 

@@ -2,8 +2,9 @@
 
 Indices decompose into (leading-bit position, leading digit, truncation);
 the interval-indicator coefficients come out of the classical sawtooth
-closed form, and step functions on dyadic grids carry the exact
-conditional-expectation calculus.
+closed form, evaluated in integers over a power-of-two denominator, and
+step functions on dyadic grids carry the exact conditional-expectation
+calculus.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .f2core import DyadicCoord, DyadicPoint, bit_reverse, parity
+from .f2core import DyadicCoord, DyadicPoint, _character, bit_reverse, parity
 
 
 def as_fraction(x) -> Fraction:
@@ -118,20 +119,40 @@ def omega(m: int, y) -> Fraction:
     return tri * (1 << (m + 1))
 
 
+def _chi_num(l: int, u: int, g: int) -> int:
+    """Numerator over 2^g of the integral of w_l on [0, u/2^g), for g at
+    least the bit length of l.
+
+    The sawtooth closed form in integers: a triangle of period
+    2^(g+1-rho) signed by the character of the truncated index.
+    """
+    if l == 0:
+        return u
+    rho = l.bit_length()
+    period = 1 << (g + 1 - rho)
+    r = u % period
+    tri = min(r, period - r)
+    if tri == 0:
+        return 0
+    tau = l ^ (1 << (rho - 1))
+    if tau == 0:
+        return tri
+    k = tau.bit_length()
+    return tri * _character(bit_reverse(tau, k), u >> (g - k))
+
+
 def fine_coefficient(l: int, y) -> Fraction:
-    """Exact integral of w_l over [0, y): 2^(-rho-1) * w_trunc(y) * omega_rho(y)."""
+    """Exact integral of w_l over [0, y) for dyadic y in [0, 1]."""
     fy = as_fraction(y)
     if not 0 <= fy <= 1:
         raise ValueError(f"{y} outside [0,1]")
     if l < 0:
         raise ValueError("index must be nonnegative")
-    if l == 0:
-        return fy
-    d = decompose(l)
-    w = omega(d.rho, fy)
-    if w == 0:
-        return Fraction(0)
-    return Fraction(walsh_1d(d.trunc, fy), 1 << (d.rho + 1)) * w
+    den = fy.denominator
+    if den & (den - 1):
+        raise ValueError(f"{y} is not dyadic; exact routes need dyadic input")
+    g = max(den.bit_length() - 1, l.bit_length())
+    return Fraction(_chi_num(l, digit_word(fy, g), g), 1 << g)
 
 
 def fine_coefficient_nd(L, Y) -> Fraction:

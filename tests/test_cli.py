@@ -1,5 +1,8 @@
 import json
+import re
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -139,12 +142,12 @@ class TestVerify:
         assert "interval-coefficient-closed-form,True" in out
         assert "interval-coefficient-square-norm,True" in out
         # Case counts of the planar builtin at s = 2, 3, 4: the 2^(2s) grid
-        # walked twice, the grid once, the 2^(2s+4) gap grid, and the grid
-        # once per nonzero leading-digit group.
+        # for Poisson and for route equivalence, the 2^(2s+4) gap grid, and
+        # the grid once per nonzero leading-digit group.
         want = [("interval-coefficient-closed-form", 16448),
                 ("interval-coefficient-square-norm", 64)]
-        for counts in ((32, 16, 256, 48), (128, 64, 1024, 384),
-                       (512, 256, 4096, 2560)):
+        for counts in ((16, 16, 256, 48), (64, 64, 1024, 384),
+                       (256, 256, 4096, 2560)):
             want += zip(("poisson-summation", "route-equivalence",
                          "approximation-gap", "delta-identities"), counts)
         assert data_rows(out) == [f"{name},True,{k}," for name, k in want]
@@ -201,13 +204,6 @@ class TestNorms:
         assert "# m_l2_exact" in out
         assert len(data_rows(out)) == 1
 
-    def test_workers_identical(self, runner, tmp_path):
-        base = ["norms", "--net", "van-der-corput", "--s", "4",
-                "--samples", "30000", "--q-grid", "2,4", "--seed", "5"]
-        run_ok(runner, base + ["--workers", "1", "--out", str(tmp_path / "w1.csv")])
-        run_ok(runner, base + ["--workers", "3", "--out", str(tmp_path / "w3.csv")])
-        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
-
 
 class TestSweep:
     def test_deterministic_rerun(self, runner, tmp_path):
@@ -235,3 +231,31 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", "--net", "van-der-corput",
                                       "--s-min", "5", "--s-max", "3"])
         assert result.exit_code == 2
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command, flag", [("norms", "--samples"),
+                                               ("sweep", "--samples"),
+                                               ("sweep", "--shifts")])
+    def test_zero_count_is_input_error(self, runner, command, flag):
+        result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",
+                                      flag, "0"])
+        assert result.exit_code == 2
+        assert flag in result.output
+
+    @pytest.mark.parametrize("command", ["norms", "sweep"])
+    def test_workers_is_not_an_option(self, runner, command):
+        result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",
+                                      "--workers", "2"])
+        assert result.exit_code == 2
+        assert "--workers" in result.output
+
+    def test_readme_lists_every_option(self):
+        options = set()
+        for param in [*main.params, *(p for c in main.commands.values() for p in c.params)]:
+            if isinstance(param, click.Option):
+                options.update(param.opts + param.secondary_opts)
+        options -= {"--help", "--version"}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+        assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == options

@@ -69,13 +69,6 @@ class TestLqNormMc:
         c = lq_norms_mc(dn_sampler(pts), 2, (2.0, 8.0), 20000, seed=10)
         assert a[0].value != c[0].value
 
-    def test_workers_do_not_change_results(self):
-        pts = net_points(van_der_corput_generators(5), random_shift(2, 5, 2))
-        a = lq_norms_mc(dn_sampler(pts), 2, (2.0,), 30000, seed=7, workers=1)
-        b = lq_norms_mc(dn_sampler(pts), 2, (2.0,), 30000, seed=7, workers=4)
-        assert a[0].value == b[0].value
-        assert a[0].stderr == b[0].stderr
-
     def test_stratified_reduces_variance_on_smooth_target(self):
         f = lambda u: u[:, 0]
         plain = [

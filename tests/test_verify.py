@@ -52,8 +52,9 @@ class TestNegativeControls:
         corrupted = vdc_ctx.with_dual_points([(0, 0)] + bad)
         res = check_poisson(corrupted)
         assert not res.passed
-        assert res.witness is not None
-        assert "L" in res.witness or "X" in res.witness
+        missing = next(L for L in vdc_ctx.dual_points if any(L) and L not in bad)
+        assert res.witness["L"] == missing
+        assert (res.witness["sum"], res.witness["expected"]) == (vdc_ctx.cardinality, 0)
 
     def test_foreign_vector_fails_poisson(self, vdc_ctx):
         dual_set = set(vdc_ctx.dual_points)

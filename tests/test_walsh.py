@@ -213,6 +213,24 @@ class TestFineCoefficient:
                 y = frac(t, res)
                 assert fine_coefficient(l, y) == chi_quadrature_oracle(l, y, res)
 
+    def test_matches_sawtooth_closed_form(self):
+        # Oracle: 2^(-rho-1) w_tau(y) omega_rho(y), with the index split at
+        # its leading digit; indices up to one digit finer than y's grid.
+        for g in range(8):
+            for l in range(1, 1 << min(g + 1, 7)):
+                d = decompose(l)
+                for t in range((1 << g) + 1):
+                    y = frac(t, g)
+                    w = omega(d.rho, y)
+                    want = Fraction(walsh_1d(d.trunc, y), 1 << (d.rho + 1)) * w if w else 0
+                    assert fine_coefficient(l, y) == want, (l, y)
+
+    def test_non_dyadic_rejected(self):
+        with pytest.raises(ValueError):
+            fine_coefficient(3, Fraction(1, 3))
+        with pytest.raises(ValueError):
+            fine_coefficient(0, Fraction(2, 3))
+
     def test_index_addition_matches_xor(self):
         # Expansion indices add a bit above the leading digit, so ordinary
         # addition and XOR coincide there.
