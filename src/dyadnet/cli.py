@@ -122,7 +122,8 @@ _NET_OPTIONS = [
     click.option("--net", default="van-der-corput", show_default=True,
                  help="Builtin name (van-der-corput, sobol) or file:PATH."),
     click.option("--n", type=int, default=None, help="Dimension (builtin nets)."),
-    click.option("--s", type=int, default=None, help="Digit resolution; 2^s points."),
+    click.option("--s", type=click.IntRange(min=1), default=None,
+                 help="Digit resolution; 2^s points."),
 ]
 
 
@@ -143,7 +144,7 @@ def main():
 @click.option("--count", type=int, default=None,
               help="Rescale the net down to this many points.")
 @click.option("--shift-seed", type=int, default=None, help="Random digit shift seed.")
-@click.option("--shift-retries", type=int, default=64, show_default=True,
+@click.option("--shift-retries", type=click.IntRange(min=0), default=64, show_default=True,
               help="Extra seeded shifts to try when --count hits a tie.")
 @click.option("--exact", is_flag=True, help="Exact coordinates instead of doubles.")
 @click.option("--out", type=click.Path(), default=None)

@@ -80,16 +80,8 @@ class DyadicCoord:
     def value(self) -> Fraction:
         return Fraction(self.word, 1 << self.s)
 
-    def eta(self, i: int) -> int:
-        """Digit i of the binary expansion, leading digit first."""
-        if i < 1:
-            raise ValueError("digit index must be >= 1")
-        if i > self.s:
-            return 0
-        return (self.word >> (self.s - i)) & 1
-
     def xi(self, i: int) -> int:
-        """Digit i counted from the least significant end: xi(i) = eta(s-i+1)."""
+        """Digit i counted from the least significant end (xi(1) is the last digit)."""
         if not 1 <= i <= self.s:
             raise ValueError("digit index out of range")
         return (self.word >> (i - 1)) & 1
@@ -167,11 +159,6 @@ class DyadicPoint:
                 f"grids differ: (n={self.n}, s={self.s}) vs (n={other.n}, s={other.s})"
             )
         return DyadicPoint(tuple(a ^ b for a, b in zip(self.words, other.words)), self.s)
-
-
-def oplus(a, b):
-    """Digitwise XOR addition on Q(2^s) or Q^n(2^s)."""
-    return a ^ b
 
 
 def _rev_packed(packed: int, n: int, s: int) -> int:
@@ -324,13 +311,6 @@ class F2Subspace:
     def cardinality(self) -> int:
         return 1 << self.dim
 
-    def contains(self, point) -> bool:
-        v = point.pack() if isinstance(point, DyadicPoint) else int(point)
-        for b in self.basis:
-            if v.bit_length() == b.bit_length():
-                v ^= b
-        return v == 0
-
     def enumerate_packed(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[int]:
         """Yield every packed element exactly once (Gray-code order)."""
         if self.cardinality > cap:
@@ -351,7 +331,13 @@ class F2Subspace:
         return F2Subspace(self.n, self.s, _reduce(_nullspace(rows, self.ambient_dim)))
 
     def min_weight(self, cap: int = DEFAULT_ENUM_CAP) -> int:
-        """Minimum RT weight over nonzero elements, by exhaustive enumeration."""
+        """Minimum RT weight over nonzero elements, by exhaustive enumeration.
+
+        No production route calls it: `nets.certify_deficiency` decides the
+        weight by rank conditions, and this is that certificate's test
+        oracle.  It stays a method because `perfbench/tracing.py` wraps it
+        by name.
+        """
         if self.dim == 0:
             raise UndefinedWeightError("zero subspace has no nonzero element")
         return min(

@@ -234,12 +234,22 @@ class TestSweep:
 
 
 class TestOptions:
+    # Click keeps the last occurrence of an option, so the out-of-range
+    # value wins over the leading "--s 3".  Every flag here must be at
+    # least 1, except --shift-retries, which must be at least 0.
     @pytest.mark.parametrize("command, flag", [("norms", "--samples"),
                                                ("sweep", "--samples"),
-                                               ("sweep", "--shifts")])
+                                               ("sweep", "--shifts"),
+                                               ("verify", "--s"),
+                                               ("norms", "--s"),
+                                               ("gen", "--s"),
+                                               ("certify", "--s"),
+                                               ("sweep", "--s"),
+                                               ("gen", "--shift-retries")])
     def test_zero_count_is_input_error(self, runner, command, flag):
+        value = "-1" if flag == "--shift-retries" else "0"
         result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",
-                                      flag, "0"])
+                                      flag, value])
         assert result.exit_code == 2
         assert flag in result.output
 
@@ -259,3 +269,10 @@ class TestOptions:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         paragraph = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
         assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == options
+
+    def test_readme_library_example_runs(self):
+        # Every name the example imports must still be exported.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Library example\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})

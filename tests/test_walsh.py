@@ -6,24 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadnet.f2core import DyadicCoord, DyadicPoint
-from dyadnet.walsh import (
-    StepFunction,
-    decompose,
-    fine_coefficient,
-    fine_coefficient_nd,
-    omega,
-    rademacher,
-    rho_index,
-    sawtooth_distance,
-    sawtooth_identity_check,
-    truncated_projection,
-    walsh_1d,
-    walsh_nd,
-)
+from dyadnet.walsh import digit_word, fine_coefficient, rho_index, walsh_1d
+from oracles import omega, walsh_nd
 
 
 def frac(t, g):
     return Fraction(t, 1 << g)
+
+
+def digit_sign(i: int, y: Fraction) -> int:
+    """Sign of binary digit i of y: +1 if the digit is 0, -1 if it is 1."""
+    return -1 if digit_word(y, i) & 1 else 1
 
 
 def omega_series_oracle(m: int, y: Fraction, g: int) -> Fraction:
@@ -36,9 +29,9 @@ def omega_series_oracle(m: int, y: Fraction, g: int) -> Fraction:
     if y == 1:
         return Fraction(0) if m >= 1 else Fraction(2)
     acc = Fraction(0)
-    rm = rademacher(m, y) if m <= g else 1
+    rm = digit_sign(m, y) if m <= g else 1
     for i in range(1, g - m + 1):
-        acc += Fraction(1, 1 << i) * rm * rademacher(m + i, y)
+        acc += Fraction(1, 1 << i) * rm * digit_sign(m + i, y)
     if g - m >= 0:
         acc += Fraction(rm, 1 << (g - m)) if g > m else Fraction(rm)
     else:
@@ -70,7 +63,7 @@ class TestWalsh1d:
             for t in range(1 << s):
                 x = frac(t, s)
                 for k in range(0, s):
-                    assert walsh_1d(1 << k, x) == rademacher(k + 1, x)
+                    assert walsh_1d(1 << k, x) == digit_sign(k + 1, x)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -117,48 +110,6 @@ class TestWalshNd:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             walsh_nd((1, 2, 3), DyadicPoint.zero(2, 3))
-
-
-class TestRademacher:
-    def test_examples(self):
-        assert rademacher(1, 0.3) == 1
-        assert rademacher(1, 0.6) == -1
-        assert rademacher(2, Fraction(1, 4)) == -1
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            rademacher(0, 0.5)
-
-    def test_constant_on_cells(self):
-        for i in (1, 2, 3):
-            step = Fraction(1, 1 << i)
-            for t in range(1 << i):
-                left = t * step
-                vals = {rademacher(i, left + k * step / 4) for k in range(4)}
-                assert len(vals) == 1
-
-
-class TestDecompose:
-    def test_single_bit(self):
-        d = decompose(1)
-        assert (d.rho, d.lead, d.trunc) == (1, 1, 0)
-
-    def test_six(self):
-        d = decompose(6)
-        assert (d.rho, d.lead, d.trunc) == (3, 1, 2)
-
-    def test_zero(self):
-        d = decompose(0)
-        assert (d.rho, d.trunc) == (0, 0)
-
-    @settings(max_examples=200, derandomize=True)
-    @given(st.integers(0, 1 << 20))
-    def test_recompose_and_bounds(self, l):
-        d = decompose(l)
-        assert d.recompose() == l
-        if l:
-            assert d.trunc < 1 << (d.rho - 1)
-            assert l == d.trunc + (1 << (d.rho - 1))
 
 
 class TestOmega:
@@ -218,11 +169,12 @@ class TestFineCoefficient:
         # its leading digit; indices up to one digit finer than y's grid.
         for g in range(8):
             for l in range(1, 1 << min(g + 1, 7)):
-                d = decompose(l)
+                rho = l.bit_length()
+                tau = l ^ (1 << (rho - 1))
                 for t in range((1 << g) + 1):
                     y = frac(t, g)
-                    w = omega(d.rho, y)
-                    want = Fraction(walsh_1d(d.trunc, y), 1 << (d.rho + 1)) * w if w else 0
+                    w = omega(rho, y)
+                    want = Fraction(walsh_1d(tau, y), 1 << (rho + 1)) * w if w else 0
                     assert fine_coefficient(l, y) == want, (l, y)
 
     def test_non_dyadic_rejected(self):
@@ -239,19 +191,6 @@ class TestFineCoefficient:
             for i in range(1, 9):
                 bit = 1 << (rho + i - 1)
                 assert l + bit == l ^ bit
-
-    def test_nd_product(self):
-        assert fine_coefficient_nd((0, 0), (Fraction(1, 2), Fraction(3, 4))) == Fraction(3, 8)
-        assert fine_coefficient_nd((3, 1), (1, 1)) == 0
-        rng = random.Random(11)
-        for _ in range(50):
-            n = rng.randint(1, 3)
-            L = tuple(rng.randrange(16) for _ in range(n))
-            Y = tuple(frac(rng.randint(0, 64), 6) for _ in range(n))
-            want = Fraction(1)
-            for l, y in zip(L, Y):
-                want *= fine_coefficient(l, y)
-            assert fine_coefficient_nd(L, Y) == want
 
     def test_square_norm_identity(self):
         # Exact piecewise-quadratic integration of the coefficient profile.
@@ -279,50 +218,3 @@ class TestOrthonormality:
             w2 = np.kron(w1, w1)
             gram2 = w2 @ w2.T
             assert (gram2 == size * size * np.eye(size * size, dtype=np.int64)).all()
-
-
-class TestStepFunctions:
-    def test_constant_projection(self):
-        f = StepFunction.constant(Fraction(5, 8), 3)
-        g = truncated_projection(f, 1)
-        assert set(g.values) == {Fraction(5, 8)}
-        h = truncated_projection(f, 5)
-        assert h(Fraction(17, 32)) == Fraction(5, 8)
-
-    def test_identity_averages(self):
-        # Cell averages of x at a fine grid, projected down to one digit.
-        m = 5
-        f = StepFunction(m, tuple(Fraction(2 * t + 1, 1 << (m + 1)) for t in range(1 << m)))
-        g = truncated_projection(f, 1)
-        assert g.values == (Fraction(1, 4), Fraction(3, 4))
-
-    def test_projection_equals_walsh_partial_sum(self):
-        rng = random.Random(13)
-        for s in range(0, 5):
-            res = 5
-            f = StepFunction(res, tuple(Fraction(rng.randint(-8, 8), 4) for _ in range(1 << res)))
-            proj = truncated_projection(f, s)
-            for t in range(1 << res):
-                x = frac(t, res)
-                partial = sum(
-                    (f.walsh_coefficient(l) * walsh_1d(l, x) for l in range(1 << s)),
-                    Fraction(0),
-                )
-                assert partial == proj(x)
-
-    def test_integral_preserved(self):
-        rng = random.Random(14)
-        f = StepFunction(4, tuple(Fraction(rng.randint(0, 9)) for _ in range(16)))
-        assert truncated_projection(f, 2).integral() == f.integral()
-
-
-class TestSawtooth:
-    def test_endpoints(self):
-        assert sawtooth_distance(0) == 0
-        assert sawtooth_distance(Fraction(1, 2)) == Fraction(1, 2)
-        assert sawtooth_identity_check(0)
-        assert sawtooth_identity_check(Fraction(1, 2))
-
-    def test_exhaustive_grid(self):
-        for t in range(1 << 8):
-            assert sawtooth_identity_check(frac(t, 8))
