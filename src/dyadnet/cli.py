@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from fractions import Fraction
 from pathlib import Path
@@ -271,6 +272,8 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
     """Estimate moment norms over a q grid, with the exact second-moment
     oracle and the exponential-Orlicz estimate."""
     qs = _parse_q_grid(q_text)
+    if theta is not None and not math.isfinite(theta):
+        raise _Failure(f"bad --theta: {theta} is not finite", EXIT_INPUT)
     gen_set = _load_net(net, n, s)
     nn, ss = gen_set.n, gen_set.s
     theta_val = theta if theta is not None else (nn + 1) / 2

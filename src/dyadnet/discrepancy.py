@@ -23,6 +23,7 @@ from .f2core import (
     _character,
     _character_sum,
     _rev_words,
+    _unpack,
     iter_grid,
 )
 from .nets import DigitShift, GeneratorSet, NetQuality, PointSet, as_subspace, certify_deficiency
@@ -87,19 +88,17 @@ class DiscrepancyContext:
         if isinstance(shift, DigitShift):
             t = shift.point
         elif shift is None:
-            t = DyadicPoint.zero(n, max(s, 1))
+            t = DyadicPoint.zero(n, s)
         else:
             t = shift
-        if t.n != n or (s > 0 and t.s != s):
+        if t.n != n or t.s != s:
             raise ValueError("shift grid does not match the distribution")
-        if s > 0:
-            # The cap gates the dual route only; the net itself is the object.
-            points = tuple(
-                tuple(w ^ tw for w, tw in zip(p.words, t.words))
-                for p in sub.enumerate_points(max(cap, sub.cardinality))
-            )
-        else:
-            points = ((0,) * n,)
+        # The cap gates the dual route only; the net itself is the object.
+        tp = t.pack()
+        points = tuple(
+            _unpack(p ^ tp, n, s)
+            for p in sub.enumerate_packed(max(cap, sub.cardinality))
+        )
         return cls(n, s, sub, sub.dual(), t, points, quality, cap)
 
     @property
@@ -110,9 +109,9 @@ class DiscrepancyContext:
     def dual_points(self) -> tuple[tuple[int, ...], ...] | None:
         if self.dual.cardinality > self.cap:
             return None
-        if self.s == 0:
-            return ((0,) * self.n,)
-        return tuple(sorted(tuple(p.words) for p in self.dual.enumerate_points(self.cap)))
+        return tuple(sorted(
+            _unpack(p, self.n, self.s) for p in self.dual.enumerate_packed(self.cap)
+        ))
 
     @cached_property
     def dual_signs(self) -> tuple[int, ...] | None:
@@ -140,26 +139,31 @@ class DiscrepancyContext:
 
     def shift_sign(self, L: Sequence[int]) -> int:
         """Tensor character of the shift at index vector L."""
-        if self.s == 0:
-            return 1
+        if any(l >> self.s for l in L):
+            raise ValueError(f"index vector {tuple(L)} out of range for s={self.s}")
         return _character(_rev_words(L, self.s), self.shift.pack())
 
 
-def _grid_words(Y, s: int) -> tuple[int, tuple[int, ...]]:
-    """Common-resolution integer view of a dyadic point or value tuple."""
+def _grid_words(Y, s: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """Common-resolution integer view of an n-dimensional dyadic point or
+    value tuple."""
     if isinstance(Y, DyadicPoint):
         g = max(Y.s, s)
-        return g, tuple(w << (g - Y.s) for w in Y.words)
-    ys = [Fraction(y) for y in Y]
-    g = max(s, 1)
-    for y in ys:
-        if not 0 <= y <= 1:
-            raise ValueError(f"{y} outside [0,1]")
-        d = y.denominator
-        if d & (d - 1):
-            raise ValueError(f"{y} is not dyadic; exact routes need dyadic input")
-        g = max(g, d.bit_length() - 1)
-    return g, tuple(int(y * (1 << g)) for y in ys)
+        us = tuple(w << (g - Y.s) for w in Y.words)
+    else:
+        ys = [Fraction(y) for y in Y]
+        g = s
+        for y in ys:
+            if not 0 <= y <= 1:
+                raise ValueError(f"{y} outside [0,1]")
+            d = y.denominator
+            if d & (d - 1):
+                raise ValueError(f"{y} is not dyadic; exact routes need dyadic input")
+            g = max(g, d.bit_length() - 1)
+        us = tuple(int(y * (1 << g)) for y in ys)
+    if len(us) != n:
+        raise ValueError("query dimension mismatch")
+    return g, us
 
 
 def discrepancy_exact(points: PointSet, Y) -> Fraction:
@@ -212,9 +216,7 @@ def _box_kernel(ctx: DiscrepancyContext, g: int, us: Sequence[int]) -> tuple[int
 def m_direct(ctx: DiscrepancyContext, Y) -> Fraction:
     """Truncated-kernel route: cell-overlap sum over the shifted points
     minus cardinality times the box volume."""
-    g, us = _grid_words(Y, ctx.s)
-    if len(us) != ctx.n:
-        raise ValueError("query dimension mismatch")
+    g, us = _grid_words(Y, ctx.s, ctx.n)
     _, kernel = _box_kernel(ctx, g, us)
     num = (kernel << (ctx.s * ctx.n)) - ctx.cardinality * math.prod(us)
     return Fraction(num, 1 << (g * ctx.n))
@@ -223,9 +225,7 @@ def m_direct(ctx: DiscrepancyContext, Y) -> Fraction:
 def m_dual_sum(ctx: DiscrepancyContext, Y) -> Fraction:
     """Dual route: cardinality times the character-weighted coefficient sum
     over the nonzero dual indices."""
-    g, us = _grid_words(Y, ctx.s)
-    if len(us) != ctx.n:
-        raise ValueError("query dimension mismatch")
+    g, us = _grid_words(Y, ctx.s, ctx.n)
     total = 0
     dual = ctx.require_dual()
     signs = ctx.dual_signs
@@ -268,7 +268,7 @@ def approximation_gap(ctx: DiscrepancyContext, resolution: int | None = None,
         g = ctx.s + 2 if resolution is None else resolution
         queries: Iterable = ((g, Y.words) for Y in iter_grid(ctx.n, g))
     else:
-        queries = (_grid_words(Y, ctx.s) for Y in ys)
+        queries = (_grid_words(Y, ctx.s, ctx.n) for Y in ys)
     worst = Fraction(-1)
     argmax: tuple[Fraction, ...] = ()
     checked = 0
@@ -338,16 +338,8 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar: Sequence[int], Y) -> int:
     the subgroup size when the truncated query annihilates every member,
     else zero.
     """
-    lam0 = _lambda0_members(ctx, tuple(rho_bar))
-    if not lam0:
-        raise IdentityViolation(
-            "no members strictly below the position vector",
-            {"rho_bar": tuple(rho_bar)},
-        )
-    if ctx.s == 0:
-        return len(lam0)  # every character of the one-point grid is 1
     if isinstance(Y, DyadicPoint):
-        y = Y.truncate(ctx.s).pack()
+        words = Y.truncate(ctx.s).words
     else:
         words = []
         for v in Y:
@@ -355,7 +347,15 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar: Sequence[int], Y) -> int:
             if not 0 <= fy < 1:
                 raise ValueError(f"{v} outside [0,1)")
             words.append(digit_word(fy, ctx.s))
-        y = DyadicPoint(tuple(words), ctx.s).pack()
+    if len(words) != ctx.n:
+        raise ValueError("query dimension mismatch")
+    lam0 = _lambda0_members(ctx, tuple(rho_bar))
+    if not lam0:
+        raise IdentityViolation(
+            "no members strictly below the position vector",
+            {"rho_bar": tuple(rho_bar)},
+        )
+    y = DyadicPoint(tuple(words), ctx.s).pack()
     total = _character_sum([_rev_words(L, ctx.s) for L in lam0], y)
     predicted = total if total == len(lam0) else 0
     if total != predicted:

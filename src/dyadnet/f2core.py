@@ -1,10 +1,10 @@
 """Exact GF(2) arithmetic on the dyadic cube.
 
-Coordinates are s-digit binary fractions stored as integer digit words,
-points are tuples of coordinates, and point sets with linear structure
-are subspaces under digitwise XOR.  The module provides the bit-reversed
-bilinear pairing, annihilators (dual subspaces), enumeration, and the
-Rosenbloom-Tsfasman weight.
+Points of Q^n(2^s), s >= 1, are tuples of n integer digit words, one
+s-digit binary fraction per coordinate; a coordinate is a one-dimensional
+point.  Point sets with linear structure are subspaces under digitwise
+XOR.  The module provides the bit-reversed bilinear pairing, annihilators
+(dual subspaces), enumeration, and the Rosenbloom-Tsfasman weight.
 """
 
 from __future__ import annotations
@@ -51,48 +51,6 @@ def parity(word: int) -> int:
 
 
 @dataclass(frozen=True)
-class DyadicCoord:
-    """One coordinate of the grid Q(2^s): the fraction word/2^s.
-
-    `word` holds the binary digits most-significant-first, so digit i
-    (i = 1 is the leading digit) sits at bit position s - i.  Reversed
-    (least-significant-first) digit access goes through :meth:`xi`.
-    """
-
-    word: int
-    s: int
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("resolution must be >= 1")
-        if not 0 <= self.word < (1 << self.s):
-            raise ValueError(f"digit word {self.word} out of range for s={self.s}")
-
-    @classmethod
-    def from_value(cls, x, s: int) -> "DyadicCoord":
-        fx = Fraction(x)
-        scaled = fx * (1 << s)
-        if scaled.denominator != 1:
-            raise ValueError(f"{x} is not an s={s} dyadic rational")
-        return cls(int(scaled), s)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.word, 1 << self.s)
-
-    def xi(self, i: int) -> int:
-        """Digit i counted from the least significant end (xi(1) is the last digit)."""
-        if not 1 <= i <= self.s:
-            raise ValueError("digit index out of range")
-        return (self.word >> (i - 1)) & 1
-
-    def __xor__(self, other: "DyadicCoord") -> "DyadicCoord":
-        if self.s != other.s:
-            raise DimensionMismatchError(f"resolutions differ: {self.s} != {other.s}")
-        return DyadicCoord(self.word ^ other.word, self.s)
-
-
-@dataclass(frozen=True)
 class DyadicPoint:
     """A point of Q^n(2^s): per-coordinate digit words at one resolution."""
 
@@ -115,19 +73,21 @@ class DyadicPoint:
 
     @classmethod
     def from_values(cls, values: Sequence, s: int) -> "DyadicPoint":
-        return cls(tuple(DyadicCoord.from_value(v, s).word for v in values), s)
+        words = []
+        for v in values:
+            scaled = Fraction(v) * (1 << s)
+            if scaled.denominator != 1:
+                raise ValueError(f"{v} is not an s={s} dyadic rational")
+            words.append(int(scaled))
+        return cls(tuple(words), s)
 
     @classmethod
     def from_packed(cls, packed: int, n: int, s: int) -> "DyadicPoint":
-        mask = (1 << s) - 1
-        return cls(tuple((packed >> (j * s)) & mask for j in range(n)), s)
+        return cls(_unpack(packed, n, s), s)
 
     @property
     def n(self) -> int:
         return len(self.words)
-
-    def coord(self, j: int) -> DyadicCoord:
-        return DyadicCoord(self.words[j], self.s)
 
     def values(self) -> tuple[Fraction, ...]:
         den = 1 << self.s
@@ -161,19 +121,24 @@ class DyadicPoint:
         return DyadicPoint(tuple(a ^ b for a, b in zip(self.words, other.words)), self.s)
 
 
+def _unpack(packed: int, n: int, s: int) -> tuple[int, ...]:
+    """Coordinate words of a packed point, coordinate 0 in the low bits."""
+    mask = (1 << s) - 1
+    return tuple((packed >> (j * s)) & mask for j in range(n))
+
+
 def _rev_packed(packed: int, n: int, s: int) -> int:
     """Bit-reverse each coordinate word of a packed point: the pairing of
     packed points a and b is parity(_rev_packed(a, n, s) & b)."""
-    mask = (1 << s) - 1
-    out = 0
-    for j in range(n):
-        out |= bit_reverse((packed >> (j * s)) & mask, s) << (j * s)
-    return out
+    return _rev_words(_unpack(packed, n, s), s)
 
 
 def _rev_words(words: Sequence[int], s: int) -> int:
     """`_rev_packed` of the point with these coordinate words."""
-    return _rev_packed(DyadicPoint(tuple(words), s).pack(), len(words), s)
+    out = 0
+    for j, w in enumerate(words):
+        out |= bit_reverse(w, s) << (j * s)
+    return out
 
 
 def _character(rev_a: int, b: int) -> int:
@@ -195,35 +160,29 @@ def _character_sum(words: Iterable[int], other: int) -> int:
 def pairing(x, y) -> int:
     """Bit-reversed bilinear form on the grid, with values in GF(2).
 
-    On coordinates it is sum_i xi_i(x) * xi_{s-i+1}(y); on points it adds
-    the coordinate pairings mod 2.
+    On one coordinate it is sum_i xi_i(x) * xi_{s-i+1}(y), with xi_i the
+    i-th digit from the least significant end; on points it adds the
+    coordinate pairings mod 2.
     """
-    if isinstance(x, DyadicCoord) and isinstance(y, DyadicCoord):
-        if x.s != y.s:
-            raise DimensionMismatchError(f"resolutions differ: {x.s} != {y.s}")
-        return parity(bit_reverse(x.word, x.s) & y.word)
-    if isinstance(x, DyadicPoint) and isinstance(y, DyadicPoint):
-        if x.s != y.s or x.n != y.n:
-            raise DimensionMismatchError(
-                f"grids differ: (n={x.n}, s={x.s}) vs (n={y.n}, s={y.s})"
-            )
-        return parity(_rev_packed(x.pack(), x.n, x.s) & y.pack())
-    raise TypeError("pairing expects two DyadicCoord or two DyadicPoint values")
+    if not (isinstance(x, DyadicPoint) and isinstance(y, DyadicPoint)):
+        raise TypeError("pairing expects two DyadicPoint values")
+    if x.s != y.s or x.n != y.n:
+        raise DimensionMismatchError(
+            f"grids differ: (n={x.n}, s={x.s}) vs (n={y.n}, s={y.s})"
+        )
+    return parity(_rev_packed(x.pack(), x.n, x.s) & y.pack())
 
 
 def rt_weight(x) -> int:
     """Rosenbloom-Tsfasman weight: index of the last nonzero reversed digit,
-    summed over coordinates for points.  rt_weight(0) == 0."""
-    if isinstance(x, DyadicCoord):
-        return x.word.bit_length()
-    if isinstance(x, DyadicPoint):
-        return sum(w.bit_length() for w in x.words)
-    raise TypeError("rt_weight expects a DyadicCoord or DyadicPoint")
+    summed over coordinates.  rt_weight(0) == 0."""
+    if not isinstance(x, DyadicPoint):
+        raise TypeError("rt_weight expects a DyadicPoint")
+    return sum(w.bit_length() for w in x.words)
 
 
 def _packed_weight(packed: int, n: int, s: int) -> int:
-    mask = (1 << s) - 1
-    return sum(((packed >> (j * s)) & mask).bit_length() for j in range(n))
+    return sum(w.bit_length() for w in _unpack(packed, n, s))
 
 
 def _reduce(vectors: Iterable[int]) -> tuple[int, ...]:
@@ -272,20 +231,6 @@ class F2Subspace:
     n: int
     s: int
     basis: tuple[int, ...]
-
-    @classmethod
-    def from_points(cls, points: Iterable[DyadicPoint], n: int | None = None,
-                    s: int | None = None) -> "F2Subspace":
-        pts = list(points)
-        if not pts and (n is None or s is None):
-            raise ValueError("empty generating set needs explicit n and s")
-        if pts:
-            n = pts[0].n if n is None else n
-            s = pts[0].s if s is None else s
-            for p in pts:
-                if p.n != n or p.s != s:
-                    raise DimensionMismatchError("generating points on mixed grids")
-        return cls(n, s, _reduce(p.pack() for p in pts))
 
     @classmethod
     def from_packed(cls, n: int, s: int, vectors: Iterable[int]) -> "F2Subspace":

@@ -54,8 +54,8 @@ class GeneratorSet:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.n < 1 or self.s < 0:
-            raise ValueError("need n >= 1 and s >= 0")
+        if self.n < 1 or self.s < 1:
+            raise ValueError("need n >= 1 and s >= 1")
         if len(self.rows) != self.n or any(len(r) != self.s for r in self.rows):
             raise GeneratorFormatError("expected n blocks of s rows")
         top = 1 << self.s
@@ -81,6 +81,7 @@ class GeneratorSet:
     def point_words(self) -> tuple[tuple[int, ...], ...]:
         """Digit words of all 2^s net points, in Gray-code order of the
         index word; raises InjectivityError if two points coincide."""
+        as_subspace(self)
         images = [p.words for p in self.basis_images()]
         cur = [0] * self.n
         words = [tuple(cur)]
@@ -89,8 +90,6 @@ class GeneratorSet:
             for j in range(self.n):
                 cur[j] ^= img[j]
             words.append(tuple(cur))
-        if len(set(words)) != len(words):
-            raise InjectivityError("generator map is singular (duplicate points)")
         return tuple(words)
 
 
@@ -163,7 +162,7 @@ def _shift_words(gen: GeneratorSet, shift: DigitShift | None) -> tuple[int, ...]
 
 def as_subspace(gen: GeneratorSet) -> F2Subspace:
     """The net as a subspace of Q^n(2^s); raises unless the map is injective."""
-    sub = F2Subspace.from_points(gen.basis_images(), n=gen.n, s=gen.s)
+    sub = F2Subspace.from_packed(gen.n, gen.s, (p.pack() for p in gen.basis_images()))
     if sub.dim != gen.s:
         raise InjectivityError(
             f"generator map has rank {sub.dim} < {gen.s}; the net would collapse"
@@ -261,16 +260,11 @@ def rescale_to_N(gen: GeneratorSet, count: int, shift: DigitShift | None = None,
     deterministically before giving up.
     """
     s = gen.s
-    if s == 0:
-        if count != 1:
-            raise ValueError("the one-point net only yields count=1")
-    elif not (1 << (s - 1)) <= count <= (1 << s):
+    if not (1 << (s - 1)) <= count <= (1 << s):
         raise ValueError(f"count {count} outside [2^(s-1), 2^s] for s={s}")
-    attempts: list[DigitShift | None] = [shift]
-    if s > 0:
-        attempts.extend(
-            random_shift(gen.n, s, retry_seed + k) for k in range(shift_retries)
-        )
+    attempts: list[DigitShift | None] = [shift] + [
+        random_shift(gen.n, s, retry_seed + k) for k in range(shift_retries)
+    ]
     failures: list[str] = []
     for att in attempts:
         try:

@@ -25,10 +25,12 @@ _BLOCK = 4096
 
 
 def q_grid(values: Sequence[float] | None = None) -> tuple[float, ...]:
-    """Validated moment grid: sorted, distinct, every exponent >= 1."""
+    """Validated moment grid: sorted, distinct, every exponent finite and >= 1."""
     vals = tuple(float(v) for v in (values if values is not None else DEFAULT_Q_GRID))
     if not vals:
         raise ValueError("moment grid must be nonempty")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError("moment exponents must be finite")
     if any(v < 1 for v in vals):
         raise ValueError("moment exponents must be >= 1")
     if sorted(set(vals)) != list(vals):

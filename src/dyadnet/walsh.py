@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .f2core import DyadicCoord, _character, bit_reverse, parity
-
-
-def as_fraction(x) -> Fraction:
-    """Exact rational view of a coordinate-like input (floats convert exactly)."""
-    if isinstance(x, DyadicCoord):
-        return x.value
-    return Fraction(x)
+from .f2core import _character, bit_reverse, parity
 
 
 def digit_word(x: Fraction, k: int) -> int:
@@ -32,7 +25,7 @@ def walsh_1d(l: int, x) -> int:
         raise ValueError("index must be nonnegative")
     if l == 0:
         return 1
-    fx = as_fraction(x)
+    fx = Fraction(x)
     if not 0 <= fx < 1:
         raise ValueError(f"{x} outside [0,1)")
     k = l.bit_length()
@@ -75,7 +68,7 @@ def _chi_num(l: int, u: int, g: int) -> int:
 
 def fine_coefficient(l: int, y) -> Fraction:
     """Exact integral of w_l over [0, y) for dyadic y in [0, 1]."""
-    fy = as_fraction(y)
+    fy = Fraction(y)
     if not 0 <= fy <= 1:
         raise ValueError(f"{y} outside [0,1]")
     if l < 0:

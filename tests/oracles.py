@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from dyadnet.f2core import DyadicPoint
-from dyadnet.walsh import as_fraction, walsh_1d
+from dyadnet.walsh import walsh_1d
 
 
 def walsh_nd(L, X) -> int:
@@ -41,7 +41,7 @@ def omega(m: int, y) -> Fraction:
     """
     if m < 0:
         raise ValueError("order must be >= 0")
-    fy = as_fraction(y)
+    fy = Fraction(y)
     if not 0 <= fy <= 1:
         raise ValueError(f"{y} outside [0,1]")
     if m == 0:

@@ -253,6 +253,16 @@ class TestOptions:
         assert result.exit_code == 2
         assert flag in result.output
 
+    @pytest.mark.parametrize("flag, value", [("--q-grid", "nan"),
+                                             ("--q-grid", "2,inf"),
+                                             ("--theta", "nan"),
+                                             ("--theta", "-inf")])
+    def test_non_finite_exponent_is_input_error(self, runner, flag, value):
+        result = runner.invoke(main, ["norms", "--net", "van-der-corput", "--s", "3",
+                                      "--samples", "64", flag, value, "--format", "json"])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
     @pytest.mark.parametrize("command", ["norms", "sweep"])
     def test_workers_is_not_an_option(self, runner, command):
         result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",

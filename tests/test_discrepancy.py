@@ -134,6 +134,26 @@ class TestApproximationRoutes:
         with pytest.raises(ValueError):
             m_direct(ctx, (Fraction(1, 3), Fraction(1, 2)))
 
+    def test_query_dimension_mismatch_rejected(self):
+        ctx = DiscrepancyContext.build(sobol_generators(3, 3))
+        short = [(Fraction(1, 2),), DyadicPoint.from_values([Fraction(1, 2)] * 2, 3)]
+        for Y in short:
+            for route in (m_direct, m_dual_sum):
+                with pytest.raises(ValueError, match="query dimension mismatch"):
+                    route(ctx, Y)
+            with pytest.raises(ValueError, match="query dimension mismatch"):
+                approximation_gap(ctx, ys=[Y])
+        with pytest.raises(ValueError, match="query dimension mismatch"):
+            delta_indicator(ctx, (1, 1, 1), (Fraction(1, 2),))
+        with pytest.raises(ValueError, match="query dimension mismatch"):
+            delta_indicator(ctx, (1, 1, 1), DyadicPoint.zero(4, 3))
+
+    def test_shift_sign_rejects_out_of_range_index(self):
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        for L in ((8, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                ctx.shift_sign(L)
+
 
 class TestApproximationGap:
     def test_one_dimensional_grid_distribution(self):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from dyadnet.f2core import (
     DimensionMismatchError,
-    DyadicCoord,
     DyadicPoint,
     EnumerationCapError,
     F2Subspace,
@@ -25,28 +24,30 @@ from oracles import walsh_nd
 
 
 def coord(v, s):
-    return DyadicCoord.from_value(Fraction(v), s)
+    """A coordinate: the one-dimensional point at value v."""
+    return DyadicPoint.from_values([Fraction(v)], s)
 
 
-def pairing_oracle(x: DyadicCoord, y: DyadicCoord) -> int:
-    # Defining digit sum, written out without bit tricks.
-    s = x.s
-    return sum(x.xi(i) * y.xi(s - i + 1) for i in range(1, s + 1)) % 2
+def xi(w: int, i: int) -> int:
+    """Digit i of the word w, counted from the least significant end."""
+    return (w >> (i - 1)) & 1
 
 
-def point_pairing_oracle(x: DyadicPoint, y: DyadicPoint) -> int:
-    return sum(pairing_oracle(x.coord(j), y.coord(j)) for j in range(x.n)) % 2
+def pairing_oracle(x: DyadicPoint, y: DyadicPoint) -> int:
+    # Defining digit sum of two coordinates, written out without bit tricks.
+    (a,), (b,), s = x.words, y.words, x.s
+    return sum(xi(a, i) * xi(b, s - i + 1) for i in range(1, s + 1)) % 2
 
 
 class TestOplus:
     def test_half_plus_three_quarters(self):
-        assert (coord("1/2", 2) ^ coord("3/4", 2)).value == Fraction(1, 4)
+        assert (coord("1/2", 2) ^ coord("3/4", 2)).values() == (Fraction(1, 4),)
 
     def test_self_inverse(self):
         for s in (1, 3, 5):
             for w in range(0, 1 << s, 3):
-                x = DyadicCoord(w, s)
-                assert (x ^ x).word == 0
+                x = DyadicPoint((w,), s)
+                assert (x ^ x).words == (0,)
 
     def test_pointwise(self):
         a = DyadicPoint.from_values([Fraction(1, 2), Fraction(1, 8)], 3)
@@ -63,9 +64,9 @@ class TestOplus:
         rng = random.Random(0)
         for _ in range(50):
             s = rng.randint(1, 8)
-            a, b, c = (DyadicCoord(rng.getrandbits(s), s) for _ in range(3))
-            assert (a ^ b).word == (b ^ a).word
-            assert ((a ^ b) ^ c).word == (a ^ (b ^ c)).word
+            a, b, c = (DyadicPoint((rng.getrandbits(s),), s) for _ in range(3))
+            assert a ^ b == b ^ a
+            assert (a ^ b) ^ c == a ^ (b ^ c)
 
 
 class TestPairing:
@@ -85,14 +86,14 @@ class TestPairing:
         for s in (1, 2, 3, 4):
             for wx in range(1 << s):
                 for wy in range(1 << s):
-                    x, y = DyadicCoord(wx, s), DyadicCoord(wy, s)
+                    x, y = DyadicPoint((wx,), s), DyadicPoint((wy,), s)
                     assert pairing(x, y) == pairing_oracle(x, y)
                     assert pairing(x, y) == pairing(y, x)
 
     @settings(max_examples=200, derandomize=True)
     @given(st.integers(0, 1023), st.integers(0, 1023), st.integers(0, 1023))
     def test_bilinear(self, wa, wb, wc):
-        a, b, c = DyadicCoord(wa, 10), DyadicCoord(wb, 10), DyadicCoord(wc, 10)
+        a, b, c = (DyadicPoint((w,), 10) for w in (wa, wb, wc))
         assert pairing(a ^ b, c) == (pairing(a, c) + pairing(b, c)) % 2
 
     def test_mismatch(self):
@@ -102,7 +103,7 @@ class TestPairing:
 
 class TestRTWeight:
     def test_zero(self):
-        assert rt_weight(DyadicCoord(0, 3)) == 0
+        assert rt_weight(DyadicPoint((0,), 3)) == 0
         assert rt_weight(DyadicPoint.zero(2, 5)) == 0
 
     def test_examples(self):
@@ -115,21 +116,20 @@ class TestRTWeight:
         # Position of the last nonzero reversed digit, straight from digits.
         for s in (1, 3, 5):
             for w in range(1 << s):
-                x = DyadicCoord(w, s)
-                want = max((i for i in range(1, s + 1) if x.xi(i)), default=0)
-                assert rt_weight(x) == want
+                want = max((i for i in range(1, s + 1) if xi(w, i)), default=0)
+                assert rt_weight(DyadicPoint((w,), s)) == want
 
     def test_theta_compatibility(self):
         # The grid word doubles as the integer index; weights must agree.
         for s in (2, 4):
             for w in range(1 << s):
-                assert rt_weight(DyadicCoord(w, s)) == w.bit_length()
+                assert rt_weight(DyadicPoint((w,), s)) == w.bit_length()
 
     def test_triangle_inequality_exhaustive(self):
         for s in range(1, 7):
             for wx in range(1 << s):
                 for wy in range(1 << s):
-                    x, y = DyadicCoord(wx, s), DyadicCoord(wy, s)
+                    x, y = DyadicPoint((wx,), s), DyadicPoint((wy,), s)
                     rxy = rt_weight(x ^ y)
                     rx, ry = rt_weight(x), rt_weight(y)
                     assert rxy <= max(rx, ry) <= rx + ry
@@ -137,7 +137,7 @@ class TestRTWeight:
     def test_positive_iff_nonzero(self):
         for s in (1, 4):
             for w in range(1 << s):
-                assert (rt_weight(DyadicCoord(w, s)) == 0) == (w == 0)
+                assert (rt_weight(DyadicPoint((w,), s)) == 0) == (w == 0)
 
 
 def random_subspace(rng: random.Random, n: int, s: int) -> F2Subspace:

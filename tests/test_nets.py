@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from dyadnet.discrepancy import DiscrepancyContext
+from dyadnet.f2core import F2Subspace
 from dyadnet.nets import (
     GeneratorFormatError,
     GeneratorSet,
@@ -215,10 +217,12 @@ class TestRescale:
         assert res.divisor == 1
         assert set(res.points.points) == set(net_points(gen).points)
 
-    def test_one_point_net(self):
-        gen = GeneratorSet(2, 0, ((), ()))
-        res = rescale_to_N(gen, 1)
-        assert res.points.points == ((Fraction(0), Fraction(0)),)
+    def test_zero_resolution_rejected(self):
+        # Every grid has s >= 1; there is no one-point net to rescale.
+        with pytest.raises(ValueError):
+            GeneratorSet(2, 0, ((), ()))
+        with pytest.raises(ValueError):
+            DiscrepancyContext.build(F2Subspace(2, 0, ()))
 
     def test_count_monotone_in_threshold(self):
         pts = net_points(van_der_corput_generators(4), random_shift(2, 4, 3))

@@ -53,6 +53,9 @@ class TestLqNormMc:
             q_grid([0.5])
         with pytest.raises(ValueError):
             q_grid([])
+        for bad in ([math.nan], [2.0, math.inf], [math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                q_grid(bad)
         assert q_grid(None) == DEFAULT_Q_GRID
 
     def test_power_mean_monotone(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadnet.f2core import DyadicCoord, DyadicPoint
+from dyadnet.f2core import DyadicPoint
 from dyadnet.walsh import digit_word, fine_coefficient, rho_index, walsh_1d
 from oracles import omega, walsh_nd
 
@@ -82,9 +82,9 @@ class TestWalsh1d:
     @settings(max_examples=300, derandomize=True)
     @given(st.integers(0, 1023), st.integers(0, 1023), st.integers(0, 1023))
     def test_group_character_in_x(self, l, tx, ty):
-        x, y = DyadicCoord(tx, 10), DyadicCoord(ty, 10)
-        both = (x ^ y).value
-        assert walsh_1d(l, both) == walsh_1d(l, x.value) * walsh_1d(l, y.value)
+        x, y = DyadicPoint((tx,), 10), DyadicPoint((ty,), 10)
+        (both,), (vx,), (vy,) = (x ^ y).values(), x.values(), y.values()
+        assert walsh_1d(l, both) == walsh_1d(l, vx) * walsh_1d(l, vy)
 
 
 class TestWalshNd:
