@@ -35,13 +35,11 @@ from .discrepancy import (
     m_dual_sum,
 )
 from .norms import (
-    NormReport,
     dn_sampler,
     exp_orlicz_estimate,
-    hyperbolic_lp_ratio,
-    khinchin_ratio,
+    hyperbolic_lp_ratios,
+    khinchin_ratios,
     l2_m_exact,
-    lq_norm_mc,
     lq_norms_mc,
     m_sampler,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "F2Subspace",
     "GeneratorSet",
     "NetQuality",
-    "NormReport",
     "PointSet",
     "approximation_gap",
     "as_subspace",
@@ -63,13 +60,12 @@ __all__ = [
     "dn_sampler",
     "exp_orlicz_estimate",
     "fine_coefficient",
-    "hyperbolic_lp_ratio",
+    "hyperbolic_lp_ratios",
     "iter_grid",
-    "khinchin_ratio",
+    "khinchin_ratios",
     "l2_m_exact",
     "lambda_group",
     "load_generators",
-    "lq_norm_mc",
     "lq_norms_mc",
     "m_direct",
     "m_dual_sum",

@@ -33,8 +33,8 @@ from .nets import (
 )
 from .norms import (
     DEFAULT_Q_GRID,
-    NormReport,
     dn_sampler,
+    exp_orlicz_estimate,
     l2_m_exact,
     lq_norms_mc,
     m_sampler,
@@ -283,25 +283,23 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
     columns = ["target", "q", "estimate", "stderr", "samples", "normalized_ratio"]
     rows: list[list] = []
     extras: dict = {}
-    reports: list[NormReport] = []
+    results = []
     if target in ("dn", "both"):
         shift = random_shift(nn, ss, shift_seed)
         pts = net_points(gen_set, shift)
-        ests = lq_norms_mc(dn_sampler(pts), nn, qs, samples, seed,
-                           stratified=stratified)
-        reports.append(NormReport("dn", tuple(ests), seed, samples))
+        results.append(("dn", lq_norms_mc(dn_sampler(pts), nn, qs, samples, seed,
+                                          stratified=stratified)))
     if target in ("m", "both"):
         ctx = DiscrepancyContext.build(gen_set)
-        ests = lq_norms_mc(m_sampler(ctx), 2 * nn, qs, samples, seed + 1,
-                           stratified=stratified)
-        reports.append(NormReport("m", tuple(ests), seed + 1, samples))
+        results.append(("m", lq_norms_mc(m_sampler(ctx), 2 * nn, qs, samples, seed + 1,
+                                         stratified=stratified)))
         extras["m_l2_exact"] = float(l2_m_exact(ctx)) ** 0.5
-    for report in reports:
-        for e, ratio in zip(report.estimates, report.ratios(ss, nn)):
-            rows.append([report.target, e.q, e.value, e.stderr, e.samples,
-                         ratio])
-        orl = report.orlicz(theta=theta_val)
-        extras[f"{report.target}_exp_orlicz"] = {
+    for name, ests in results:
+        for e in ests:
+            rows.append([name, e.q, e.value, e.stderr, e.samples,
+                         normalized_ratio(e.value, e.q, ss, nn)])
+        orl = exp_orlicz_estimate(ests, theta_val)
+        extras[f"{name}_exp_orlicz"] = {
             "value": orl.value, "theta": orl.theta, "at_q": orl.at_q,
         }
     _emit(out, fmt, "norms", config, "float", columns, rows, extras)

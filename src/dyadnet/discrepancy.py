@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .f2core import (
     DEFAULT_ENUM_CAP,
@@ -22,6 +22,7 @@ from .f2core import (
     F2Subspace,
     _character,
     _character_sum,
+    _pack,
     _rev_words,
     _unpack,
     iter_grid,
@@ -254,27 +255,23 @@ class GapReport:
         return self.max_gap <= self.bound
 
 
-def approximation_gap(ctx: DiscrepancyContext, resolution: int | None = None,
-                      ys: Iterable | None = None) -> GapReport:
-    """Largest |discrepancy - truncated approximation| over a query sample.
+def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
+    """Largest |discrepancy - truncated approximation| over the exhaustive
+    dyadic grid two digits finer than the net.
 
-    Defaults to the exhaustive dyadic grid two digits finer than the net.
     The certified bound is n * 2^deficiency.
     """
     if ctx.quality is None:
         raise ValueError("gap bound needs a certified deficiency")
     bound = ctx.n * (1 << ctx.quality.deficiency)
-    if ys is None:
-        g = ctx.s + 2 if resolution is None else resolution
-        queries: Iterable = ((g, Y.words) for Y in iter_grid(ctx.n, g))
-    else:
-        queries = (_grid_words(Y, ctx.s, ctx.n) for Y in ys)
+    g = ctx.s + 2
+    den = 1 << (g * ctx.n)
     worst = Fraction(-1)
     argmax: tuple[Fraction, ...] = ()
     checked = 0
     card = ctx.cardinality
-    for g, us in queries:
-        den = 1 << (g * ctx.n)
+    for Y in iter_grid(ctx.n, g):
+        us = Y.words
         count, kernel = _box_kernel(ctx, g, us)
         vol = math.prod(us)
         d_num = count * den - card * vol
@@ -302,13 +299,6 @@ class LambdaGroup:
         return len(self.lambda0)
 
 
-def _lambda0_members(ctx: DiscrepancyContext, rho_bar: Sequence[int]):
-    bounds = [1 << (r - 1) if r >= 1 else 1 for r in rho_bar]
-    return tuple(
-        L for L in ctx.require_dual() if all(l < b for l, b in zip(L, bounds))
-    )
-
-
 def lambda_group(ctx: DiscrepancyContext, rho_bar: Sequence[int]) -> LambdaGroup:
     """Slice the dual at one leading-digit position vector.
 
@@ -321,22 +311,27 @@ def lambda_group(ctx: DiscrepancyContext, rho_bar: Sequence[int]) -> LambdaGroup
     rho_bar = tuple(rho_bar)
     if len(rho_bar) != ctx.n or any(not 0 <= r <= ctx.s for r in rho_bar):
         raise ValueError(f"position vector {rho_bar} out of range for s={ctx.s}")
-    members = tuple(L for L in ctx.require_dual() if rho_vector(L) == rho_bar)
-    lam0 = _lambda0_members(ctx, rho_bar)
+    bounds = [1 << (r - 1) if r >= 1 else 1 for r in rho_bar]
+    members = []
+    lam0 = []
+    for L in ctx.require_dual():
+        if rho_vector(L) == rho_bar:
+            members.append(L)
+        if all(l < b for l, b in zip(L, bounds)):
+            lam0.append(L)
     bound_ok: bool | None = None
     if ctx.quality is not None and any(any(L) for L in members):
         exponent = sum(rho_bar) - ctx.s + ctx.quality.deficiency
         bound_ok = exponent >= 0 and len(lam0) <= (1 << exponent)
     representative = min(members) if members else None
-    return LambdaGroup(rho_bar, members, representative, lam0, bound_ok)
+    return LambdaGroup(rho_bar, tuple(members), representative, tuple(lam0), bound_ok)
 
 
 def delta_indicator(ctx: DiscrepancyContext, rho_bar: Sequence[int], Y) -> int:
     """Character sum over the strictly-below subgroup at a truncated query.
 
-    Cross-checked internally against the orthogonality form: the value is
-    the subgroup size when the truncated query annihilates every member,
-    else zero.
+    The only check made on the sum is that it is two-valued: zero or the
+    subgroup size.
     """
     if isinstance(Y, DyadicPoint):
         words = Y.truncate(ctx.s).words
@@ -349,19 +344,11 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar: Sequence[int], Y) -> int:
             words.append(digit_word(fy, ctx.s))
     if len(words) != ctx.n:
         raise ValueError("query dimension mismatch")
-    lam0 = _lambda0_members(ctx, tuple(rho_bar))
-    if not lam0:
+    lam0 = lambda_group(ctx, rho_bar).lambda0
+    total = _character_sum([_rev_words(L, ctx.s) for L in lam0], _pack(words, ctx.s))
+    if total not in (0, len(lam0)):
         raise IdentityViolation(
-            "no members strictly below the position vector",
-            {"rho_bar": tuple(rho_bar)},
-        )
-    y = DyadicPoint(tuple(words), ctx.s).pack()
-    total = _character_sum([_rev_words(L, ctx.s) for L in lam0], y)
-    predicted = total if total == len(lam0) else 0
-    if total != predicted:
-        raise IdentityViolation(
-            "character sum disagrees with the orthogonality form",
-            {"rho_bar": tuple(rho_bar), "sum": total, "predicted": predicted},
+            "character sum is neither zero nor the subgroup size",
+            {"rho_bar": tuple(rho_bar), "sum": total, "size": len(lam0)},
         )
     return total
-

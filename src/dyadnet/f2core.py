@@ -94,10 +94,7 @@ class DyadicPoint:
         return tuple(Fraction(w, den) for w in self.words)
 
     def pack(self) -> int:
-        out = 0
-        for j, w in enumerate(self.words):
-            out |= w << (j * self.s)
-        return out
+        return _pack(self.words, self.s)
 
     def lift(self, g: int) -> "DyadicPoint":
         """Re-express at finer resolution g >= s (same real values)."""
@@ -125,6 +122,14 @@ def _unpack(packed: int, n: int, s: int) -> tuple[int, ...]:
     """Coordinate words of a packed point, coordinate 0 in the low bits."""
     mask = (1 << s) - 1
     return tuple((packed >> (j * s)) & mask for j in range(n))
+
+
+def _pack(words: Sequence[int], s: int) -> int:
+    """The packed point with these coordinate words; inverse of `_unpack`."""
+    out = 0
+    for j, w in enumerate(words):
+        out |= w << (j * s)
+    return out
 
 
 def _rev_packed(packed: int, n: int, s: int) -> int:

@@ -24,9 +24,9 @@ DEFAULT_Q_GRID = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0)
 _BLOCK = 4096
 
 
-def q_grid(values: Sequence[float] | None = None) -> tuple[float, ...]:
+def q_grid(values: Sequence[float]) -> tuple[float, ...]:
     """Validated moment grid: sorted, distinct, every exponent finite and >= 1."""
-    vals = tuple(float(v) for v in (values if values is not None else DEFAULT_Q_GRID))
+    vals = tuple(float(v) for v in values)
     if not vals:
         raise ValueError("moment grid must be nonempty")
     if not all(math.isfinite(v) for v in vals):
@@ -51,32 +51,6 @@ class OrliczEstimate:
     value: float
     theta: float
     at_q: float
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Per-exponent norm estimates for one target function, with the
-    derived Orlicz estimate and growth-profile ratios."""
-
-    target: str
-    estimates: tuple[LqEstimate, ...]
-    seed: int
-    samples: int
-
-    def estimate(self, q: float) -> LqEstimate:
-        for e in self.estimates:
-            if e.q == q:
-                return e
-        raise KeyError(f"no estimate at q={q}")
-
-    def orlicz(self, alpha: float | None = None,
-               theta: float | None = None) -> "OrliczEstimate":
-        return exp_orlicz_estimate(self.estimates, alpha=alpha, theta=theta)
-
-    def ratios(self, s: int, n: int) -> tuple[float, ...]:
-        return tuple(
-            normalized_ratio(e.value, e.q, s, n) for e in self.estimates
-        )
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -132,11 +106,6 @@ def lq_norms_mc(f: Callable[[np.ndarray], np.ndarray], dims: int,
         return f(u)
 
     return _block_moments(eval_block, qs, samples, seed)
-
-
-def lq_norm_mc(f, dims: int, q: float, samples: int, seed: int,
-               stratified: bool = False) -> LqEstimate:
-    return lq_norms_mc(f, dims, [q], samples, seed, stratified)[0]
 
 
 def dn_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:
@@ -211,16 +180,11 @@ def l2_m_exact(ctx: DiscrepancyContext) -> Fraction:
     return Fraction(card, 3**n) * (Fraction(total, 1 << ((s + 1) * n)) - card)
 
 
-def exp_orlicz_estimate(estimates: Sequence[LqEstimate], alpha: float | None = None,
-                        theta: float | None = None) -> OrliczEstimate:
-    """Grid sup of q^-theta times the q-norm; theta defaults to 1/alpha.
+def exp_orlicz_estimate(estimates: Sequence[LqEstimate], theta: float) -> OrliczEstimate:
+    """Grid sup of q^-theta times the q-norm.
 
     The grid-restricted supremum is a lower bound for the true one.
     """
-    if theta is None:
-        if alpha is None or alpha <= 0:
-            raise ValueError("need theta or a positive alpha")
-        theta = 1.0 / alpha
     if not estimates:
         raise ValueError("empty moment grid")
     best = max(estimates, key=lambda e: e.q**-theta * e.value)
@@ -245,8 +209,12 @@ def khinchin_ratios(coeffs: Sequence[float], qs: Sequence[float], samples: int,
     """Norm of a digit-sign series over sqrt(q) times the coefficient norm.
 
     The independent fair signs are drawn directly; evaluating the digit
-    signs at a uniform point gives the same law.
+    signs at a uniform point gives the same law.  The ratio is calibrated
+    for q >= 2 only.
     """
+    qs = q_grid(qs)
+    if qs[0] < 2:
+        raise ValueError("ratio is calibrated for q >= 2")
     c = np.asarray(coeffs, dtype=np.float64)
     if c.size == 0 or not np.any(c):
         raise ValueError("coefficient vector must be nonzero")
@@ -262,13 +230,6 @@ def khinchin_ratios(coeffs: Sequence[float], qs: Sequence[float], samples: int,
                       e.stderr / (math.sqrt(e.q) * c2), e.samples)
         for e in norms
     ]
-
-
-def khinchin_ratio(coeffs: Sequence[float], q: float, samples: int,
-                   seed: int) -> RatioEstimate:
-    if q < 2:
-        raise ValueError("ratio is calibrated for q >= 2")
-    return khinchin_ratios(coeffs, [q], samples, seed)[0]
 
 
 def hyperbolic_indices(n: int, k: int) -> list[tuple[int, ...]]:
@@ -326,8 +287,3 @@ def hyperbolic_lp_ratios(coeffs: dict[tuple[int, ...], float], offset: Sequence[
                       e.stderr / (e.q**scale * c2), e.samples)
         for e in norms
     ]
-
-
-def hyperbolic_lp_ratio(coeffs, offset, q: float, samples: int,
-                        seed: int) -> RatioEstimate:
-    return hyperbolic_lp_ratios(coeffs, offset, [q], samples, seed)[0]

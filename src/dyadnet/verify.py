@@ -18,12 +18,13 @@ from .discrepancy import (
     approximation_gap,
 )
 from .f2core import (
-    DyadicPoint,
     F2Subspace,
     _character,
     _character_sum,
+    _pack,
     _rev_packed,
     _rev_words,
+    _unpack,
     iter_grid,
 )
 from .walsh import fine_coefficient, rho_index, walsh_1d
@@ -49,7 +50,7 @@ def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
     n, s = ctx.n, ctx.s
     card = ctx.cardinality
     net = list(ctx.subspace.enumerate_packed())
-    dual_set = {DyadicPoint(L, s).pack() for L in ctx.require_dual()}
+    dual_set = {_pack(L, s) for L in ctx.require_dual()}
     checked = 0
     for v in range(1 << (n * s)):
         total = _character_sum(net, _rev_packed(v, n, s))
@@ -58,7 +59,7 @@ def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
         if total != want:
             return IdentityResult(
                 "poisson-summation", False, checked,
-                witness={"L": DyadicPoint.from_packed(v, n, s).words,
+                witness={"L": _unpack(v, n, s),
                          "sum": total, "expected": want},
             )
     return IdentityResult("poisson-summation", True, checked)
@@ -121,7 +122,7 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
                          "reason": "cardinality bound"},
             )
         count = grp.lambda0_count
-        span = F2Subspace.from_packed(n, s, (DyadicPoint(L, s).pack() for L in grp.lambda0))
+        span = F2Subspace.from_packed(n, s, (_pack(L, s) for L in grp.lambda0))
         if count != span.cardinality:
             return IdentityResult(
                 "delta-identities", False, checked,
@@ -142,7 +143,7 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
                     return IdentityResult(
                         "delta-identities", False, checked,
                         witness={"rho_bar": rho_bar,
-                                 "Y": DyadicPoint.from_packed(y, n, s).words,
+                                 "Y": _unpack(y, n, s),
                                  "direct_sum": direct, "orthogonality": val},
                     )
             rep_sign = _character(rev_rep, y)
@@ -151,7 +152,7 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
                 return IdentityResult(
                     "delta-identities", False, checked,
                     witness={"rho_bar": rho_bar,
-                             "Y": DyadicPoint.from_packed(y, n, s).words,
+                             "Y": _unpack(y, n, s),
                              "group_sum": lhs, "factored": rep_sign * val},
                 )
             total += val
@@ -165,11 +166,12 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
                           details={"groups": len(groups)})
 
 
-def check_fine_closed_form(l_max: int = 64, resolution: int = 8) -> IdentityResult:
-    """Closed-form interval coefficients against direct cell-sum quadrature."""
-    den = 1 << resolution
+def check_fine_closed_form() -> IdentityResult:
+    """Closed-form interval coefficients of the indices l < 64 against
+    direct cell-sum quadrature on the grid of spacing 2^-8."""
+    den = 1 << 8
     checked = 0
-    for l in range(l_max):
+    for l in range(64):
         quad = 0  # numerator over den of the cell sum of w_l on [0, y)
         for t in range(den + 1):
             y = Fraction(t, den)
@@ -186,14 +188,15 @@ def check_fine_closed_form(l_max: int = 64, resolution: int = 8) -> IdentityResu
     return IdentityResult("interval-coefficient-closed-form", True, checked)
 
 
-def check_fine_square_norm(l_max: int = 64) -> IdentityResult:
-    """Exact integral of the squared coefficient profile: 4^-rho / 3.
+def check_fine_square_norm() -> IdentityResult:
+    """Exact integral of the squared coefficient profile, 4^-rho / 3, for
+    the indices l < 64.
 
     The profile is piecewise linear between cell boundaries, so the
     quadrature sums exact quadratic segment integrals.
     """
     checked = 0
-    for l in range(l_max):
+    for l in range(64):
         r = max(l.bit_length(), 1)
         den = 1 << r
         vals = [fine_coefficient(l, Fraction(t, den)) for t in range(den + 1)]

@@ -31,7 +31,6 @@ from dyadnet.norms import (
     dn_sampler,
     khinchin_ratios,
     l2_m_exact,
-    lq_norm_mc,
     lq_norms_mc,
     m_sampler,
     normalized_ratio,
@@ -101,7 +100,7 @@ def test_criterion_02_duality_involution():
 
 def test_criterion_03_fine_closed_form():
     t0 = time.time()
-    res = check_fine_closed_form(l_max=64, resolution=8)
+    res = check_fine_closed_form()
     _report(3, res.passed,
             f"interval coefficients exact vs quadrature on {res.checked} cases",
             time.time() - t0, 10.0)
@@ -109,7 +108,7 @@ def test_criterion_03_fine_closed_form():
 
 def test_criterion_04_fine_square_norm():
     t0 = time.time()
-    res = check_fine_square_norm(l_max=64)
+    res = check_fine_square_norm()
     _report(4, res.passed,
             "squared coefficient integrals equal 4^-rho/3 for indices below 64",
             time.time() - t0, 5.0)
@@ -181,7 +180,7 @@ def test_criterion_08_l2_oracle():
                       ("sobol n=3 s=4", sobol_generators(3, 4))):
         ctx = DiscrepancyContext.build(gen)
         target = float(l2_m_exact(ctx)) ** 0.5
-        est = lq_norm_mc(m_sampler(ctx), 2 * ctx.n, 2.0, 100000, seed=8)
+        est = lq_norms_mc(m_sampler(ctx), 2 * ctx.n, [2.0], 100000, seed=8)[0]
         dev = abs(est.value - target) / est.stderr
         assert dev <= 3.0, (name, est.value, target, dev)
         devs.append(dev)

@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dyadnet.discrepancy import (
     DiscrepancyContext,
     RouteUnavailableError,
+    _box_kernel,
     approximation_gap,
     delta_indicator,
     discrepancy_exact,
@@ -20,6 +23,7 @@ from dyadnet.nets import (
     sobol_generators,
     van_der_corput_generators,
 )
+from dyadnet.norms import dn_sampler
 from dyadnet.walsh import fine_coefficient, rho_vector, walsh_1d
 from oracles import walsh_nd
 
@@ -59,6 +63,29 @@ class TestDiscrepancyExact:
         pts = net_points(van_der_corput_generators(2))
         with pytest.raises(ValueError):
             discrepancy_exact(pts, (1.5, 0.5))
+
+    @pytest.mark.parametrize("gen", [van_der_corput_generators(5), sobol_generators(3, 6),
+                                     sobol_generators(4, 5)],
+                             ids=lambda g: f"{g.name}-{g.n}-{g.s}")
+    def test_box_counts_match_the_sampler_and_the_kernel(self, gen):
+        # Queries k/2^(s+2) are exact in float64, and a quarter of their
+        # coordinates fall on the net's grid, where an inclusive count differs.
+        n, s = gen.n, gen.s
+        g = s + 2
+        rng = np.random.default_rng(100 * n + s)
+        for seed in range(3):
+            shift = random_shift(n, s, seed)
+            pts = net_points(gen, shift)
+            ctx = DiscrepancyContext.build(gen, shift)
+            ks = rng.integers(0, (1 << g) + 1, size=(200, n))
+            sampled = dn_sampler(pts)(ks / (1 << g))
+            for k, value in zip(ks, sampled):
+                Y = tuple(Fraction(int(v), 1 << g) for v in k)
+                exact = discrepancy_exact(pts, Y)
+                assert value == exact
+                count, _ = _box_kernel(ctx, g, tuple(int(v) for v in k))
+                assert count - ctx.cardinality * Fraction(math.prod(int(v) for v in k),
+                                                          1 << (g * n)) == exact
 
 
 def full_space_context(n, s):
@@ -141,8 +168,6 @@ class TestApproximationRoutes:
             for route in (m_direct, m_dual_sum):
                 with pytest.raises(ValueError, match="query dimension mismatch"):
                     route(ctx, Y)
-            with pytest.raises(ValueError, match="query dimension mismatch"):
-                approximation_gap(ctx, ys=[Y])
         with pytest.raises(ValueError, match="query dimension mismatch"):
             delta_indicator(ctx, (1, 1, 1), (Fraction(1, 2),))
         with pytest.raises(ValueError, match="query dimension mismatch"):
@@ -174,15 +199,8 @@ class TestApproximationGap:
     def test_sobol_positive_deficiency(self):
         gen = sobol_generators(3, 3)
         ctx = DiscrepancyContext.build(gen, random_shift(3, 3, seed=3))
-        rep = approximation_gap(ctx, resolution=4)
+        rep = approximation_gap(ctx)
         assert rep.bound == 3 * (1 << ctx.quality.deficiency)
-        assert rep.within_bound
-
-    def test_explicit_queries(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
-        ys = [DyadicPoint.from_values((Fraction(5, 8), Fraction(3, 8)), 3)]
-        rep = approximation_gap(ctx, ys=ys)
-        assert rep.points_checked == 1
         assert rep.within_bound
 
 
@@ -236,6 +254,10 @@ class TestLambdaGroups:
             lambda_group(ctx, (5, 0))
         with pytest.raises(ValueError):
             lambda_group(ctx, (1,))
+        # delta_indicator validates the position vector the same way.
+        for bad in ((1,), (9, 0), (1, 2, 3)):
+            with pytest.raises(ValueError):
+                delta_indicator(ctx, bad, (Fraction(1, 2), Fraction(1, 4)))
 
 
 class TestDeltaIndicator:

@@ -37,8 +37,12 @@ class TestSuitesPass:
             assert result.passed, result.describe()
 
     def test_fine_checks(self):
-        assert check_fine_closed_form(l_max=16, resolution=6).passed
-        assert check_fine_square_norm(l_max=16).passed
+        closed = check_fine_closed_form()
+        assert closed.passed
+        assert closed.checked == 64 * 257
+        square = check_fine_square_norm()
+        assert square.passed
+        assert square.checked == 64
 
     def test_gap_details(self, vdc_ctx):
         res = check_approximation_gap(vdc_ctx)
