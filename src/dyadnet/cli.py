@@ -260,7 +260,7 @@ def verify(net, n, s, shift_seed, fmt, out):
 @click.option("--shift-seed", type=int, default=0, show_default=True)
 @click.option("--q-grid", "q_text", default=None, help="Comma-separated exponents.")
 @click.option("--samples", type=click.IntRange(min=1), default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--theta", type=float, default=None,
               help="Orlicz exponent; defaults to (n+1)/2.")
 @click.option("--stratified", is_flag=True, help="Per-axis stratified sampling.")
@@ -284,16 +284,19 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
     rows: list[list] = []
     extras: dict = {}
     results = []
-    if target in ("dn", "both"):
-        shift = random_shift(nn, ss, shift_seed)
-        pts = net_points(gen_set, shift)
-        results.append(("dn", lq_norms_mc(dn_sampler(pts), nn, qs, samples, seed,
-                                          stratified=stratified)))
-    if target in ("m", "both"):
-        ctx = DiscrepancyContext.build(gen_set)
-        results.append(("m", lq_norms_mc(m_sampler(ctx), 2 * nn, qs, samples, seed + 1,
-                                         stratified=stratified)))
-        extras["m_l2_exact"] = float(l2_m_exact(ctx)) ** 0.5
+    try:
+        if target in ("dn", "both"):
+            shift = random_shift(nn, ss, shift_seed)
+            pts = net_points(gen_set, shift)
+            results.append(("dn", lq_norms_mc(dn_sampler(pts), nn, qs, samples, seed,
+                                              stratified=stratified)))
+        if target in ("m", "both"):
+            ctx = DiscrepancyContext.build(gen_set)
+            results.append(("m", lq_norms_mc(m_sampler(ctx), 2 * nn, qs, samples,
+                                             seed + 1, stratified=stratified)))
+            extras["m_l2_exact"] = float(l2_m_exact(ctx)) ** 0.5
+    except OverflowError as exc:
+        raise _Failure(str(exc), EXIT_RUNTIME)
     for name, ests in results:
         for e in ests:
             rows.append([name, e.q, e.value, e.stderr, e.samples,
@@ -313,7 +316,7 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
               help="Random digit shifts per resolution.")
 @click.option("--q-grid", "q_text", default="2,4,8", show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -337,8 +340,11 @@ def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, fmt, out):
             shift_seed = seed + 7919 * si + r
             shift = random_shift(nn, si, shift_seed)
             pts = net_points(gen_set, shift)
-            ests = lq_norms_mc(dn_sampler(pts), nn, qs, samples,
-                               seed + 104729 * si + r)
+            try:
+                ests = lq_norms_mc(dn_sampler(pts), nn, qs, samples,
+                                   seed + 104729 * si + r)
+            except OverflowError as exc:
+                raise _Failure(str(exc), EXIT_RUNTIME)
             for e in ests:
                 ratio = normalized_ratio(e.value, e.q, si, nn)
                 per_q[e.q].append(ratio)

@@ -21,7 +21,6 @@ from .f2core import (
     DyadicPoint,
     F2Subspace,
     _character,
-    _character_sum,
     _pack,
     _rev_words,
     _unpack,
@@ -140,6 +139,8 @@ class DiscrepancyContext:
 
     def shift_sign(self, L: Sequence[int]) -> int:
         """Tensor character of the shift at index vector L."""
+        if len(L) != self.n:
+            raise ValueError("index vector dimension mismatch")
         if any(l >> self.s for l in L):
             raise ValueError(f"index vector {tuple(L)} out of range for s={self.s}")
         return _character(_rev_words(L, self.s), self.shift.pack())
@@ -345,7 +346,8 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar: Sequence[int], Y) -> int:
     if len(words) != ctx.n:
         raise ValueError("query dimension mismatch")
     lam0 = lambda_group(ctx, rho_bar).lambda0
-    total = _character_sum([_rev_words(L, ctx.s) for L in lam0], _pack(words, ctx.s))
+    y = _pack(words, ctx.s)
+    total = sum(_character(_rev_words(L, ctx.s), y) for L in lam0)
     if total not in (0, len(lam0)):
         raise IdentityViolation(
             "character sum is neither zero nor the subgroup size",

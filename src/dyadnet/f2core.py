@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 DEFAULT_ENUM_CAP = 1 << 24
 
 
@@ -157,9 +159,23 @@ def _character(rev_a: int, b: int) -> int:
     return -1 if parity(rev_a & b) else 1
 
 
-def _character_sum(words: Iterable[int], other: int) -> int:
-    """Sum of `_character(a, other)` over the words a."""
-    return sum(_character(a, other) for a in words)
+def _character_table(words: Iterable[int], n: int, s: int) -> np.ndarray:
+    """Character sums at every grid point at once: entry y is the sum of
+    `_character(_rev_packed(a, n, s), y)` over the packed words a.
+
+    An in-place Walsh-Hadamard butterfly over the indicator of the
+    reversed words (Fino & Algazi, IEEE Trans. Computers C-25, 1976).
+    Every entry is at most the word count in absolute value, which callers
+    keep within the enumeration cap (2^24), so the int64 sums are exact.
+    """
+    rev = [_rev_packed(a, n, s) for a in words]
+    table = np.bincount(rev, minlength=1 << (n * s)).astype(np.int64)
+    for k in range(n * s):
+        pairs = table.reshape(-1, 2, 1 << k)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = low - pairs[:, 1]
+    return table
 
 
 def pairing(x, y) -> int:

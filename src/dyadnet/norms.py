@@ -65,7 +65,8 @@ def _block_moments(eval_block: Callable[[np.random.Generator, int], np.ndarray],
     accumulates the q-th and 2q-th absolute moments; the block sums are
     reduced in block order with compensated sums.  Together these make a
     seeded result byte-identical across runs.  The standard error of the
-    norm comes from the delta method applied to the q-th moment.
+    norm comes from the delta method applied to the q-th moment.  A block
+    sum that is not finite raises OverflowError naming its q.
     """
     qs = q_grid(qs)
     if samples < 1:
@@ -76,8 +77,11 @@ def _block_moments(eval_block: Callable[[np.random.Generator, int], np.ndarray],
         vals = np.abs(np.asarray(eval_block(_block_rng(seed, b), size), dtype=np.float64))
         sums = []
         for q in qs:
-            p = vals**q
-            sums.append((float(p.sum()), float((p * p).sum())))
+            with np.errstate(over="ignore"):  # reported below, naming q
+                p = vals**q
+                sums.append((float(p.sum()), float((p * p).sum())))
+            if not all(map(math.isfinite, sums[-1])):
+                raise OverflowError(f"moment sums at q={q} are not finite in float64")
         per_block.append(sums)
 
     results = []

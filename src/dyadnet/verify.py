@@ -10,23 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .discrepancy import (
     DiscrepancyContext,
+    RouteUnavailableError,
     lambda_group,
     m_direct,
     m_dual_sum,
     approximation_gap,
 )
-from .f2core import (
-    F2Subspace,
-    _character,
-    _character_sum,
-    _pack,
-    _rev_packed,
-    _rev_words,
-    _unpack,
-    iter_grid,
-)
+from .f2core import F2Subspace, _character_table, _pack, _unpack, iter_grid
 from .walsh import fine_coefficient, rho_index, walsh_1d
 
 
@@ -44,25 +38,33 @@ class IdentityResult:
         return f"{self.name}: {status} ({self.checked} cases){extra}"
 
 
+def _grid_size(ctx: DiscrepancyContext) -> int:
+    """2^(ns), the points the character checks tabulate; above the cap it
+    raises before the dual is enumerated or a table is allocated."""
+    size = 1 << (ctx.n * ctx.s)
+    if size > ctx.cap:
+        raise RouteUnavailableError(
+            f"grid has 2^{ctx.n * ctx.s} points, above the enumeration cap")
+    return size
+
+
 def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
     """Character sums over the net hit cardinality exactly on the dual,
-    zero elsewhere."""
+    zero elsewhere.  A failure names the first grid point in packed order."""
     n, s = ctx.n, ctx.s
-    card = ctx.cardinality
-    net = list(ctx.subspace.enumerate_packed())
-    dual_set = {_pack(L, s) for L in ctx.require_dual()}
-    checked = 0
-    for v in range(1 << (n * s)):
-        total = _character_sum(net, _rev_packed(v, n, s))
-        want = card if v in dual_set else 0
-        checked += 1
-        if total != want:
-            return IdentityResult(
-                "poisson-summation", False, checked,
-                witness={"L": _unpack(v, n, s),
-                         "sum": total, "expected": want},
-            )
-    return IdentityResult("poisson-summation", True, checked)
+    size = _grid_size(ctx)
+    sums = _character_table(ctx.subspace.enumerate_packed(), n, s)
+    want = np.zeros(size, dtype=np.int64)
+    want[[_pack(L, s) for L in ctx.require_dual()]] = ctx.cardinality
+    bad = np.flatnonzero(sums != want)
+    if bad.size:
+        v = int(bad[0])
+        return IdentityResult(
+            "poisson-summation", False, v + 1,
+            witness={"L": _unpack(v, n, s),
+                     "sum": int(sums[v]), "expected": int(want[v])},
+        )
+    return IdentityResult("poisson-summation", True, size)
 
 
 def check_route_equivalence(ctx: DiscrepancyContext) -> IdentityResult:
@@ -99,17 +101,17 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
     """Group slice identities: two-valued indicator, unit grid average,
     cardinality bound, and the representative factorization.
 
-    The indicator value comes from orthogonality against a basis of the
-    strictly-below subgroup; for duals of at most 64 elements the full
-    character sum is recomputed per query as well.
+    The indicator (the character sum over the strictly-below subgroup)
+    and each group's sum are whole-grid tables; a failure names the first
+    grid point in packed order.
     """
     n, s = ctx.n, ctx.s
+    size = _grid_size(ctx)
     dual = ctx.require_dual()
     groups = ctx.groups()
     if sum(len(v) for v in groups.values()) != len(dual):
         return IdentityResult("delta-identities", False, 0,
                               witness={"reason": "grouping does not partition"})
-    direct_sums = len(dual) <= 64
     checked = 0
     for rho_bar, members in sorted(groups.items()):
         if not any(any(L) for L in members):
@@ -122,45 +124,33 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
                          "reason": "cardinality bound"},
             )
         count = grp.lambda0_count
-        span = F2Subspace.from_packed(n, s, (_pack(L, s) for L in grp.lambda0))
-        if count != span.cardinality:
+        lam0 = [_pack(L, s) for L in grp.lambda0]
+        if count != F2Subspace.from_packed(n, s, lam0).cardinality:
             return IdentityResult(
                 "delta-identities", False, checked,
                 witness={"rho_bar": rho_bar, "lambda0": count,
                          "reason": "not a subgroup"},
             )
-        rev_basis = [_rev_packed(b, n, s) for b in span.basis]
-        rev_members = [_rev_words(L, s) for L in members]
-        rev_rep = _rev_words(grp.representative, s)
-        rev_lam0 = [_rev_words(L, s) for L in grp.lambda0]
-        total = 0
-        for y in range(1 << (n * s)):
-            val = count if all(_character(b, y) == 1 for b in rev_basis) else 0
-            checked += 1
-            if direct_sums:
-                direct = _character_sum(rev_lam0, y)
-                if direct != val:
-                    return IdentityResult(
-                        "delta-identities", False, checked,
-                        witness={"rho_bar": rho_bar,
-                                 "Y": _unpack(y, n, s),
-                                 "direct_sum": direct, "orthogonality": val},
-                    )
-            rep_sign = _character(rev_rep, y)
-            lhs = _character_sum(rev_members, y)
-            if lhs != rep_sign * val:
-                return IdentityResult(
-                    "delta-identities", False, checked,
-                    witness={"rho_bar": rho_bar,
-                             "Y": _unpack(y, n, s),
-                             "group_sum": lhs, "factored": rep_sign * val},
-                )
-            total += val
-        if total != (1 << (n * s)):
+        delta = _character_table(lam0, n, s)
+        group_sum = _character_table((_pack(L, s) for L in members), n, s)
+        factored = _character_table([_pack(grp.representative, s)], n, s) * delta
+        two_valued = (delta == 0) | (delta == count)
+        bad = np.flatnonzero(~two_valued | (group_sum != factored))
+        if bad.size:
+            y = int(bad[0])
+            return IdentityResult(
+                "delta-identities", False, checked + y + 1,
+                witness={"rho_bar": rho_bar, "Y": _unpack(y, n, s), "lambda0": count,
+                         "delta": int(delta[y]), "group_sum": int(group_sum[y]),
+                         "factored": int(factored[y])},
+            )
+        checked += size
+        total = int(delta.sum())
+        if total != size:
             return IdentityResult(
                 "delta-identities", False, checked,
                 witness={"rho_bar": rho_bar,
-                         "grid_mean": str(Fraction(total, 1 << (n * s)))},
+                         "grid_mean": str(Fraction(total, size))},
             )
     return IdentityResult("delta-identities", True, checked,
                           details={"groups": len(groups)})

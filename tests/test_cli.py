@@ -152,6 +152,12 @@ class TestVerify:
                          "approximation-gap", "delta-identities"), counts)
         assert data_rows(out) == [f"{name},True,{k}," for name, k in want]
 
+    def test_grid_above_the_cap_is_runtime_error(self, runner):
+        # 2^25 grid points: the character checks refuse before any table.
+        result = runner.invoke(main, ["verify", "--net", "sobol", "--n", "5", "--s", "5"])
+        assert result.exit_code == 1
+        assert "grid has 2^25 points, above the enumeration cap" in result.output
+
     def test_failure_exit_code(self, runner, monkeypatch):
         import dyadnet.cli as cli_mod
 
@@ -253,6 +259,13 @@ class TestOptions:
         assert result.exit_code == 2
         assert flag in result.output
 
+    @pytest.mark.parametrize("command", ["norms", "sweep"])
+    def test_negative_seed_is_input_error(self, runner, command):
+        result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",
+                                      "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+
     @pytest.mark.parametrize("flag, value", [("--q-grid", "nan"),
                                              ("--q-grid", "2,inf"),
                                              ("--theta", "nan"),
@@ -262,6 +275,18 @@ class TestOptions:
                                       "--samples", "64", flag, value, "--format", "json"])
         assert result.exit_code == 2
         assert "finite" in result.output
+
+    @pytest.mark.parametrize("command", ["norms", "sweep"])
+    def test_overflowing_moment_is_runtime_error(self, runner, command):
+        # |D_N| > 1 somewhere, so its 2000th power overflows float64.
+        args = [command, "--net", "van-der-corput", "--s", "3", "--samples", "256",
+                "--q-grid", "1,2000"]
+        if command == "sweep":
+            args += ["--shifts", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "q=2000.0" in result.output
+        assert "inf" not in result.output and "nan" not in result.output
 
     @pytest.mark.parametrize("command", ["norms", "sweep"])
     def test_workers_is_not_an_option(self, runner, command):

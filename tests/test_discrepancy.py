@@ -178,6 +178,9 @@ class TestApproximationRoutes:
         for L in ((8, 0), (0, -1)):
             with pytest.raises(ValueError):
                 ctx.shift_sign(L)
+        for L in ((1,), (1, 2, 3)):
+            with pytest.raises(ValueError, match="index vector dimension mismatch"):
+                ctx.shift_sign(L)
 
 
 class TestApproximationGap:

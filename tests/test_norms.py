@@ -56,6 +56,15 @@ class TestLqNormMc:
                 q_grid(bad)
         assert q_grid(DEFAULT_Q_GRID) == DEFAULT_Q_GRID
 
+    def test_non_finite_moment_names_the_exponent(self):
+        big = lambda u: np.full(u.shape[0], 1e10)
+        assert lq_norms_mc(big, 1, [1.0, 15.0], 64, seed=0)[1].value == pytest.approx(1e10)
+        with pytest.raises(OverflowError, match="q=16.0"):
+            lq_norms_mc(big, 1, [1.0, 16.0], 64, seed=0)  # (1e10)^32 overflows
+        nan = lambda u: np.full(u.shape[0], np.nan)
+        with pytest.raises(OverflowError, match="q=1.0"):
+            lq_norms_mc(nan, 1, [1.0], 64, seed=0)
+
     def test_power_mean_monotone(self):
         pts = net_points(van_der_corput_generators(5), random_shift(2, 5, 3))
         ests = lq_norms_mc(dn_sampler(pts), 2, (1.0, 2.0, 4.0, 8.0), 20000, seed=4)
