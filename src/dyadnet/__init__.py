@@ -2,13 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .f2core import (
-    DyadicPoint,
-    F2Subspace,
-    iter_grid,
-    pairing,
-    rt_weight,
-)
+from .f2core import DyadicPoint, F2Subspace
 from .nets import (
     DigitShift,
     GeneratorSet,
@@ -24,12 +18,9 @@ from .nets import (
     van_der_corput_generators,
     verify_box_counts,
 )
-from .walsh import fine_coefficient, walsh_1d
 from .discrepancy import (
     DiscrepancyContext,
     approximation_gap,
-    delta_indicator,
-    discrepancy_exact,
     lambda_group,
     m_direct,
     m_dual_sum,
@@ -55,13 +46,9 @@ __all__ = [
     "approximation_gap",
     "as_subspace",
     "certify_deficiency",
-    "delta_indicator",
-    "discrepancy_exact",
     "dn_sampler",
     "exp_orlicz_estimate",
-    "fine_coefficient",
     "hyperbolic_lp_ratios",
-    "iter_grid",
     "khinchin_ratios",
     "l2_m_exact",
     "lambda_group",
@@ -71,12 +58,9 @@ __all__ = [
     "m_dual_sum",
     "m_sampler",
     "net_points",
-    "pairing",
     "random_shift",
     "rescale_to_N",
-    "rt_weight",
     "sobol_generators",
     "van_der_corput_generators",
     "verify_box_counts",
-    "walsh_1d",
 ]

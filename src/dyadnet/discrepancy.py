@@ -21,23 +21,18 @@ from .f2core import (
     DyadicPoint,
     F2Subspace,
     _character,
-    _pack,
     _rev_words,
     _unpack,
-    iter_grid,
 )
-from .nets import DigitShift, GeneratorSet, NetQuality, PointSet, as_subspace, certify_deficiency
+from .nets import DigitShift, GeneratorSet, NetQuality, as_subspace, certify_deficiency
 from . import walsh
-from .walsh import digit_word, rho_vector
+from .walsh import rho_vector
 
 __all__ = [
     "DiscrepancyContext",
     "LambdaGroup",
     "RouteUnavailableError",
-    "IdentityViolation",
     "approximation_gap",
-    "delta_indicator",
-    "discrepancy_exact",
     "lambda_group",
     "m_direct",
     "m_dual_sum",
@@ -48,25 +43,17 @@ class RouteUnavailableError(RuntimeError):
     """The dual enumeration needed by this route exceeds the cap."""
 
 
-class IdentityViolation(AssertionError):
-    """An exact structural identity failed; carries a witness."""
-
-    def __init__(self, message: str, witness: dict):
-        super().__init__(f"{message}: {witness}")
-        self.witness = witness
-
-
 @dataclass(frozen=True)
 class DiscrepancyContext:
     """A (possibly shifted) linear distribution, its net words, and its
     dual enumerated on first use.
 
     `dual_points` lists the dual as integer index vectors (grid words), or
-    is None above `cap`, and `dual_signs` the matching characters
-    evaluated at the shift; both are computed on first access and stored
-    in the instance dict, so routes that stay on the net side never pay
-    for the dual.  `groups` buckets the dual by per-coordinate
-    leading-digit positions.
+    is None above `cap`, `dual_signs` the matching characters evaluated
+    at the shift, and `groups` buckets the dual by per-coordinate
+    leading-digit positions; all three are computed on first access and
+    stored in the instance dict, so routes that stay on the net side never
+    pay for the dual.
     """
 
     n: int
@@ -119,7 +106,8 @@ class DiscrepancyContext:
         return None if pts is None else tuple(self.shift_sign(L) for L in pts)
 
     def with_dual_points(self, dual_points) -> "DiscrepancyContext":
-        """Test hook: replace the enumerated dual (e.g. to corrupt it)."""
+        """Test hook: replace the enumerated dual (e.g. to corrupt it).  The
+        copy recomputes `dual_signs` and `groups` from the replacement."""
         out = replace(self)
         vars(out)["dual_points"] = tuple(tuple(L) for L in dual_points)
         return out
@@ -131,11 +119,14 @@ class DiscrepancyContext:
             )
         return self.dual_points
 
-    def groups(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    @cached_property
+    def groups(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Dual members by leading-digit position vector, each group in
+        dual order; raises `RouteUnavailableError` above the cap."""
         out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for L in self.require_dual():
             out.setdefault(rho_vector(L), []).append(L)
-        return out
+        return {rho: tuple(members) for rho, members in out.items()}
 
     def shift_sign(self, L: Sequence[int]) -> int:
         """Tensor character of the shift at index vector L."""
@@ -168,26 +159,8 @@ def _grid_words(Y, s: int, n: int) -> tuple[int, tuple[int, ...]]:
     return g, us
 
 
-def discrepancy_exact(points: PointSet, Y) -> Fraction:
-    """Point count in the half-open box [0, Y) minus size times volume."""
-    ys = tuple(Fraction(y) for y in Y)
-    if len(ys) != points.n:
-        raise ValueError("query dimension mismatch")
-    vol = Fraction(1)
-    for y in ys:
-        if not 0 <= y <= 1:
-            raise ValueError(f"{y} outside [0,1]")
-        vol *= y
-    count = 0
-    for p in points.points:
-        if all(c < y for c, y in zip(p, ys)):
-            count += 1
-    return count - points.size * vol
-
-
-# The dual route meets the same few coefficients for every dual index.  The
-# cache lives here, not in walsh, so the one-off coefficients of the
-# calculus checks do not fill it.
+# The dual route meets the same few coefficients for every dual index, so
+# its evaluations of `walsh._chi_num` go through one shared cache.
 _chi_num = lru_cache(maxsize=1 << 20)(walsh._chi_num)
 
 
@@ -271,8 +244,8 @@ def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
     argmax: tuple[Fraction, ...] = ()
     checked = 0
     card = ctx.cardinality
-    for Y in iter_grid(ctx.n, g):
-        us = Y.words
+    for v in range(1 << (g * ctx.n)):  # packed order, coordinate 0 fastest
+        us = _unpack(v, ctx.n, g)
         count, kernel = _box_kernel(ctx, g, us)
         vol = math.prod(us)
         d_num = count * den - card * vol
@@ -312,45 +285,15 @@ def lambda_group(ctx: DiscrepancyContext, rho_bar: Sequence[int]) -> LambdaGroup
     rho_bar = tuple(rho_bar)
     if len(rho_bar) != ctx.n or any(not 0 <= r <= ctx.s for r in rho_bar):
         raise ValueError(f"position vector {rho_bar} out of range for s={ctx.s}")
-    bounds = [1 << (r - 1) if r >= 1 else 1 for r in rho_bar]
-    members = []
-    lam0 = []
-    for L in ctx.require_dual():
-        if rho_vector(L) == rho_bar:
-            members.append(L)
-        if all(l < b for l, b in zip(L, bounds)):
-            lam0.append(L)
+    groups = ctx.groups
+    members = groups.get(rho_bar, ())
+    below = [max(r - 1, 0) for r in rho_bar]
+    lam0 = sorted(L for rho, group in groups.items()
+                  if all(a <= b for a, b in zip(rho, below)) for L in group)
     bound_ok: bool | None = None
     if ctx.quality is not None and any(any(L) for L in members):
         exponent = sum(rho_bar) - ctx.s + ctx.quality.deficiency
         bound_ok = exponent >= 0 and len(lam0) <= (1 << exponent)
     representative = min(members) if members else None
-    return LambdaGroup(rho_bar, tuple(members), representative, tuple(lam0), bound_ok)
+    return LambdaGroup(rho_bar, members, representative, tuple(lam0), bound_ok)
 
-
-def delta_indicator(ctx: DiscrepancyContext, rho_bar: Sequence[int], Y) -> int:
-    """Character sum over the strictly-below subgroup at a truncated query.
-
-    The only check made on the sum is that it is two-valued: zero or the
-    subgroup size.
-    """
-    if isinstance(Y, DyadicPoint):
-        words = Y.truncate(ctx.s).words
-    else:
-        words = []
-        for v in Y:
-            fy = Fraction(v)
-            if not 0 <= fy < 1:
-                raise ValueError(f"{v} outside [0,1)")
-            words.append(digit_word(fy, ctx.s))
-    if len(words) != ctx.n:
-        raise ValueError("query dimension mismatch")
-    lam0 = lambda_group(ctx, rho_bar).lambda0
-    y = _pack(words, ctx.s)
-    total = sum(_character(_rev_words(L, ctx.s), y) for L in lam0)
-    if total not in (0, len(lam0)):
-        raise IdentityViolation(
-            "character sum is neither zero nor the subgroup size",
-            {"rho_bar": tuple(rho_bar), "sum": total, "size": len(lam0)},
-        )
-    return total

@@ -3,15 +3,15 @@
 Points of Q^n(2^s), s >= 1, are tuples of n integer digit words, one
 s-digit binary fraction per coordinate; a coordinate is a one-dimensional
 point.  Point sets with linear structure are subspaces under digitwise
-XOR.  The module provides the bit-reversed bilinear pairing, annihilators
-(dual subspaces), enumeration, and the Rosenbloom-Tsfasman weight.
+XOR.  The module provides the tensor Walsh character of the bit-reversed
+bilinear pairing, its whole-grid sums, annihilators (dual subspaces),
+enumeration, and the Rosenbloom-Tsfasman weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -98,20 +98,6 @@ class DyadicPoint:
     def pack(self) -> int:
         return _pack(self.words, self.s)
 
-    def lift(self, g: int) -> "DyadicPoint":
-        """Re-express at finer resolution g >= s (same real values)."""
-        if g < self.s:
-            raise ValueError("lift target must be at least the current resolution")
-        shift = g - self.s
-        return DyadicPoint(tuple(w << shift for w in self.words), g)
-
-    def truncate(self, g: int) -> "DyadicPoint":
-        """Keep only the leading g digits of each coordinate."""
-        if g > self.s:
-            return self.lift(g)
-        shift = self.s - g
-        return DyadicPoint(tuple(w >> shift for w in self.words), g)
-
     def __xor__(self, other: "DyadicPoint") -> "DyadicPoint":
         if self.s != other.s or self.n != other.n:
             raise DimensionMismatchError(
@@ -135,8 +121,13 @@ def _pack(words: Sequence[int], s: int) -> int:
 
 
 def _rev_packed(packed: int, n: int, s: int) -> int:
-    """Bit-reverse each coordinate word of a packed point: the pairing of
-    packed points a and b is parity(_rev_packed(a, n, s) & b)."""
+    """Bit-reverse each coordinate word of a packed point.
+
+    The bit-reversed bilinear pairing <a, b> of packed points, with values
+    in GF(2), is parity(_rev_packed(a, n, s) & b): on one coordinate it is
+    sum_i xi_i(a) * xi_{s-i+1}(b), with xi_i the i-th digit from the least
+    significant end, and on points it adds the coordinate pairings mod 2.
+    """
     return _rev_words(_unpack(packed, n, s), s)
 
 
@@ -149,7 +140,7 @@ def _rev_words(words: Sequence[int], s: int) -> int:
 
 
 def _character(rev_a: int, b: int) -> int:
-    """The tensor Walsh character (-1)^pairing(a, b) of packed points, in
+    """The tensor Walsh character (-1)^<a, b> of packed points, in
     {+1, -1}, with a given through `_rev_packed`.
 
     This is the one evaluation of the character.  The pairing is
@@ -178,31 +169,10 @@ def _character_table(words: Iterable[int], n: int, s: int) -> np.ndarray:
     return table
 
 
-def pairing(x, y) -> int:
-    """Bit-reversed bilinear form on the grid, with values in GF(2).
-
-    On one coordinate it is sum_i xi_i(x) * xi_{s-i+1}(y), with xi_i the
-    i-th digit from the least significant end; on points it adds the
-    coordinate pairings mod 2.
-    """
-    if not (isinstance(x, DyadicPoint) and isinstance(y, DyadicPoint)):
-        raise TypeError("pairing expects two DyadicPoint values")
-    if x.s != y.s or x.n != y.n:
-        raise DimensionMismatchError(
-            f"grids differ: (n={x.n}, s={x.s}) vs (n={y.n}, s={y.s})"
-        )
-    return parity(_rev_packed(x.pack(), x.n, x.s) & y.pack())
-
-
-def rt_weight(x) -> int:
-    """Rosenbloom-Tsfasman weight: index of the last nonzero reversed digit,
-    summed over coordinates.  rt_weight(0) == 0."""
-    if not isinstance(x, DyadicPoint):
-        raise TypeError("rt_weight expects a DyadicPoint")
-    return sum(w.bit_length() for w in x.words)
-
-
 def _packed_weight(packed: int, n: int, s: int) -> int:
+    """Rosenbloom-Tsfasman weight of a packed point: per coordinate, the
+    index of the last nonzero reversed digit (the word's bit length),
+    summed over coordinates; 0 at the origin."""
     return sum(w.bit_length() for w in _unpack(packed, n, s))
 
 
@@ -287,12 +257,9 @@ class F2Subspace:
             cur ^= self.basis[(i & -i).bit_length() - 1]
             yield cur
 
-    def enumerate_points(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[DyadicPoint]:
-        for packed in self.enumerate_packed(cap):
-            yield DyadicPoint.from_packed(packed, self.n, self.s)
-
     def dual(self) -> "F2Subspace":
-        """Annihilator under `pairing`; dim(dual) == n*s - dim."""
+        """Annihilator under the bit-reversed pairing (see `_rev_packed`);
+        dim(dual) == n*s - dim."""
         rows = [_rev_packed(b, self.n, self.s) for b in self.basis]
         return F2Subspace(self.n, self.s, _reduce(_nullspace(rows, self.ambient_dim)))
 
@@ -312,9 +279,3 @@ class F2Subspace:
             if v
         )
 
-
-def iter_grid(n: int, s: int) -> Iterator[DyadicPoint]:
-    """All points of Q^n(2^s) in counter order, coordinate 0 fastest:
-    the v-th point is DyadicPoint.from_packed(v, n, s)."""
-    for words in product(range(1 << s), repeat=n):
-        yield DyadicPoint(words[::-1], s)

@@ -1,8 +1,8 @@
-"""Exact identity suites over nets and the coefficient calculus.
+"""Exact identity suites over nets.
 
 Each check returns a machine-readable result with a counterexample
-witness on failure; the CLI `verify` command runs a bundle of them and
-maps any failure to a dedicated exit code.
+witness on failure; the CLI `verify` command runs the suite on one net
+or a bundle of nets and maps any failure to a dedicated exit code.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from .discrepancy import (
     m_dual_sum,
     approximation_gap,
 )
-from .f2core import F2Subspace, _character_table, _pack, _unpack, iter_grid
-from .walsh import fine_coefficient, rho_index, walsh_1d
+from .f2core import F2Subspace, _character_table, _pack, _unpack
 
 
 @dataclass(frozen=True)
@@ -69,16 +68,19 @@ def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
 
 def check_route_equivalence(ctx: DiscrepancyContext) -> IdentityResult:
     """The kernel-sum and dual-sum evaluations agree exactly on the full
-    dyadic grid of the net's resolution."""
+    dyadic grid of the net's resolution, visited in packed order."""
+    n, s = ctx.n, ctx.s
+    values = [Fraction(w, 1 << s) for w in range(1 << s)]
     checked = 0
-    for Y in iter_grid(ctx.n, ctx.s):
+    for v in range(1 << (n * s)):
+        Y = tuple(values[w] for w in _unpack(v, n, s))
         a = m_direct(ctx, Y)
         b = m_dual_sum(ctx, Y)
         checked += 1
         if a != b:
             return IdentityResult(
                 "route-equivalence", False, checked,
-                witness={"Y": [str(v) for v in Y.values()],
+                witness={"Y": [str(y) for y in Y],
                          "direct": str(a), "dual_sum": str(b)},
             )
     return IdentityResult("route-equivalence", True, checked,
@@ -108,7 +110,7 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
     n, s = ctx.n, ctx.s
     size = _grid_size(ctx)
     dual = ctx.require_dual()
-    groups = ctx.groups()
+    groups = ctx.groups
     if sum(len(v) for v in groups.values()) != len(dual):
         return IdentityResult("delta-identities", False, 0,
                               witness={"reason": "grouping does not partition"})
@@ -154,53 +156,6 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
             )
     return IdentityResult("delta-identities", True, checked,
                           details={"groups": len(groups)})
-
-
-def check_fine_closed_form() -> IdentityResult:
-    """Closed-form interval coefficients of the indices l < 64 against
-    direct cell-sum quadrature on the grid of spacing 2^-8."""
-    den = 1 << 8
-    checked = 0
-    for l in range(64):
-        quad = 0  # numerator over den of the cell sum of w_l on [0, y)
-        for t in range(den + 1):
-            y = Fraction(t, den)
-            got = fine_coefficient(l, y)
-            checked += 1
-            if got.numerator * den != quad * got.denominator:
-                return IdentityResult(
-                    "interval-coefficient-closed-form", False, checked,
-                    witness={"l": l, "y": str(y), "closed": str(got),
-                             "quadrature": str(Fraction(quad, den))},
-                )
-            if t < den:
-                quad += walsh_1d(l, y)
-    return IdentityResult("interval-coefficient-closed-form", True, checked)
-
-
-def check_fine_square_norm() -> IdentityResult:
-    """Exact integral of the squared coefficient profile, 4^-rho / 3, for
-    the indices l < 64.
-
-    The profile is piecewise linear between cell boundaries, so the
-    quadrature sums exact quadratic segment integrals.
-    """
-    checked = 0
-    for l in range(64):
-        r = max(l.bit_length(), 1)
-        den = 1 << r
-        vals = [fine_coefficient(l, Fraction(t, den)) for t in range(den + 1)]
-        acc = Fraction(0)
-        for a, b in zip(vals, vals[1:]):
-            acc += (a * a + a * b + b * b) / (3 * den)
-        want = Fraction(1, 3 * (1 << (2 * rho_index(l))))
-        checked += 1
-        if acc != want:
-            return IdentityResult(
-                "interval-coefficient-square-norm", False, checked,
-                witness={"l": l, "integral": str(acc), "expected": str(want)},
-            )
-    return IdentityResult("interval-coefficient-square-norm", True, checked)
 
 
 def run_net_suite(ctx: DiscrepancyContext) -> list[IdentityResult]:

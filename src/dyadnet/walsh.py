@@ -1,36 +1,21 @@
-"""Walsh characters on [0,1) with exact dyadic arithmetic.
+"""Walsh analysis on [0,1) with exact dyadic arithmetic.
 
-The one-dimensional character `walsh_1d` reads the digits of x selected
-by the index, `rho` is the position of the leading digit of an index, and
-the interval coefficient, the integral of w_l over [0, y), is evaluated
-in integers over a power-of-two denominator (`_chi_num`).  The tensor
-character lives in `f2core._character`.
+`rho` is the position of the leading digit of an index, and the interval
+coefficient, the integral of the Walsh character w_l over [0, y), is
+evaluated in integers over a power-of-two denominator (`_chi_num`).  The
+tensor character lives in `f2core._character`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .f2core import _character, bit_reverse, parity
+from .f2core import _character, bit_reverse
 
 
 def digit_word(x: Fraction, k: int) -> int:
     """First k binary digits of x in [0,1), most significant first: floor(x*2^k)."""
     return (x.numerator << k) // x.denominator
-
-
-def walsh_1d(l: int, x) -> int:
-    """Walsh character w_l(x) in {+1,-1}: parity of digits of x selected by l."""
-    if l < 0:
-        raise ValueError("index must be nonnegative")
-    if l == 0:
-        return 1
-    fx = Fraction(x)
-    if not 0 <= fx < 1:
-        raise ValueError(f"{x} outside [0,1)")
-    k = l.bit_length()
-    word = digit_word(fx, k)
-    return -1 if parity(bit_reverse(l, k) & word) else 1
 
 
 def rho_index(l: int) -> int:
@@ -64,18 +49,4 @@ def _chi_num(l: int, u: int, g: int) -> int:
         return tri
     k = tau.bit_length()
     return tri * _character(bit_reverse(tau, k), u >> (g - k))
-
-
-def fine_coefficient(l: int, y) -> Fraction:
-    """Exact integral of w_l over [0, y) for dyadic y in [0, 1]."""
-    fy = Fraction(y)
-    if not 0 <= fy <= 1:
-        raise ValueError(f"{y} outside [0,1]")
-    if l < 0:
-        raise ValueError("index must be nonnegative")
-    den = fy.denominator
-    if den & (den - 1):
-        raise ValueError(f"{y} is not dyadic; exact routes need dyadic input")
-    g = max(den.bit_length() - 1, l.bit_length())
-    return Fraction(_chi_num(l, digit_word(fy, g), g), 1 << g)
 

@@ -3,13 +3,27 @@
 Each function here is a second route to a quantity that the library
 evaluates one way in production; tests compare the two.
 
-- `walsh_nd`, the product of one-dimensional characters `walsh_1d`, is
-  the oracle of the packed tensor character `f2core._character`.
+- `walsh_1d` reads the digits of x selected by the index, and `walsh_nd`,
+  the product of one-dimensional characters, is the oracle of the packed
+  tensor character `f2core._character`.
+- `fine_coefficient(l, y)` is the interval coefficient, the integral of
+  w_l over [0, y), as a `Fraction` of the integer numerator
+  `walsh._chi_num`.  `check_fine_closed_form` compares it with cell-sum
+  quadrature of `walsh_1d` and `check_fine_square_norm` with the exact
+  squared norm 4^-rho / 3 (acceptance 03 and 04).
 - `omega`, the sawtooth factor, gives the closed form
   `2^(-rho-1) w_tau(y) omega_rho(y)` of the interval coefficient, the
   oracle of the integer evaluation `walsh._chi_num`.
+- `iter_grid` yields every `DyadicPoint` of the grid in packed order, and
+  `truncate` re-expresses a point at another resolution.
+- `discrepancy_exact` counts net points in a box one by one.
 - `character_sum`, one character sum at one grid point, is the oracle of
   the whole-grid Walsh-Hadamard table `f2core._character_table`.
+- `delta_indicator` is that sum over the strictly-below subgroup at one
+  query, the per-query form of the Delta table.
+- `lambda_group_walk` slices the dual by walking it once per position
+  vector; it is the oracle of `discrepancy.lambda_group`, which reads
+  the context's `groups`.
 - `poisson_loop` and `delta_loop` walk the `2^(ns)` grid point by point
   with `character_sum`; they are the oracles of `verify.check_poisson`
   and `verify.check_delta_identities`, which read the tables.
@@ -18,8 +32,9 @@ evaluates one way in production; tests compare the two.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from dyadnet.discrepancy import DiscrepancyContext, lambda_group
+from dyadnet.discrepancy import DiscrepancyContext, LambdaGroup, lambda_group
 from dyadnet.f2core import (
     DyadicPoint,
     F2Subspace,
@@ -28,9 +43,26 @@ from dyadnet.f2core import (
     _rev_packed,
     _rev_words,
     _unpack,
+    bit_reverse,
+    parity,
 )
+from dyadnet.nets import PointSet
 from dyadnet.verify import IdentityResult
-from dyadnet.walsh import walsh_1d
+from dyadnet.walsh import _chi_num, digit_word, rho_index, rho_vector
+
+
+def walsh_1d(l: int, x) -> int:
+    """Walsh character w_l(x) in {+1,-1}: parity of digits of x selected by l."""
+    if l < 0:
+        raise ValueError("index must be nonnegative")
+    if l == 0:
+        return 1
+    fx = Fraction(x)
+    if not 0 <= fx < 1:
+        raise ValueError(f"{x} outside [0,1)")
+    k = l.bit_length()
+    word = digit_word(fx, k)
+    return -1 if parity(bit_reverse(l, k) & word) else 1
 
 
 def walsh_nd(L, X) -> int:
@@ -67,9 +99,147 @@ def omega(m: int, y) -> Fraction:
     return tri * (1 << (m + 1))
 
 
+def fine_coefficient(l: int, y) -> Fraction:
+    """Exact integral of w_l over [0, y) for dyadic y in [0, 1]."""
+    fy = Fraction(y)
+    if not 0 <= fy <= 1:
+        raise ValueError(f"{y} outside [0,1]")
+    if l < 0:
+        raise ValueError("index must be nonnegative")
+    den = fy.denominator
+    if den & (den - 1):
+        raise ValueError(f"{y} is not dyadic; exact routes need dyadic input")
+    g = max(den.bit_length() - 1, l.bit_length())
+    return Fraction(_chi_num(l, digit_word(fy, g), g), 1 << g)
+
+
+def check_fine_closed_form() -> IdentityResult:
+    """Closed-form interval coefficients of the indices l < 64 against
+    direct cell-sum quadrature on the grid of spacing 2^-8."""
+    den = 1 << 8
+    checked = 0
+    for l in range(64):
+        quad = 0  # numerator over den of the cell sum of w_l on [0, y)
+        for t in range(den + 1):
+            y = Fraction(t, den)
+            got = fine_coefficient(l, y)
+            checked += 1
+            if got.numerator * den != quad * got.denominator:
+                return IdentityResult(
+                    "interval-coefficient-closed-form", False, checked,
+                    witness={"l": l, "y": str(y), "closed": str(got),
+                             "quadrature": str(Fraction(quad, den))},
+                )
+            if t < den:
+                quad += walsh_1d(l, y)
+    return IdentityResult("interval-coefficient-closed-form", True, checked)
+
+
+def check_fine_square_norm() -> IdentityResult:
+    """Exact integral of the squared coefficient profile, 4^-rho / 3, for
+    the indices l < 64.
+
+    The profile is piecewise linear between cell boundaries, so the
+    quadrature sums exact quadratic segment integrals.
+    """
+    checked = 0
+    for l in range(64):
+        r = max(l.bit_length(), 1)
+        den = 1 << r
+        vals = [fine_coefficient(l, Fraction(t, den)) for t in range(den + 1)]
+        acc = Fraction(0)
+        for a, b in zip(vals, vals[1:]):
+            acc += (a * a + a * b + b * b) / (3 * den)
+        want = Fraction(1, 3 * (1 << (2 * rho_index(l))))
+        checked += 1
+        if acc != want:
+            return IdentityResult(
+                "interval-coefficient-square-norm", False, checked,
+                witness={"l": l, "integral": str(acc), "expected": str(want)},
+            )
+    return IdentityResult("interval-coefficient-square-norm", True, checked)
+
+
+def iter_grid(n: int, s: int):
+    """All points of Q^n(2^s) in counter order, coordinate 0 fastest:
+    the v-th point is DyadicPoint.from_packed(v, n, s)."""
+    for words in product(range(1 << s), repeat=n):
+        yield DyadicPoint(words[::-1], s)
+
+
+def truncate(Y: DyadicPoint, g: int) -> DyadicPoint:
+    """Y at resolution g: the leading g digits of each coordinate, or the
+    same values with zero digits appended when g is finer than Y's."""
+    if g >= Y.s:
+        return DyadicPoint(tuple(w << (g - Y.s) for w in Y.words), g)
+    return DyadicPoint(tuple(w >> (Y.s - g) for w in Y.words), g)
+
+
+def discrepancy_exact(points: PointSet, Y) -> Fraction:
+    """Point count in the half-open box [0, Y) minus size times volume."""
+    ys = tuple(Fraction(y) for y in Y)
+    if len(ys) != points.n:
+        raise ValueError("query dimension mismatch")
+    vol = Fraction(1)
+    for y in ys:
+        if not 0 <= y <= 1:
+            raise ValueError(f"{y} outside [0,1]")
+        vol *= y
+    count = 0
+    for p in points.points:
+        if all(c < y for c, y in zip(p, ys)):
+            count += 1
+    return count - points.size * vol
+
+
 def character_sum(words, other: int) -> int:
     """Sum of `_character(a, other)` over the words a."""
     return sum(_character(a, other) for a in words)
+
+
+def delta_indicator(ctx: DiscrepancyContext, rho_bar, Y) -> int:
+    """Character sum over the strictly-below subgroup at a truncated query,
+    checked to be two-valued: zero or the subgroup size."""
+    if isinstance(Y, DyadicPoint):
+        words = truncate(Y, ctx.s).words
+    else:
+        words = []
+        for v in Y:
+            fy = Fraction(v)
+            if not 0 <= fy < 1:
+                raise ValueError(f"{v} outside [0,1)")
+            words.append(digit_word(fy, ctx.s))
+    if len(words) != ctx.n:
+        raise ValueError("query dimension mismatch")
+    lam0 = lambda_group(ctx, rho_bar).lambda0
+    total = character_sum((_rev_words(L, ctx.s) for L in lam0), _pack(words, ctx.s))
+    if total not in (0, len(lam0)):
+        raise AssertionError(f"character sum {total} over {tuple(rho_bar)} is "
+                             f"neither zero nor the subgroup size {len(lam0)}")
+    return total
+
+
+def lambda_group_walk(ctx: DiscrepancyContext, rho_bar) -> LambdaGroup:
+    """`lambda_group` by one walk over the dual: members match the position
+    vector exactly, and the subgroup keeps the indices below 2^(r - 1) in
+    each coordinate of position r >= 1 and zero where r = 0."""
+    rho_bar = tuple(rho_bar)
+    if len(rho_bar) != ctx.n or any(not 0 <= r <= ctx.s for r in rho_bar):
+        raise ValueError(f"position vector {rho_bar} out of range for s={ctx.s}")
+    bounds = [1 << (r - 1) if r >= 1 else 1 for r in rho_bar]
+    members = []
+    lam0 = []
+    for L in ctx.require_dual():
+        if rho_vector(L) == rho_bar:
+            members.append(L)
+        if all(l < b for l, b in zip(L, bounds)):
+            lam0.append(L)
+    bound_ok: bool | None = None
+    if ctx.quality is not None and any(any(L) for L in members):
+        exponent = sum(rho_bar) - ctx.s + ctx.quality.deficiency
+        bound_ok = exponent >= 0 and len(lam0) <= (1 << exponent)
+    representative = min(members) if members else None
+    return LambdaGroup(rho_bar, tuple(members), representative, tuple(lam0), bound_ok)
 
 
 def poisson_loop(ctx: DiscrepancyContext) -> IdentityResult:
@@ -103,7 +273,7 @@ def delta_loop(ctx: DiscrepancyContext) -> IdentityResult:
     """
     n, s = ctx.n, ctx.s
     dual = ctx.require_dual()
-    groups = ctx.groups()
+    groups = ctx.groups
     if sum(len(v) for v in groups.values()) != len(dual):
         return IdentityResult("delta-identities", False, 0,
                               witness={"reason": "grouping does not partition"})
@@ -112,7 +282,7 @@ def delta_loop(ctx: DiscrepancyContext) -> IdentityResult:
     for rho_bar, members in sorted(groups.items()):
         if not any(any(L) for L in members):
             continue
-        grp = lambda_group(ctx, rho_bar)
+        grp = lambda_group_walk(ctx, rho_bar)
         if grp.cardinality_bound_ok is False:
             return IdentityResult(
                 "delta-identities", False, checked,

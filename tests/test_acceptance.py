@@ -17,10 +17,9 @@ from dyadnet.cli import main as cli_main
 from dyadnet.discrepancy import (
     DiscrepancyContext,
     approximation_gap,
-    delta_indicator,
     lambda_group,
 )
-from dyadnet.f2core import F2Subspace, iter_grid
+from dyadnet.f2core import F2Subspace
 from dyadnet.nets import (
     net_points,
     random_shift,
@@ -36,10 +35,14 @@ from dyadnet.norms import (
     normalized_ratio,
 )
 from dyadnet.verify import (
-    check_fine_closed_form,
-    check_fine_square_norm,
     check_poisson,
     check_route_equivalence,
+)
+from oracles import (
+    check_fine_closed_form,
+    check_fine_square_norm,
+    delta_indicator,
+    iter_grid,
 )
 
 
@@ -157,7 +160,7 @@ def test_criterion_07_delta_identities():
     for s in range(1, 5):
         ctx = DiscrepancyContext.build(van_der_corput_generators(s))
         grid = list(iter_grid(2, s))
-        for rho_bar, members in sorted(ctx.groups().items()):
+        for rho_bar, members in sorted(ctx.groups.items()):
             if not any(any(L) for L in members):
                 continue
             grp = lambda_group(ctx, rho_bar)

@@ -139,13 +139,10 @@ class TestVerify:
     def test_default_bundle_passes(self, runner):
         out = run_ok(runner, ["verify"])
         assert out.count("route-equivalence,True") == 3
-        assert "interval-coefficient-closed-form,True" in out
-        assert "interval-coefficient-square-norm,True" in out
-        # Case counts of the planar builtin at s = 2, 3, 4: the 2^(2s) grid
-        # for Poisson and for route equivalence, the 2^(2s+4) gap grid, and
-        # the grid once per nonzero leading-digit group.
-        want = [("interval-coefficient-closed-form", 16448),
-                ("interval-coefficient-square-norm", 64)]
+        # Only net suites: case counts of the planar builtin at s = 2, 3, 4,
+        # the 2^(2s) grid for Poisson and for route equivalence, the
+        # 2^(2s+4) gap grid, and the grid once per nonzero leading-digit group.
+        want = []
         for counts in ((16, 16, 256, 48), (64, 64, 1024, 384),
                        (256, 256, 4096, 2560)):
             want += zip(("poisson-summation", "route-equivalence",
@@ -265,6 +262,14 @@ class TestOptions:
                                       "--seed", "-1"])
         assert result.exit_code == 2
         assert "--seed" in result.output
+
+    @pytest.mark.parametrize("command", ["gen", "verify", "norms"])
+    def test_negative_shift_seed_is_input_error(self, runner, command):
+        # random.Random hashes abs(seed), so -5 would print the points of 5.
+        result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",
+                                      "--shift-seed", "-5"])
+        assert result.exit_code == 2
+        assert "--shift-seed" in result.output
 
     @pytest.mark.parametrize("flag, value", [("--q-grid", "nan"),
                                              ("--q-grid", "2,inf"),

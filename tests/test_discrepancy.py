@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,22 +11,30 @@ from dyadnet.discrepancy import (
     RouteUnavailableError,
     _box_kernel,
     approximation_gap,
-    delta_indicator,
-    discrepancy_exact,
     lambda_group,
     m_direct,
     m_dual_sum,
 )
-from dyadnet.f2core import DyadicPoint, F2Subspace, iter_grid
+from dyadnet.f2core import DyadicPoint, F2Subspace, _unpack
 from dyadnet.nets import (
+    SOBOL_MAX_DIM,
     net_points,
     random_shift,
     sobol_generators,
     van_der_corput_generators,
 )
 from dyadnet.norms import dn_sampler
-from dyadnet.walsh import fine_coefficient, rho_vector, walsh_1d
-from oracles import walsh_nd
+from dyadnet.walsh import rho_vector
+from oracles import (
+    delta_indicator,
+    discrepancy_exact,
+    fine_coefficient,
+    iter_grid,
+    lambda_group_walk,
+    truncate,
+    walsh_1d,
+    walsh_nd,
+)
 
 
 def brute_discrepancy(points, Y):
@@ -207,10 +216,40 @@ class TestApproximationGap:
         assert rep.within_bound
 
 
+# Every builtin net with ns <= 12: van der Corput s = 1..6 and Sobol in
+# each supported dimension.
+BUILTIN_NETS = ([van_der_corput_generators(s) for s in range(1, 7)]
+                + [sobol_generators(n, s) for n in range(1, SOBOL_MAX_DIM + 1)
+                   for s in range(1, 12 // n + 1)])
+
+
 class TestLambdaGroups:
+    @pytest.mark.parametrize("gen", BUILTIN_NETS, ids=lambda g: f"{g.name}-{g.n}-{g.s}")
+    def test_matches_the_dual_walk(self, gen):
+        ctx = DiscrepancyContext.build(gen)
+        positions = set(ctx.groups)
+        # Every position vector in the box where that stays small, so that
+        # vectors without members are compared as well.
+        if (gen.s + 1) ** gen.n <= 256:
+            positions.update(itertools.product(range(gen.s + 1), repeat=gen.n))
+        for rho_bar in sorted(positions):
+            assert lambda_group(ctx, rho_bar) == lambda_group_walk(ctx, rho_bar), rho_bar
+
+    def test_groups_are_cached_and_recomputed_on_copies(self):
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        assert ctx.groups is ctx.groups
+        assert "groups" in vars(ctx)
+        kept = [L for L in ctx.dual_points if L != (7, 7)]
+        copy = ctx.with_dual_points(kept)
+        assert "groups" not in vars(copy)
+        assert ctx.groups[(3, 3)] == ((5, 5), (7, 7))
+        assert copy.groups[(3, 3)] == ((5, 5),)
+        assert sum(map(len, copy.groups.values())) == len(kept)
+        assert lambda_group(copy, (3, 3)) == lambda_group_walk(copy, (3, 3))
+
     def test_partition(self):
         ctx = DiscrepancyContext.build(van_der_corput_generators(3))
-        groups = ctx.groups()
+        groups = ctx.groups
         assert sum(len(v) for v in groups.values()) == len(ctx.dual_points)
         for rho_bar, members in groups.items():
             for L in members:
@@ -226,7 +265,7 @@ class TestLambdaGroups:
         for gen in (van_der_corput_generators(3), van_der_corput_generators(4),
                     sobol_generators(3, 3), sobol_generators(3, 4)):
             ctx = DiscrepancyContext.build(gen)
-            for rho_bar, members in ctx.groups().items():
+            for rho_bar, members in ctx.groups.items():
                 if not any(any(L) for L in members):
                     continue
                 grp = lambda_group(ctx, rho_bar)
@@ -236,7 +275,7 @@ class TestLambdaGroups:
     def test_lambda0_is_subgroup_and_translate(self):
         ctx = DiscrepancyContext.build(sobol_generators(3, 3))
         dual_set = set(ctx.dual_points)
-        for rho_bar, members in ctx.groups().items():
+        for rho_bar, members in ctx.groups.items():
             grp = lambda_group(ctx, rho_bar)
             lam0 = set(grp.lambda0)
             # Subgroup: closed under coordinatewise XOR.
@@ -266,7 +305,7 @@ class TestLambdaGroups:
 class TestDeltaIndicator:
     def test_zero_query_counts_subgroup(self):
         ctx = DiscrepancyContext.build(van_der_corput_generators(3))
-        for rho_bar, members in ctx.groups().items():
+        for rho_bar, members in ctx.groups.items():
             if not any(any(L) for L in members):
                 continue
             grp = lambda_group(ctx, rho_bar)
@@ -277,7 +316,7 @@ class TestDeltaIndicator:
     def test_two_valued_and_unit_average(self, s):
         ctx = DiscrepancyContext.build(van_der_corput_generators(s))
         grid = list(iter_grid(2, s))
-        for rho_bar, members in sorted(ctx.groups().items()):
+        for rho_bar, members in sorted(ctx.groups.items()):
             if not any(any(L) for L in members):
                 continue
             grp = lambda_group(ctx, rho_bar)
@@ -291,17 +330,17 @@ class TestDeltaIndicator:
     def test_truncation_of_fine_queries(self):
         ctx = DiscrepancyContext.build(van_der_corput_generators(3))
         rho_bar = next(
-            rb for rb, ms in ctx.groups().items() if any(any(L) for L in ms)
+            rb for rb, ms in ctx.groups.items() if any(any(L) for L in ms)
         )
         for Y in list(iter_grid(2, 5))[:64]:
-            coarse = Y.truncate(3)
+            coarse = truncate(Y, 3)
             assert delta_indicator(ctx, rho_bar, Y) == delta_indicator(
                 ctx, rho_bar, coarse
             )
 
     def test_representative_factorization(self):
         ctx = DiscrepancyContext.build(sobol_generators(3, 3))
-        for rho_bar, members in ctx.groups().items():
+        for rho_bar, members in ctx.groups.items():
             if not any(any(L) for L in members):
                 continue
             grp = lambda_group(ctx, rho_bar)
@@ -318,7 +357,7 @@ class TestPoissonSummation:
         ctx = DiscrepancyContext.build(gen)
         dual_set = set(ctx.dual_points)
         dual_packed = set(ctx.dual.enumerate_packed())
-        net = [tuple(p.words) for p in ctx.subspace.enumerate_points()]
+        net = [_unpack(p, n, s) for p in ctx.subspace.enumerate_packed()]
         card = ctx.cardinality
         for L in iter_grid(n, s):
             total = sum(walsh_nd(L.words, DyadicPoint(X, s)) for X in net)

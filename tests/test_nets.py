@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from dyadnet.discrepancy import DiscrepancyContext
-from dyadnet.f2core import F2Subspace
+from dyadnet.f2core import DyadicPoint, F2Subspace
 from dyadnet.nets import (
     GeneratorFormatError,
     GeneratorSet,
@@ -72,7 +72,8 @@ class TestAsSubspace:
     def test_round_trip(self):
         for gen in (van_der_corput_generators(3), sobol_generators(3, 3)):
             sub = as_subspace(gen)
-            enum = {p.values() for p in sub.enumerate_points()}
+            enum = {DyadicPoint.from_packed(p, sub.n, sub.s).values()
+                    for p in sub.enumerate_packed()}
             assert enum == set(net_points(gen).points)
 
 

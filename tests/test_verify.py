@@ -7,8 +7,6 @@ from dyadnet.nets import random_shift, sobol_generators, van_der_corput_generato
 from dyadnet.verify import (
     check_approximation_gap,
     check_delta_identities,
-    check_fine_closed_form,
-    check_fine_square_norm,
     check_poisson,
     check_route_equivalence,
     run_net_suite,
@@ -38,14 +36,6 @@ class TestSuitesPass:
     def test_sobol_suite(self, sobol_ctx):
         for result in run_net_suite(sobol_ctx):
             assert result.passed, result.describe()
-
-    def test_fine_checks(self):
-        closed = check_fine_closed_form()
-        assert closed.passed
-        assert closed.checked == 64 * 257
-        square = check_fine_square_norm()
-        assert square.passed
-        assert square.checked == 64
 
     def test_gap_details(self, vdc_ctx):
         res = check_approximation_gap(vdc_ctx)

@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadnet.f2core import DyadicPoint
-from dyadnet.walsh import digit_word, fine_coefficient, rho_index, walsh_1d
-from oracles import omega, walsh_nd
+from dyadnet.walsh import digit_word, rho_index
+from oracles import (
+    check_fine_closed_form,
+    check_fine_square_norm,
+    fine_coefficient,
+    omega,
+    walsh_1d,
+    walsh_nd,
+)
 
 
 def frac(t, g):
@@ -202,6 +209,14 @@ class TestFineCoefficient:
             for a, b in zip(vals, vals[1:]):
                 acc += (a * a + a * b + b * b) / (3 * den)
             assert acc == Fraction(1, 3 * (1 << (2 * rho_index(l))))
+
+    def test_self_checks(self):
+        closed = check_fine_closed_form()
+        assert closed.passed
+        assert closed.checked == 64 * 257
+        square = check_fine_square_norm()
+        assert square.passed
+        assert square.checked == 64
 
 
 class TestOrthonormality:
