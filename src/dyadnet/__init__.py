@@ -22,8 +22,6 @@ from .discrepancy import (
     DiscrepancyContext,
     approximation_gap,
     lambda_group,
-    m_direct,
-    m_dual_sum,
 )
 from .norms import (
     dn_sampler,
@@ -54,8 +52,6 @@ __all__ = [
     "lambda_group",
     "load_generators",
     "lq_norms_mc",
-    "m_direct",
-    "m_dual_sum",
     "m_sampler",
     "net_points",
     "random_shift",

@@ -221,8 +221,8 @@ def certify(net, n, s, box_check, fmt, out):
 def verify(net, n, s, shift_seed, fmt, out):
     """Run the exact identity suites; nonzero exit on any failure.
 
-    Without --s, runs the default bundle: the planar builtin at s = 2..4,
-    a shifted instance each.
+    Without --s, runs the bundle of the builtin net at s = 2..4, a shifted
+    instance each; by default that is the planar builtin.
     """
     results = []
     config = {"net": net, "n": n, "s": s, "shift_seed": shift_seed}

@@ -1,26 +1,28 @@
 """Discrepancy of shifted digital nets, exactly.
 
 The box-counting discrepancy and its truncated-character approximation
-are evaluated over integer numerators on a common power-of-two
-denominator, so the two independent routes (kernel sum over the net
-versus character sum over the nonzero dual) can be compared for exact
-equality, and the dual can be sliced into the leading-digit groups that
-drive the moment bounds.
+are evaluated as whole-grid int64 tables of integer numerators over a
+common power-of-two denominator, so the two independent routes (kernel
+sum over the net versus character sum over the nonzero dual) can be
+compared for exact equality, and the dual can be sliced into the
+leading-digit groups that drive the moment bounds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .f2core import (
     DEFAULT_ENUM_CAP,
     DyadicPoint,
     F2Subspace,
     _character,
+    _pack,
     _rev_words,
     _unpack,
 )
@@ -34,13 +36,12 @@ __all__ = [
     "RouteUnavailableError",
     "approximation_gap",
     "lambda_group",
-    "m_direct",
-    "m_dual_sum",
 ]
 
 
 class RouteUnavailableError(RuntimeError):
-    """The dual enumeration needed by this route exceeds the cap."""
+    """The dual enumeration or grid table needed by this route exceeds the
+    cap, or its entries could leave int64."""
 
 
 @dataclass(frozen=True)
@@ -137,84 +138,66 @@ class DiscrepancyContext:
         return _character(_rev_words(L, self.s), self.shift.pack())
 
 
-def _grid_words(Y, s: int, n: int) -> tuple[int, tuple[int, ...]]:
-    """Common-resolution integer view of an n-dimensional dyadic point or
-    value tuple."""
-    if isinstance(Y, DyadicPoint):
-        g = max(Y.s, s)
-        us = tuple(w << (g - Y.s) for w in Y.words)
-    else:
-        ys = [Fraction(y) for y in Y]
-        g = s
-        for y in ys:
-            if not 0 <= y <= 1:
-                raise ValueError(f"{y} outside [0,1]")
-            d = y.denominator
-            if d & (d - 1):
-                raise ValueError(f"{y} is not dyadic; exact routes need dyadic input")
-            g = max(g, d.bit_length() - 1)
-        us = tuple(int(y * (1 << g)) for y in ys)
-    if len(us) != n:
-        raise ValueError("query dimension mismatch")
-    return g, us
+def _grid_size(ctx: DiscrepancyContext, g: int, terms: int = 1) -> int:
+    """2^(ng), the points of the resolution-g grid; raises before any table
+    is built or the dual enumerated when that is above the cap, or when
+    terms * N * 2^(ng), the bound on every entry and intermediate of the
+    tables with `terms` dual indices per entry, could leave int64."""
+    size = 1 << (ctx.n * g)
+    if size > ctx.cap:
+        raise RouteUnavailableError(
+            f"grid has 2^{ctx.n * g} points, above the enumeration cap")
+    if (terms * ctx.cardinality) << (ctx.n * g) >= 1 << 63:
+        raise RouteUnavailableError(
+            f"grid has 2^{ctx.n * g} points, and its tables could leave int64")
+    return size
 
 
-# The dual route meets the same few coefficients for every dual index, so
-# its evaluations of `walsh._chi_num` go through one shared cache.
-_chi_num = lru_cache(maxsize=1 << 20)(walsh._chi_num)
-
-
-def _box_kernel(ctx: DiscrepancyContext, g: int, us: Sequence[int]) -> tuple[int, int]:
-    """Net points in the box [0, us/2^g) and the truncated-kernel sum.
+def _box_table(ctx: DiscrepancyContext, g: int, kernel: bool) -> np.ndarray:
+    """Net points in the box [0, u/2^g), or with `kernel` the truncated-kernel
+    sum, at every u of the resolution-g grid (g >= s), flat in packed order.
 
     The kernel term of a point is its cell's overlap with the box, in
-    units of 2^-g per coordinate; it is positive exactly when the point
-    lies in the box.
+    units of 2^-g per coordinate, so the kernel sums the point indicator
+    with each cell repeated 2^(g-s) times per axis, and the count places
+    each cell at its corner x * 2^(g-s); at g = s they are equal.  Entry u
+    is an exclusive prefix sum: it sums the cells v < u componentwise.
     """
-    step = 1 << (g - ctx.s)
-    count = 0
-    kernel = 0
-    for words in ctx.point_words:
-        prod = 1
-        for w, u in zip(words, us):
-            nu = u - w * step
-            if nu <= 0:
-                prod = 0
-                break
-            prod *= min(nu, step)
-        if prod:
-            count += 1
-            kernel += prod
-    return count, kernel
+    n, s = ctx.n, ctx.s
+    step = 1 << (g - s)
+    points = np.bincount([_pack(w, s) for w in ctx.point_words],
+                         minlength=1 << (n * s)).reshape((1 << s,) * n)
+    cells = np.zeros((1 << g,) * n, dtype=np.int64)
+    if kernel:
+        cells.reshape((1 << s, step) * n)[...] = points.reshape((1 << s, 1) * n)
+    else:
+        cells[(slice(None, None, step),) * n] = points
+    table = np.zeros_like(cells)
+    table[(slice(1, None),) * n] = cells[(slice(None, -1),) * n]
+    for axis in range(n):
+        np.cumsum(table, axis=axis, out=table)
+    return table.reshape(-1)
 
 
-def m_direct(ctx: DiscrepancyContext, Y) -> Fraction:
-    """Truncated-kernel route: cell-overlap sum over the shifted points
-    minus cardinality times the box volume."""
-    g, us = _grid_words(Y, ctx.s, ctx.n)
-    _, kernel = _box_kernel(ctx, g, us)
-    num = (kernel << (ctx.s * ctx.n)) - ctx.cardinality * math.prod(us)
-    return Fraction(num, 1 << (g * ctx.n))
-
-
-def m_dual_sum(ctx: DiscrepancyContext, Y) -> Fraction:
-    """Dual route: cardinality times the character-weighted coefficient sum
-    over the nonzero dual indices."""
-    g, us = _grid_words(Y, ctx.s, ctx.n)
-    total = 0
+def _dual_table(ctx: DiscrepancyContext) -> np.ndarray:
+    """N^-1 * 2^(ns) times the dual route at every point of the net's grid,
+    flat in packed order: one mode product per axis of the signed
+    indicator of the nonzero dual indices (repeats add up) with the rows of
+    the matrix `walsh._chi_num(l, u, s)` that some index holds."""
+    n, s = ctx.n, ctx.s
     dual = ctx.require_dual()
-    signs = ctx.dual_signs
-    for idx, L in enumerate(dual):
-        if not any(L):
-            continue
-        prod = 1
-        for l, u in zip(L, us):
-            prod *= _chi_num(l, u, g)
-            if prod == 0:
-                break
-        if prod:
-            total += signs[idx] * prod
-    return Fraction(ctx.cardinality * total, 1 << (g * ctx.n))
+    words = np.array([_pack(L, s) for L in dual], dtype=np.int64)
+    indicator = np.zeros(1 << (n * s), dtype=np.int64)
+    np.add.at(indicator, words, ctx.dual_signs)
+    indicator[0] = 0
+    rows = sorted({l for L in dual for l in L})
+    chi = np.array([[walsh._chi_num(l, u, s) for u in range(1 << s)] for l in rows],
+                   dtype=np.int64)
+    table = indicator.reshape((1 << s,) * n)
+    for axis in range(n):
+        table = np.tensordot(table.take(rows, axis), chi, axes=(axis, 0))
+        table = np.moveaxis(table, -1, axis)
+    return table.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -231,31 +214,26 @@ class GapReport:
 
 def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
     """Largest |discrepancy - truncated approximation| over the exhaustive
-    dyadic grid two digits finer than the net.
+    dyadic grid two digits finer than the net; the first maximum in packed
+    order is the argmax.
 
     The certified bound is n * 2^deficiency.
     """
     if ctx.quality is None:
         raise ValueError("gap bound needs a certified deficiency")
     bound = ctx.n * (1 << ctx.quality.deficiency)
-    g = ctx.s + 2
-    den = 1 << (g * ctx.n)
-    worst = Fraction(-1)
-    argmax: tuple[Fraction, ...] = ()
-    checked = 0
-    card = ctx.cardinality
-    for v in range(1 << (g * ctx.n)):  # packed order, coordinate 0 fastest
-        us = _unpack(v, ctx.n, g)
-        count, kernel = _box_kernel(ctx, g, us)
-        vol = math.prod(us)
-        d_num = count * den - card * vol
-        m_num = (kernel << (ctx.s * ctx.n)) - card * vol
-        gap = Fraction(abs(d_num - m_num), den)
-        checked += 1
-        if gap > worst:
-            worst = gap
-            argmax = tuple(Fraction(u, 1 << g) for u in us)
-    return GapReport(worst, bound, argmax, checked)
+    n, g = ctx.n, ctx.s + 2
+    size = _grid_size(ctx, g)
+    # Both routes subtract N * volume, so the gap is count - kernel alone.
+    gap = _box_table(ctx, g, kernel=False)
+    gap <<= n * g
+    kernel = _box_table(ctx, g, kernel=True)
+    kernel <<= n * ctx.s
+    gap -= kernel
+    np.abs(gap, out=gap)
+    v = int(np.argmax(gap))
+    argmax = tuple(Fraction(u, 1 << g) for u in _unpack(v, n, g))
+    return GapReport(Fraction(int(gap[v]), 1 << (n * g)), bound, argmax, size)
 
 
 @dataclass(frozen=True)

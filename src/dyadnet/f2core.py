@@ -19,10 +19,6 @@ import numpy as np
 DEFAULT_ENUM_CAP = 1 << 24
 
 
-class DimensionMismatchError(ValueError):
-    """Operands live on different grids (n or s differ)."""
-
-
 class EnumerationCapError(RuntimeError):
     """Requested enumeration exceeds the configured element cap."""
 
@@ -83,10 +79,6 @@ class DyadicPoint:
             words.append(int(scaled))
         return cls(tuple(words), s)
 
-    @classmethod
-    def from_packed(cls, packed: int, n: int, s: int) -> "DyadicPoint":
-        return cls(_unpack(packed, n, s), s)
-
     @property
     def n(self) -> int:
         return len(self.words)
@@ -97,13 +89,6 @@ class DyadicPoint:
 
     def pack(self) -> int:
         return _pack(self.words, self.s)
-
-    def __xor__(self, other: "DyadicPoint") -> "DyadicPoint":
-        if self.s != other.s or self.n != other.n:
-            raise DimensionMismatchError(
-                f"grids differ: (n={self.n}, s={self.s}) vs (n={other.n}, s={other.s})"
-            )
-        return DyadicPoint(tuple(a ^ b for a, b in zip(self.words, other.words)), self.s)
 
 
 def _unpack(packed: int, n: int, s: int) -> tuple[int, ...]:

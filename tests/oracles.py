@@ -27,14 +27,23 @@ evaluates one way in production; tests compare the two.
 - `poisson_loop` and `delta_loop` walk the `2^(ns)` grid point by point
   with `character_sum`; they are the oracles of `verify.check_poisson`
   and `verify.check_delta_identities`, which read the tables.
+- `box_kernel` counts the net points in one box and sums their truncated
+  kernel; `m_direct` is the kernel route to the approximation `M` at one
+  query and `m_dual_sum` the dual route, through a cache in front of
+  `walsh._chi_num`.  `route_loop` and `gap_loop` walk the grids query by
+  query with them; they are the oracles of
+  `verify.check_route_equivalence` and `discrepancy.approximation_gap`,
+  which read the whole-grid box and dual tables.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
-from dyadnet.discrepancy import DiscrepancyContext, LambdaGroup, lambda_group
+from dyadnet.discrepancy import DiscrepancyContext, GapReport, LambdaGroup, lambda_group
 from dyadnet.f2core import (
     DyadicPoint,
     F2Subspace,
@@ -162,7 +171,7 @@ def check_fine_square_norm() -> IdentityResult:
 
 def iter_grid(n: int, s: int):
     """All points of Q^n(2^s) in counter order, coordinate 0 fastest:
-    the v-th point is DyadicPoint.from_packed(v, n, s)."""
+    the v-th point is DyadicPoint(_unpack(v, n, s), s)."""
     for words in product(range(1 << s), repeat=n):
         yield DyadicPoint(words[::-1], s)
 
@@ -272,12 +281,8 @@ def delta_loop(ctx: DiscrepancyContext) -> IdentityResult:
     character sum is recomputed per query as well.
     """
     n, s = ctx.n, ctx.s
-    dual = ctx.require_dual()
     groups = ctx.groups
-    if sum(len(v) for v in groups.values()) != len(dual):
-        return IdentityResult("delta-identities", False, 0,
-                              witness={"reason": "grouping does not partition"})
-    direct_sums = len(dual) <= 64
+    direct_sums = len(ctx.require_dual()) <= 64
     checked = 0
     for rho_bar, members in sorted(groups.items()):
         if not any(any(L) for L in members):
@@ -332,3 +337,130 @@ def delta_loop(ctx: DiscrepancyContext) -> IdentityResult:
             )
     return IdentityResult("delta-identities", True, checked,
                           details={"groups": len(groups)})
+
+
+def grid_words(Y, s: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """Common-resolution integer view of an n-dimensional dyadic point or
+    value tuple."""
+    if isinstance(Y, DyadicPoint):
+        g = max(Y.s, s)
+        us = tuple(w << (g - Y.s) for w in Y.words)
+    else:
+        ys = [Fraction(y) for y in Y]
+        g = s
+        for y in ys:
+            if not 0 <= y <= 1:
+                raise ValueError(f"{y} outside [0,1]")
+            d = y.denominator
+            if d & (d - 1):
+                raise ValueError(f"{y} is not dyadic; exact routes need dyadic input")
+            g = max(g, d.bit_length() - 1)
+        us = tuple(int(y * (1 << g)) for y in ys)
+    if len(us) != n:
+        raise ValueError("query dimension mismatch")
+    return g, us
+
+
+# The dual route meets the same few coefficients for every dual index, so
+# its evaluations of `walsh._chi_num` go through one shared cache.
+_chi_num_cached = lru_cache(maxsize=1 << 20)(_chi_num)
+
+
+def box_kernel(ctx: DiscrepancyContext, g: int, us) -> tuple[int, int]:
+    """Net points in the box [0, us/2^g) and the truncated-kernel sum.
+
+    The kernel term of a point is its cell's overlap with the box, in
+    units of 2^-g per coordinate; it is positive exactly when the point
+    lies in the box.
+    """
+    step = 1 << (g - ctx.s)
+    count = 0
+    kernel = 0
+    for words in ctx.point_words:
+        prod = 1
+        for w, u in zip(words, us):
+            nu = u - w * step
+            if nu <= 0:
+                prod = 0
+                break
+            prod *= min(nu, step)
+        if prod:
+            count += 1
+            kernel += prod
+    return count, kernel
+
+
+def m_direct(ctx: DiscrepancyContext, Y) -> Fraction:
+    """Truncated-kernel route: cell-overlap sum over the shifted points
+    minus cardinality times the box volume."""
+    g, us = grid_words(Y, ctx.s, ctx.n)
+    _, kernel = box_kernel(ctx, g, us)
+    num = (kernel << (ctx.s * ctx.n)) - ctx.cardinality * math.prod(us)
+    return Fraction(num, 1 << (g * ctx.n))
+
+
+def m_dual_sum(ctx: DiscrepancyContext, Y) -> Fraction:
+    """Dual route: cardinality times the character-weighted coefficient sum
+    over the nonzero dual indices."""
+    g, us = grid_words(Y, ctx.s, ctx.n)
+    total = 0
+    dual = ctx.require_dual()
+    signs = ctx.dual_signs
+    for idx, L in enumerate(dual):
+        if not any(L):
+            continue
+        prod = 1
+        for l, u in zip(L, us):
+            prod *= _chi_num_cached(l, u, g)
+            if prod == 0:
+                break
+        if prod:
+            total += signs[idx] * prod
+    return Fraction(ctx.cardinality * total, 1 << (g * ctx.n))
+
+
+def route_loop(ctx: DiscrepancyContext) -> IdentityResult:
+    """The kernel-sum and dual-sum evaluations agree exactly on the full
+    dyadic grid of the net's resolution, visited in packed order."""
+    n, s = ctx.n, ctx.s
+    values = [Fraction(w, 1 << s) for w in range(1 << s)]
+    checked = 0
+    for v in range(1 << (n * s)):
+        Y = tuple(values[w] for w in _unpack(v, n, s))
+        a = m_direct(ctx, Y)
+        b = m_dual_sum(ctx, Y)
+        checked += 1
+        if a != b:
+            return IdentityResult(
+                "route-equivalence", False, checked,
+                witness={"Y": [str(y) for y in Y],
+                         "direct": str(a), "dual_sum": str(b)},
+            )
+    return IdentityResult("route-equivalence", True, checked,
+                          details={"resolution": ctx.s})
+
+
+def gap_loop(ctx: DiscrepancyContext) -> GapReport:
+    """Largest |discrepancy - truncated approximation| over the exhaustive
+    dyadic grid two digits finer than the net, visited in packed order."""
+    if ctx.quality is None:
+        raise ValueError("gap bound needs a certified deficiency")
+    bound = ctx.n * (1 << ctx.quality.deficiency)
+    g = ctx.s + 2
+    den = 1 << (g * ctx.n)
+    worst = Fraction(-1)
+    argmax: tuple[Fraction, ...] = ()
+    checked = 0
+    card = ctx.cardinality
+    for v in range(1 << (g * ctx.n)):
+        us = _unpack(v, ctx.n, g)
+        count, kernel = box_kernel(ctx, g, us)
+        vol = math.prod(us)
+        d_num = count * den - card * vol
+        m_num = (kernel << (ctx.s * ctx.n)) - card * vol
+        gap = Fraction(abs(d_num - m_num), den)
+        checked += 1
+        if gap > worst:
+            worst = gap
+            argmax = tuple(Fraction(u, 1 << g) for u in us)
+    return GapReport(worst, bound, argmax, checked)

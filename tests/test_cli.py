@@ -149,11 +149,33 @@ class TestVerify:
                          "approximation-gap", "delta-identities"), counts)
         assert data_rows(out) == [f"{name},True,{k}," for name, k in want]
 
+    def test_three_dimensional_bundle_passes(self, runner):
+        # In three dimensions some dual indices have an odd number of nonzero
+        # truncated indices, so a flipped truncated-character sign in
+        # `walsh._chi_num` fails route equivalence; the planar bundle cannot
+        # see it.  Case counts of Sobol n = 3 at s = 2, 3, 4: the 2^(3s)
+        # grid twice, the 2^(3s+6) gap grid, and the grid once per nonzero
+        # leading-digit group.
+        out = run_ok(runner, ["verify", "--net", "sobol", "--n", "3"])
+        want = []
+        for counts in ((64, 64, 4096, 832), (512, 512, 32768, 18944),
+                       (4096, 4096, 262144, 323584)):
+            want += zip(("poisson-summation", "route-equivalence",
+                         "approximation-gap", "delta-identities"), counts)
+        assert data_rows(out) == [f"{name},True,{k}," for name, k in want]
+
     def test_grid_above_the_cap_is_runtime_error(self, runner):
         # 2^25 grid points: the character checks refuse before any table.
         result = runner.invoke(main, ["verify", "--net", "sobol", "--n", "5", "--s", "5"])
         assert result.exit_code == 1
         assert "grid has 2^25 points, above the enumeration cap" in result.output
+
+    def test_gap_grid_above_the_cap_is_runtime_error(self, runner):
+        # The 2^21 grid of the character checks fits the cap, but the gap
+        # grid two digits finer has 2^27 points: the suite refuses up front.
+        result = runner.invoke(main, ["verify", "--net", "sobol", "--n", "3", "--s", "7"])
+        assert result.exit_code == 1
+        assert "grid has 2^27 points, above the enumeration cap" in result.output
 
     def test_failure_exit_code(self, runner, monkeypatch):
         import dyadnet.cli as cli_mod

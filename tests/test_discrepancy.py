@@ -9,11 +9,8 @@ import pytest
 from dyadnet.discrepancy import (
     DiscrepancyContext,
     RouteUnavailableError,
-    _box_kernel,
     approximation_gap,
     lambda_group,
-    m_direct,
-    m_dual_sum,
 )
 from dyadnet.f2core import DyadicPoint, F2Subspace, _unpack
 from dyadnet.nets import (
@@ -26,11 +23,14 @@ from dyadnet.nets import (
 from dyadnet.norms import dn_sampler
 from dyadnet.walsh import rho_vector
 from oracles import (
+    box_kernel,
     delta_indicator,
     discrepancy_exact,
     fine_coefficient,
     iter_grid,
     lambda_group_walk,
+    m_direct,
+    m_dual_sum,
     truncate,
     walsh_1d,
     walsh_nd,
@@ -92,7 +92,7 @@ class TestDiscrepancyExact:
                 Y = tuple(Fraction(int(v), 1 << g) for v in k)
                 exact = discrepancy_exact(pts, Y)
                 assert value == exact
-                count, _ = _box_kernel(ctx, g, tuple(int(v) for v in k))
+                count, _ = box_kernel(ctx, g, tuple(int(v) for v in k))
                 assert count - ctx.cardinality * Fraction(math.prod(int(v) for v in k),
                                                           1 << (g * n)) == exact
 
@@ -374,9 +374,10 @@ class TestDecoupling:
             van_der_corput_generators(3), random_shift(2, 3, seed=1)
         )
         rng = random.Random(2)
-        Z = DyadicPoint(tuple(rng.getrandbits(3) for _ in range(2)), 3)
+        z = tuple(rng.getrandbits(3) for _ in range(2))
         plain = sum(m_dual_sum(ctx, Y) for Y in iter_grid(2, 3))
-        moved = sum(m_dual_sum(ctx, Y ^ Z) for Y in iter_grid(2, 3))
+        moved = sum(m_dual_sum(ctx, DyadicPoint(tuple(w ^ t for w, t in zip(Y.words, z)), 3))
+                    for Y in iter_grid(2, 3))
         assert plain == moved
 
 

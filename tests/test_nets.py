@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from dyadnet.discrepancy import DiscrepancyContext
-from dyadnet.f2core import DyadicPoint, F2Subspace
+from dyadnet.f2core import DyadicPoint, F2Subspace, _unpack
 from dyadnet.nets import (
     GeneratorFormatError,
     GeneratorSet,
@@ -72,7 +72,7 @@ class TestAsSubspace:
     def test_round_trip(self):
         for gen in (van_der_corput_generators(3), sobol_generators(3, 3)):
             sub = as_subspace(gen)
-            enum = {DyadicPoint.from_packed(p, sub.n, sub.s).values()
+            enum = {DyadicPoint(_unpack(p, sub.n, sub.s), sub.s).values()
                     for p in sub.enumerate_packed()}
             assert enum == set(net_points(gen).points)
 

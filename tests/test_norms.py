@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadnet.discrepancy import DiscrepancyContext, RouteUnavailableError, m_direct, m_dual_sum
+from dyadnet.discrepancy import DiscrepancyContext, RouteUnavailableError
 from dyadnet.f2core import DyadicPoint, F2Subspace
 from dyadnet.nets import net_points, random_shift, sobol_generators, van_der_corput_generators
 from dyadnet.norms import (
@@ -20,6 +20,7 @@ from dyadnet.norms import (
     normalized_ratio,
     q_grid,
 )
+from oracles import m_direct, m_dual_sum
 
 
 class TestLqNormMc:

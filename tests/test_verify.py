@@ -1,9 +1,25 @@
+import random
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from dyadnet.discrepancy import DiscrepancyContext, RouteUnavailableError
-from dyadnet.f2core import _character_table, _rev_packed
-from dyadnet.nets import random_shift, sobol_generators, van_der_corput_generators
+from dyadnet.discrepancy import (
+    DiscrepancyContext,
+    RouteUnavailableError,
+    _box_table,
+    _dual_table,
+    _grid_size,
+    approximation_gap,
+)
+from dyadnet.f2core import _character_table, _rev_packed, _unpack
+from dyadnet.nets import (
+    SOBOL_MAX_DIM,
+    random_shift,
+    sobol_generators,
+    van_der_corput_generators,
+)
 from dyadnet.verify import (
     check_approximation_gap,
     check_delta_identities,
@@ -11,7 +27,16 @@ from dyadnet.verify import (
     check_route_equivalence,
     run_net_suite,
 )
-from oracles import character_sum, delta_loop, poisson_loop
+from oracles import (
+    box_kernel,
+    character_sum,
+    delta_loop,
+    gap_loop,
+    m_direct,
+    m_dual_sum,
+    poisson_loop,
+    route_loop,
+)
 
 
 @pytest.fixture(scope="module")
@@ -84,15 +109,150 @@ class TestGridGuard:
     def test_grid_above_the_cap_is_unavailable(self):
         # 2^8 grid points against a cap of 128; the dual (16 elements) fits.
         ctx = DiscrepancyContext.build(van_der_corput_generators(4), cap=128)
-        for check in (check_poisson, check_delta_identities):
+        for check in (check_poisson, check_route_equivalence, check_delta_identities):
             with pytest.raises(RouteUnavailableError, match="grid has 2\\^8 points"):
                 check(ctx)
+        with pytest.raises(RouteUnavailableError, match="grid has 2\\^12 points"):
+            approximation_gap(ctx)
         assert "dual_points" not in vars(ctx)  # raised before the dual was enumerated
 
     def test_grid_at_the_cap_runs(self):
         ctx = DiscrepancyContext.build(van_der_corput_generators(4), cap=256)
         assert check_poisson(ctx).checked == 256
+        assert check_route_equivalence(ctx).checked == 256
         assert check_delta_identities(ctx).passed
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4), cap=1 << 12)
+        assert approximation_gap(ctx).points_checked == 1 << 12
+
+    def test_suite_refuses_its_gap_grid_before_any_check(self):
+        # The 2^8 grid of the character checks fits; the 2^12 gap grid does not.
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4), cap=1 << 11)
+        with pytest.raises(RouteUnavailableError, match="grid has 2\\^12 points"):
+            run_net_suite(ctx)
+        assert "dual_points" not in vars(ctx)
+
+    def test_tables_that_could_leave_int64_are_unavailable(self):
+        # With the cap raised out of the way, N * 2^(ng) decides: N = 2^5 and
+        # a 2^70-point gap grid, or the 2^45-element dual on the 2^50 grid.
+        ctx = DiscrepancyContext.build(sobol_generators(10, 5), cap=1 << 80)
+        for route in (approximation_gap, check_route_equivalence, run_net_suite):
+            with pytest.raises(RouteUnavailableError, match="could leave int64"):
+                route(ctx)
+        assert "dual_points" not in vars(ctx)
+        # The bound is terms * N * 2^(ng) < 2^63: 2^7 * 2^5 * 2^50 fits.
+        assert _grid_size(ctx, 5, terms=1 << 7) == 1 << 50
+        with pytest.raises(RouteUnavailableError, match="could leave int64"):
+            _grid_size(ctx, 5, terms=1 << 8)
+
+
+# Every builtin net with ns <= 12: van der Corput s = 1..6 and Sobol in
+# each supported dimension, each unshifted and at two seeded shifts.
+BUILTIN_NETS = ([("van-der-corput", 2, s) for s in range(1, 7)]
+                + [("sobol", n, s) for n in range(1, SOBOL_MAX_DIM + 1)
+                   for s in range(1, 12 // n + 1)])
+SHIFTS = (None, 1, 2)
+# The loop oracles run over the whole grid where queries times the terms
+# each query sums stays within this budget; above it they meet the tables
+# at sampled queries, since a full loop takes up to minutes.
+LOOP_BUDGET = 1 << 20
+SAMPLED_QUERIES = 64
+
+
+def builtin_context(name, n, s, seed):
+    gen = van_der_corput_generators(s) if name == "van-der-corput" else sobol_generators(n, s)
+    return DiscrepancyContext.build(gen, None if seed is None else random_shift(n, s, seed))
+
+
+def sampled_queries(ctx, g):
+    rng = random.Random(ctx.n * 1000 + g)
+    return [rng.randrange(1 << (ctx.n * g)) for _ in range(SAMPLED_QUERIES)]
+
+
+@pytest.mark.parametrize("seed", SHIFTS, ids=lambda t: f"shift-{t}")
+@pytest.mark.parametrize("net", BUILTIN_NETS, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+class TestBoxTablesAgainstLoops:
+    def test_route_equivalence_matches_the_loop(self, net, seed):
+        ctx = builtin_context(*net, seed)
+        n, s = ctx.n, ctx.s
+        result = check_route_equivalence(ctx)
+        assert result.passed and result.checked == 1 << (n * s)
+        if (1 << (n * s)) * (ctx.cardinality + ctx.dual.cardinality) <= LOOP_BUDGET:
+            assert result == route_loop(ctx)
+            return
+        kernel, dual = _box_table(ctx, s, kernel=True), _dual_table(ctx)
+        den = 1 << (n * s)
+        for v in sampled_queries(ctx, s):
+            Y = tuple(Fraction(u, 1 << s) for u in _unpack(v, n, s))
+            volume = int(np.prod(_unpack(v, n, s), dtype=object))
+            assert m_direct(ctx, Y) == Fraction(
+                int(kernel[v]) * den - ctx.cardinality * volume, den)
+            assert m_dual_sum(ctx, Y) == Fraction(ctx.cardinality * int(dual[v]), den)
+
+    def test_gap_matches_the_loop(self, net, seed):
+        ctx = builtin_context(*net, seed)
+        n, g = ctx.n, ctx.s + 2
+        if 1 << (n * g) > ctx.cap:
+            with pytest.raises(RouteUnavailableError, match=f"grid has 2\\^{n * g} points"):
+                approximation_gap(ctx)
+            return
+        report = approximation_gap(ctx)
+        assert report.within_bound and report.points_checked == 1 << (n * g)
+        if (1 << (n * g)) * ctx.cardinality <= LOOP_BUDGET:
+            assert report == gap_loop(ctx)
+            return
+        count, kernel = _box_table(ctx, g, kernel=False), _box_table(ctx, g, kernel=True)
+        for v in sampled_queries(ctx, g):
+            assert (int(count[v]), int(kernel[v])) == box_kernel(ctx, g, _unpack(v, n, g))
+
+
+def corrupted_duals(ctx):
+    """Replacements for the enumerated dual of a context, by what they do."""
+    dual = ctx.dual_points
+    nonzero = [L for L in dual if any(L)]
+    zero = dual[0]
+    grid = [_unpack(v, ctx.n, ctx.s) for v in range(1 << (ctx.n * ctx.s))]
+    foreign = next(L for L in grid if L not in dual)
+    dropped = random.Random(len(dual)).choice(nonzero)
+    return {
+        "drop the largest": [L for L in dual if L != max(dual)],
+        "drop a random member": [L for L in dual if L != dropped],
+        "repeat a member": list(dual) + [nonzero[-1]],
+        "repeat every member": list(dual) * 2,
+        "zero in place of a member": [zero if L == nonzero[0] else L for L in dual],
+        "zero held twice": list(dual) + [zero],
+        "without zero": nonzero,
+        "foreign member": list(dual) + [foreign],
+        "foreign in place of a member": [foreign if L == nonzero[-1] else L for L in dual],
+        "first half": list(dual)[: len(dual) // 2],
+        "zero alone": [zero],
+        "every index": grid,
+    }
+
+
+class TestCorruptedTablesAgainstLoops:
+    def test_route_failures_match_the_loop(self, vdc_ctx, sobol_ctx):
+        failed = 0
+        for ctx in (vdc_ctx, sobol_ctx):
+            for reason, dual in corrupted_duals(ctx).items():
+                corrupted = ctx.with_dual_points(dual)
+                res = check_route_equivalence(corrupted)
+                assert res == route_loop(corrupted), reason
+                failed += not res.passed
+        assert failed >= 10
+
+    def test_gap_failures_match_the_loop(self, vdc_ctx, sobol_ctx):
+        # Piling every point onto one cell breaks the net property, so the
+        # gap exceeds n * 2^deficiency.
+        for ctx in (vdc_ctx, sobol_ctx):
+            for k in (0, 3, -1):
+                pile = (ctx.point_words[k],) * ctx.cardinality
+                corrupted = replace(ctx, point_words=pile)
+                report = approximation_gap(corrupted)
+                assert not report.within_bound
+                assert report == gap_loop(corrupted)
+                res = check_approximation_gap(corrupted)
+                assert res.witness == {"Y": [str(y) for y in report.argmax],
+                                       "gap": str(report.max_gap)}
 
 
 class TestNegativeControls:
@@ -128,12 +288,14 @@ class TestNegativeControls:
         assert not res.passed
         assert res.witness is not None
 
-    def test_corrupted_dual_fails_delta_partition(self, vdc_ctx):
-        # A member with the wrong leading positions breaks the group laws.
+    def test_corrupted_dual_fails_delta_cardinality_bound(self, vdc_ctx):
+        # A member with the wrong leading positions grows the strictly-below
+        # subgroup of its group past the cardinality bound.
         bad = list(vdc_ctx.dual_points) + [(1, 1)]
         corrupted = vdc_ctx.with_dual_points(dict.fromkeys(bad))
         res = check_delta_identities(corrupted)
         assert not res.passed
+        assert res.witness["reason"] == "cardinality bound"
         assert (res.passed, res.checked) == outcome(delta_loop(corrupted))[:2]
 
     def test_foreign_member_fails_delta_factorization(self, vdc_ctx):

@@ -89,8 +89,7 @@ class TestWalsh1d:
     @settings(max_examples=300, derandomize=True)
     @given(st.integers(0, 1023), st.integers(0, 1023), st.integers(0, 1023))
     def test_group_character_in_x(self, l, tx, ty):
-        x, y = DyadicPoint((tx,), 10), DyadicPoint((ty,), 10)
-        (both,), (vx,), (vy,) = (x ^ y).values(), x.values(), y.values()
+        both, vx, vy = (Fraction(w, 1 << 10) for w in (tx ^ ty, tx, ty))
         assert walsh_1d(l, both) == walsh_1d(l, vx) * walsh_1d(l, vy)
 
 
