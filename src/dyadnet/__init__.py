@@ -1,6 +1,15 @@
-"""Binary digital nets, dyadic Walsh analysis, and discrepancy diagnostics."""
+"""Binary digital nets, dyadic Walsh analysis, and discrepancy diagnostics.
+
+The exports of the integer layers (`f2core`, `nets`) load with the
+package.  Those of the array layers, `DiscrepancyContext`,
+`approximation_gap` and `lambda_group` from `discrepancy` and the
+estimators from `norms`, load on first access, so `import dyadnet`
+leaves numpy unloaded until one of them is read.
+"""
 
 __version__ = "0.1.0"
+
+from importlib import import_module
 
 from .f2core import DyadicPoint, F2Subspace
 from .nets import (
@@ -18,20 +27,34 @@ from .nets import (
     van_der_corput_generators,
     verify_box_counts,
 )
-from .discrepancy import (
-    DiscrepancyContext,
-    approximation_gap,
-    lambda_group,
-)
-from .norms import (
-    dn_sampler,
-    exp_orlicz_estimate,
-    hyperbolic_lp_ratios,
-    khinchin_ratios,
-    l2_m_exact,
-    lq_norms_mc,
-    m_sampler,
-)
+
+# Exports of the array layers, resolved on every access (PEP 562) from
+# their defining module, so a patched or traced module function shows
+# through: name -> module.
+_LAZY = {
+    "DiscrepancyContext": "discrepancy",
+    "approximation_gap": "discrepancy",
+    "lambda_group": "discrepancy",
+    "dn_sampler": "norms",
+    "exp_orlicz_estimate": "norms",
+    "hyperbolic_lp_ratios": "norms",
+    "khinchin_ratios": "norms",
+    "l2_m_exact": "norms",
+    "lq_norms_mc": "norms",
+    "m_sampler": "norms",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "DigitShift",

@@ -5,6 +5,9 @@ Every output starts with a provenance header (config echo, seeds,
 version, arithmetic mode) and is byte-reproducible for a fixed config.
 Exit codes: 0 ok, 1 runtime failure, 2 input error, 3 identity-suite
 failure.
+
+The array layers (`discrepancy`, `norms`, `verify`) are imported inside
+the commands that use them, so `gen` and `certify` run without numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .discrepancy import DiscrepancyContext, RouteUnavailableError
 from .nets import (
     GeneratorFormatError,
     GeneratorSet,
@@ -31,17 +33,6 @@ from .nets import (
     rescale_to_N,
     verify_box_counts,
 )
-from .norms import (
-    DEFAULT_Q_GRID,
-    dn_sampler,
-    exp_orlicz_estimate,
-    l2_m_exact,
-    lq_norms_mc,
-    m_sampler,
-    normalized_ratio,
-    q_grid,
-)
-from .verify import run_net_suite
 
 EXIT_RUNTIME = 1
 EXIT_INPUT = 2
@@ -107,6 +98,8 @@ def _load_net(net: str, n: int | None, s: int | None) -> GeneratorSet:
 
 
 def _parse_q_grid(text: str | None) -> tuple[float, ...]:
+    from .norms import DEFAULT_Q_GRID, q_grid
+
     if not text:
         return q_grid(DEFAULT_Q_GRID)
     try:
@@ -224,6 +217,9 @@ def verify(net, n, s, shift_seed, fmt, out):
     Without --s, runs the bundle of the builtin net at s = 2..4, a shifted
     instance each; by default that is the planar builtin.
     """
+    from .discrepancy import DiscrepancyContext, RouteUnavailableError
+    from .verify import run_net_suite
+
     results = []
     config = {"net": net, "n": n, "s": s, "shift_seed": shift_seed}
     try:
@@ -268,6 +264,16 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
           fmt, out):
     """Estimate moment norms over a q grid, with the exact second-moment
     oracle and the exponential-Orlicz estimate."""
+    from .discrepancy import DiscrepancyContext
+    from .norms import (
+        dn_sampler,
+        exp_orlicz_estimate,
+        l2_m_exact,
+        lq_norms_mc,
+        m_sampler,
+        normalized_ratio,
+    )
+
     qs = _parse_q_grid(q_text)
     if theta is not None and not math.isfinite(theta):
         raise _Failure(f"bad --theta: {theta} is not finite", EXIT_INPUT)
@@ -320,6 +326,8 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
 def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, fmt, out):
     """Growth-law table: discrepancy norms across resolutions and shifts,
     normalized by the expected moment profile."""
+    from .norms import dn_sampler, lq_norms_mc, normalized_ratio
+
     qs = _parse_q_grid(q_text)
     if s is not None:
         s_min = s_max = s

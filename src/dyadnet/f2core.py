@@ -4,8 +4,9 @@ Points of Q^n(2^s), s >= 1, are tuples of n integer digit words, one
 s-digit binary fraction per coordinate; a coordinate is a one-dimensional
 point.  Point sets with linear structure are subspaces under digitwise
 XOR.  The module provides the tensor Walsh character of the bit-reversed
-bilinear pairing, its whole-grid sums, annihilators (dual subspaces),
-enumeration, and the Rosenbloom-Tsfasman weight.
+bilinear pairing, annihilators (dual subspaces), enumeration, and the
+Rosenbloom-Tsfasman weight, all in integer words; the whole-grid
+character sums live in `verify`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 DEFAULT_ENUM_CAP = 1 << 24
 
@@ -133,25 +132,6 @@ def _character(rev_a: int, b: int) -> int:
     one point against many reverse it once.
     """
     return -1 if parity(rev_a & b) else 1
-
-
-def _character_table(words: Iterable[int], n: int, s: int) -> np.ndarray:
-    """Character sums at every grid point at once: entry y is the sum of
-    `_character(_rev_packed(a, n, s), y)` over the packed words a.
-
-    An in-place Walsh-Hadamard butterfly over the indicator of the
-    reversed words (Fino & Algazi, IEEE Trans. Computers C-25, 1976).
-    Every entry is at most the word count in absolute value, which callers
-    keep within the enumeration cap (2^24), so the int64 sums are exact.
-    """
-    rev = [_rev_packed(a, n, s) for a in words]
-    table = np.bincount(rev, minlength=1 << (n * s)).astype(np.int64)
-    for k in range(n * s):
-        pairs = table.reshape(-1, 2, 1 << k)
-        low = pairs[:, 0].copy()
-        pairs[:, 0] += pairs[:, 1]
-        pairs[:, 1] = low - pairs[:, 1]
-    return table
 
 
 def _packed_weight(packed: int, n: int, s: int) -> int:

@@ -10,13 +10,13 @@ direction numbers up to dimension 10.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from .f2core import (
     DyadicPoint,
@@ -138,10 +138,6 @@ class PointSet:
     def size(self) -> int:
         return len(self.points)
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.array([[float(c) for c in p] for p in self.points], dtype=np.float64)
-
 
 def net_points(gen: GeneratorSet, shift: DigitShift | None = None) -> PointSet:
     """All 2^s net points, XOR-translated when a shift is given."""
@@ -213,7 +209,13 @@ def _compositions(total: int, parts: int):
 
 def verify_box_counts(points: PointSet, deficiency: int) -> bool:
     """Check that every dyadic box of volume 2^(deficiency-s) holds exactly
-    2^deficiency points, over all box shapes and offsets."""
+    2^deficiency points, over all box shapes and offsets.
+
+    Each coordinate's depth-s digit words are taken once; a box of shape
+    d keeps their leading d_j digits, w >> (s - d_j), since
+    floor(floor(x 2^s) / 2^(s-d)) = floor(x 2^d) for every real x, and
+    a point's box is those digits concatenated into one integer key.
+    """
     size = points.size
     s = size.bit_length() - 1
     if size != 1 << s:
@@ -222,12 +224,13 @@ def verify_box_counts(points: PointSet, deficiency: int) -> bool:
         raise ValueError("deficiency out of range")
     m = s - deficiency
     want = 1 << deficiency
+    cols = [[digit_word(c, s) for c in col] for col in zip(*points.points)]
     for shape in _compositions(m, points.n):
-        buckets: dict[tuple[int, ...], int] = {}
-        for p in points.points:
-            key = tuple(digit_word(c, d) for c, d in zip(p, shape))
-            buckets[key] = buckets.get(key, 0) + 1
-        if any(v != want for v in buckets.values()):
+        keys = [0] * size
+        for col, d in zip(cols, shape):
+            cut = s - d
+            keys = [(k << d) | (w >> cut) for k, w in zip(keys, col)]
+        if any(v != want for v in Counter(keys).values()):
             return False
     return True
 
@@ -257,23 +260,23 @@ def rescale_to_N(gen: GeneratorSet, count: int, shift: DigitShift | None = None,
 
     Ties in the max-coordinate order can make `count` unreachable for a
     given shift; with shift_retries > 0 further seeded shifts are tried
-    deterministically before giving up.
+    deterministically before giving up; retry k draws its shift with seed
+    retry_seed + k, and only when the tries before it have failed.
     """
     s = gen.s
     if not (1 << (s - 1)) <= count <= (1 << s):
         raise ValueError(f"count {count} outside [2^(s-1), 2^s] for s={s}")
-    attempts: list[DigitShift | None] = [shift] + [
-        random_shift(gen.n, s, retry_seed + k) for k in range(shift_retries)
-    ]
-    failures: list[str] = []
+    attempts = chain(
+        [shift], (random_shift(gen.n, s, retry_seed + k) for k in range(shift_retries))
+    )
     for att in attempts:
         try:
             return _rescale_once(gen, count, att)
         except RescaleError as exc:
-            failures.append(str(exc))
+            failure = str(exc)
     raise RescaleError(
-        f"no admissible threshold for count={count} after {len(attempts)} shift(s): "
-        + failures[-1]
+        f"no admissible threshold for count={count} after {shift_retries + 1} shift(s): "
+        + failure
     )
 
 

@@ -114,7 +114,7 @@ def lq_norms_mc(f: Callable[[np.ndarray], np.ndarray], dims: int,
 
 def dn_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized discrepancy of a fixed point set at uniform queries."""
-    arr = points.array
+    arr = np.array([[float(c) for c in p] for p in points.points], dtype=np.float64)
     size = points.size
 
     def f(y: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from typing import Iterable
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .discrepancy import (
     approximation_gap,
     lambda_group,
 )
-from .f2core import F2Subspace, _character_table, _pack, _unpack
+from .f2core import F2Subspace, _pack, _rev_packed, _unpack
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,25 @@ class IdentityResult:
         status = "pass" if self.passed else "FAIL"
         extra = f" witness={self.witness}" if self.witness else ""
         return f"{self.name}: {status} ({self.checked} cases){extra}"
+
+
+def _character_table(words: Iterable[int], n: int, s: int) -> np.ndarray:
+    """Character sums at every grid point at once: entry y is the sum of
+    `f2core._character(_rev_packed(a, n, s), y)` over the packed words a.
+
+    An in-place Walsh-Hadamard butterfly over the indicator of the
+    reversed words (Fino & Algazi, IEEE Trans. Computers C-25, 1976).
+    Every entry is at most the word count in absolute value, which callers
+    keep within the enumeration cap (2^24), so the int64 sums are exact.
+    """
+    rev = [_rev_packed(a, n, s) for a in words]
+    table = np.bincount(rev, minlength=1 << (n * s)).astype(np.int64)
+    for k in range(n * s):
+        pairs = table.reshape(-1, 2, 1 << k)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = low - pairs[:, 1]
+    return table
 
 
 def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:

@@ -18,7 +18,7 @@ evaluates one way in production; tests compare the two.
   `truncate` re-expresses a point at another resolution.
 - `discrepancy_exact` counts net points in a box one by one.
 - `character_sum`, one character sum at one grid point, is the oracle of
-  the whole-grid Walsh-Hadamard table `f2core._character_table`.
+  the whole-grid Walsh-Hadamard table `verify._character_table`.
 - `delta_indicator` is that sum over the strictly-below subgroup at one
   query, the per-query form of the Delta table.
 - `lambda_group_walk` slices the dual by walking it once per position

@@ -178,13 +178,15 @@ class TestVerify:
         assert "grid has 2^27 points, above the enumeration cap" in result.output
 
     def test_failure_exit_code(self, runner, monkeypatch):
-        import dyadnet.cli as cli_mod
+        # The command imports the suite when it runs, so the patch goes
+        # on the defining module.
+        import dyadnet.verify as verify_mod
 
         def fake_suite(ctx):
             return [IdentityResult("poisson-summation", False, 1,
                                    witness={"L": (1, 0)})]
 
-        monkeypatch.setattr(cli_mod, "run_net_suite", fake_suite)
+        monkeypatch.setattr(verify_mod, "run_net_suite", fake_suite)
         result = runner.invoke(main, ["verify", "--net", "van-der-corput", "--s", "2"])
         assert result.exit_code == 3
         assert "poisson-summation,False" in result.output

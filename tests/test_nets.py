@@ -247,6 +247,30 @@ class TestRescale:
                 assert all(0 <= c < 1 for p in arr for c in p)
                 assert Fraction(1, 2) < res.divisor <= 1
 
+    def test_retry_shifts_are_drawn_only_when_needed(self, monkeypatch):
+        import dyadnet.nets as nets_mod
+
+        real = nets_mod.random_shift
+        draws = []
+
+        def spy(n, s, seed):
+            draws.append(seed)
+            return real(n, s, seed)
+
+        first = random_shift(3, 10, 0)
+        monkeypatch.setattr(nets_mod, "random_shift", spy)
+        # The given shift cuts at 1000 points: a budget of a million
+        # retries draws none of them.
+        res = rescale_to_N(sobol_generators(3, 10), 1000, first, shift_retries=10**6)
+        assert res.shift is first
+        assert draws == []
+        # Unshifted, count 2 at s=2 ties; retries 5 and 6 are drawn in
+        # order and the draws stop at the first one that cuts.
+        res = rescale_to_N(van_der_corput_generators(2), 2, shift_retries=10**6,
+                           retry_seed=5)
+        assert draws == [5, 6]
+        assert res.shift.seed == 6
+
     def test_tie_failure_without_retries(self):
         # Unshifted planar net at s=2: counts jump 1 -> 3, so 2 is cut off.
         with pytest.raises(RescaleError):

@@ -13,7 +13,7 @@ from dyadnet.discrepancy import (
     _grid_size,
     approximation_gap,
 )
-from dyadnet.f2core import _character_table, _rev_packed, _unpack
+from dyadnet.f2core import _rev_packed, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
     random_shift,
@@ -21,6 +21,7 @@ from dyadnet.nets import (
     van_der_corput_generators,
 )
 from dyadnet.verify import (
+    _character_table,
     check_approximation_gap,
     check_delta_identities,
     check_poisson,
