@@ -8,13 +8,20 @@ failure.
 
 The array layers (`discrepancy`, `norms`, `verify`) are imported inside
 the commands that use them, so `gen` and `certify` run without numpy.
+Before they load, the command group sets `OPENBLAS_NUM_THREADS=1` unless
+the caller has set it: no array layer uses threaded BLAS, and numpy's
+import would otherwise start OpenBLAS worker threads, one per extra core,
+that only burn CPU time.  Only this command group sets it; `import
+dyadnet` does not.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import statistics
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -127,6 +134,11 @@ def _net_options(fn):
 @click.version_option(__version__, prog_name="dyadnet")
 def main():
     """Digital nets, exact discrepancy identities, and norm experiments."""
+    # Runs before every subcommand, so before the deferred numpy import.
+    # Once numpy is loaded its BLAS pool is fixed, so leave the environment
+    # alone then; a value the caller exported wins.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 @main.command()
@@ -275,8 +287,8 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
     )
 
     qs = _parse_q_grid(q_text)
-    if theta is not None and not math.isfinite(theta):
-        raise _Failure(f"bad --theta: {theta} is not finite", EXIT_INPUT)
+    if theta is not None and not (math.isfinite(theta) and theta > 0):
+        raise _Failure(f"bad --theta: {theta}; need a finite value > 0", EXIT_INPUT)
     gen_set = _load_net(net, n, s)
     nn, ss = gen_set.n, gen_set.s
     theta_val = theta if theta is not None else (nn + 1) / 2

@@ -187,8 +187,11 @@ def l2_m_exact(ctx: DiscrepancyContext) -> Fraction:
 def exp_orlicz_estimate(estimates: Sequence[LqEstimate], theta: float) -> OrliczEstimate:
     """Grid sup of q^-theta times the q-norm.
 
-    The grid-restricted supremum is a lower bound for the true one.
+    The grid-restricted supremum is a lower bound for the true one.  The
+    sup is meaningful only for a finite theta > 0.
     """
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be finite and > 0, got {theta}")
     if not estimates:
         raise ValueError("empty moment grid")
     best = max(estimates, key=lambda e: e.q**-theta * e.value)

@@ -49,8 +49,10 @@ def test_every_public_name_resolves():
 
 
 # Runs in a fresh interpreter, since this one has loaded numpy already.
+# It records whether numpy is loaded at each step, and after `verify` the
+# OpenBLAS setting and the thread count (None where /proc is absent).
 STARTUP_PROBE = """
-import json, sys
+import json, os, re, sys
 import dyadnet, dyadnet.cli
 state = {"import": "numpy" in sys.modules}
 from dyadnet.cli import main
@@ -60,14 +62,49 @@ main(["gen", "--net", "sobol", "--n", "3", "--s", "6", "--count", "40",
 state["certify_gen"] = "numpy" in sys.modules
 main(["verify", "--net", "van-der-corput", "--s", "2"], standalone_mode=False)
 state["verify"] = "numpy" in sys.modules
+state["blas_env"] = os.environ.get("OPENBLAS_NUM_THREADS")
+state["threads"] = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as f:
+        state["threads"] = int(re.search(r"^Threads:\\s*(\\d+)", f.read(), re.M).group(1))
 print(json.dumps(state))
 """
 
 
-def test_cli_loads_numpy_only_for_the_array_commands():
+def run_startup_probe(**env) -> dict:
     src = str(Path(dyadnet.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+                          text=True, env={**base, "PYTHONPATH": src, **env}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    state = json.loads(proc.stdout.splitlines()[-1])
-    assert state == {"import": False, "certify_gen": False, "verify": True}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_loads_numpy_only_for_the_array_commands():
+    state = run_startup_probe()
+    assert {k: state[k] for k in ("import", "certify_gen", "verify")} == {
+        "import": False, "certify_gen": False, "verify": True}
+
+
+def test_cli_runs_blas_single_threaded():
+    # numpy's OpenBLAS would start a worker thread per extra core; no array
+    # layer uses threaded BLAS, so the CLI pins the pool before numpy loads.
+    state = run_startup_probe()
+    assert state["blas_env"] == "1"
+    if state["threads"] is not None:
+        assert state["threads"] == 1
+
+
+def test_cli_keeps_a_caller_blas_setting():
+    assert run_startup_probe(OPENBLAS_NUM_THREADS="2")["blas_env"] == "2"
+
+
+def test_cli_leaves_the_environment_once_numpy_is_loaded(monkeypatch):
+    import numpy  # noqa: F401  (the setting could no longer take effect)
+
+    from dyadnet.cli import main
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    main(["certify", "--net", "van-der-corput", "--s", "3"], standalone_mode=False)
+    assert dict(os.environ) == before

@@ -129,6 +129,32 @@ class TestCertify:
         assert row["exhaustive"] is True
         assert row["box_counts_ok"] is True
 
+    @pytest.mark.parametrize("fmt, unchecked", [("json", None), ("csv", "None")])
+    def test_no_box_check_skips_box_counts(self, runner, monkeypatch, fmt, unchecked):
+        import dyadnet.cli as cli_mod
+
+        real = cli_mod.verify_box_counts
+        calls = []
+
+        def spy(points, deficiency):
+            calls.append(deficiency)
+            return real(points, deficiency)
+
+        # The CLI binds the name from dyadnet.nets at import.
+        monkeypatch.setattr(cli_mod, "verify_box_counts", spy)
+        args = ["certify", "--net", "van-der-corput", "--s", "5", "--format", fmt]
+        run_ok(runner, args)
+        assert len(calls) == 1
+        out = run_ok(runner, args + ["--no-box-check"])
+        assert len(calls) == 1
+        if fmt == "json":
+            doc = json.loads(out)
+            row = dict(zip(doc["columns"], doc["rows"][0]))
+        else:
+            header, values = [l for l in out.splitlines() if not l.startswith("#")]
+            row = dict(zip(header.split(","), values.split(",")))
+        assert row["box_counts_ok"] == unchecked
+
 
 class TestVerify:
     def test_single_net_passes(self, runner):
@@ -304,6 +330,15 @@ class TestOptions:
                                       "--samples", "64", flag, value, "--format", "json"])
         assert result.exit_code == 2
         assert "finite" in result.output
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_theta_is_input_error(self, runner, value):
+        # q^-theta ||f||_q has no exponential-Orlicz meaning for theta <= 0.
+        result = runner.invoke(main, ["norms", "--net", "van-der-corput", "--s", "3",
+                                      "--samples", "64", "--theta", value])
+        assert result.exit_code == 2
+        assert "--theta" in result.output
+        assert "orlicz" not in result.output
 
     @pytest.mark.parametrize("command", ["norms", "sweep"])
     def test_overflowing_moment_is_runtime_error(self, runner, command):

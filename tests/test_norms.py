@@ -221,6 +221,12 @@ class TestExpOrlicz:
             <= exp_orlicz_estimate(fine, theta=theta).value
         )
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])
+    def test_theta_must_be_finite_and_positive(self, theta):
+        ests = lq_norms_mc(lambda u: np.full(u.shape[0], 0.25), 1, (1.0, 2.0), 100, seed=0)
+        with pytest.raises(ValueError, match="theta"):
+            exp_orlicz_estimate(ests, theta=theta)
+
 
 class TestKhinchin:
     def test_single_coefficient_exact(self):
