@@ -47,14 +47,27 @@ def _character_table(words: Iterable[int], n: int, s: int) -> np.ndarray:
     reversed words (Fino & Algazi, IEEE Trans. Computers C-25, 1976).
     Every entry is at most the word count in absolute value, which callers
     keep within the enumeration cap (2^24), so the int64 sums are exact.
+    The table of one word is its +-1 character row, built by sign-doubling:
+    setting bit k of y flips the sign when bit k of the reversed word is set.
     """
     rev = [_rev_packed(a, n, s) for a in words]
+    if len(rev) == 1:
+        table = np.empty(1 << (n * s), dtype=np.int64)
+        table[0] = 1
+        for k in range(n * s):
+            low, high = table[:1 << k], table[1 << k:2 << k]
+            if rev[0] >> k & 1:
+                np.negative(low, out=high)
+            else:
+                high[:] = low
+        return table
     table = np.bincount(rev, minlength=1 << (n * s)).astype(np.int64)
     for k in range(n * s):
         pairs = table.reshape(-1, 2, 1 << k)
-        low = pairs[:, 0].copy()
-        pairs[:, 0] += pairs[:, 1]
-        pairs[:, 1] = low - pairs[:, 1]
+        low, high = pairs[:, 0], pairs[:, 1]
+        low += high
+        high *= -2
+        high += low
     return table
 
 

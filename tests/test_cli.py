@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import click
@@ -375,3 +378,117 @@ class TestOptions:
         section = readme.split("\n## Library example\n", 1)[1]
         code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
         exec(compile(code, "README.md", "exec"), {})
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+# The child's stdout is buffered, as a CLI process's normally is: under
+# PYTHONUNBUFFERED a write that a closed pipe cuts short is dropped
+# without an error, so the EPIPE cases below could not be seen.
+CHILD_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+             "PYTHONPATH": SRC}
+
+
+def cli_argv(args, code=None) -> list[str]:
+    """`python -m dyadnet.cli ARGS` or, with `code`, `python -c CODE ARGS`;
+    both reach the process entry `run`."""
+    head = ["-m", "dyadnet.cli"] if code is None else ["-c", code]
+    return [sys.executable, *head, *args]
+
+
+def cli_process(args, code=None, **kwargs):
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(cli_argv(args, code), stderr=subprocess.PIPE, env=CHILD_ENV,
+                          timeout=120, **kwargs)
+
+
+# Runs `run` from `python -c`, after registering an exit handler that
+# reports on stderr whether the interpreter tore down normally.
+ENTRY_PROBE = """
+import atexit, sys
+atexit.register(lambda: print("teardown", file=sys.stderr))
+import dyadnet.cli as cli
+{setup}
+sys.argv = ["dyadnet", *sys.argv[1:]]
+cli.run()
+"""
+
+
+class TestProcess:
+    @pytest.mark.parametrize("args", [
+        ["certify", "--net", "sobol", "--n", "4", "--s", "7"],
+        ["verify"],
+        ["gen", "--net", "sobol", "--n", "3", "--s", "6", "--count", "40",
+         "--shift-seed", "1"],
+    ], ids=["certify", "verify", "gen"])
+    def test_stdout_matches_the_in_process_run(self, runner, args):
+        proc = cli_process(args)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == runner.invoke(main, args).stdout_bytes
+
+    def test_out_file_matches_the_in_process_run(self, runner, tmp_path):
+        args = ["gen", "--net", "sobol", "--n", "3", "--s", "6", "--shift-seed", "1",
+                "--exact", "--out"]
+        proc = cli_process(args + [str(tmp_path / "process.csv")])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        run_ok(runner, args + [str(tmp_path / "in_process.csv")])
+        assert ((tmp_path / "process.csv").read_bytes()
+                == (tmp_path / "in_process.csv").read_bytes())
+
+    def test_error_exit_codes(self):
+        proc = cli_process(["verify", "--net", "sobol", "--n", "3", "--s", "7"])
+        assert proc.returncode == 1
+        assert b"above the enumeration cap" in proc.stderr
+        proc = cli_process(["certify", "--s", "0"])
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+
+    def test_closed_stdout_is_runtime_error(self):
+        # About 0.8 MB of CSV in one write: the reader takes one line and
+        # closes the pipe while the child still writes.
+        with subprocess.Popen(cli_argv(["gen", "--net", "sobol", "--n", "3", "--s", "14"]),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=CHILD_ENV) as proc:
+            assert proc.stdout.readline().startswith(b"# dyadnet ")
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        assert proc.returncode == 1
+        assert b"Traceback" not in stderr
+
+    def test_run_ends_without_teardown(self):
+        proc = cli_process(["certify", "--s", "2"], ENTRY_PROBE.format(setup=""))
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(b"{") and proc.stderr == b""
+
+    def test_run_flushes_pending_output(self):
+        # Text left in the stdout buffer reaches the pipe before the exit.
+        setup = 'sys.stdout.write("pending ")'
+        proc = cli_process(["certify", "--s", "0"], ENTRY_PROBE.format(setup=setup))
+        assert proc.returncode == 2
+        assert proc.stdout == b"pending "
+        assert b"teardown" not in proc.stderr
+
+    def test_failed_flush_is_runtime_error(self):
+        # The usage error exits 2, but the pending text cannot be written.
+        setup = 'sys.stdout.write("pending")'
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = cli_process(["certify", "--s", "0"], ENTRY_PROBE.format(setup=setup),
+                               stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr and b"teardown" not in proc.stderr
+
+    def test_other_exceptions_exit_normally(self):
+        setup = "def boom():\n    raise RuntimeError('boom')\ncli.main = boom"
+        proc = cli_process([], ENTRY_PROBE.format(setup=setup))
+        assert proc.returncode == 1
+        assert b"RuntimeError: boom" in proc.stderr
+        assert proc.stderr.endswith(b"teardown\n")
+
+    def test_console_script_uses_the_process_entry(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^dyadnet = "dyadnet\.cli:run"$', pyproject, re.M)

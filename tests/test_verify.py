@@ -16,6 +16,7 @@ from dyadnet.discrepancy import (
 from dyadnet.f2core import _rev_packed, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
+    as_subspace,
     random_shift,
     sobol_generators,
     van_der_corput_generators,
@@ -104,6 +105,18 @@ class TestTablesAgainstLoops:
         assert poisson.passed and delta.passed
         assert outcome(poisson) == outcome(poisson_loop(ctx))
         assert (delta.passed, delta.checked) == outcome(delta_loop(ctx))[:2]
+
+
+@pytest.mark.parametrize("n,s", [(2, 3), (3, 2)])
+def test_one_word_table_is_its_character_row(n, s):
+    # A single word takes the sign-doubling branch, not the butterfly.
+    words = list(as_subspace(sobol_generators(n, s)).enumerate_packed())
+    assert 0 in words
+    for w in words:
+        row = [character_sum([w], _rev_packed(v, n, s)) for v in range(1 << (n * s))]
+        table = _character_table([w], n, s)
+        assert table.dtype == np.int64
+        assert table.tolist() == row, w
 
 
 class TestGridGuard:
