@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from importlib import import_module
 
-from .f2core import DyadicPoint, F2Subspace
+from .f2core import F2Subspace
 from .nets import (
     DigitShift,
     GeneratorSet,
@@ -59,7 +59,6 @@ def __dir__() -> list[str]:
 __all__ = [
     "DigitShift",
     "DiscrepancyContext",
-    "DyadicPoint",
     "F2Subspace",
     "GeneratorSet",
     "NetQuality",

@@ -93,7 +93,28 @@ def _emit(out: str | None, fmt: str, command: str, config: dict, mode: str,
     if out:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=False)
+        _write_stdout(text.encode())
+
+
+def _write_stdout(data: bytes) -> None:
+    """Write all of `data` to the byte stream under stdout.
+
+    An unbuffered stdout (`PYTHONUNBUFFERED`) is a raw file, and a raw
+    write that a closed pipe cuts short returns the count it wrote; the
+    text layer drops the rest without an error.  Writing the remainder
+    again raises EPIPE instead, which click turns into exit 1.
+    """
+    if sys.stdout is None:
+        return
+    sys.stdout.flush()
+    buffer = sys.stdout.buffer
+    view = memoryview(data)
+    while view:
+        written = buffer.write(view)
+        if not written:
+            raise _Failure("stdout accepted no bytes", EXIT_RUNTIME)
+        view = view[written:]
+    buffer.flush()
 
 
 def _cell(v) -> str:
@@ -213,7 +234,7 @@ def certify(net, n, s, box_check, fmt, out):
     quality = certify_deficiency(gen_set)
     boxes = None
     if box_check and gen_set.s <= 12:
-        boxes = verify_box_counts(net_points(gen_set), quality.deficiency)
+        boxes = verify_box_counts(gen_set.point_words, gen_set.s, quality.deficiency)
     columns = ["n", "s", "deficiency", "dual_rt_weight", "exhaustive", "box_counts_ok"]
     rows = [[gen_set.n, gen_set.s, quality.deficiency, quality.dual_rt_weight,
              True, boxes]]

@@ -19,14 +19,20 @@ import numpy as np
 
 from .f2core import (
     DEFAULT_ENUM_CAP,
-    DyadicPoint,
     F2Subspace,
     _character,
     _pack,
     _rev_words,
     _unpack,
 )
-from .nets import DigitShift, GeneratorSet, NetQuality, as_subspace, certify_deficiency
+from .nets import (
+    DigitShift,
+    GeneratorSet,
+    NetQuality,
+    _shift_words,
+    as_subspace,
+    certify_deficiency,
+)
 from . import walsh
 from .walsh import rho_vector
 
@@ -49,6 +55,9 @@ class DiscrepancyContext:
     """A (possibly shifted) linear distribution, its net words, and its
     dual enumerated on first use.
 
+    `shift` holds the digit words of the shift, zeros when unshifted, and
+    `point_words` the shifted net's words.
+
     `dual_points` lists the dual as integer index vectors (grid words), or
     is None above `cap`, `dual_signs` the matching characters evaluated
     at the shift, and `groups` buckets the dual by per-coordinate
@@ -61,28 +70,23 @@ class DiscrepancyContext:
     s: int
     subspace: F2Subspace
     dual: F2Subspace
-    shift: DyadicPoint
+    shift: tuple[int, ...]
     point_words: tuple[tuple[int, ...], ...]
     quality: NetQuality | None
     cap: int
 
     @classmethod
     def build(cls, source: GeneratorSet | F2Subspace,
-              shift: DigitShift | DyadicPoint | None = None,
+              shift: DigitShift | None = None,
               cap: int = DEFAULT_ENUM_CAP) -> "DiscrepancyContext":
         sub = as_subspace(source) if isinstance(source, GeneratorSet) else source
         n, s = sub.n, sub.s
+        if n < 1 or s < 1:
+            raise ValueError("need n >= 1 and s >= 1")
         quality = certify_deficiency(sub) if sub.dim == s else None
-        if isinstance(shift, DigitShift):
-            t = shift.point
-        elif shift is None:
-            t = DyadicPoint.zero(n, s)
-        else:
-            t = shift
-        if t.n != n or t.s != s:
-            raise ValueError("shift grid does not match the distribution")
+        t = _shift_words(sub, shift)
         # The cap gates the dual route only; the net itself is the object.
-        tp = t.pack()
+        tp = _pack(t, s)
         points = tuple(
             _unpack(p ^ tp, n, s)
             for p in sub.enumerate_packed(max(cap, sub.cardinality))
@@ -135,7 +139,7 @@ class DiscrepancyContext:
             raise ValueError("index vector dimension mismatch")
         if any(l >> self.s for l in L):
             raise ValueError(f"index vector {tuple(L)} out of range for s={self.s}")
-        return _character(_rev_words(L, self.s), self.shift.pack())
+        return _character(_rev_words(L, self.s), _pack(self.shift, self.s))
 
 
 def _grid_size(ctx: DiscrepancyContext, g: int, terms: int = 1) -> int:

@@ -1,18 +1,20 @@
 """Exact GF(2) arithmetic on the dyadic cube.
 
-Points of Q^n(2^s), s >= 1, are tuples of n integer digit words, one
-s-digit binary fraction per coordinate; a coordinate is a one-dimensional
-point.  Point sets with linear structure are subspaces under digitwise
-XOR.  The module provides the tensor Walsh character of the bit-reversed
-bilinear pairing, annihilators (dual subspaces), enumeration, and the
-Rosenbloom-Tsfasman weight, all in integer words; the whole-grid
-character sums live in `verify`.
+Points of Q^n(2^s), s >= 1, are plain tuples of n integer digit words:
+word w of coordinate j stands for the s-digit binary fraction w / 2^s,
+and a coordinate is a one-dimensional point.  There is no point class;
+`_pack` joins the words into one integer, coordinate 0 in the low bits,
+and `_unpack` splits it again.  Point sets with linear structure are
+subspaces under digitwise XOR.  The module provides the tensor Walsh
+character of the bit-reversed bilinear pairing, annihilators (dual
+subspaces), enumeration, and the Rosenbloom-Tsfasman weight, all in
+integer words, with no rational arithmetic; the whole-grid character
+sums live in `verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUM_CAP = 1 << 24
@@ -45,49 +47,6 @@ def bit_reverse(word: int, width: int) -> int:
 
 def parity(word: int) -> int:
     return word.bit_count() & 1
-
-
-@dataclass(frozen=True)
-class DyadicPoint:
-    """A point of Q^n(2^s): per-coordinate digit words at one resolution."""
-
-    words: tuple[int, ...]
-    s: int
-
-    def __post_init__(self):
-        if len(self.words) < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.s < 1:
-            raise ValueError("resolution must be >= 1")
-        top = 1 << self.s
-        for w in self.words:
-            if not 0 <= w < top:
-                raise ValueError(f"digit word {w} out of range for s={self.s}")
-
-    @classmethod
-    def zero(cls, n: int, s: int) -> "DyadicPoint":
-        return cls((0,) * n, s)
-
-    @classmethod
-    def from_values(cls, values: Sequence, s: int) -> "DyadicPoint":
-        words = []
-        for v in values:
-            scaled = Fraction(v) * (1 << s)
-            if scaled.denominator != 1:
-                raise ValueError(f"{v} is not an s={s} dyadic rational")
-            words.append(int(scaled))
-        return cls(tuple(words), s)
-
-    @property
-    def n(self) -> int:
-        return len(self.words)
-
-    def values(self) -> tuple[Fraction, ...]:
-        den = 1 << self.s
-        return tuple(Fraction(w, den) for w in self.words)
-
-    def pack(self) -> int:
-        return _pack(self.words, self.s)
 
 
 def _unpack(packed: int, n: int, s: int) -> tuple[int, ...]:

@@ -18,13 +18,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .f2core import (
-    DyadicPoint,
-    F2Subspace,
-    _reduce,
-    parity,
-)
-from .walsh import digit_word
+from .f2core import F2Subspace, _pack, _reduce, parity
 
 
 class GeneratorFormatError(ValueError):
@@ -71,18 +65,17 @@ class GeneratorSet:
             w = (w << 1) | parity(row & a)
         return w
 
-    def point(self, a: int) -> DyadicPoint:
-        return DyadicPoint(tuple(self.coord_word(j, a) for j in range(self.n)), self.s)
-
-    def basis_images(self) -> list[DyadicPoint]:
-        return [self.point(1 << k) for k in range(self.s)]
+    def basis_images(self) -> list[tuple[int, ...]]:
+        """Digit words of the images of the s unit index words."""
+        return [tuple(self.coord_word(j, 1 << k) for j in range(self.n))
+                for k in range(self.s)]
 
     @cached_property
     def point_words(self) -> tuple[tuple[int, ...], ...]:
         """Digit words of all 2^s net points, in Gray-code order of the
         index word; raises InjectivityError if two points coincide."""
         as_subspace(self)
-        images = [p.words for p in self.basis_images()]
+        images = self.basis_images()
         cur = [0] * self.n
         words = [tuple(cur)]
         for i in range(1, 1 << self.s):
@@ -105,18 +98,26 @@ class NetQuality:
 
 @dataclass(frozen=True)
 class DigitShift:
-    """XOR translation of a net, with seed provenance when randomly drawn."""
+    """XOR translation of a net on Q^n(2^s): one digit word per coordinate,
+    with seed provenance when randomly drawn."""
 
-    point: DyadicPoint
+    words: tuple[int, ...]
+    s: int
     seed: int | None = None
+
+    def __post_init__(self):
+        if len(self.words) < 1:
+            raise ValueError("dimension must be >= 1")
+        if self.s < 1:
+            raise ValueError("resolution must be >= 1")
+        top = 1 << self.s
+        for w in self.words:
+            if not 0 <= w < top:
+                raise ValueError(f"digit word {w} out of range for s={self.s}")
 
     @property
     def n(self) -> int:
-        return self.point.n
-
-    @property
-    def s(self) -> int:
-        return self.point.s
+        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -148,17 +149,22 @@ def net_points(gen: GeneratorSet, shift: DigitShift | None = None) -> PointSet:
     ), gen.n)
 
 
-def _shift_words(gen: GeneratorSet, shift: DigitShift | None) -> tuple[int, ...]:
+def _shift_words(net: GeneratorSet | F2Subspace,
+                 shift: DigitShift | None) -> tuple[int, ...]:
+    """The shift's digit words, zeros without a shift; the shift must be a
+    `DigitShift` on the net's grid."""
     if shift is None:
-        return (0,) * gen.n
-    if shift.n != gen.n or shift.s != gen.s:
-        raise ValueError("shift grid does not match the generator set")
-    return shift.point.words
+        return (0,) * net.n
+    if not isinstance(shift, DigitShift):
+        raise TypeError(f"shift must be a DigitShift or None, not {type(shift).__name__}")
+    if shift.n != net.n or shift.s != net.s:
+        raise ValueError("shift grid does not match the net")
+    return shift.words
 
 
 def as_subspace(gen: GeneratorSet) -> F2Subspace:
     """The net as a subspace of Q^n(2^s); raises unless the map is injective."""
-    sub = F2Subspace.from_packed(gen.n, gen.s, (p.pack() for p in gen.basis_images()))
+    sub = F2Subspace.from_packed(gen.n, gen.s, (_pack(w, gen.s) for w in gen.basis_images()))
     if sub.dim != gen.s:
         raise InjectivityError(
             f"generator map has rank {sub.dim} < {gen.s}; the net would collapse"
@@ -207,25 +213,29 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def verify_box_counts(points: PointSet, deficiency: int) -> bool:
-    """Check that every dyadic box of volume 2^(deficiency-s) holds exactly
-    2^deficiency points, over all box shapes and offsets.
+def verify_box_counts(words: Sequence[Sequence[int]], s: int, deficiency: int) -> bool:
+    """Check that the 2^s points with these digit words put exactly
+    2^deficiency points in every dyadic box of volume 2^(deficiency-s),
+    over all box shapes and offsets.
 
-    Each coordinate's depth-s digit words are taken once; a box of shape
-    d keeps their leading d_j digits, w >> (s - d_j), since
-    floor(floor(x 2^s) / 2^(s-d)) = floor(x 2^d) for every real x, and
-    a point's box is those digits concatenated into one integer key.
+    A box of shape d keeps the leading d_j digits of each coordinate's
+    word, w >> (s - d_j), and a point's box is those digits concatenated
+    into one integer key.
     """
-    size = points.size
-    s = size.bit_length() - 1
-    if size != 1 << s:
-        raise ValueError("box counting needs a power-of-two point count")
+    size = len(words)
+    if s < 1 or size != 1 << s:
+        raise ValueError(f"box counting needs 2^s points for s >= 1, got {size} at s={s}")
     if not 0 <= deficiency <= s:
         raise ValueError("deficiency out of range")
+    n = len(words[0])
+    if n < 1 or any(len(p) != n for p in words):
+        raise ValueError("points must share one dimension >= 1")
+    cols = list(zip(*words))
+    if any(min(col) < 0 or max(col) >> s for col in cols):
+        raise ValueError(f"digit word out of range for s={s}")
     m = s - deficiency
     want = 1 << deficiency
-    cols = [[digit_word(c, s) for c in col] for col in zip(*points.points)]
-    for shape in _compositions(m, points.n):
+    for shape in _compositions(m, n):
         keys = [0] * size
         for col, d in zip(cols, shape):
             cut = s - d
@@ -236,10 +246,12 @@ def verify_box_counts(points: PointSet, deficiency: int) -> bool:
 
 
 def random_shift(n: int, s: int, seed: int) -> DigitShift:
-    """Uniform digit shift on Q^n(2^s); n*s fair bits, reproducible by seed."""
+    """Uniform digit shift on Q^n(2^s); n*s fair bits, reproducible by a
+    seed >= 0."""
+    if seed < 0:
+        raise ValueError(f"shift seed must be >= 0, got {seed}")
     rng = random.Random(seed)
-    words = tuple(rng.getrandbits(s) for _ in range(n))
-    return DigitShift(DyadicPoint(words, s), seed)
+    return DigitShift(tuple(rng.getrandbits(s) for _ in range(n)), s, seed)
 
 
 @dataclass(frozen=True)
@@ -266,6 +278,8 @@ def rescale_to_N(gen: GeneratorSet, count: int, shift: DigitShift | None = None,
     s = gen.s
     if not (1 << (s - 1)) <= count <= (1 << s):
         raise ValueError(f"count {count} outside [2^(s-1), 2^s] for s={s}")
+    if shift_retries < 0:
+        raise ValueError(f"shift_retries must be >= 0, got {shift_retries}")
     attempts = chain(
         [shift], (random_shift(gen.n, s, retry_seed + k) for k in range(shift_retries))
     )

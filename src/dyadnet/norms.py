@@ -129,7 +129,7 @@ def dn_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:
 def _net_words(ctx: DiscrepancyContext) -> list[tuple[int, ...]]:
     """The unshifted distribution's words; the context's own shift is
     undone, since the sampler and the oracle draw or average the shift."""
-    return [tuple(w ^ t for w, t in zip(p, ctx.shift.words)) for p in ctx.point_words]
+    return [tuple(w ^ t for w, t in zip(p, ctx.shift)) for p in ctx.point_words]
 
 
 def m_sampler(ctx: DiscrepancyContext) -> Callable[[np.ndarray], np.ndarray]:

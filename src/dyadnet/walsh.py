@@ -8,14 +8,7 @@ tensor character lives in `f2core._character`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .f2core import _character, bit_reverse
-
-
-def digit_word(x: Fraction, k: int) -> int:
-    """First k binary digits of x in [0,1), most significant first: floor(x*2^k)."""
-    return (x.numerator << k) // x.denominator
 
 
 def rho_index(l: int) -> int:

@@ -3,6 +3,10 @@
 Each function here is a second route to a quantity that the library
 evaluates one way in production; tests compare the two.
 
+- `DyadicPoint` bundles a point's digit words with their resolution and
+  converts to and from `Fraction` coordinates, and `digit_word` reads the
+  leading binary digits of a `Fraction`; the library keeps points as
+  plain word tuples and converts neither way.
 - `walsh_1d` reads the digits of x selected by the index, and `walsh_nd`,
   the product of one-dimensional characters, is the oracle of the packed
   tensor character `f2core._character`.
@@ -39,13 +43,14 @@ evaluates one way in production; tests compare the two.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import Sequence
 
 from dyadnet.discrepancy import DiscrepancyContext, GapReport, LambdaGroup, lambda_group
 from dyadnet.f2core import (
-    DyadicPoint,
     F2Subspace,
     _character,
     _pack,
@@ -57,7 +62,55 @@ from dyadnet.f2core import (
 )
 from dyadnet.nets import PointSet
 from dyadnet.verify import IdentityResult
-from dyadnet.walsh import _chi_num, digit_word, rho_index, rho_vector
+from dyadnet.walsh import _chi_num, rho_index, rho_vector
+
+
+@dataclass(frozen=True)
+class DyadicPoint:
+    """A point of Q^n(2^s): per-coordinate digit words at one resolution."""
+
+    words: tuple[int, ...]
+    s: int
+
+    def __post_init__(self):
+        if len(self.words) < 1:
+            raise ValueError("dimension must be >= 1")
+        if self.s < 1:
+            raise ValueError("resolution must be >= 1")
+        top = 1 << self.s
+        for w in self.words:
+            if not 0 <= w < top:
+                raise ValueError(f"digit word {w} out of range for s={self.s}")
+
+    @classmethod
+    def zero(cls, n: int, s: int) -> "DyadicPoint":
+        return cls((0,) * n, s)
+
+    @classmethod
+    def from_values(cls, values: Sequence, s: int) -> "DyadicPoint":
+        words = []
+        for v in values:
+            scaled = Fraction(v) * (1 << s)
+            if scaled.denominator != 1:
+                raise ValueError(f"{v} is not an s={s} dyadic rational")
+            words.append(int(scaled))
+        return cls(tuple(words), s)
+
+    @property
+    def n(self) -> int:
+        return len(self.words)
+
+    def values(self) -> tuple[Fraction, ...]:
+        den = 1 << self.s
+        return tuple(Fraction(w, den) for w in self.words)
+
+    def pack(self) -> int:
+        return _pack(self.words, self.s)
+
+
+def digit_word(x: Fraction, k: int) -> int:
+    """First k binary digits of x in [0,1), most significant first: floor(x*2^k)."""
+    return (x.numerator << k) // x.denominator
 
 
 def walsh_1d(l: int, x) -> int:

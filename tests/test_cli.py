@@ -139,9 +139,9 @@ class TestCertify:
         real = cli_mod.verify_box_counts
         calls = []
 
-        def spy(points, deficiency):
+        def spy(words, s, deficiency):
             calls.append(deficiency)
-            return real(points, deficiency)
+            return real(words, s, deficiency)
 
         # The CLI binds the name from dyadnet.nets at import.
         monkeypatch.setattr(cli_mod, "verify_box_counts", spy)
@@ -383,9 +383,9 @@ class TestOptions:
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-# The child's stdout is buffered, as a CLI process's normally is: under
-# PYTHONUNBUFFERED a write that a closed pipe cuts short is dropped
-# without an error, so the EPIPE cases below could not be seen.
+# The child's stdout is buffered, as a CLI process's normally is, so the
+# flush cases below find text pending in the buffer; the unbuffered
+# closed-pipe case sets PYTHONUNBUFFERED itself.
 CHILD_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
              "PYTHONPATH": SRC}
 
@@ -444,16 +444,28 @@ class TestProcess:
         assert proc.returncode == 2
         assert b"Traceback" not in proc.stderr
 
-    def test_closed_stdout_is_runtime_error(self):
+    @staticmethod
+    def closed_pipe_run(env) -> tuple[int, bytes]:
         # About 0.8 MB of CSV in one write: the reader takes one line and
         # closes the pipe while the child still writes.
         with subprocess.Popen(cli_argv(["gen", "--net", "sobol", "--n", "3", "--s", "14"]),
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=CHILD_ENV) as proc:
+                              env=env) as proc:
             assert proc.stdout.readline().startswith(b"# dyadnet ")
             proc.stdout.close()
             stderr = proc.stderr.read()
-        assert proc.returncode == 1
+        return proc.returncode, stderr
+
+    def test_closed_stdout_is_runtime_error(self):
+        code, stderr = self.closed_pipe_run(CHILD_ENV)
+        assert code == 1
+        assert b"Traceback" not in stderr
+
+    def test_closed_unbuffered_stdout_is_runtime_error(self):
+        # Unbuffered stdout is a raw file, whose write returns a short
+        # count when the pipe closes; the output must not end as a success.
+        code, stderr = self.closed_pipe_run({**CHILD_ENV, "PYTHONUNBUFFERED": "1"})
+        assert code == 1
         assert b"Traceback" not in stderr
 
     def test_run_ends_without_teardown(self):

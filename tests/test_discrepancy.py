@@ -12,7 +12,7 @@ from dyadnet.discrepancy import (
     approximation_gap,
     lambda_group,
 )
-from dyadnet.f2core import DyadicPoint, F2Subspace, _unpack
+from dyadnet.f2core import F2Subspace, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
     net_points,
@@ -23,6 +23,7 @@ from dyadnet.nets import (
 from dyadnet.norms import dn_sampler
 from dyadnet.walsh import rho_vector
 from oracles import (
+    DyadicPoint,
     box_kernel,
     delta_indicator,
     discrepancy_exact,
@@ -134,7 +135,7 @@ class TestApproximationRoutes:
         gen = van_der_corput_generators(3)
         t = random_shift(2, 3, seed=9)
         ctx = DiscrepancyContext.build(gen, t)
-        tvals = t.point.values()
+        tvals = DyadicPoint(t.words, t.s).values()
         for Y in list(iter_grid(2, 3))[::7]:
             acc = Fraction(0)
             for L in ctx.dual_points:
@@ -190,6 +191,20 @@ class TestApproximationRoutes:
         for L in ((1,), (1, 2, 3)):
             with pytest.raises(ValueError, match="index vector dimension mismatch"):
                 ctx.shift_sign(L)
+
+    def test_build_takes_a_digit_shift_or_none(self):
+        gen = van_der_corput_generators(3)
+        assert DiscrepancyContext.build(gen).shift == (0, 0)
+        t = random_shift(2, 3, seed=9)
+        ctx = DiscrepancyContext.build(gen, t)
+        assert ctx.shift == t.words
+        assert set(ctx.point_words) == {
+            tuple(w ^ tw for w, tw in zip(p, t.words)) for p in gen.point_words}
+        for other in (t.words, DyadicPoint(t.words, 3)):
+            with pytest.raises(TypeError, match="DigitShift"):
+                DiscrepancyContext.build(gen, other)
+        with pytest.raises(ValueError, match="shift grid"):
+            DiscrepancyContext.build(gen, random_shift(2, 4, seed=9))
 
 
 class TestApproximationGap:

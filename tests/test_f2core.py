@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadnet.f2core import (
-    DyadicPoint,
     EnumerationCapError,
     F2Subspace,
     UndefinedWeightError,
@@ -18,7 +17,7 @@ from dyadnet.f2core import (
 )
 import dyadnet
 from dyadnet.nets import van_der_corput_generators, as_subspace, net_points
-from oracles import iter_grid, walsh_nd
+from oracles import DyadicPoint, iter_grid, walsh_nd
 
 
 def coord(v, s):

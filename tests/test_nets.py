@@ -5,12 +5,12 @@ from pathlib import Path
 import pytest
 
 from dyadnet.discrepancy import DiscrepancyContext
-from dyadnet.f2core import DyadicPoint, F2Subspace, _unpack
+from dyadnet.f2core import F2Subspace, _unpack
 from dyadnet.nets import (
+    DigitShift,
     GeneratorFormatError,
     GeneratorSet,
     InjectivityError,
-    PointSet,
     RescaleError,
     as_subspace,
     certify_deficiency,
@@ -24,6 +24,7 @@ from dyadnet.nets import (
     van_der_corput_generators,
     verify_box_counts,
 )
+from oracles import DyadicPoint
 
 
 class TestNetPoints:
@@ -47,7 +48,7 @@ class TestNetPoints:
         shifted = net_points(gen, t)
         assert shifted.size == 8
         assert len(set(shifted.points)) == 8
-        if any(t.point.words):
+        if any(t.words):
             assert (Fraction(0), Fraction(0)) not in set(shifted.points)
 
     def test_cardinality(self):
@@ -99,11 +100,11 @@ class TestCertify:
         cases += [sobol_generators(4, 4), sobol_generators(4, 5)]
         for gen in cases:
             q = certify_deficiency(gen)
-            pts = net_points(gen)
-            assert verify_box_counts(pts, q.deficiency)
+            words = gen.point_words
+            assert verify_box_counts(words, gen.s, q.deficiency)
             if q.deficiency > 0:
                 # Certified deficiency is minimal.
-                assert not verify_box_counts(pts, q.deficiency - 1)
+                assert not verify_box_counts(words, gen.s, q.deficiency - 1)
 
 
 def _dual_weight_oracle(gen: GeneratorSet) -> int:
@@ -156,46 +157,74 @@ class TestRankCertificateAgainstDualOracle:
             certify_deficiency(sub.dual())
 
 
+def shifted_words(gen: GeneratorSet, shift: DigitShift) -> list[tuple[int, ...]]:
+    """Digit words of the shifted net, read back from its exact points."""
+    return [DyadicPoint.from_values(p, gen.s).words for p in net_points(gen, shift).points]
+
+
 class TestBoxCounts:
     def test_vdc_strict(self):
-        assert verify_box_counts(net_points(van_der_corput_generators(3)), 0)
+        assert verify_box_counts(van_der_corput_generators(3).point_words, 3, 0)
 
     def test_diagonal_fails(self):
         for s in (2, 3, 4):
-            den = 1 << s
-            diag = PointSet(
-                tuple((Fraction(k, den), Fraction(k, den)) for k in range(den)), 2
-            )
-            assert not verify_box_counts(diag, 0)
-            assert verify_box_counts(diag, s)
+            diag = [(k, k) for k in range(1 << s)]
+            assert not verify_box_counts(diag, s, 0)
+            assert verify_box_counts(diag, s, s)
 
     def test_full_box_trivial(self):
-        pts = net_points(sobol_generators(3, 3))
-        assert verify_box_counts(pts, 3)
+        assert verify_box_counts(sobol_generators(3, 3).point_words, 3, 3)
 
     def test_shift_invariance(self):
         gen = van_der_corput_generators(4)
         for seed in range(5):
-            shifted = net_points(gen, random_shift(2, 4, seed))
-            assert verify_box_counts(shifted, 0)
+            assert verify_box_counts(shifted_words(gen, random_shift(2, 4, seed)), 4, 0)
+
+    def test_shifted_sobol_keeps_its_deficiency(self):
+        gen = sobol_generators(3, 5)
+        q = certify_deficiency(gen)
+        assert q.deficiency > 0
+        for seed in range(3):
+            words = shifted_words(gen, random_shift(3, 5, seed))
+            assert verify_box_counts(words, 5, q.deficiency)
+            assert not verify_box_counts(words, 5, q.deficiency - 1)
 
     def test_requires_power_of_two(self):
-        pts = PointSet(((Fraction(0), Fraction(0)),) * 1 + ((Fraction(1, 2), Fraction(1, 4)),
-                       (Fraction(1, 4), Fraction(1, 2))), 2)
         with pytest.raises(ValueError):
-            verify_box_counts(pts, 0)
+            verify_box_counts([(0, 0), (2, 1), (1, 2)], 2, 0)
+
+    @pytest.mark.parametrize("words, s", [
+        ([], 2),
+        ([(0, 0), (1, 1)], 2),
+        ([(k, k) for k in range(8)], 2),
+        ([(0,)], 0),
+    ], ids=["empty", "too-few", "too-many", "zero-resolution"])
+    def test_rejects_a_count_other_than_two_to_the_s(self, words, s):
+        with pytest.raises(ValueError, match="box counting needs 2\\^s points"):
+            verify_box_counts(words, s, 0)
+
+    def test_rejects_bad_words(self):
+        with pytest.raises(ValueError, match="out of range"):
+            verify_box_counts([(0, 0), (1, 2)], 1, 0)
+        with pytest.raises(ValueError, match="one dimension"):
+            verify_box_counts([(0, 0), (1,)], 1, 0)
 
 
 class TestRandomShift:
     def test_deterministic(self):
         a = random_shift(3, 5, seed=11)
         b = random_shift(3, 5, seed=11)
-        assert a.point == b.point
+        assert a.words == b.words
         assert a.seed == 11
 
     def test_dimensions(self):
         t = random_shift(4, 6, seed=0)
-        assert t.point.n == 4 and t.point.s == 6
+        assert t.n == 4 and t.s == 6 and len(t.words) == 4
+
+    def test_negative_seed_rejected(self):
+        # random.Random(-5) would draw the words of seed 5 and record -5.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            random_shift(2, 3, -5)
 
     def test_digit_means(self):
         draws = 10000
@@ -203,7 +232,7 @@ class TestRandomShift:
         ones = [0] * (n * s)
         for seed in range(draws):
             t = random_shift(n, s, seed)
-            for j, w in enumerate(t.point.words):
+            for j, w in enumerate(t.words):
                 for i in range(s):
                     ones[j * s + i] += (w >> i) & 1
         # Binomial(10^4, 1/2): 3 sigma = 150.
@@ -282,6 +311,33 @@ class TestRescale:
             rescale_to_N(gen, 3)
         with pytest.raises(ValueError):
             rescale_to_N(gen, 9)
+
+    def test_negative_retries_rejected(self):
+        # Count 2 at s=2 ties unshifted, so -1 would otherwise fail as
+        # "after 0 shift(s)".
+        with pytest.raises(ValueError, match="shift_retries must be >= 0"):
+            rescale_to_N(van_der_corput_generators(2), 2, shift_retries=-1)
+
+
+class TestDigitShift:
+    def test_holds_words_resolution_and_seed(self):
+        t = DigitShift((5, 0, 7), 3, seed=4)
+        assert (t.words, t.n, t.s, t.seed) == ((5, 0, 7), 3, 3, 4)
+        assert DigitShift((1,), 1).seed is None
+
+    @pytest.mark.parametrize("words, s, match", [
+        ((0, 1), 0, "resolution must be >= 1"),
+        ((), 3, "dimension must be >= 1"),
+        ((8, 0), 3, "digit word 8 out of range"),
+        ((0, -1), 3, "digit word -1 out of range"),
+    ], ids=["zero-resolution", "no-words", "word-too-wide", "negative-word"])
+    def test_rejects_invalid(self, words, s, match):
+        with pytest.raises(ValueError, match=match):
+            DigitShift(words, s)
+
+    def test_net_points_reject_a_mismatched_shift(self):
+        with pytest.raises(ValueError, match="shift grid"):
+            net_points(van_der_corput_generators(3), DigitShift((1, 2), 4))
 
 
 class TestGeneratorFiles:

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from dyadnet.discrepancy import DiscrepancyContext, RouteUnavailableError
-from dyadnet.f2core import DyadicPoint, F2Subspace
-from dyadnet.nets import net_points, random_shift, sobol_generators, van_der_corput_generators
+from dyadnet.f2core import F2Subspace
+from dyadnet.nets import (
+    DigitShift,
+    net_points,
+    random_shift,
+    sobol_generators,
+    van_der_corput_generators,
+)
 from dyadnet.norms import (
     DEFAULT_Q_GRID,
     dn_sampler,
@@ -195,7 +201,7 @@ class TestNetSideSampler:
             np.hstack([k / (1 << (s + 2)), ut]))
         for ki, ti, value in zip(k, ut, values):
             t = tuple(min(int(x * (1 << s)), (1 << s) - 1) for x in ti)
-            ctx_t = DiscrepancyContext.build(gen, DyadicPoint(t, s))
+            ctx_t = DiscrepancyContext.build(gen, DigitShift(t, s))
             Y = tuple(Fraction(int(v), 1 << (s + 2)) for v in ki)
             exact = m_dual_sum(ctx_t, Y)
             assert m_direct(ctx_t, Y) == exact

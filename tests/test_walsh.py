@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadnet.f2core import DyadicPoint
-from dyadnet.walsh import digit_word, rho_index
+from dyadnet.walsh import rho_index
 from oracles import (
+    DyadicPoint,
     check_fine_closed_form,
     check_fine_square_norm,
+    digit_word,
     fine_coefficient,
     omega,
     walsh_1d,
