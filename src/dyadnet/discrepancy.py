@@ -52,27 +52,17 @@ class RouteUnavailableError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiscrepancyContext:
-    """A (possibly shifted) linear distribution, its net words, and its
-    dual enumerated on first use.
+    """A (possibly shifted) linear distribution: its subspace, the shift's
+    digit words (zeros when unshifted) and the enumeration cap.
 
-    `shift` holds the digit words of the shift, zeros when unshifted, and
-    `point_words` the shifted net's words.
-
-    `dual_points` lists the dual as integer index vectors (grid words), or
-    is None above `cap`, `dual_signs` the matching characters evaluated
-    at the shift, and `groups` buckets the dual by per-coordinate
-    leading-digit positions; all three are computed on first access and
-    stored in the instance dict, so routes that stay on the net side never
-    pay for the dual.
+    Everything else is computed on first access and kept in the instance
+    dict, so a route pays only for what it reads.  `packed_net`, the
+    unshifted net's packed words in `F2Subspace.enumerate_packed` order,
+    is the one listing of the net; `dual_points` is None above `cap`.
     """
 
-    n: int
-    s: int
     subspace: F2Subspace
-    dual: F2Subspace
     shift: tuple[int, ...]
-    point_words: tuple[tuple[int, ...], ...]
-    quality: NetQuality | None
     cap: int
 
     @classmethod
@@ -80,22 +70,34 @@ class DiscrepancyContext:
               shift: DigitShift | None = None,
               cap: int = DEFAULT_ENUM_CAP) -> "DiscrepancyContext":
         sub = as_subspace(source) if isinstance(source, GeneratorSet) else source
-        n, s = sub.n, sub.s
-        if n < 1 or s < 1:
+        if sub.n < 1 or sub.s < 1:
             raise ValueError("need n >= 1 and s >= 1")
-        quality = certify_deficiency(sub) if sub.dim == s else None
-        t = _shift_words(sub, shift)
-        # The cap gates the dual route only; the net itself is the object.
-        tp = _pack(t, s)
-        points = tuple(
-            _unpack(p ^ tp, n, s)
-            for p in sub.enumerate_packed(max(cap, sub.cardinality))
-        )
-        return cls(n, s, sub, sub.dual(), t, points, quality, cap)
+        return cls(sub, _shift_words(sub, shift), cap)
+
+    @property
+    def n(self) -> int:
+        return self.subspace.n
+
+    @property
+    def s(self) -> int:
+        return self.subspace.s
 
     @property
     def cardinality(self) -> int:
         return self.subspace.cardinality
+
+    @cached_property
+    def quality(self) -> NetQuality | None:
+        return certify_deficiency(self.subspace) if self.subspace.dim == self.s else None
+
+    @cached_property
+    def dual(self) -> F2Subspace:
+        return self.subspace.dual()
+
+    @cached_property
+    def packed_net(self) -> tuple[int, ...]:
+        # The cap gates the dual route only; the net itself is the object.
+        return tuple(self.subspace.enumerate_packed(max(self.cap, self.cardinality)))
 
     @cached_property
     def dual_points(self) -> tuple[tuple[int, ...], ...] | None:
@@ -169,8 +171,8 @@ def _box_table(ctx: DiscrepancyContext, g: int, kernel: bool) -> np.ndarray:
     """
     n, s = ctx.n, ctx.s
     step = 1 << (g - s)
-    points = np.bincount([_pack(w, s) for w in ctx.point_words],
-                         minlength=1 << (n * s)).reshape((1 << s,) * n)
+    words = np.array(ctx.packed_net, dtype=np.int64) ^ _pack(ctx.shift, s)
+    points = np.bincount(words, minlength=1 << (n * s)).reshape((1 << s,) * n)
     cells = np.zeros((1 << g,) * n, dtype=np.int64)
     if kernel:
         cells.reshape((1 << s, step) * n)[...] = points.reshape((1 << s, 1) * n)

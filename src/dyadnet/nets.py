@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import index
 from pathlib import Path
 from typing import Sequence
 
@@ -48,15 +49,13 @@ class GeneratorSet:
     name: str = "custom"
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(tuple(map(index, r)) for r in self.rows))
         if self.n < 1 or self.s < 1:
             raise ValueError("need n >= 1 and s >= 1")
         if len(self.rows) != self.n or any(len(r) != self.s for r in self.rows):
             raise GeneratorFormatError("expected n blocks of s rows")
-        top = 1 << self.s
-        for block in self.rows:
-            for r in block:
-                if not 0 <= r < top:
-                    raise GeneratorFormatError("matrix row wider than s bits")
+        if any(not 0 <= r < 1 << self.s for block in self.rows for r in block):
+            raise GeneratorFormatError("matrix row wider than s bits")
 
     def coord_word(self, j: int, a: int) -> int:
         """Digit word of coordinate j for index word a."""
@@ -106,6 +105,7 @@ class DigitShift:
     seed: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "words", tuple(map(index, self.words)))
         if len(self.words) < 1:
             raise ValueError("dimension must be >= 1")
         if self.s < 1:
@@ -251,7 +251,7 @@ def random_shift(n: int, s: int, seed: int) -> DigitShift:
     if seed < 0:
         raise ValueError(f"shift seed must be >= 0, got {seed}")
     rng = random.Random(seed)
-    return DigitShift(tuple(rng.getrandbits(s) for _ in range(n)), s, seed)
+    return DigitShift([rng.getrandbits(s) for _ in range(n)], s, seed)
 
 
 @dataclass(frozen=True)
@@ -415,12 +415,12 @@ def parse_generator_file(text: str) -> GeneratorSet:
                     f"line {idx}: expected {s} characters of 0/1, got {row!r}"
                 )
             rows.append(int(row[::-1], 2))
-        blocks.append(tuple(rows))
+        blocks.append(rows)
     while idx < len(lines):
         if lines[idx].strip():
             raise GeneratorFormatError(f"line {idx + 1}: trailing content")
         idx += 1
-    return GeneratorSet(n, s, tuple(blocks), name="file")
+    return GeneratorSet(n, s, blocks, name="file")
 
 
 def format_generator_file(gen: GeneratorSet) -> str:

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .discrepancy import DiscrepancyContext
+from .f2core import _unpack
 from .nets import PointSet, _compositions
 
 DEFAULT_Q_GRID = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0)
@@ -126,24 +127,18 @@ def dn_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _net_words(ctx: DiscrepancyContext) -> list[tuple[int, ...]]:
-    """The unshifted distribution's words; the context's own shift is
-    undone, since the sampler and the oracle draw or average the shift."""
-    return [tuple(w ^ t for w, t in zip(p, ctx.shift)) for p in ctx.point_words]
-
-
 def m_sampler(ctx: DiscrepancyContext) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized truncated approximation over joint (query, shift) samples.
 
     Input columns: n query coordinates, then n uniforms that are floored
-    to grid words acting as the random digit shift.  Evaluated as the
-    kernel sum over the XOR-shifted net,
+    to grid words acting as the random digit shift, which replaces the
+    context's own.  Evaluated as the kernel sum over the XOR-shifted net,
     M(y, t) = sum_x prod_j clip(2^s y_j - (x_j xor t_j), 0, 1) - N prod_j y_j,
     one net point at a time so a block's working set stays O(block * n).
     """
     n, s = ctx.n, ctx.s
     card = float(ctx.cardinality)
-    net = _net_words(ctx)
+    net = [_unpack(p, n, s) for p in ctx.packed_net]
 
     def f(u: np.ndarray) -> np.ndarray:
         y = u[:, :n]
@@ -175,9 +170,9 @@ def l2_m_exact(ctx: DiscrepancyContext) -> Fraction:
     n, s = ctx.n, ctx.s
     full = 3 << s
     total = 0
-    for x in _net_words(ctx):
+    for x in ctx.packed_net:
         prod = 1
-        for w in x:
+        for w in _unpack(x, n, s):
             prod *= full - (3 << (w.bit_length() - 1)) if w else full - 1
         total += prod
     card = ctx.cardinality

@@ -76,7 +76,7 @@ def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
     zero elsewhere.  A failure names the first grid point in packed order."""
     n, s = ctx.n, ctx.s
     size = _grid_size(ctx, s)
-    sums = _character_table(ctx.subspace.enumerate_packed(), n, s)
+    sums = _character_table(ctx.packed_net, n, s)
     want = np.zeros(size, dtype=np.int64)
     want[[_pack(L, s) for L in ctx.require_dual()]] = ctx.cardinality
     bad = np.flatnonzero(sums != want)

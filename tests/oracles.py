@@ -32,9 +32,10 @@ evaluates one way in production; tests compare the two.
   with `character_sum`; they are the oracles of `verify.check_poisson`
   and `verify.check_delta_identities`, which read the tables.
 - `box_kernel` counts the net points in one box and sums their truncated
-  kernel; `m_direct` is the kernel route to the approximation `M` at one
-  query and `m_dual_sum` the dual route, through a cache in front of
-  `walsh._chi_num`.  `route_loop` and `gap_loop` walk the grids query by
+  kernel; like the box tables it reads the context's one net listing,
+  `packed_net`, and XORs in `ctx.shift` itself.  `m_direct` is the kernel
+  route to the approximation `M` at one query and `m_dual_sum` the dual
+  route, through a cache in front of `walsh._chi_num`.  `route_loop` and `gap_loop` walk the grids query by
   query with them; they are the oracles of
   `verify.check_route_equivalence` and `discrepancy.approximation_gap`,
   which read the whole-grid box and dual tables.
@@ -422,16 +423,18 @@ _chi_num_cached = lru_cache(maxsize=1 << 20)(_chi_num)
 def box_kernel(ctx: DiscrepancyContext, g: int, us) -> tuple[int, int]:
     """Net points in the box [0, us/2^g) and the truncated-kernel sum.
 
+    The points are the context's listing with its shift applied here.
     The kernel term of a point is its cell's overlap with the box, in
     units of 2^-g per coordinate; it is positive exactly when the point
     lies in the box.
     """
     step = 1 << (g - ctx.s)
+    shift = _pack(ctx.shift, ctx.s)
     count = 0
     kernel = 0
-    for words in ctx.point_words:
+    for p in ctx.packed_net:
         prod = 1
-        for w, u in zip(words, us):
+        for w, u in zip(_unpack(p ^ shift, ctx.n, ctx.s), us):
             nu = u - w * step
             if nu <= 0:
                 prod = 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -287,6 +288,41 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", "--net", "van-der-corput",
                                       "--s-min", "5", "--s-max", "3"])
         assert result.exit_code == 2
+
+
+# The stdout sha256 of exact commands, recorded at commit 9b13492; every
+# line of these outputs is integer or Fraction arithmetic (norms and sweep,
+# whose floats pass through numpy reductions, are left out).  The provenance header names the package
+# version, so a version bump changes every digest.
+PINNED_STDOUT = {
+    "certify-sobol-4-7": (
+        ["certify", "--net", "sobol", "--n", "4", "--s", "7"],
+        "3836733620838c5d29962bde7f7411819afbbed7600b8f991e4250d326044a0a"),
+    "certify-sobol-5-5": (
+        ["certify", "--net", "sobol", "--n", "5", "--s", "5"],
+        "0f8913f33f4128753b5fd84f88b67aa25bdfad017d98dd4c925c375accc38969"),
+    "verify-shift-seed-0": (
+        ["verify", "--shift-seed", "0"],
+        "83d5666fe0664cbd5ddfe378b10f1017418de43ae2fa762ba9ae37f35b6e85be"),
+    "verify-sobol-3": (
+        ["verify", "--net", "sobol", "--n", "3"],
+        "37f55088dd6bfb9a7143ea18893ca1954452201fc40f570a14866c5dc59e77d9"),
+    "gen-float": (
+        ["gen", "--net", "sobol", "--n", "3", "--s", "10", "--count", "700",
+         "--shift-seed", "3"],
+        "1429a076d441785cf32045de417b932510a364c6231783613c7f3999f54e84f1"),
+    "gen-exact": (
+        ["gen", "--net", "sobol", "--n", "3", "--s", "10", "--count", "700",
+         "--shift-seed", "3", "--exact"],
+        "0b930180305035626804adfee913fe866aa583dcbcb696d7b68ead5e3594b76b"),
+}
+
+
+@pytest.mark.parametrize("args, digest", PINNED_STDOUT.values(), ids=PINNED_STDOUT)
+def test_pinned_stdout(runner, args, digest):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
 class TestOptions:

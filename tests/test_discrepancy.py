@@ -12,9 +12,11 @@ from dyadnet.discrepancy import (
     approximation_gap,
     lambda_group,
 )
-from dyadnet.f2core import F2Subspace, _unpack
+from dyadnet.f2core import F2Subspace, _pack, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
+    as_subspace,
+    certify_deficiency,
     net_points,
     random_shift,
     sobol_generators,
@@ -198,13 +200,29 @@ class TestApproximationRoutes:
         t = random_shift(2, 3, seed=9)
         ctx = DiscrepancyContext.build(gen, t)
         assert ctx.shift == t.words
-        assert set(ctx.point_words) == {
-            tuple(w ^ tw for w, tw in zip(p, t.words)) for p in gen.point_words}
+        # The net is listed unshifted; only the box tables apply the shift.
+        assert set(ctx.packed_net) == {_pack(p, 3) for p in gen.point_words}
         for other in (t.words, DyadicPoint(t.words, 3)):
             with pytest.raises(TypeError, match="DigitShift"):
                 DiscrepancyContext.build(gen, other)
         with pytest.raises(ValueError, match="shift grid"):
             DiscrepancyContext.build(gen, random_shift(2, 4, seed=9))
+
+    def test_build_stores_only_its_input(self):
+        gen = sobol_generators(3, 4)
+        ctx = DiscrepancyContext.build(gen, random_shift(3, 4, seed=2))
+        assert set(vars(ctx)) == {"subspace", "shift", "cap"}
+        assert (ctx.n, ctx.s, ctx.cardinality) == (3, 4, 16)
+        assert ctx.quality.deficiency == certify_deficiency(gen).deficiency
+        assert ctx.dual == ctx.subspace.dual()
+
+    def test_net_is_listed_once_in_enumeration_order(self):
+        sub = as_subspace(sobol_generators(3, 5))
+        plain = DiscrepancyContext.build(sub)
+        shifted = DiscrepancyContext.build(sub, random_shift(3, 5, seed=4))
+        assert plain.packed_net == tuple(sub.enumerate_packed())
+        assert shifted.packed_net == plain.packed_net
+        assert "packed_net" in vars(shifted)
 
 
 class TestApproximationGap:

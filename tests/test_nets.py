@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dyadnet.discrepancy import DiscrepancyContext
@@ -62,6 +63,13 @@ class TestNetPoints:
             as_subspace(gen)
         with pytest.raises(InjectivityError):
             net_points(gen)
+
+    def test_rows_are_stored_as_a_tuple_of_ints(self):
+        gen = GeneratorSet(2, 2, [[1, 2], (np.int64(2), 1)])
+        assert gen.rows == ((1, 2), (2, 1))
+        assert all(type(r) is int for block in gen.rows for r in block)
+        assert gen == GeneratorSet(2, 2, ((1, 2), (2, 1)))
+        assert hash(gen) == hash(GeneratorSet(2, 2, ((1, 2), (2, 1))))
 
 
 class TestAsSubspace:
@@ -334,6 +342,16 @@ class TestDigitShift:
     def test_rejects_invalid(self, words, s, match):
         with pytest.raises(ValueError, match=match):
             DigitShift(words, s)
+
+    def test_words_are_stored_as_a_tuple_of_ints(self):
+        t = DigitShift([1, 2, np.int64(3)], 3)
+        assert t == DigitShift((1, 2, 3), 3)
+        assert hash(t) == hash(DigitShift((1, 2, 3), 3))
+        assert type(t.words) is tuple and all(type(w) is int for w in t.words)
+        ctx = DiscrepancyContext.build(sobol_generators(3, 3), t)
+        assert ctx.shift == (1, 2, 3) and type(ctx.shift) is tuple
+        with pytest.raises(TypeError):
+            DigitShift((1.0, 2), 3)
 
     def test_net_points_reject_a_mismatched_shift(self):
         with pytest.raises(ValueError, match="shift grid"):

@@ -172,6 +172,13 @@ class TestNetSideOracle:
         assert len(ctx.require_dual()) == 1 << 10
         assert "dual_points" in vars(ctx)
 
+    def test_net_side_routes_leave_the_certificate_and_dual_uncomputed(self):
+        ctx = DiscrepancyContext.build(sobol_generators(3, 5), random_shift(3, 5, 1))
+        m_sampler(ctx)(np.random.default_rng(0).random((256, 6)))
+        l2_m_exact(ctx)
+        assert not {"quality", "dual", "dual_points"} & set(vars(ctx))
+        assert "packed_net" in vars(ctx)
+
     def test_above_the_cap(self):
         ctx = DiscrepancyContext.build(sobol_generators(3, 4), cap=8)
         with pytest.raises(RouteUnavailableError):

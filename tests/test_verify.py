@@ -259,8 +259,8 @@ class TestCorruptedTablesAgainstLoops:
         # gap exceeds n * 2^deficiency.
         for ctx in (vdc_ctx, sobol_ctx):
             for k in (0, 3, -1):
-                pile = (ctx.point_words[k],) * ctx.cardinality
-                corrupted = replace(ctx, point_words=pile)
+                corrupted = replace(ctx)
+                vars(corrupted)["packed_net"] = (ctx.packed_net[k],) * ctx.cardinality
                 report = approximation_gap(corrupted)
                 assert not report.within_bound
                 assert report == gap_loop(corrupted)
