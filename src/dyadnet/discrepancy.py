@@ -10,7 +10,7 @@ leading-digit groups that drive the moment bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -58,7 +58,9 @@ class DiscrepancyContext:
     Everything else is computed on first access and kept in the instance
     dict, so a route pays only for what it reads.  `packed_net`, the
     unshifted net's packed words in `F2Subspace.enumerate_packed` order,
-    is the one listing of the net; `dual_points` is None above `cap`.
+    is the one listing of the net; reading `dual_points` (and so
+    `dual_signs` and `groups`) above `cap` raises `RouteUnavailableError`
+    before the dual is enumerated, and stores nothing.
     """
 
     subspace: F2Subspace
@@ -100,38 +102,25 @@ class DiscrepancyContext:
         return tuple(self.subspace.enumerate_packed(max(self.cap, self.cardinality)))
 
     @cached_property
-    def dual_points(self) -> tuple[tuple[int, ...], ...] | None:
+    def dual_points(self) -> tuple[tuple[int, ...], ...]:
         if self.dual.cardinality > self.cap:
-            return None
+            raise RouteUnavailableError(
+                f"dual has 2^{self.dual.dim} elements, above the enumeration cap"
+            )
         return tuple(sorted(
             _unpack(p, self.n, self.s) for p in self.dual.enumerate_packed(self.cap)
         ))
 
     @cached_property
-    def dual_signs(self) -> tuple[int, ...] | None:
-        pts = self.dual_points
-        return None if pts is None else tuple(self.shift_sign(L) for L in pts)
-
-    def with_dual_points(self, dual_points) -> "DiscrepancyContext":
-        """Test hook: replace the enumerated dual (e.g. to corrupt it).  The
-        copy recomputes `dual_signs` and `groups` from the replacement."""
-        out = replace(self)
-        vars(out)["dual_points"] = tuple(tuple(L) for L in dual_points)
-        return out
-
-    def require_dual(self) -> tuple[tuple[int, ...], ...]:
-        if self.dual_points is None:
-            raise RouteUnavailableError(
-                f"dual has 2^{self.dual.dim} elements, above the enumeration cap"
-            )
-        return self.dual_points
+    def dual_signs(self) -> tuple[int, ...]:
+        return tuple(self.shift_sign(L) for L in self.dual_points)
 
     @cached_property
     def groups(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """Dual members by leading-digit position vector, each group in
         dual order; raises `RouteUnavailableError` above the cap."""
         out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for L in self.require_dual():
+        for L in self.dual_points:
             out.setdefault(rho_vector(L), []).append(L)
         return {rho: tuple(members) for rho, members in out.items()}
 
@@ -191,7 +180,7 @@ def _dual_table(ctx: DiscrepancyContext) -> np.ndarray:
     indicator of the nonzero dual indices (repeats add up) with the rows of
     the matrix `walsh._chi_num(l, u, s)` that some index holds."""
     n, s = ctx.n, ctx.s
-    dual = ctx.require_dual()
+    dual = ctx.dual_points
     words = np.array([_pack(L, s) for L in dual], dtype=np.int64)
     indicator = np.zeros(1 << (n * s), dtype=np.int64)
     np.add.at(indicator, words, ctx.dual_signs)

@@ -1,8 +1,9 @@
 """Binary digital nets: generator matrices, quality certification, digit
 shifts, and the rescaling that produces arbitrary-N point sets.
 
-A generator set holds n square s x s matrices over GF(2); index word a
-maps to the point whose coordinate-j digits are C_j a.  Builtins cover
+A generator set holds n square s x s matrices over GF(2) by their
+columns, the images of the unit index words; index word a maps to the
+point whose coordinate-j digits are C_j a.  Builtins cover
 the classical two-dimensional identity/bit-reversal pair and Sobol'
 direction numbers up to dimension 10.
 """
@@ -19,7 +20,7 @@ from operator import index
 from pathlib import Path
 from typing import Sequence
 
-from .f2core import F2Subspace, _pack, _reduce, parity
+from .f2core import F2Subspace, _pack, _reduce
 
 
 class GeneratorFormatError(ValueError):
@@ -36,45 +37,35 @@ class RescaleError(RuntimeError):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """n generator matrices over GF(2), each s x s.
+    """n generator matrices over GF(2), each s x s, stored by columns.
 
-    rows[j][i] is row i+1 of the j-th matrix as a bitmask over index-word
-    bits (bit k-1 multiplies word bit k-1), producing digit i+1 of
-    coordinate j.
+    columns[j][k] is column k+1 of the j-th matrix: the digit word of
+    coordinate j for index word 1 << k (digit i+1 is bit s-1-i of the
+    word).  The map must be injective, so a generator set is a net of
+    2^s distinct points once built; a singular one raises InjectivityError.
     """
 
     n: int
     s: int
-    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
     name: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(map(index, r)) for r in self.rows))
+        object.__setattr__(self, "columns",
+                           tuple(tuple(map(index, c)) for c in self.columns))
         if self.n < 1 or self.s < 1:
             raise ValueError("need n >= 1 and s >= 1")
-        if len(self.rows) != self.n or any(len(r) != self.s for r in self.rows):
-            raise GeneratorFormatError("expected n blocks of s rows")
-        if any(not 0 <= r < 1 << self.s for block in self.rows for r in block):
-            raise GeneratorFormatError("matrix row wider than s bits")
-
-    def coord_word(self, j: int, a: int) -> int:
-        """Digit word of coordinate j for index word a."""
-        w = 0
-        for row in self.rows[j]:
-            w = (w << 1) | parity(row & a)
-        return w
-
-    def basis_images(self) -> list[tuple[int, ...]]:
-        """Digit words of the images of the s unit index words."""
-        return [tuple(self.coord_word(j, 1 << k) for j in range(self.n))
-                for k in range(self.s)]
+        if len(self.columns) != self.n or any(len(c) != self.s for c in self.columns):
+            raise GeneratorFormatError("expected n blocks of s columns")
+        if any(not 0 <= w < 1 << self.s for block in self.columns for w in block):
+            raise GeneratorFormatError("matrix column wider than s bits")
+        as_subspace(self)
 
     @cached_property
     def point_words(self) -> tuple[tuple[int, ...], ...]:
         """Digit words of all 2^s net points, in Gray-code order of the
-        index word; raises InjectivityError if two points coincide."""
-        as_subspace(self)
-        images = self.basis_images()
+        index word."""
+        images = list(zip(*self.columns))
         cur = [0] * self.n
         words = [tuple(cur)]
         for i in range(1, 1 << self.s):
@@ -164,7 +155,8 @@ def _shift_words(net: GeneratorSet | F2Subspace,
 
 def as_subspace(gen: GeneratorSet) -> F2Subspace:
     """The net as a subspace of Q^n(2^s); raises unless the map is injective."""
-    sub = F2Subspace.from_packed(gen.n, gen.s, (_pack(w, gen.s) for w in gen.basis_images()))
+    sub = F2Subspace.from_packed(gen.n, gen.s,
+                                 (_pack(w, gen.s) for w in zip(*gen.columns)))
     if sub.dim != gen.s:
         raise InjectivityError(
             f"generator map has rank {sub.dim} < {gen.s}; the net would collapse"
@@ -336,7 +328,8 @@ SOBOL_MAX_DIM = len(_SOBOL_ROWS) + 1
 
 
 def _sobol_direction_words(dim_index: int, s: int) -> list[int]:
-    """Direction numbers m_k 2^(s-k) for one Sobol' coordinate, as digit words."""
+    """Direction numbers m_k 2^(s-k) for one Sobol' coordinate, as digit
+    words: the columns of its generator matrix."""
     if dim_index == 0:
         return [1 << (s - k) for k in range(1, s + 1)]
     deg, a, m_init = _SOBOL_ROWS[dim_index - 1]
@@ -350,22 +343,10 @@ def _sobol_direction_words(dim_index: int, s: int) -> list[int]:
     return [m[k - 1] << (s - k) for k in range(1, s + 1)]
 
 
-def _matrix_from_columns(cols: Sequence[int], s: int) -> tuple[int, ...]:
-    """Rows of the s x s matrix whose k-th column is the digit word cols[k]."""
-    rows = []
-    for i in range(1, s + 1):
-        r = 0
-        for k, col in enumerate(cols):
-            if (col >> (s - i)) & 1:
-                r |= 1 << k
-        rows.append(r)
-    return tuple(rows)
-
-
 def van_der_corput_generators(s: int) -> GeneratorSet:
     """The classical planar pair: identity and bit-reversal matrices."""
-    ident = tuple(1 << (i - 1) for i in range(1, s + 1))
-    anti = tuple(1 << (s - i) for i in range(1, s + 1))
+    ident = tuple(1 << (s - 1 - k) for k in range(s))
+    anti = tuple(1 << k for k in range(s))
     return GeneratorSet(2, s, (ident, anti), name="van-der-corput")
 
 
@@ -373,15 +354,15 @@ def sobol_generators(n: int, s: int) -> GeneratorSet:
     """Sobol' generator matrices from tabulated direction numbers."""
     if not 1 <= n <= SOBOL_MAX_DIM:
         raise ValueError(f"sobol builtin supports 1 <= n <= {SOBOL_MAX_DIM}")
-    blocks = tuple(
-        _matrix_from_columns(_sobol_direction_words(j, s), s) for j in range(n)
-    )
-    return GeneratorSet(n, s, blocks, name="sobol")
+    return GeneratorSet(n, s, tuple(_sobol_direction_words(j, s) for j in range(n)),
+                        name="sobol")
 
 
 def parse_generator_file(text: str) -> GeneratorSet:
     """Parse the plain-text matrix format: header `n s`, then n blank-line
-    separated blocks of s rows of s characters in {0,1}."""
+    separated blocks of s rows of s characters in {0,1}.  Row i holds
+    digit i of every column, so column k is the k-th characters read
+    down the block."""
     lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():
@@ -414,8 +395,8 @@ def parse_generator_file(text: str) -> GeneratorSet:
                 raise GeneratorFormatError(
                     f"line {idx}: expected {s} characters of 0/1, got {row!r}"
                 )
-            rows.append(int(row[::-1], 2))
-        blocks.append(rows)
+            rows.append(row)
+        blocks.append(tuple(int("".join(col), 2) for col in zip(*rows)))
     while idx < len(lines):
         if lines[idx].strip():
             raise GeneratorFormatError(f"line {idx + 1}: trailing content")
@@ -426,10 +407,9 @@ def parse_generator_file(text: str) -> GeneratorSet:
 def format_generator_file(gen: GeneratorSet) -> str:
     """Inverse of parse_generator_file, bit-exact."""
     out = [f"{gen.n} {gen.s}"]
-    for block in gen.rows:
+    for block in gen.columns:
         out.append("")
-        for r in block:
-            out.append("".join("1" if (r >> k) & 1 else "0" for k in range(gen.s)))
+        out.extend(map("".join, zip(*(format(w, f"0{gen.s}b") for w in block))))
     return "\n".join(out) + "\n"
 
 
@@ -437,7 +417,7 @@ def load_generators(source: str | Path, n: int | None = None,
                     s: int | None = None) -> GeneratorSet:
     """Builtin name ('van-der-corput', 'sobol'), 'file:PATH', or a path.
 
-    Builtins need s (and n for sobol); the map is injectivity-checked.
+    Builtins need s (and n for sobol).
     """
     gen: GeneratorSet
     if isinstance(source, Path):
@@ -462,5 +442,4 @@ def load_generators(source: str | Path, n: int | None = None,
         raise ValueError(f"source has n={gen.n}, requested n={n}")
     if s is not None and gen.s != s:
         raise ValueError(f"source has s={gen.s}, requested s={s}")
-    as_subspace(gen)  # injectivity check at load
     return gen

@@ -23,6 +23,8 @@ from .nets import PointSet, _compositions
 
 DEFAULT_Q_GRID = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0)
 _BLOCK = 4096
+# Net points compared with a block's queries at a time in `dn_sampler`.
+_DN_CHUNK = 4096
 
 
 def q_grid(values: Sequence[float]) -> tuple[float, ...]:
@@ -114,15 +116,23 @@ def lq_norms_mc(f: Callable[[np.ndarray], np.ndarray], dims: int,
 
 
 def dn_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized discrepancy of a fixed point set at uniform queries."""
+    """Vectorized discrepancy of a fixed point set at uniform queries.
+
+    The points below each query are counted `_DN_CHUNK` points at a time
+    and the integer counts added, so a block's working set is
+    O(_DN_CHUNK * block) whatever the size of the point set.
+    """
     arr = np.array([[float(c) for c in p] for p in points.points], dtype=np.float64)
     size = points.size
 
     def f(y: np.ndarray) -> np.ndarray:
-        inside = np.ones((size, y.shape[0]), dtype=bool)
-        for j in range(points.n):
-            inside &= arr[:, j][:, None] < y[None, :, j]
-        return inside.sum(axis=0) - size * y.prod(axis=1)
+        counts = np.zeros(y.shape[0], dtype=np.int64)
+        for chunk in np.split(arr, range(_DN_CHUNK, size, _DN_CHUNK)):
+            inside = np.ones((len(chunk), y.shape[0]), dtype=bool)
+            for j in range(points.n):
+                inside &= chunk[:, j][:, None] < y[None, :, j]
+            counts += inside.sum(axis=0)
+        return counts - size * y.prod(axis=1)
 
     return f
 

@@ -78,7 +78,7 @@ def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
     size = _grid_size(ctx, s)
     sums = _character_table(ctx.packed_net, n, s)
     want = np.zeros(size, dtype=np.int64)
-    want[[_pack(L, s) for L in ctx.require_dual()]] = ctx.cardinality
+    want[[_pack(L, s) for L in ctx.dual_points]] = ctx.cardinality
     bad = np.flatnonzero(sums != want)
     if bad.size:
         v = int(bad[0])

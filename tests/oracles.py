@@ -21,6 +21,8 @@ evaluates one way in production; tests compare the two.
 - `iter_grid` yields every `DyadicPoint` of the grid in packed order, and
   `truncate` re-expresses a point at another resolution.
 - `discrepancy_exact` counts net points in a box one by one.
+- `with_dual_points` is a copy of a context with its dual replaced
+  (e.g. corrupted), for the negative controls of the dual checks.
 - `character_sum`, one character sum at one grid point, is the oracle of
   the whole-grid Walsh-Hadamard table `verify._character_table`.
 - `delta_indicator` is that sum over the strictly-below subgroup at one
@@ -44,7 +46,7 @@ evaluates one way in production; tests compare the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -255,6 +257,14 @@ def discrepancy_exact(points: PointSet, Y) -> Fraction:
     return count - points.size * vol
 
 
+def with_dual_points(ctx: DiscrepancyContext, dual_points) -> DiscrepancyContext:
+    """A copy of `ctx` whose enumerated dual is `dual_points`; the copy
+    computes `dual_signs` and `groups` from the replacement."""
+    out = replace(ctx)
+    vars(out)["dual_points"] = tuple(tuple(L) for L in dual_points)
+    return out
+
+
 def character_sum(words, other: int) -> int:
     """Sum of `_character(a, other)` over the words a."""
     return sum(_character(a, other) for a in words)
@@ -292,7 +302,7 @@ def lambda_group_walk(ctx: DiscrepancyContext, rho_bar) -> LambdaGroup:
     bounds = [1 << (r - 1) if r >= 1 else 1 for r in rho_bar]
     members = []
     lam0 = []
-    for L in ctx.require_dual():
+    for L in ctx.dual_points:
         if rho_vector(L) == rho_bar:
             members.append(L)
         if all(l < b for l, b in zip(L, bounds)):
@@ -311,7 +321,7 @@ def poisson_loop(ctx: DiscrepancyContext) -> IdentityResult:
     n, s = ctx.n, ctx.s
     card = ctx.cardinality
     net = list(ctx.subspace.enumerate_packed())
-    dual_set = {_pack(L, s) for L in ctx.require_dual()}
+    dual_set = {_pack(L, s) for L in ctx.dual_points}
     checked = 0
     for v in range(1 << (n * s)):
         total = character_sum(net, _rev_packed(v, n, s))
@@ -336,7 +346,7 @@ def delta_loop(ctx: DiscrepancyContext) -> IdentityResult:
     """
     n, s = ctx.n, ctx.s
     groups = ctx.groups
-    direct_sums = len(ctx.require_dual()) <= 64
+    direct_sums = len(ctx.dual_points) <= 64
     checked = 0
     for rho_bar, members in sorted(groups.items()):
         if not any(any(L) for L in members):
@@ -460,7 +470,7 @@ def m_dual_sum(ctx: DiscrepancyContext, Y) -> Fraction:
     over the nonzero dual indices."""
     g, us = grid_words(Y, ctx.s, ctx.n)
     total = 0
-    dual = ctx.require_dual()
+    dual = ctx.dual_points
     signs = ctx.dual_signs
     for idx, L in enumerate(dual):
         if not any(L):

@@ -123,6 +123,14 @@ class TestCertify:
         result = runner.invoke(main, ["certify", "--net", f"file:{bad}", "--s", "3"])
         assert result.exit_code == 2
 
+    def test_singular_file_exit_code(self, runner, tmp_path):
+        singular = tmp_path / "singular.txt"
+        singular.write_text("1 3\n\n110\n110\n110\n")  # rank 1
+        result = runner.invoke(main, ["certify", "--net", f"file:{singular}"])
+        assert result.exit_code == 2
+        assert result.output == ("Error: cannot load net: generator map has rank 1 < 3; "
+                                 "the net would collapse\n")
+
     def test_exact_without_dual_enumeration(self, runner):
         # The dual has 2^40 elements; the rank conditions still give t exactly.
         out = run_ok(runner, ["certify", "--net", "sobol", "--n", "6", "--s", "8"])

@@ -37,6 +37,7 @@ from oracles import (
     truncate,
     walsh_1d,
     walsh_nd,
+    with_dual_points,
 )
 
 
@@ -273,7 +274,7 @@ class TestLambdaGroups:
         assert ctx.groups is ctx.groups
         assert "groups" in vars(ctx)
         kept = [L for L in ctx.dual_points if L != (7, 7)]
-        copy = ctx.with_dual_points(kept)
+        copy = with_dual_points(ctx, kept)
         assert "groups" not in vars(copy)
         assert ctx.groups[(3, 3)] == ((5, 5), (7, 7))
         assert copy.groups[(3, 3)] == ((5, 5),)
@@ -419,7 +420,7 @@ class TestNegativeControls:
         ctx = DiscrepancyContext.build(van_der_corput_generators(3))
         bad = list(ctx.dual_points)
         bad[1] = (1, 1) if bad[1] != (1, 1) else (2, 1)
-        corrupted = ctx.with_dual_points(tuple(dict.fromkeys(bad)))
+        corrupted = with_dual_points(ctx, tuple(dict.fromkeys(bad)))
         mismatches = sum(
             m_direct(corrupted, Y) != m_dual_sum(corrupted, Y)
             for Y in iter_grid(2, 3)

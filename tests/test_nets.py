@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,16 @@ from dyadnet.nets import (
     verify_box_counts,
 )
 from oracles import DyadicPoint
+
+
+def from_rows(n: int, s: int, rows, name: str = "custom") -> GeneratorSet:
+    """The generator set spelled by matrix rows: rows[j][i] is row i + 1 of
+    matrix j, a bitmask whose bit k multiplies index bit k and gives digit
+    i + 1 (bit s - 1 - i of the column words)."""
+    return GeneratorSet(n, s, tuple(
+        tuple(sum(((r >> k) & 1) << (s - 1 - i) for i, r in enumerate(block))
+              for k in range(s))
+        for block in rows), name)
 
 
 class TestNetPoints:
@@ -58,18 +69,38 @@ class TestNetPoints:
 
     def test_singular_rejected(self):
         rows = (0b011, 0b011, 0b011)  # rank 1
-        gen = GeneratorSet(1, 3, (rows,))
-        with pytest.raises(InjectivityError):
-            as_subspace(gen)
-        with pytest.raises(InjectivityError):
-            net_points(gen)
+        message = "generator map has rank 1 < 3; the net would collapse"
+        with pytest.raises(InjectivityError, match=message):
+            from_rows(1, 3, (rows,))
+        with pytest.raises(InjectivityError, match=message):
+            parse_generator_file("1 3\n\n110\n110\n110\n")
+        # The map is tested as a whole: no coordinate alone is injective here.
+        assert GeneratorSet(2, 3, ((4, 2, 6), (1, 2, 1))).point_words[0] == (0, 0)
+        with pytest.raises(InjectivityError, match="rank 2 < 3"):
+            GeneratorSet(2, 3, ((4, 2, 6), (1, 2, 3)))
 
-    def test_rows_are_stored_as_a_tuple_of_ints(self):
+    def test_columns_are_stored_as_a_tuple_of_ints(self):
         gen = GeneratorSet(2, 2, [[1, 2], (np.int64(2), 1)])
-        assert gen.rows == ((1, 2), (2, 1))
-        assert all(type(r) is int for block in gen.rows for r in block)
+        assert gen.columns == ((1, 2), (2, 1))
+        assert all(type(w) is int for block in gen.columns for w in block)
         assert gen == GeneratorSet(2, 2, ((1, 2), (2, 1)))
         assert hash(gen) == hash(GeneratorSet(2, 2, ((1, 2), (2, 1))))
+
+    def test_columns_are_the_images_of_the_unit_index_words(self):
+        for gen in (van_der_corput_generators(4), sobol_generators(3, 5)):
+            for k in range(gen.s):
+                # Gray-code position 2^(k+1) - 1 holds index word 1 << k.
+                assert gen.point_words[(2 << k) - 1] == tuple(
+                    block[k] for block in gen.columns)
+
+    @pytest.mark.parametrize("columns, match", [
+        (((1, 2),), "expected n blocks of s columns"),
+        (((1, 2), (1, 2, 4)), "expected n blocks of s columns"),
+        (((1, 4), (1, 2)), "matrix column wider than s bits"),
+    ])
+    def test_malformed_columns_rejected(self, columns, match):
+        with pytest.raises(GeneratorFormatError, match=match):
+            GeneratorSet(2, 2, columns)
 
 
 class TestAsSubspace:
@@ -125,12 +156,10 @@ def _dual_weight_oracle(gen: GeneratorSet) -> int:
 def _random_injective_generators(rng: random.Random, n: int, s: int) -> GeneratorSet:
     while True:
         rows = tuple(tuple(rng.getrandbits(s) for _ in range(s)) for _ in range(n))
-        gen = GeneratorSet(n, s, rows)
         try:
-            as_subspace(gen)
+            return from_rows(n, s, rows)
         except InjectivityError:
             continue
-        return gen
 
 
 class TestRankCertificateAgainstDualOracle:
@@ -140,7 +169,7 @@ class TestRankCertificateAgainstDualOracle:
         q = certify_deficiency(gen)
         want = _dual_weight_oracle(gen)
         assert (q.deficiency, q.dual_rt_weight) == (gen.s + 1 - want, want), (
-            gen.name, gen.n, gen.s, gen.rows)
+            gen.name, gen.n, gen.s, gen.columns)
         assert certify_deficiency(as_subspace(gen)) == q
 
     def test_sobol(self):
@@ -363,11 +392,31 @@ class TestGeneratorFiles:
         gen = sobol_generators(3, 5)
         text = format_generator_file(gen)
         back = parse_generator_file(text)
-        assert back.rows == gen.rows
+        assert back.columns == gen.columns
         path = tmp_path / "net.txt"
         path.write_text(text)
         loaded = load_generators(f"file:{path}")
-        assert loaded.rows == gen.rows
+        assert loaded.columns == gen.columns
+
+    def test_every_small_builtin_round_trips(self, tmp_path: Path):
+        gens = [van_der_corput_generators(s) for s in range(1, 9)]
+        gens += [sobol_generators(n, s) for n in range(1, 11) for s in range(1, 9)]
+        for gen in gens:
+            as_file = replace(gen, name="file")
+            text = format_generator_file(gen)
+            assert parse_generator_file(text) == as_file
+            path = tmp_path / f"{gen.name}-{gen.n}-{gen.s}.txt"
+            path.write_text(text)
+            assert load_generators(f"file:{path}") == as_file
+            assert load_generators(path, n=gen.n, s=gen.s) == as_file
+
+    def test_file_rows_are_matrix_rows(self):
+        # Row i holds digit i + 1; its k-th character multiplies index bit k.
+        text = "2 3\n\n100\n010\n001\n\n001\n010\n100\n"
+        gen = parse_generator_file(text)
+        assert gen == replace(van_der_corput_generators(3), name="file")
+        assert gen == from_rows(2, 3, ((1, 2, 4), (4, 2, 1)), name="file")
+        assert format_generator_file(gen) == text
 
     def test_malformed_row_names_line(self):
         text = "2 3\n\n101\n010\n001\n\n111\n01\n001\n"
@@ -393,9 +442,7 @@ class TestGeneratorFiles:
 class TestLoadGenerators:
     def test_builtin_vdc(self):
         gen = load_generators("van-der-corput", s=4)
-        ident, anti = gen.rows
-        assert ident == (1, 2, 4, 8)
-        assert anti == (8, 4, 2, 1)
+        assert gen == from_rows(2, 4, ((1, 2, 4, 8), (8, 4, 2, 1)), name="van-der-corput")
 
     def test_sobol_injective(self):
         gen = load_generators("sobol", n=3, s=8)

@@ -26,7 +26,8 @@ from dyadnet.norms import (
     normalized_ratio,
     q_grid,
 )
-from oracles import m_direct, m_dual_sum
+from dyadnet.norms import _DN_CHUNK
+from oracles import discrepancy_exact, m_direct, m_dual_sum
 
 
 class TestLqNormMc:
@@ -99,6 +100,20 @@ class TestLqNormMc:
         assert spread(strat) < spread(plain)
 
 
+class TestDnSampler:
+    def test_counts_past_one_chunk_match_the_oracle(self):
+        # 8192 points are counted in two chunks.  Queries k/2^15 are exact
+        # in float64, and so is the sampler's value at them.
+        pts = net_points(sobol_generators(3, 13), random_shift(3, 13, 2))
+        assert pts.size == 2 * _DN_CHUNK
+        ks = np.random.default_rng(13).integers(0, (1 << 15) + 1, size=(24, 3))
+        ks[0] = 1 << 15  # the whole cube holds every point
+        values = dn_sampler(pts)(ks / (1 << 15))
+        for k, value in zip(ks, values):
+            assert value == discrepancy_exact(pts, [Fraction(int(v), 1 << 15) for v in k])
+        assert values[0] == 0
+
+
 class TestExactSecondMoment:
     def test_trivial_distribution(self):
         ctx = DiscrepancyContext.build(F2Subspace.full(2, 3))
@@ -138,7 +153,7 @@ class TestExactSecondMoment:
 def _dual_l2(ctx):
     """The squared L^2 norm of M summed over the enumerated nonzero dual."""
     acc = Fraction(0)
-    for L in ctx.require_dual():
+    for L in ctx.dual_points:
         if any(L):
             acc += Fraction(1, 4 ** sum(l.bit_length() for l in L))
     return Fraction(ctx.cardinality**2, 3**ctx.n) * acc
@@ -169,7 +184,7 @@ class TestNetSideOracle:
         l2_m_exact(ctx)
         assert "dual_points" not in vars(ctx)
         assert "dual_signs" not in vars(ctx)
-        assert len(ctx.require_dual()) == 1 << 10
+        assert len(ctx.dual_points) == 1 << 10
         assert "dual_points" in vars(ctx)
 
     def test_net_side_routes_leave_the_certificate_and_dual_uncomputed(self):
@@ -181,8 +196,11 @@ class TestNetSideOracle:
 
     def test_above_the_cap(self):
         ctx = DiscrepancyContext.build(sobol_generators(3, 4), cap=8)
-        with pytest.raises(RouteUnavailableError):
-            ctx.require_dual()
+        for name in ("dual_points", "dual_signs", "groups"):
+            with pytest.raises(RouteUnavailableError, match="above the enumeration cap"):
+                getattr(ctx, name)
+        # A cached property that raises stores nothing: no dual was listed.
+        assert not {"dual_points", "dual_signs", "groups"} & set(vars(ctx))
         full = DiscrepancyContext.build(sobol_generators(3, 4))
         assert l2_m_exact(ctx) == l2_m_exact(full)
         u = np.random.default_rng(1).random((128, 6))

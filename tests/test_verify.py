@@ -38,6 +38,7 @@ from oracles import (
     m_dual_sum,
     poisson_loop,
     route_loop,
+    with_dual_points,
 )
 
 
@@ -248,7 +249,7 @@ class TestCorruptedTablesAgainstLoops:
         failed = 0
         for ctx in (vdc_ctx, sobol_ctx):
             for reason, dual in corrupted_duals(ctx).items():
-                corrupted = ctx.with_dual_points(dual)
+                corrupted = with_dual_points(ctx, dual)
                 res = check_route_equivalence(corrupted)
                 assert res == route_loop(corrupted), reason
                 failed += not res.passed
@@ -272,7 +273,7 @@ class TestCorruptedTablesAgainstLoops:
 class TestNegativeControls:
     def test_corrupted_dual_fails_poisson_with_witness(self, vdc_ctx):
         bad = [L for L in vdc_ctx.dual_points if any(L)][:-1]  # drop one member
-        corrupted = vdc_ctx.with_dual_points([(0, 0)] + bad)
+        corrupted = with_dual_points(vdc_ctx, [(0, 0)] + bad)
         res = check_poisson(corrupted)
         assert not res.passed
         assert outcome(res) == outcome(poisson_loop(corrupted))
@@ -288,7 +289,7 @@ class TestNegativeControls:
             for b in range(8)
             if (a, b) not in dual_set
         )
-        corrupted = vdc_ctx.with_dual_points(list(vdc_ctx.dual_points) + [intruder])
+        corrupted = with_dual_points(vdc_ctx, list(vdc_ctx.dual_points) + [intruder])
         res = check_poisson(corrupted)
         assert not res.passed
         assert res.witness["expected"] in (0, vdc_ctx.cardinality)
@@ -297,7 +298,7 @@ class TestNegativeControls:
     def test_corrupted_dual_fails_route_equivalence(self, vdc_ctx):
         bad = list(vdc_ctx.dual_points)
         bad.remove(max(bad))
-        corrupted = vdc_ctx.with_dual_points(bad)
+        corrupted = with_dual_points(vdc_ctx, bad)
         res = check_route_equivalence(corrupted)
         assert not res.passed
         assert res.witness is not None
@@ -306,7 +307,7 @@ class TestNegativeControls:
         # A member with the wrong leading positions grows the strictly-below
         # subgroup of its group past the cardinality bound.
         bad = list(vdc_ctx.dual_points) + [(1, 1)]
-        corrupted = vdc_ctx.with_dual_points(dict.fromkeys(bad))
+        corrupted = with_dual_points(vdc_ctx, dict.fromkeys(bad))
         res = check_delta_identities(corrupted)
         assert not res.passed
         assert res.witness["reason"] == "cardinality bound"
@@ -316,14 +317,14 @@ class TestNegativeControls:
         # (4, 4) has the leading positions of (7, 7) but is not in the dual,
         # so the group sum of (3, 3) no longer factors at some grid point.
         bad = [(4, 4) if L == (7, 7) else L for L in vdc_ctx.dual_points]
-        corrupted = vdc_ctx.with_dual_points(bad)
+        corrupted = with_dual_points(vdc_ctx, bad)
         res, loop = check_delta_identities(corrupted), delta_loop(corrupted)
         assert not res.passed
         assert res.checked == loop.checked
         assert res.witness.items() >= loop.witness.items()
 
     def test_describe_mentions_failure(self, vdc_ctx):
-        corrupted = vdc_ctx.with_dual_points(list(vdc_ctx.dual_points)[:-1])
+        corrupted = with_dual_points(vdc_ctx, list(vdc_ctx.dual_points)[:-1])
         res = check_poisson(corrupted)
         assert "FAIL" in res.describe()
         assert outcome(res) == outcome(poisson_loop(corrupted))
