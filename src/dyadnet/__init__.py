@@ -17,7 +17,6 @@ from .nets import (
     GeneratorSet,
     NetQuality,
     PointSet,
-    as_subspace,
     certify_deficiency,
     load_generators,
     net_points,
@@ -64,7 +63,6 @@ __all__ = [
     "NetQuality",
     "PointSet",
     "approximation_gap",
-    "as_subspace",
     "certify_deficiency",
     "dn_sampler",
     "exp_orlicz_estimate",

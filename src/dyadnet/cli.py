@@ -231,7 +231,7 @@ def certify(net, n, s, box_check, fmt, out):
     readers of the earlier output."""
     gen_set = _load_net(net, n, s)
     config = {"net": net, "n": gen_set.n, "s": gen_set.s, "box_check": box_check}
-    quality = certify_deficiency(gen_set)
+    quality = certify_deficiency(gen_set.subspace)
     boxes = None
     if box_check and gen_set.s <= 12:
         boxes = verify_box_counts(gen_set.point_words, gen_set.s, quality.deficiency)
@@ -265,12 +265,12 @@ def verify(net, n, s, shift_seed, fmt, out):
             for si in (2, 3, 4):
                 gen_set = _load_net(net, n, si)
                 shift = random_shift(gen_set.n, si, shift_seed + si)
-                ctx = DiscrepancyContext.build(gen_set, shift)
+                ctx = DiscrepancyContext.build(gen_set.subspace, shift)
                 results.extend(run_net_suite(ctx))
         else:
             gen_set = _load_net(net, n, s)
             shift = random_shift(gen_set.n, gen_set.s, shift_seed)
-            ctx = DiscrepancyContext.build(gen_set, shift)
+            ctx = DiscrepancyContext.build(gen_set.subspace, shift)
             results.extend(run_net_suite(ctx))
     except RouteUnavailableError as exc:
         raise _Failure(str(exc), EXIT_RUNTIME)
@@ -325,14 +325,14 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
     rows: list[list] = []
     extras: dict = {}
     results = []
+    # One shifted context serves both targets: `m_sampler` replaces the
+    # shift with sampled ones, and `l2_m_exact` reads the unshifted words.
+    ctx = DiscrepancyContext.build(gen_set.subspace, random_shift(nn, ss, shift_seed))
     try:
         if target in ("dn", "both"):
-            shift = random_shift(nn, ss, shift_seed)
-            pts = net_points(gen_set, shift)
-            results.append(("dn", lq_norms_mc(dn_sampler(pts), nn, qs, samples, seed,
+            results.append(("dn", lq_norms_mc(dn_sampler(ctx), nn, qs, samples, seed,
                                               stratified=stratified)))
         if target in ("m", "both"):
-            ctx = DiscrepancyContext.build(gen_set)
             results.append(("m", lq_norms_mc(m_sampler(ctx), 2 * nn, qs, samples,
                                              seed + 1, stratified=stratified)))
             extras["m_l2_exact"] = float(l2_m_exact(ctx)) ** 0.5
@@ -364,6 +364,7 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
 def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, fmt, out):
     """Growth-law table: discrepancy norms across resolutions and shifts,
     normalized by the expected moment profile."""
+    from .discrepancy import DiscrepancyContext
     from .norms import dn_sampler, lq_norms_mc, normalized_ratio
 
     qs = _parse_q_grid(q_text)
@@ -381,10 +382,10 @@ def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, fmt, out):
         per_q: dict[float, list[float]] = {q: [] for q in qs}
         for r in range(shifts):
             shift_seed = seed + 7919 * si + r
-            shift = random_shift(nn, si, shift_seed)
-            pts = net_points(gen_set, shift)
+            ctx = DiscrepancyContext.build(gen_set.subspace,
+                                           random_shift(nn, si, shift_seed))
             try:
-                ests = lq_norms_mc(dn_sampler(pts), nn, qs, samples,
+                ests = lq_norms_mc(dn_sampler(ctx), nn, qs, samples,
                                    seed + 104729 * si + r)
             except OverflowError as exc:
                 raise _Failure(str(exc), EXIT_RUNTIME)

@@ -25,14 +25,7 @@ from .f2core import (
     _rev_words,
     _unpack,
 )
-from .nets import (
-    DigitShift,
-    GeneratorSet,
-    NetQuality,
-    _shift_words,
-    as_subspace,
-    certify_deficiency,
-)
+from .nets import DigitShift, NetQuality, _shift_words, certify_deficiency
 from . import walsh
 from .walsh import rho_vector
 
@@ -68,10 +61,11 @@ class DiscrepancyContext:
     cap: int
 
     @classmethod
-    def build(cls, source: GeneratorSet | F2Subspace,
-              shift: DigitShift | None = None,
+    def build(cls, sub: F2Subspace, shift: DigitShift | None = None,
               cap: int = DEFAULT_ENUM_CAP) -> "DiscrepancyContext":
-        sub = as_subspace(source) if isinstance(source, GeneratorSet) else source
+        """A net enters as `GeneratorSet.subspace`."""
+        if not isinstance(sub, F2Subspace):
+            raise TypeError(f"need an F2Subspace, not {type(sub).__name__}")
         if sub.n < 1 or sub.s < 1:
             raise ValueError("need n >= 1 and s >= 1")
         return cls(sub, _shift_words(sub, shift), cap)

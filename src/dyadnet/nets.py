@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -43,12 +43,14 @@ class GeneratorSet:
     coordinate j for index word 1 << k (digit i+1 is bit s-1-i of the
     word).  The map must be injective, so a generator set is a net of
     2^s distinct points once built; a singular one raises InjectivityError.
+    `subspace` is the net as a subspace of Q^n(2^s), reduced once here.
     """
 
     n: int
     s: int
     columns: tuple[tuple[int, ...], ...]
     name: str = "custom"
+    subspace: F2Subspace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "columns",
@@ -59,7 +61,13 @@ class GeneratorSet:
             raise GeneratorFormatError("expected n blocks of s columns")
         if any(not 0 <= w < 1 << self.s for block in self.columns for w in block):
             raise GeneratorFormatError("matrix column wider than s bits")
-        as_subspace(self)
+        sub = F2Subspace.from_packed(self.n, self.s,
+                                     (_pack(w, self.s) for w in zip(*self.columns)))
+        if sub.dim != self.s:
+            raise InjectivityError(
+                f"generator map has rank {sub.dim} < {self.s}; the net would collapse"
+            )
+        object.__setattr__(self, "subspace", sub)
 
     @cached_property
     def point_words(self) -> tuple[tuple[int, ...], ...]:
@@ -153,19 +161,9 @@ def _shift_words(net: GeneratorSet | F2Subspace,
     return shift.words
 
 
-def as_subspace(gen: GeneratorSet) -> F2Subspace:
-    """The net as a subspace of Q^n(2^s); raises unless the map is injective."""
-    sub = F2Subspace.from_packed(gen.n, gen.s,
-                                 (_pack(w, gen.s) for w in zip(*gen.columns)))
-    if sub.dim != gen.s:
-        raise InjectivityError(
-            f"generator map has rank {sub.dim} < {gen.s}; the net would collapse"
-        )
-    return sub
-
-
-def certify_deficiency(net: GeneratorSet | F2Subspace) -> NetQuality:
-    """Exact deficiency from rank conditions on the leading digits.
+def certify_deficiency(sub: F2Subspace) -> NetQuality:
+    """Exact deficiency of a net, given as its subspace
+    (`GeneratorSet.subspace`), from rank conditions on the leading digits.
 
     Boxes of volume 2^-m are fair exactly when, for every composition
     d_1 + ... + d_n = m, the leading d_j digits of the coordinates are
@@ -174,7 +172,6 @@ def certify_deficiency(net: GeneratorSet | F2Subspace) -> NetQuality:
     m gives deficiency s + 1 - m and is the minimum dual RT weight; no
     dual is enumerated.
     """
-    sub = as_subspace(net) if isinstance(net, GeneratorSet) else net
     n, s = sub.n, sub.s
     if sub.dim != s:
         raise ValueError(f"a subspace of dimension {sub.dim} is not a net of 2^{s} points")

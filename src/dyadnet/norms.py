@@ -19,7 +19,7 @@ import numpy as np
 
 from .discrepancy import DiscrepancyContext
 from .f2core import _unpack
-from .nets import PointSet, _compositions
+from .nets import _compositions
 
 DEFAULT_Q_GRID = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0)
 _BLOCK = 4096
@@ -115,21 +115,24 @@ def lq_norms_mc(f: Callable[[np.ndarray], np.ndarray], dims: int,
     return _block_moments(eval_block, qs, samples, seed)
 
 
-def dn_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized discrepancy of a fixed point set at uniform queries.
+def dn_sampler(ctx: DiscrepancyContext) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized discrepancy of the context's shifted net at uniform queries.
 
-    The points below each query are counted `_DN_CHUNK` points at a time
-    and the integer counts added, so a block's working set is
-    O(_DN_CHUNK * block) whatever the size of the point set.
+    A point is its net word XOR the context's shift, over 2^s in float64,
+    which is exact for s <= 53.  The points below each query are counted
+    `_DN_CHUNK` points at a time and the integer counts added, so a block's
+    working set is O(_DN_CHUNK * block) whatever the size of the net.
     """
-    arr = np.array([[float(c) for c in p] for p in points.points], dtype=np.float64)
-    size = points.size
+    n, s = ctx.n, ctx.s
+    words = np.array([_unpack(p, n, s) for p in ctx.packed_net], dtype=np.int64)
+    arr = (words ^ np.array(ctx.shift, dtype=np.int64)) / (1 << s)
+    size = ctx.cardinality
 
     def f(y: np.ndarray) -> np.ndarray:
         counts = np.zeros(y.shape[0], dtype=np.int64)
         for chunk in np.split(arr, range(_DN_CHUNK, size, _DN_CHUNK)):
             inside = np.ones((len(chunk), y.shape[0]), dtype=bool)
-            for j in range(points.n):
+            for j in range(n):
                 inside &= chunk[:, j][:, None] < y[None, :, j]
             counts += inside.sum(axis=0)
         return counts - size * y.prod(axis=1)

@@ -21,6 +21,9 @@ evaluates one way in production; tests compare the two.
 - `iter_grid` yields every `DyadicPoint` of the grid in packed order, and
   `truncate` re-expresses a point at another resolution.
 - `discrepancy_exact` counts net points in a box one by one.
+- `dn_points_sampler` is the discrepancy sampler over a `PointSet` of
+  `Fraction`s, which it turns into floats; it is the oracle of
+  `norms.dn_sampler`, which divides the context's shifted words in float64.
 - `with_dual_points` is a copy of a context with its dual replaced
   (e.g. corrupted), for the negative controls of the dual checks.
 - `character_sum`, one character sum at one grid point, is the oracle of
@@ -50,7 +53,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from dyadnet.discrepancy import DiscrepancyContext, GapReport, LambdaGroup, lambda_group
 from dyadnet.f2core import (
@@ -64,6 +69,7 @@ from dyadnet.f2core import (
     parity,
 )
 from dyadnet.nets import PointSet
+from dyadnet.norms import _DN_CHUNK
 from dyadnet.verify import IdentityResult
 from dyadnet.walsh import _chi_num, rho_index, rho_vector
 
@@ -255,6 +261,28 @@ def discrepancy_exact(points: PointSet, Y) -> Fraction:
         if all(c < y for c, y in zip(p, ys)):
             count += 1
     return count - points.size * vol
+
+
+def dn_points_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized discrepancy of a fixed point set at uniform queries.
+
+    The points below each query are counted `_DN_CHUNK` points at a time
+    and the integer counts added, so a block's working set is
+    O(_DN_CHUNK * block) whatever the size of the point set.
+    """
+    arr = np.array([[float(c) for c in p] for p in points.points], dtype=np.float64)
+    size = points.size
+
+    def f(y: np.ndarray) -> np.ndarray:
+        counts = np.zeros(y.shape[0], dtype=np.int64)
+        for chunk in np.split(arr, range(_DN_CHUNK, size, _DN_CHUNK)):
+            inside = np.ones((len(chunk), y.shape[0]), dtype=bool)
+            for j in range(points.n):
+                inside &= chunk[:, j][:, None] < y[None, :, j]
+            counts += inside.sum(axis=0)
+        return counts - size * y.prod(axis=1)
+
+    return f
 
 
 def with_dual_points(ctx: DiscrepancyContext, dual_points) -> DiscrepancyContext:

@@ -21,7 +21,6 @@ from dyadnet.discrepancy import (
 )
 from dyadnet.f2core import F2Subspace
 from dyadnet.nets import (
-    net_points,
     random_shift,
     sobol_generators,
     van_der_corput_generators,
@@ -80,7 +79,7 @@ def test_criterion_01_poisson_summation():
     ]
     checked = 0
     for name, gen in cases:
-        res = check_poisson(DiscrepancyContext.build(gen))
+        res = check_poisson(DiscrepancyContext.build(gen.subspace))
         assert res.passed, (name, res.witness)
         checked += res.checked
     _report(1, True, f"character sums exact over {checked} index/point cases",
@@ -122,14 +121,14 @@ def test_criterion_05_route_equivalence():
     total = 0
     for s in range(1, 5):
         ctx = DiscrepancyContext.build(
-            van_der_corput_generators(s), random_shift(2, s, seed=50 + s)
+            van_der_corput_generators(s).subspace, random_shift(2, s, seed=50 + s)
         )
         res = check_route_equivalence(ctx)
         assert res.passed, res.witness
         total += res.checked
     for s in range(1, 5):
         ctx = DiscrepancyContext.build(
-            sobol_generators(3, s), random_shift(3, s, seed=60 + s)
+            sobol_generators(3, s).subspace, random_shift(3, s, seed=60 + s)
         )
         res = check_route_equivalence(ctx)
         assert res.passed, res.witness
@@ -144,7 +143,8 @@ def test_criterion_06_approximation_gap():
     for s in range(1, 6):
         gen = van_der_corput_generators(s)
         for k in range(5):
-            ctx = DiscrepancyContext.build(gen, random_shift(2, s, seed=600 + 10 * s + k))
+            ctx = DiscrepancyContext.build(gen.subspace,
+                                           random_shift(2, s, seed=600 + 10 * s + k))
             rep = approximation_gap(ctx)  # exhaustive at s + 2 digits
             assert rep.bound == 2 * (1 << ctx.quality.deficiency)
             assert rep.within_bound, (s, k, rep.max_gap)
@@ -158,7 +158,7 @@ def test_criterion_07_delta_identities():
     t0 = time.time()
     checked = 0
     for s in range(1, 5):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(s))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(s).subspace)
         grid = list(iter_grid(2, s))
         for rho_bar, members in sorted(ctx.groups.items()):
             if not any(any(L) for L in members):
@@ -181,7 +181,7 @@ def test_criterion_08_l2_oracle():
     devs = []
     for name, gen in (("van-der-corput s=4", van_der_corput_generators(4)),
                       ("sobol n=3 s=4", sobol_generators(3, 4))):
-        ctx = DiscrepancyContext.build(gen)
+        ctx = DiscrepancyContext.build(gen.subspace)
         target = float(l2_m_exact(ctx)) ** 0.5
         est = lq_norms_mc(m_sampler(ctx), 2 * ctx.n, [2.0], 100000, seed=8)[0]
         dev = abs(est.value - target) / est.stderr
@@ -230,8 +230,8 @@ def test_criterion_10_scaling_experiment():
             per_q = {q: [] for q in qs}
             for r in range(8):
                 shift = random_shift(n, s, seed=7919 * s + r)
-                pts = net_points(gen, shift)
-                ests = lq_norms_mc(dn_sampler(pts), n, qs, samples,
+                ctx = DiscrepancyContext.build(gen.subspace, shift)
+                ests = lq_norms_mc(dn_sampler(ctx), n, qs, samples,
                                    seed=104729 * s + r)
                 for e in ests:
                     per_q[e.q].append(normalized_ratio(e.value, e.q, s, n))
@@ -245,7 +245,7 @@ def test_criterion_10_scaling_experiment():
     growth_ok = []
     for n, s in ((2, 6), (3, 4)):
         gen = van_der_corput_generators(s) if n == 2 else sobol_generators(3, s)
-        ctx = DiscrepancyContext.build(gen)
+        ctx = DiscrepancyContext.build(gen.subspace)
         ests = lq_norms_mc(m_sampler(ctx), 2 * n, qs, 100000, seed=31)
         for lo, hi in zip(ests, ests[1:]):
             cap = (hi.q / lo.q) ** ((n + 1) / 2)

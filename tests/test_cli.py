@@ -269,6 +269,36 @@ class TestNorms:
         assert "# m_l2_exact" in out
         assert len(data_rows(out)) == 1
 
+    def test_both_targets_equal_the_separate_runs(self, runner):
+        # One shifted context feeds both samplers; the shift must not reach M.
+        args = ["norms", "--net", "sobol", "--n", "3", "--s", "5", "--samples", "3000",
+                "--q-grid", "1,2,8", "--seed", "4", "--shift-seed", "9", "--format", "json"]
+        both, dn, m = (json.loads(run_ok(runner, args + ["--target", target]))
+                       for target in ("both", "dn", "m"))
+        assert both["rows"] == dn["rows"] + m["rows"]
+        assert both["extras"] == {**dn["extras"], **m["extras"]}
+        assert set(dn["extras"]).isdisjoint(m["extras"])
+
+
+@pytest.mark.parametrize("args", [
+    ["certify", "--net", "sobol", "--n", "4", "--s", "7"],
+    ["norms", "--net", "sobol", "--n", "3", "--s", "6", "--samples", "1024"],
+], ids=["certify", "norms"])
+def test_net_is_reduced_once(runner, monkeypatch, args):
+    # The generator set reduces its subspace once; every consumer reads it.
+    from dyadnet.f2core import F2Subspace
+
+    real = F2Subspace.from_packed.__func__
+    calls = []
+
+    def spy(cls, n, s, vectors):
+        calls.append((n, s))
+        return real(cls, n, s, vectors)
+
+    monkeypatch.setattr(F2Subspace, "from_packed", classmethod(spy))
+    run_ok(runner, args)
+    assert len(calls) == 1
+
 
 class TestSweep:
     def test_deterministic_rerun(self, runner, tmp_path):

@@ -15,7 +15,6 @@ from dyadnet.discrepancy import (
 from dyadnet.f2core import F2Subspace, _pack, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
-    as_subspace,
     certify_deficiency,
     net_points,
     random_shift,
@@ -89,9 +88,9 @@ class TestDiscrepancyExact:
         for seed in range(3):
             shift = random_shift(n, s, seed)
             pts = net_points(gen, shift)
-            ctx = DiscrepancyContext.build(gen, shift)
+            ctx = DiscrepancyContext.build(gen.subspace, shift)
             ks = rng.integers(0, (1 << g) + 1, size=(200, n))
-            sampled = dn_sampler(pts)(ks / (1 << g))
+            sampled = dn_sampler(ctx)(ks / (1 << g))
             for k, value in zip(ks, sampled):
                 Y = tuple(Fraction(int(v), 1 << g) for v in k)
                 exact = discrepancy_exact(pts, Y)
@@ -114,21 +113,21 @@ class TestApproximationRoutes:
             assert m_direct(ctx, Y) == 0
 
     def test_zero_query(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         assert m_dual_sum(ctx, DyadicPoint.zero(2, 3)) == 0
         assert m_direct(ctx, DyadicPoint.zero(2, 3)) == 0
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_route_equivalence_vdc(self, s):
         ctx = DiscrepancyContext.build(
-            van_der_corput_generators(s), random_shift(2, s, seed=s)
+            van_der_corput_generators(s).subspace, random_shift(2, s, seed=s)
         )
         for Y in iter_grid(2, s):
             assert m_direct(ctx, Y) == m_dual_sum(ctx, Y)
 
     def test_route_equivalence_off_grid(self):
         ctx = DiscrepancyContext.build(
-            van_der_corput_generators(3), random_shift(2, 3, seed=5)
+            van_der_corput_generators(3).subspace, random_shift(2, 3, seed=5)
         )
         for Y in iter_grid(2, 5):
             assert m_direct(ctx, Y) == m_dual_sum(ctx, Y)
@@ -137,7 +136,7 @@ class TestApproximationRoutes:
         # Independent evaluation of the dual sum with library scalar parts.
         gen = van_der_corput_generators(3)
         t = random_shift(2, 3, seed=9)
-        ctx = DiscrepancyContext.build(gen, t)
+        ctx = DiscrepancyContext.build(gen.subspace, t)
         tvals = DyadicPoint(t.words, t.s).values()
         for Y in list(iter_grid(2, 3))[::7]:
             acc = Fraction(0)
@@ -165,17 +164,17 @@ class TestApproximationRoutes:
                 assert overlap == partial
 
     def test_cap_raises(self):
-        ctx = DiscrepancyContext.build(sobol_generators(3, 4), cap=8)
+        ctx = DiscrepancyContext.build(sobol_generators(3, 4).subspace, cap=8)
         with pytest.raises(RouteUnavailableError):
             m_dual_sum(ctx, DyadicPoint.zero(3, 4))
 
     def test_non_dyadic_rejected(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(2))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(2).subspace)
         with pytest.raises(ValueError):
             m_direct(ctx, (Fraction(1, 3), Fraction(1, 2)))
 
     def test_query_dimension_mismatch_rejected(self):
-        ctx = DiscrepancyContext.build(sobol_generators(3, 3))
+        ctx = DiscrepancyContext.build(sobol_generators(3, 3).subspace)
         short = [(Fraction(1, 2),), DyadicPoint.from_values([Fraction(1, 2)] * 2, 3)]
         for Y in short:
             for route in (m_direct, m_dual_sum):
@@ -187,7 +186,7 @@ class TestApproximationRoutes:
             delta_indicator(ctx, (1, 1, 1), DyadicPoint.zero(4, 3))
 
     def test_shift_sign_rejects_out_of_range_index(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         for L in ((8, 0), (0, -1)):
             with pytest.raises(ValueError):
                 ctx.shift_sign(L)
@@ -197,28 +196,28 @@ class TestApproximationRoutes:
 
     def test_build_takes_a_digit_shift_or_none(self):
         gen = van_der_corput_generators(3)
-        assert DiscrepancyContext.build(gen).shift == (0, 0)
+        assert DiscrepancyContext.build(gen.subspace).shift == (0, 0)
         t = random_shift(2, 3, seed=9)
-        ctx = DiscrepancyContext.build(gen, t)
+        ctx = DiscrepancyContext.build(gen.subspace, t)
         assert ctx.shift == t.words
         # The net is listed unshifted; only the box tables apply the shift.
         assert set(ctx.packed_net) == {_pack(p, 3) for p in gen.point_words}
         for other in (t.words, DyadicPoint(t.words, 3)):
             with pytest.raises(TypeError, match="DigitShift"):
-                DiscrepancyContext.build(gen, other)
+                DiscrepancyContext.build(gen.subspace, other)
         with pytest.raises(ValueError, match="shift grid"):
-            DiscrepancyContext.build(gen, random_shift(2, 4, seed=9))
+            DiscrepancyContext.build(gen.subspace, random_shift(2, 4, seed=9))
 
     def test_build_stores_only_its_input(self):
         gen = sobol_generators(3, 4)
-        ctx = DiscrepancyContext.build(gen, random_shift(3, 4, seed=2))
+        ctx = DiscrepancyContext.build(gen.subspace, random_shift(3, 4, seed=2))
         assert set(vars(ctx)) == {"subspace", "shift", "cap"}
         assert (ctx.n, ctx.s, ctx.cardinality) == (3, 4, 16)
-        assert ctx.quality.deficiency == certify_deficiency(gen).deficiency
+        assert ctx.quality.deficiency == certify_deficiency(gen.subspace).deficiency
         assert ctx.dual == ctx.subspace.dual()
 
     def test_net_is_listed_once_in_enumeration_order(self):
-        sub = as_subspace(sobol_generators(3, 5))
+        sub = sobol_generators(3, 5).subspace
         plain = DiscrepancyContext.build(sub)
         shifted = DiscrepancyContext.build(sub, random_shift(3, 5, seed=4))
         assert plain.packed_net == tuple(sub.enumerate_packed())
@@ -236,7 +235,7 @@ class TestApproximationGap:
     def test_vdc_shifted_exhaustive(self):
         gen = van_der_corput_generators(4)
         rep = approximation_gap(
-            DiscrepancyContext.build(gen, random_shift(2, 4, seed=21))
+            DiscrepancyContext.build(gen.subspace, random_shift(2, 4, seed=21))
         )
         assert rep.bound == 2
         assert rep.within_bound
@@ -244,7 +243,7 @@ class TestApproximationGap:
 
     def test_sobol_positive_deficiency(self):
         gen = sobol_generators(3, 3)
-        ctx = DiscrepancyContext.build(gen, random_shift(3, 3, seed=3))
+        ctx = DiscrepancyContext.build(gen.subspace, random_shift(3, 3, seed=3))
         rep = approximation_gap(ctx)
         assert rep.bound == 3 * (1 << ctx.quality.deficiency)
         assert rep.within_bound
@@ -260,7 +259,7 @@ BUILTIN_NETS = ([van_der_corput_generators(s) for s in range(1, 7)]
 class TestLambdaGroups:
     @pytest.mark.parametrize("gen", BUILTIN_NETS, ids=lambda g: f"{g.name}-{g.n}-{g.s}")
     def test_matches_the_dual_walk(self, gen):
-        ctx = DiscrepancyContext.build(gen)
+        ctx = DiscrepancyContext.build(gen.subspace)
         positions = set(ctx.groups)
         # Every position vector in the box where that stays small, so that
         # vectors without members are compared as well.
@@ -270,7 +269,7 @@ class TestLambdaGroups:
             assert lambda_group(ctx, rho_bar) == lambda_group_walk(ctx, rho_bar), rho_bar
 
     def test_groups_are_cached_and_recomputed_on_copies(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         assert ctx.groups is ctx.groups
         assert "groups" in vars(ctx)
         kept = [L for L in ctx.dual_points if L != (7, 7)]
@@ -282,7 +281,7 @@ class TestLambdaGroups:
         assert lambda_group(copy, (3, 3)) == lambda_group_walk(copy, (3, 3))
 
     def test_partition(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         groups = ctx.groups
         assert sum(len(v) for v in groups.values()) == len(ctx.dual_points)
         for rho_bar, members in groups.items():
@@ -290,7 +289,7 @@ class TestLambdaGroups:
                 assert rho_vector(L) == rho_bar
 
     def test_zero_vector_group(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         grp = lambda_group(ctx, (0, 0))
         assert grp.members == ((0, 0),)
         assert grp.lambda0 == ((0, 0),)
@@ -298,7 +297,7 @@ class TestLambdaGroups:
     def test_cardinality_bound_small_nets(self):
         for gen in (van_der_corput_generators(3), van_der_corput_generators(4),
                     sobol_generators(3, 3), sobol_generators(3, 4)):
-            ctx = DiscrepancyContext.build(gen)
+            ctx = DiscrepancyContext.build(gen.subspace)
             for rho_bar, members in ctx.groups.items():
                 if not any(any(L) for L in members):
                     continue
@@ -307,7 +306,7 @@ class TestLambdaGroups:
                 assert grp.representative == min(members)
 
     def test_lambda0_is_subgroup_and_translate(self):
-        ctx = DiscrepancyContext.build(sobol_generators(3, 3))
+        ctx = DiscrepancyContext.build(sobol_generators(3, 3).subspace)
         dual_set = set(ctx.dual_points)
         for rho_bar, members in ctx.groups.items():
             grp = lambda_group(ctx, rho_bar)
@@ -325,7 +324,7 @@ class TestLambdaGroups:
                 assert translate == lam0
 
     def test_range_validation(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         with pytest.raises(ValueError):
             lambda_group(ctx, (5, 0))
         with pytest.raises(ValueError):
@@ -338,7 +337,7 @@ class TestLambdaGroups:
 
 class TestDeltaIndicator:
     def test_zero_query_counts_subgroup(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         for rho_bar, members in ctx.groups.items():
             if not any(any(L) for L in members):
                 continue
@@ -348,7 +347,7 @@ class TestDeltaIndicator:
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_two_valued_and_unit_average(self, s):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(s))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(s).subspace)
         grid = list(iter_grid(2, s))
         for rho_bar, members in sorted(ctx.groups.items()):
             if not any(any(L) for L in members):
@@ -362,7 +361,7 @@ class TestDeltaIndicator:
             assert Fraction(total, len(grid)) == 1
 
     def test_truncation_of_fine_queries(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         rho_bar = next(
             rb for rb, ms in ctx.groups.items() if any(any(L) for L in ms)
         )
@@ -373,7 +372,7 @@ class TestDeltaIndicator:
             )
 
     def test_representative_factorization(self):
-        ctx = DiscrepancyContext.build(sobol_generators(3, 3))
+        ctx = DiscrepancyContext.build(sobol_generators(3, 3).subspace)
         for rho_bar, members in ctx.groups.items():
             if not any(any(L) for L in members):
                 continue
@@ -388,7 +387,7 @@ class TestPoissonSummation:
     @pytest.mark.parametrize("n,s", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)])
     def test_exhaustive(self, n, s):
         gen = van_der_corput_generators(s) if n == 2 else sobol_generators(n, s)
-        ctx = DiscrepancyContext.build(gen)
+        ctx = DiscrepancyContext.build(gen.subspace)
         dual_set = set(ctx.dual_points)
         dual_packed = set(ctx.dual.enumerate_packed())
         net = [_unpack(p, n, s) for p in ctx.subspace.enumerate_packed()]
@@ -405,7 +404,7 @@ class TestDecoupling:
     def test_grid_sum_invariant_under_translation(self):
         # XOR translation permutes the grid, so exact grid sums agree.
         ctx = DiscrepancyContext.build(
-            van_der_corput_generators(3), random_shift(2, 3, seed=1)
+            van_der_corput_generators(3).subspace, random_shift(2, 3, seed=1)
         )
         rng = random.Random(2)
         z = tuple(rng.getrandbits(3) for _ in range(2))
@@ -417,7 +416,7 @@ class TestDecoupling:
 
 class TestNegativeControls:
     def test_corrupted_dual_breaks_route_equality(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         bad = list(ctx.dual_points)
         bad[1] = (1, 1) if bad[1] != (1, 1) else (2, 1)
         corrupted = with_dual_points(ctx, tuple(dict.fromkeys(bad)))

@@ -16,7 +16,7 @@ from dyadnet.f2core import (
     _unpack,
 )
 import dyadnet
-from dyadnet.nets import van_der_corput_generators, as_subspace, net_points
+from dyadnet.nets import van_der_corput_generators, net_points
 from oracles import DyadicPoint, iter_grid, walsh_nd
 
 
@@ -139,7 +139,7 @@ class TestSubspace:
         assert f.dual() == z
 
     def test_vdc_dual_example(self):
-        sub = as_subspace(van_der_corput_generators(2))
+        sub = van_der_corput_generators(2).subspace
         d = sub.dual()
         assert d.dim == 2
         assert d.min_weight() == 3
@@ -193,7 +193,7 @@ class TestSubspace:
 
     def test_enumerate_matches_net_points(self):
         gen = van_der_corput_generators(2)
-        sub = as_subspace(gen)
+        sub = gen.subspace
         from_net = {p for p in net_points(gen).points}
         from_enum = {DyadicPoint(_unpack(p, 2, 2), 2).values()
                      for p in sub.enumerate_packed()}

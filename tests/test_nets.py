@@ -14,7 +14,6 @@ from dyadnet.nets import (
     GeneratorSet,
     InjectivityError,
     RescaleError,
-    as_subspace,
     certify_deficiency,
     format_generator_file,
     load_generators,
@@ -103,34 +102,40 @@ class TestNetPoints:
             GeneratorSet(2, 2, columns)
 
 
-class TestAsSubspace:
+class TestSubspace:
     def test_vdc_dims(self):
-        sub = as_subspace(van_der_corput_generators(2))
+        sub = van_der_corput_generators(2).subspace
         assert sub.dim == 2
         assert sub.dual().dim == (2 - 1) * 2
 
     def test_round_trip(self):
         for gen in (van_der_corput_generators(3), sobol_generators(3, 3)):
-            sub = as_subspace(gen)
+            sub = gen.subspace
             enum = {DyadicPoint(_unpack(p, sub.n, sub.s), sub.s).values()
                     for p in sub.enumerate_packed()}
             assert enum == set(net_points(gen).points)
+
+    def test_consumers_take_the_subspace(self):
+        gen = van_der_corput_generators(3)
+        assert "subspace" not in repr(gen)
+        with pytest.raises(TypeError, match="F2Subspace"):
+            DiscrepancyContext.build(gen)
 
 
 class TestCertify:
     def test_vdc_deficiency_zero(self):
         for s in range(1, 9):
-            q = certify_deficiency(van_der_corput_generators(s))
+            q = certify_deficiency(van_der_corput_generators(s).subspace)
             assert q.deficiency == 0
             assert q.dual_rt_weight == s + 1
 
     def test_sobol_high_dim_positive_deficiency(self):
-        q = certify_deficiency(sobol_generators(4, 6))
+        q = certify_deficiency(sobol_generators(4, 6).subspace)
         assert q.deficiency > 0
 
     def test_quality_invariant(self):
         for n, s in ((2, 4), (3, 4), (4, 4)):
-            q = certify_deficiency(sobol_generators(n, s))
+            q = certify_deficiency(sobol_generators(n, s).subspace)
             assert q.dual_rt_weight == s - q.deficiency + 1
 
     def test_agrees_with_box_counting(self):
@@ -138,7 +143,7 @@ class TestCertify:
         cases += [sobol_generators(3, s) for s in range(2, 7)]
         cases += [sobol_generators(4, 4), sobol_generators(4, 5)]
         for gen in cases:
-            q = certify_deficiency(gen)
+            q = certify_deficiency(gen.subspace)
             words = gen.point_words
             assert verify_box_counts(words, gen.s, q.deficiency)
             if q.deficiency > 0:
@@ -149,7 +154,7 @@ class TestCertify:
 def _dual_weight_oracle(gen: GeneratorSet) -> int:
     """Minimum RT weight of the nonzero dual by enumeration; s + 1 when the
     dual is zero."""
-    dual = as_subspace(gen).dual()
+    dual = gen.subspace.dual()
     return gen.s + 1 if dual.dim == 0 else dual.min_weight()
 
 
@@ -166,11 +171,10 @@ class TestRankCertificateAgainstDualOracle:
     """The rank certificate equals the exhaustive dual weight."""
 
     def _check(self, gen: GeneratorSet):
-        q = certify_deficiency(gen)
+        q = certify_deficiency(gen.subspace)
         want = _dual_weight_oracle(gen)
         assert (q.deficiency, q.dual_rt_weight) == (gen.s + 1 - want, want), (
             gen.name, gen.n, gen.s, gen.columns)
-        assert certify_deficiency(as_subspace(gen)) == q
 
     def test_sobol(self):
         for n in range(1, 7):
@@ -189,7 +193,7 @@ class TestRankCertificateAgainstDualOracle:
                                                      rng.randint(1, 6)))
 
     def test_subspace_of_wrong_dimension_rejected(self):
-        sub = as_subspace(sobol_generators(3, 4))
+        sub = sobol_generators(3, 4).subspace
         with pytest.raises(ValueError):
             certify_deficiency(sub.dual())
 
@@ -219,7 +223,7 @@ class TestBoxCounts:
 
     def test_shifted_sobol_keeps_its_deficiency(self):
         gen = sobol_generators(3, 5)
-        q = certify_deficiency(gen)
+        q = certify_deficiency(gen.subspace)
         assert q.deficiency > 0
         for seed in range(3):
             words = shifted_words(gen, random_shift(3, 5, seed))
@@ -377,7 +381,7 @@ class TestDigitShift:
         assert t == DigitShift((1, 2, 3), 3)
         assert hash(t) == hash(DigitShift((1, 2, 3), 3))
         assert type(t.words) is tuple and all(type(w) is int for w in t.words)
-        ctx = DiscrepancyContext.build(sobol_generators(3, 3), t)
+        ctx = DiscrepancyContext.build(sobol_generators(3, 3).subspace, t)
         assert ctx.shift == (1, 2, 3) and type(ctx.shift) is tuple
         with pytest.raises(TypeError):
             DigitShift((1.0, 2), 3)

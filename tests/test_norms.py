@@ -27,7 +27,7 @@ from dyadnet.norms import (
     q_grid,
 )
 from dyadnet.norms import _DN_CHUNK
-from oracles import discrepancy_exact, m_direct, m_dual_sum
+from oracles import discrepancy_exact, dn_points_sampler, m_direct, m_dual_sum
 
 
 class TestLqNormMc:
@@ -74,17 +74,19 @@ class TestLqNormMc:
             lq_norms_mc(nan, 1, [1.0], 64, seed=0)
 
     def test_power_mean_monotone(self):
-        pts = net_points(van_der_corput_generators(5), random_shift(2, 5, 3))
-        ests = lq_norms_mc(dn_sampler(pts), 2, (1.0, 2.0, 4.0, 8.0), 20000, seed=4)
+        ctx = DiscrepancyContext.build(van_der_corput_generators(5).subspace,
+                                       random_shift(2, 5, 3))
+        ests = lq_norms_mc(dn_sampler(ctx), 2, (1.0, 2.0, 4.0, 8.0), 20000, seed=4)
         for lo, hi in zip(ests, ests[1:]):
             assert hi.value >= lo.value - 3 * (lo.stderr + hi.stderr)
 
     def test_seeded_reproducibility(self):
-        pts = net_points(van_der_corput_generators(4), random_shift(2, 4, 1))
-        a = lq_norms_mc(dn_sampler(pts), 2, (2.0, 8.0), 20000, seed=9)
-        b = lq_norms_mc(dn_sampler(pts), 2, (2.0, 8.0), 20000, seed=9)
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace,
+                                       random_shift(2, 4, 1))
+        a = lq_norms_mc(dn_sampler(ctx), 2, (2.0, 8.0), 20000, seed=9)
+        b = lq_norms_mc(dn_sampler(ctx), 2, (2.0, 8.0), 20000, seed=9)
         assert [(e.value, e.stderr) for e in a] == [(e.value, e.stderr) for e in b]
-        c = lq_norms_mc(dn_sampler(pts), 2, (2.0, 8.0), 20000, seed=10)
+        c = lq_norms_mc(dn_sampler(ctx), 2, (2.0, 8.0), 20000, seed=10)
         assert a[0].value != c[0].value
 
     def test_stratified_reduces_variance_on_smooth_target(self):
@@ -100,18 +102,45 @@ class TestLqNormMc:
         assert spread(strat) < spread(plain)
 
 
+# Every builtin net with n * s <= 12, and Sobol (3,13), whose 8192
+# points are counted in two chunks.
+DN_NETS = [
+    *(van_der_corput_generators(s) for s in range(1, 7)),
+    *(sobol_generators(n, s) for n in range(1, 11) for s in range(1, 12 // n + 1)),
+    sobol_generators(3, 13),
+]
+
+
 class TestDnSampler:
     def test_counts_past_one_chunk_match_the_oracle(self):
         # 8192 points are counted in two chunks.  Queries k/2^15 are exact
         # in float64, and so is the sampler's value at them.
-        pts = net_points(sobol_generators(3, 13), random_shift(3, 13, 2))
-        assert pts.size == 2 * _DN_CHUNK
+        gen, shift = sobol_generators(3, 13), random_shift(3, 13, 2)
+        pts = net_points(gen, shift)
+        ctx = DiscrepancyContext.build(gen.subspace, shift)
+        assert ctx.cardinality == 2 * _DN_CHUNK
         ks = np.random.default_rng(13).integers(0, (1 << 15) + 1, size=(24, 3))
         ks[0] = 1 << 15  # the whole cube holds every point
-        values = dn_sampler(pts)(ks / (1 << 15))
+        values = dn_sampler(ctx)(ks / (1 << 15))
         for k, value in zip(ks, values):
             assert value == discrepancy_exact(pts, [Fraction(int(v), 1 << 15) for v in k])
         assert values[0] == 0
+
+    @pytest.mark.parametrize("gen", DN_NETS, ids=lambda g: f"{g.name}-{g.n}-{g.s}")
+    def test_context_words_match_the_point_set_oracle(self, gen):
+        # Uniform queries, then queries on a grid one digit finer than the
+        # net, where half the coordinates sit on a point's coordinate.
+        n, s = gen.n, gen.s
+        rng = np.random.default_rng(1000 * n + s)
+        grid = 1 << (s + 1)
+        ys = np.vstack([rng.random((256, n)),
+                        rng.integers(0, grid + 1, size=(256, n)) / grid])
+        for seed in (0, 1):
+            shift = random_shift(n, s, seed)
+            got = dn_sampler(DiscrepancyContext.build(gen.subspace, shift))(ys)
+            want = dn_points_sampler(net_points(gen, shift))(ys)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestExactSecondMoment:
@@ -120,7 +149,7 @@ class TestExactSecondMoment:
         assert l2_m_exact(ctx) == 0
 
     def test_value_vdc_s3(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         exact = l2_m_exact(ctx)
         # Independent recomputation from the dual inventory.
         acc = Fraction(0)
@@ -131,7 +160,7 @@ class TestExactSecondMoment:
         assert exact == Fraction(64, 9) * acc
 
     def test_term_monotonicity(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3))
+        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         partial = Fraction(0)
         full = l2_m_exact(ctx)
         for L in ctx.dual_points:
@@ -144,7 +173,7 @@ class TestExactSecondMoment:
 
     @pytest.mark.parametrize("gen", [van_der_corput_generators(3), sobol_generators(3, 3)])
     def test_monte_carlo_cross_check(self, gen):
-        ctx = DiscrepancyContext.build(gen)
+        ctx = DiscrepancyContext.build(gen.subspace)
         target = float(l2_m_exact(ctx)) ** 0.5
         est = lq_norms_mc(m_sampler(ctx), 2 * ctx.n, [2.0], 60000, seed=12)[0]
         assert abs(est.value - target) <= 3 * est.stderr
@@ -161,7 +190,7 @@ def _dual_l2(ctx):
 
 class TestNetSideOracle:
     @pytest.mark.parametrize("source", [
-        *(sobol_generators(n, s) for n in (2, 3, 4) for s in range(1, 6)),
+        *(sobol_generators(n, s).subspace for n in (2, 3, 4) for s in range(1, 6)),
         F2Subspace.full(2, 3),
     ])
     def test_closed_form_equals_dual_sum(self, source):
@@ -171,15 +200,15 @@ class TestNetSideOracle:
     def test_context_shift_does_not_enter(self):
         # The sampler draws the shift and the oracle averages over it.
         gen = sobol_generators(3, 4)
-        plain = DiscrepancyContext.build(gen)
+        plain = DiscrepancyContext.build(gen.subspace)
         u = np.random.default_rng(2).random((128, 6))
         for seed in range(4):
-            shifted = DiscrepancyContext.build(gen, random_shift(3, 4, seed))
+            shifted = DiscrepancyContext.build(gen.subspace, random_shift(3, 4, seed))
             assert l2_m_exact(shifted) == l2_m_exact(plain)
             assert np.array_equal(m_sampler(shifted)(u), m_sampler(plain)(u))
 
     def test_net_side_routes_leave_the_dual_unenumerated(self):
-        ctx = DiscrepancyContext.build(sobol_generators(3, 5))
+        ctx = DiscrepancyContext.build(sobol_generators(3, 5).subspace)
         m_sampler(ctx)(np.random.default_rng(0).random((256, 6)))
         l2_m_exact(ctx)
         assert "dual_points" not in vars(ctx)
@@ -188,20 +217,21 @@ class TestNetSideOracle:
         assert "dual_points" in vars(ctx)
 
     def test_net_side_routes_leave_the_certificate_and_dual_uncomputed(self):
-        ctx = DiscrepancyContext.build(sobol_generators(3, 5), random_shift(3, 5, 1))
+        ctx = DiscrepancyContext.build(sobol_generators(3, 5).subspace,
+                                       random_shift(3, 5, 1))
         m_sampler(ctx)(np.random.default_rng(0).random((256, 6)))
         l2_m_exact(ctx)
         assert not {"quality", "dual", "dual_points"} & set(vars(ctx))
         assert "packed_net" in vars(ctx)
 
     def test_above_the_cap(self):
-        ctx = DiscrepancyContext.build(sobol_generators(3, 4), cap=8)
+        ctx = DiscrepancyContext.build(sobol_generators(3, 4).subspace, cap=8)
         for name in ("dual_points", "dual_signs", "groups"):
             with pytest.raises(RouteUnavailableError, match="above the enumeration cap"):
                 getattr(ctx, name)
         # A cached property that raises stores nothing: no dual was listed.
         assert not {"dual_points", "dual_signs", "groups"} & set(vars(ctx))
-        full = DiscrepancyContext.build(sobol_generators(3, 4))
+        full = DiscrepancyContext.build(sobol_generators(3, 4).subspace)
         assert l2_m_exact(ctx) == l2_m_exact(full)
         u = np.random.default_rng(1).random((128, 6))
         assert np.array_equal(m_sampler(ctx)(u), m_sampler(full)(u))
@@ -222,11 +252,11 @@ class TestNetSideSampler:
         rng = np.random.default_rng(1000 * n + s)
         k = rng.integers(0, 1 << (s + 2), size=(6, n))
         ut = rng.random((6, n))
-        values = m_sampler(DiscrepancyContext.build(gen))(
+        values = m_sampler(DiscrepancyContext.build(gen.subspace))(
             np.hstack([k / (1 << (s + 2)), ut]))
         for ki, ti, value in zip(k, ut, values):
             t = tuple(min(int(x * (1 << s)), (1 << s) - 1) for x in ti)
-            ctx_t = DiscrepancyContext.build(gen, DigitShift(t, s))
+            ctx_t = DiscrepancyContext.build(gen.subspace, DigitShift(t, s))
             Y = tuple(Fraction(int(v), 1 << (s + 2)) for v in ki)
             exact = m_dual_sum(ctx_t, Y)
             assert m_direct(ctx_t, Y) == exact
@@ -243,9 +273,10 @@ class TestExpOrlicz:
             assert orl.at_q == 1.0
 
     def test_grid_restriction_is_lower_bound(self):
-        pts = net_points(van_der_corput_generators(4), random_shift(2, 4, 5))
-        coarse = lq_norms_mc(dn_sampler(pts), 2, (1.0, 4.0), 30000, seed=3)
-        fine = lq_norms_mc(dn_sampler(pts), 2, (1.0, 2.0, 4.0), 30000, seed=3)
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace,
+                                       random_shift(2, 4, 5))
+        coarse = lq_norms_mc(dn_sampler(ctx), 2, (1.0, 4.0), 30000, seed=3)
+        fine = lq_norms_mc(dn_sampler(ctx), 2, (1.0, 2.0, 4.0), 30000, seed=3)
         theta = 1.5
         assert (
             exp_orlicz_estimate(coarse, theta=theta).value

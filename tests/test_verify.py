@@ -16,7 +16,6 @@ from dyadnet.discrepancy import (
 from dyadnet.f2core import _rev_packed, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
-    as_subspace,
     random_shift,
     sobol_generators,
     van_der_corput_generators,
@@ -45,14 +44,14 @@ from oracles import (
 @pytest.fixture(scope="module")
 def vdc_ctx():
     return DiscrepancyContext.build(
-        van_der_corput_generators(3), random_shift(2, 3, seed=1)
+        van_der_corput_generators(3).subspace, random_shift(2, 3, seed=1)
     )
 
 
 @pytest.fixture(scope="module")
 def sobol_ctx():
     return DiscrepancyContext.build(
-        sobol_generators(3, 3), random_shift(3, 3, seed=2)
+        sobol_generators(3, 3).subspace, random_shift(3, 3, seed=2)
     )
 
 
@@ -81,7 +80,8 @@ ORACLE_NETS = ([("van-der-corput", 2, s) for s in range(2, 7)]
 
 def oracle_context(name, n, s, shifted):
     gen = van_der_corput_generators(s) if name == "van-der-corput" else sobol_generators(n, s)
-    return DiscrepancyContext.build(gen, random_shift(n, s, seed=s) if shifted else None)
+    return DiscrepancyContext.build(gen.subspace,
+                                    random_shift(n, s, seed=s) if shifted else None)
 
 
 def outcome(result):
@@ -111,7 +111,7 @@ class TestTablesAgainstLoops:
 @pytest.mark.parametrize("n,s", [(2, 3), (3, 2)])
 def test_one_word_table_is_its_character_row(n, s):
     # A single word takes the sign-doubling branch, not the butterfly.
-    words = list(as_subspace(sobol_generators(n, s)).enumerate_packed())
+    words = list(sobol_generators(n, s).subspace.enumerate_packed())
     assert 0 in words
     for w in words:
         row = [character_sum([w], _rev_packed(v, n, s)) for v in range(1 << (n * s))]
@@ -123,7 +123,7 @@ def test_one_word_table_is_its_character_row(n, s):
 class TestGridGuard:
     def test_grid_above_the_cap_is_unavailable(self):
         # 2^8 grid points against a cap of 128; the dual (16 elements) fits.
-        ctx = DiscrepancyContext.build(van_der_corput_generators(4), cap=128)
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace, cap=128)
         for check in (check_poisson, check_route_equivalence, check_delta_identities):
             with pytest.raises(RouteUnavailableError, match="grid has 2\\^8 points"):
                 check(ctx)
@@ -132,16 +132,16 @@ class TestGridGuard:
         assert "dual_points" not in vars(ctx)  # raised before the dual was enumerated
 
     def test_grid_at_the_cap_runs(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(4), cap=256)
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace, cap=256)
         assert check_poisson(ctx).checked == 256
         assert check_route_equivalence(ctx).checked == 256
         assert check_delta_identities(ctx).passed
-        ctx = DiscrepancyContext.build(van_der_corput_generators(4), cap=1 << 12)
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace, cap=1 << 12)
         assert approximation_gap(ctx).points_checked == 1 << 12
 
     def test_suite_refuses_its_gap_grid_before_any_check(self):
         # The 2^8 grid of the character checks fits; the 2^12 gap grid does not.
-        ctx = DiscrepancyContext.build(van_der_corput_generators(4), cap=1 << 11)
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace, cap=1 << 11)
         with pytest.raises(RouteUnavailableError, match="grid has 2\\^12 points"):
             run_net_suite(ctx)
         assert "dual_points" not in vars(ctx)
@@ -149,7 +149,7 @@ class TestGridGuard:
     def test_tables_that_could_leave_int64_are_unavailable(self):
         # With the cap raised out of the way, N * 2^(ng) decides: N = 2^5 and
         # a 2^70-point gap grid, or the 2^45-element dual on the 2^50 grid.
-        ctx = DiscrepancyContext.build(sobol_generators(10, 5), cap=1 << 80)
+        ctx = DiscrepancyContext.build(sobol_generators(10, 5).subspace, cap=1 << 80)
         for route in (approximation_gap, check_route_equivalence, run_net_suite):
             with pytest.raises(RouteUnavailableError, match="could leave int64"):
                 route(ctx)
@@ -175,7 +175,8 @@ SAMPLED_QUERIES = 64
 
 def builtin_context(name, n, s, seed):
     gen = van_der_corput_generators(s) if name == "van-der-corput" else sobol_generators(n, s)
-    return DiscrepancyContext.build(gen, None if seed is None else random_shift(n, s, seed))
+    return DiscrepancyContext.build(gen.subspace,
+                                    None if seed is None else random_shift(n, s, seed))
 
 
 def sampled_queries(ctx, g):
