@@ -260,18 +260,15 @@ def verify(net, n, s, shift_seed, fmt, out):
 
     results = []
     config = {"net": net, "n": n, "s": s, "shift_seed": shift_seed}
+    if s is None and not net.startswith("file:"):
+        runs = [(si, shift_seed + si) for si in (2, 3, 4)]
+    else:
+        runs = [(s, shift_seed)]
     try:
-        if s is None and not net.startswith("file:"):
-            for si in (2, 3, 4):
-                gen_set = _load_net(net, n, si)
-                shift = random_shift(gen_set.n, si, shift_seed + si)
-                ctx = DiscrepancyContext.build(gen_set.subspace, shift)
-                results.extend(run_net_suite(ctx))
-        else:
-            gen_set = _load_net(net, n, s)
-            shift = random_shift(gen_set.n, gen_set.s, shift_seed)
-            ctx = DiscrepancyContext.build(gen_set.subspace, shift)
-            results.extend(run_net_suite(ctx))
+        for si, seed in runs:
+            gen_set = _load_net(net, n, si)
+            shift = random_shift(gen_set.n, gen_set.s, seed)
+            results.extend(run_net_suite(DiscrepancyContext.build(gen_set.subspace, shift)))
     except RouteUnavailableError as exc:
         raise _Failure(str(exc), EXIT_RUNTIME)
     columns = ["identity", "passed", "checked", "witness"]

@@ -27,7 +27,6 @@ from .f2core import (
 )
 from .nets import DigitShift, NetQuality, _shift_words, certify_deficiency
 from . import walsh
-from .walsh import rho_vector
 
 __all__ = [
     "DiscrepancyContext",
@@ -49,11 +48,12 @@ class DiscrepancyContext:
     digit words (zeros when unshifted) and the enumeration cap.
 
     Everything else is computed on first access and kept in the instance
-    dict, so a route pays only for what it reads.  `packed_net`, the
-    unshifted net's packed words in `F2Subspace.enumerate_packed` order,
-    is the one listing of the net; reading `dual_points` (and so
-    `dual_signs` and `groups`) above `cap` raises `RouteUnavailableError`
-    before the dual is enumerated, and stores nothing.
+    dict, so a route pays only for what it reads.  `packed_net` and
+    `packed_dual`, packed words in `F2Subspace.enumerate_packed` order, are
+    the one listings of the unshifted net and of its dual; reading
+    `packed_dual` (and so `groups`) above `cap` raises
+    `RouteUnavailableError` before the dual is enumerated, and stores
+    nothing.
     """
 
     subspace: F2Subspace
@@ -96,35 +96,22 @@ class DiscrepancyContext:
         return tuple(self.subspace.enumerate_packed(max(self.cap, self.cardinality)))
 
     @cached_property
-    def dual_points(self) -> tuple[tuple[int, ...], ...]:
+    def packed_dual(self) -> tuple[int, ...]:
         if self.dual.cardinality > self.cap:
             raise RouteUnavailableError(
                 f"dual has 2^{self.dual.dim} elements, above the enumeration cap"
             )
-        return tuple(sorted(
-            _unpack(p, self.n, self.s) for p in self.dual.enumerate_packed(self.cap)
-        ))
+        return tuple(self.dual.enumerate_packed(self.cap))
 
     @cached_property
-    def dual_signs(self) -> tuple[int, ...]:
-        return tuple(self.shift_sign(L) for L in self.dual_points)
-
-    @cached_property
-    def groups(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Dual members by leading-digit position vector, each group in
-        dual order; raises `RouteUnavailableError` above the cap."""
-        out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for L in self.dual_points:
-            out.setdefault(rho_vector(L), []).append(L)
+    def groups(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Packed dual members by leading-digit position vector, each group
+        in dual order; raises `RouteUnavailableError` above the cap."""
+        out: dict[tuple[int, ...], list[int]] = {}
+        for p in self.packed_dual:
+            rho = tuple(w.bit_length() for w in _unpack(p, self.n, self.s))
+            out.setdefault(rho, []).append(p)
         return {rho: tuple(members) for rho, members in out.items()}
-
-    def shift_sign(self, L: Sequence[int]) -> int:
-        """Tensor character of the shift at index vector L."""
-        if len(L) != self.n:
-            raise ValueError("index vector dimension mismatch")
-        if any(l >> self.s for l in L):
-            raise ValueError(f"index vector {tuple(L)} out of range for s={self.s}")
-        return _character(_rev_words(L, self.s), _pack(self.shift, self.s))
 
 
 def _grid_size(ctx: DiscrepancyContext, g: int, terms: int = 1) -> int:
@@ -172,14 +159,16 @@ def _dual_table(ctx: DiscrepancyContext) -> np.ndarray:
     """N^-1 * 2^(ns) times the dual route at every point of the net's grid,
     flat in packed order: one mode product per axis of the signed
     indicator of the nonzero dual indices (repeats add up) with the rows of
-    the matrix `walsh._chi_num(l, u, s)` that some index holds."""
+    the matrix `walsh._chi_num(l, u, s)` that some index holds.  The sign
+    of an index is the shift's character there, with the shift reversed."""
     n, s = ctx.n, ctx.s
-    dual = ctx.dual_points
-    words = np.array([_pack(L, s) for L in dual], dtype=np.int64)
+    dual = ctx.packed_dual
+    rev_shift = _rev_words(ctx.shift, s)
     indicator = np.zeros(1 << (n * s), dtype=np.int64)
-    np.add.at(indicator, words, ctx.dual_signs)
+    np.add.at(indicator, np.array(dual, dtype=np.int64),
+              [_character(rev_shift, p) for p in dual])
     indicator[0] = 0
-    rows = sorted({l for L in dual for l in L})
+    rows = sorted({l for p in dual for l in _unpack(p, n, s)})
     chi = np.array([[walsh._chi_num(l, u, s) for u in range(1 << s)] for l in rows],
                    dtype=np.int64)
     table = indicator.reshape((1 << s,) * n)
@@ -227,17 +216,13 @@ def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
 
 @dataclass(frozen=True)
 class LambdaGroup:
-    """Dual indices with a prescribed leading-digit position vector."""
+    """Packed dual indices with a prescribed leading-digit position vector."""
 
     rho_bar: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-    representative: tuple[int, ...] | None
-    lambda0: tuple[tuple[int, ...], ...]
+    members: tuple[int, ...]
+    representative: int | None
+    lambda0: tuple[int, ...]
     cardinality_bound_ok: bool | None
-
-    @property
-    def lambda0_count(self) -> int:
-        return len(self.lambda0)
 
 
 def lambda_group(ctx: DiscrepancyContext, rho_bar: Sequence[int]) -> LambdaGroup:
@@ -248,6 +233,9 @@ def lambda_group(ctx: DiscrepancyContext, rho_bar: Sequence[int]) -> LambdaGroup
     position 0 must vanish there, keeping the subgroup linear).  The
     cardinality bound 2^(|rho_bar| - s + deficiency) is checked whenever
     the group has a nonzero member and the deficiency is certified.
+    Members stay in dual order and the subgroup is sorted; the
+    representative is the smallest member, though on a true dual any
+    member factors the group sum the same way.
     """
     rho_bar = tuple(rho_bar)
     if len(rho_bar) != ctx.n or any(not 0 <= r <= ctx.s for r in rho_bar):
@@ -255,10 +243,10 @@ def lambda_group(ctx: DiscrepancyContext, rho_bar: Sequence[int]) -> LambdaGroup
     groups = ctx.groups
     members = groups.get(rho_bar, ())
     below = [max(r - 1, 0) for r in rho_bar]
-    lam0 = sorted(L for rho, group in groups.items()
-                  if all(a <= b for a, b in zip(rho, below)) for L in group)
+    lam0 = sorted(p for rho, group in groups.items()
+                  if all(a <= b for a, b in zip(rho, below)) for p in group)
     bound_ok: bool | None = None
-    if ctx.quality is not None and any(any(L) for L in members):
+    if ctx.quality is not None and any(members):
         exponent = sum(rho_bar) - ctx.s + ctx.quality.deficiency
         bound_ok = exponent >= 0 and len(lam0) <= (1 << exponent)
     representative = min(members) if members else None

@@ -22,7 +22,7 @@ from .discrepancy import (
     approximation_gap,
     lambda_group,
 )
-from .f2core import F2Subspace, _pack, _rev_packed, _unpack
+from .f2core import F2Subspace, _rev_packed, _unpack
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
     size = _grid_size(ctx, s)
     sums = _character_table(ctx.packed_net, n, s)
     want = np.zeros(size, dtype=np.int64)
-    want[[_pack(L, s) for L in ctx.dual_points]] = ctx.cardinality
+    want[list(ctx.packed_dual)] = ctx.cardinality
     bad = np.flatnonzero(sums != want)
     if bad.size:
         v = int(bad[0])
@@ -144,26 +144,25 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
     groups = ctx.groups
     checked = 0
     for rho_bar, members in sorted(groups.items()):
-        if not any(any(L) for L in members):
+        if not any(members):
             continue
         grp = lambda_group(ctx, rho_bar)
+        count = len(grp.lambda0)
         if grp.cardinality_bound_ok is False:
             return IdentityResult(
                 "delta-identities", False, checked,
-                witness={"rho_bar": rho_bar, "lambda0": grp.lambda0_count,
+                witness={"rho_bar": rho_bar, "lambda0": count,
                          "reason": "cardinality bound"},
             )
-        count = grp.lambda0_count
-        lam0 = [_pack(L, s) for L in grp.lambda0]
-        if count != F2Subspace.from_packed(n, s, lam0).cardinality:
+        if count != F2Subspace.from_packed(n, s, grp.lambda0).cardinality:
             return IdentityResult(
                 "delta-identities", False, checked,
                 witness={"rho_bar": rho_bar, "lambda0": count,
                          "reason": "not a subgroup"},
             )
-        delta = _character_table(lam0, n, s)
-        group_sum = _character_table((_pack(L, s) for L in members), n, s)
-        factored = _character_table([_pack(grp.representative, s)], n, s) * delta
+        delta = _character_table(grp.lambda0, n, s)
+        group_sum = _character_table(members, n, s)
+        factored = _character_table([grp.representative], n, s) * delta
         two_valued = (delta == 0) | (delta == count)
         bad = np.flatnonzero(~two_valued | (group_sum != factored))
         if bad.size:

@@ -1,25 +1,14 @@
 """Walsh analysis on [0,1) with exact dyadic arithmetic.
 
-`rho` is the position of the leading digit of an index, and the interval
-coefficient, the integral of the Walsh character w_l over [0, y), is
-evaluated in integers over a power-of-two denominator (`_chi_num`).  The
-tensor character lives in `f2core._character`.
+The interval coefficient, the integral of the Walsh character w_l over
+[0, y), is evaluated in integers over a power-of-two denominator
+(`_chi_num`).  The tensor character lives in `f2core._character`, and the
+leading-digit position of an index is its `int.bit_length()`.
 """
 
 from __future__ import annotations
 
 from .f2core import _character, bit_reverse
-
-
-def rho_index(l: int) -> int:
-    """Position of the most significant binary digit (0 for l = 0)."""
-    if l < 0:
-        raise ValueError("index must be nonnegative")
-    return l.bit_length()
-
-
-def rho_vector(L) -> tuple[int, ...]:
-    return tuple(rho_index(l) for l in L)
 
 
 def _chi_num(l: int, u: int, g: int) -> int:

@@ -24,8 +24,10 @@ evaluates one way in production; tests compare the two.
 - `dn_points_sampler` is the discrepancy sampler over a `PointSet` of
   `Fraction`s, which it turns into floats; it is the oracle of
   `norms.dn_sampler`, which divides the context's shifted words in float64.
-- `with_dual_points` is a copy of a context with its dual replaced
-  (e.g. corrupted), for the negative controls of the dual checks.
+- `dual_words` lists the context's packed dual as sorted word tuples,
+  and `with_dual_points` is a copy of a context with its dual replaced
+  by word tuples (e.g. corrupted), for the negative controls of the dual
+  checks.
 - `character_sum`, one character sum at one grid point, is the oracle of
   the whole-grid Walsh-Hadamard table `verify._character_table`.
 - `delta_indicator` is that sum over the strictly-below subgroup at one
@@ -40,7 +42,9 @@ evaluates one way in production; tests compare the two.
   kernel; like the box tables it reads the context's one net listing,
   `packed_net`, and XORs in `ctx.shift` itself.  `m_direct` is the kernel
   route to the approximation `M` at one query and `m_dual_sum` the dual
-  route, through a cache in front of `walsh._chi_num`.  `route_loop` and `gap_loop` walk the grids query by
+  route, through a cache in front of `walsh._chi_num`; it signs each
+  index with the reversal on the index side, where `_dual_table` reverses
+  the shift.  `route_loop` and `gap_loop` walk the grids query by
   query with them; they are the oracles of
   `verify.check_route_equivalence` and `discrepancy.approximation_gap`,
   which read the whole-grid box and dual tables.
@@ -71,7 +75,7 @@ from dyadnet.f2core import (
 from dyadnet.nets import PointSet
 from dyadnet.norms import _DN_CHUNK
 from dyadnet.verify import IdentityResult
-from dyadnet.walsh import _chi_num, rho_index, rho_vector
+from dyadnet.walsh import _chi_num
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,7 @@ def check_fine_square_norm() -> IdentityResult:
         acc = Fraction(0)
         for a, b in zip(vals, vals[1:]):
             acc += (a * a + a * b + b * b) / (3 * den)
-        want = Fraction(1, 3 * (1 << (2 * rho_index(l))))
+        want = Fraction(1, 3 * (1 << (2 * l.bit_length())))
         checked += 1
         if acc != want:
             return IdentityResult(
@@ -285,11 +289,17 @@ def dn_points_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
+def dual_words(ctx: DiscrepancyContext) -> tuple[tuple[int, ...], ...]:
+    """The enumerated dual of `ctx` as word tuples, sorted."""
+    return tuple(sorted(_unpack(p, ctx.n, ctx.s) for p in ctx.packed_dual))
+
+
 def with_dual_points(ctx: DiscrepancyContext, dual_points) -> DiscrepancyContext:
-    """A copy of `ctx` whose enumerated dual is `dual_points`; the copy
-    computes `dual_signs` and `groups` from the replacement."""
+    """A copy of `ctx` whose enumerated dual is the word tuples
+    `dual_points`, packed in the given order; the copy computes `groups`
+    from the replacement."""
     out = replace(ctx)
-    vars(out)["dual_points"] = tuple(tuple(L) for L in dual_points)
+    vars(out)["packed_dual"] = tuple(_pack(L, ctx.s) for L in dual_points)
     return out
 
 
@@ -313,7 +323,8 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar, Y) -> int:
     if len(words) != ctx.n:
         raise ValueError("query dimension mismatch")
     lam0 = lambda_group(ctx, rho_bar).lambda0
-    total = character_sum((_rev_words(L, ctx.s) for L in lam0), _pack(words, ctx.s))
+    total = character_sum((_rev_packed(p, ctx.n, ctx.s) for p in lam0),
+                          _pack(words, ctx.s))
     if total not in (0, len(lam0)):
         raise AssertionError(f"character sum {total} over {tuple(rho_bar)} is "
                              f"neither zero nor the subgroup size {len(lam0)}")
@@ -330,17 +341,19 @@ def lambda_group_walk(ctx: DiscrepancyContext, rho_bar) -> LambdaGroup:
     bounds = [1 << (r - 1) if r >= 1 else 1 for r in rho_bar]
     members = []
     lam0 = []
-    for L in ctx.dual_points:
-        if rho_vector(L) == rho_bar:
-            members.append(L)
+    for p in ctx.packed_dual:
+        L = _unpack(p, ctx.n, ctx.s)
+        if tuple(l.bit_length() for l in L) == rho_bar:
+            members.append(p)
         if all(l < b for l, b in zip(L, bounds)):
-            lam0.append(L)
+            lam0.append(p)
     bound_ok: bool | None = None
-    if ctx.quality is not None and any(any(L) for L in members):
+    if ctx.quality is not None and any(members):
         exponent = sum(rho_bar) - ctx.s + ctx.quality.deficiency
         bound_ok = exponent >= 0 and len(lam0) <= (1 << exponent)
     representative = min(members) if members else None
-    return LambdaGroup(rho_bar, tuple(members), representative, tuple(lam0), bound_ok)
+    return LambdaGroup(rho_bar, tuple(members), representative, tuple(sorted(lam0)),
+                       bound_ok)
 
 
 def poisson_loop(ctx: DiscrepancyContext) -> IdentityResult:
@@ -349,7 +362,7 @@ def poisson_loop(ctx: DiscrepancyContext) -> IdentityResult:
     n, s = ctx.n, ctx.s
     card = ctx.cardinality
     net = list(ctx.subspace.enumerate_packed())
-    dual_set = {_pack(L, s) for L in ctx.dual_points}
+    dual_set = set(ctx.packed_dual)
     checked = 0
     for v in range(1 << (n * s)):
         total = character_sum(net, _rev_packed(v, n, s))
@@ -374,20 +387,20 @@ def delta_loop(ctx: DiscrepancyContext) -> IdentityResult:
     """
     n, s = ctx.n, ctx.s
     groups = ctx.groups
-    direct_sums = len(ctx.dual_points) <= 64
+    direct_sums = len(ctx.packed_dual) <= 64
     checked = 0
     for rho_bar, members in sorted(groups.items()):
-        if not any(any(L) for L in members):
+        if not any(members):
             continue
         grp = lambda_group_walk(ctx, rho_bar)
+        count = len(grp.lambda0)
         if grp.cardinality_bound_ok is False:
             return IdentityResult(
                 "delta-identities", False, checked,
-                witness={"rho_bar": rho_bar, "lambda0": grp.lambda0_count,
+                witness={"rho_bar": rho_bar, "lambda0": count,
                          "reason": "cardinality bound"},
             )
-        count = grp.lambda0_count
-        span = F2Subspace.from_packed(n, s, (_pack(L, s) for L in grp.lambda0))
+        span = F2Subspace.from_packed(n, s, grp.lambda0)
         if count != span.cardinality:
             return IdentityResult(
                 "delta-identities", False, checked,
@@ -395,9 +408,9 @@ def delta_loop(ctx: DiscrepancyContext) -> IdentityResult:
                          "reason": "not a subgroup"},
             )
         rev_basis = [_rev_packed(b, n, s) for b in span.basis]
-        rev_members = [_rev_words(L, s) for L in members]
-        rev_rep = _rev_words(grp.representative, s)
-        rev_lam0 = [_rev_words(L, s) for L in grp.lambda0]
+        rev_members = [_rev_packed(p, n, s) for p in members]
+        rev_rep = _rev_packed(grp.representative, n, s)
+        rev_lam0 = [_rev_packed(p, n, s) for p in grp.lambda0]
         total = 0
         for y in range(1 << (n * s)):
             val = count if all(_character(b, y) == 1 for b in rev_basis) else 0
@@ -497,19 +510,19 @@ def m_dual_sum(ctx: DiscrepancyContext, Y) -> Fraction:
     """Dual route: cardinality times the character-weighted coefficient sum
     over the nonzero dual indices."""
     g, us = grid_words(Y, ctx.s, ctx.n)
+    shift = _pack(ctx.shift, ctx.s)
     total = 0
-    dual = ctx.dual_points
-    signs = ctx.dual_signs
-    for idx, L in enumerate(dual):
-        if not any(L):
+    for p in ctx.packed_dual:
+        if not p:
             continue
+        L = _unpack(p, ctx.n, ctx.s)
         prod = 1
         for l, u in zip(L, us):
             prod *= _chi_num_cached(l, u, g)
             if prod == 0:
                 break
         if prod:
-            total += signs[idx] * prod
+            total += _character(_rev_words(L, ctx.s), shift) * prod
     return Fraction(ctx.cardinality * total, 1 << (g * ctx.n))
 
 

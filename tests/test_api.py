@@ -32,6 +32,34 @@ def referenced_names() -> set[str]:
     return names
 
 
+def unread_imports(source: str) -> set[str]:
+    """Names a module binds by import but never loads; an `import a.b`
+    binds `a`, and `from __future__` imports bind nothing."""
+    tree = ast.parse(source)
+    imported, loaded = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+    return imported - loaded
+
+
+def test_unread_imports_are_found():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from .f2core import _pack, _unpack\nx = np.zeros(_unpack(1, 1, 1))\n")
+    assert unread_imports(source) == {"os", "_pack"}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # `__init__.py` imports to re-export, so it is left out.
+    for path in Path(dyadnet.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            assert unread_imports(path.read_text()) == set(), path.name
+
+
 def test_every_public_name_has_a_production_caller():
     assert UNCALLED <= set(dyadnet.__all__)
     assert set(dyadnet.__all__) - referenced_names() == UNCALLED

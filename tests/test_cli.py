@@ -328,9 +328,11 @@ class TestSweep:
         assert result.exit_code == 2
 
 
-# The stdout sha256 of exact commands, recorded at commit 9b13492; every
-# line of these outputs is integer or Fraction arithmetic (norms and sweep,
-# whose floats pass through numpy reductions, are left out).  The provenance header names the package
+# The stdout sha256 of exact commands, recorded at commit 9b13492 (the
+# single-net Sobol verify runs at (3, 5) and (4, 3), which reach the 3-D
+# and 4-D groups, at c5f9c00); every line of these outputs is integer or
+# Fraction arithmetic (norms and sweep, whose floats pass through numpy
+# reductions, are left out).  The provenance header names the package
 # version, so a version bump changes every digest.
 PINNED_STDOUT = {
     "certify-sobol-4-7": (
@@ -345,6 +347,12 @@ PINNED_STDOUT = {
     "verify-sobol-3": (
         ["verify", "--net", "sobol", "--n", "3"],
         "37f55088dd6bfb9a7143ea18893ca1954452201fc40f570a14866c5dc59e77d9"),
+    "verify-sobol-3-5": (
+        ["verify", "--net", "sobol", "--n", "3", "--s", "5"],
+        "4eeaec0f5ac6952d2a51bf18a03decad302b25a1d5e09bdebb65caf7065b474b"),
+    "verify-sobol-4-3": (
+        ["verify", "--net", "sobol", "--n", "4", "--s", "3"],
+        "1244e0d2ce5e24708ea5830bfeebbac1b0e1c0a8bcf366d2343b5956154878ea"),
     "gen-float": (
         ["gen", "--net", "sobol", "--n", "3", "--s", "10", "--count", "700",
          "--shift-seed", "3"],

@@ -22,12 +22,13 @@ from dyadnet.nets import (
     van_der_corput_generators,
 )
 from dyadnet.norms import dn_sampler
-from dyadnet.walsh import rho_vector
+from dyadnet.verify import check_route_equivalence
 from oracles import (
     DyadicPoint,
     box_kernel,
     delta_indicator,
     discrepancy_exact,
+    dual_words,
     fine_coefficient,
     iter_grid,
     lambda_group_walk,
@@ -140,7 +141,7 @@ class TestApproximationRoutes:
         tvals = DyadicPoint(t.words, t.s).values()
         for Y in list(iter_grid(2, 3))[::7]:
             acc = Fraction(0)
-            for L in ctx.dual_points:
+            for L in dual_words(ctx):
                 if not any(L):
                     continue
                 acc += walsh_nd(L, tvals) * Fraction(
@@ -184,15 +185,6 @@ class TestApproximationRoutes:
             delta_indicator(ctx, (1, 1, 1), (Fraction(1, 2),))
         with pytest.raises(ValueError, match="query dimension mismatch"):
             delta_indicator(ctx, (1, 1, 1), DyadicPoint.zero(4, 3))
-
-    def test_shift_sign_rejects_out_of_range_index(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
-        for L in ((8, 0), (0, -1)):
-            with pytest.raises(ValueError):
-                ctx.shift_sign(L)
-        for L in ((1,), (1, 2, 3)):
-            with pytest.raises(ValueError, match="index vector dimension mismatch"):
-                ctx.shift_sign(L)
 
     def test_build_takes_a_digit_shift_or_none(self):
         gen = van_der_corput_generators(3)
@@ -256,6 +248,23 @@ BUILTIN_NETS = ([van_der_corput_generators(s) for s in range(1, 7)]
                    for s in range(1, 12 // n + 1)])
 
 
+class TestPackedDual:
+    @pytest.mark.parametrize("gen", [van_der_corput_generators(3), sobol_generators(3, 3)],
+                             ids=lambda g: f"{g.name}-{g.n}-{g.s}")
+    def test_one_listing_in_enumeration_order(self, gen):
+        ctx = DiscrepancyContext.build(gen.subspace, random_shift(gen.n, gen.s, 4))
+        assert check_route_equivalence(ctx).passed
+        assert ctx.packed_dual == tuple(ctx.dual.enumerate_packed())
+        # The shift signs each index where the dual table is built.
+        assert "dual_signs" not in vars(ctx)
+        # The groups partition the listing, each group in dual order.
+        groups = ctx.groups
+        assert sorted(p for ms in groups.values() for p in ms) == sorted(ctx.packed_dual)
+        for members in groups.values():
+            kept = set(members)
+            assert members == tuple(p for p in ctx.packed_dual if p in kept)
+
+
 class TestLambdaGroups:
     @pytest.mark.parametrize("gen", BUILTIN_NETS, ids=lambda g: f"{g.name}-{g.n}-{g.s}")
     def test_matches_the_dual_walk(self, gen):
@@ -272,34 +281,34 @@ class TestLambdaGroups:
         ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         assert ctx.groups is ctx.groups
         assert "groups" in vars(ctx)
-        kept = [L for L in ctx.dual_points if L != (7, 7)]
+        kept = [L for L in dual_words(ctx) if L != (7, 7)]
         copy = with_dual_points(ctx, kept)
         assert "groups" not in vars(copy)
-        assert ctx.groups[(3, 3)] == ((5, 5), (7, 7))
-        assert copy.groups[(3, 3)] == ((5, 5),)
+        assert sorted(ctx.groups[(3, 3)]) == [_pack((5, 5), 3), _pack((7, 7), 3)]
+        assert copy.groups[(3, 3)] == (_pack((5, 5), 3),)
         assert sum(map(len, copy.groups.values())) == len(kept)
         assert lambda_group(copy, (3, 3)) == lambda_group_walk(copy, (3, 3))
 
     def test_partition(self):
         ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         groups = ctx.groups
-        assert sum(len(v) for v in groups.values()) == len(ctx.dual_points)
+        assert sum(len(v) for v in groups.values()) == len(ctx.packed_dual)
         for rho_bar, members in groups.items():
-            for L in members:
-                assert rho_vector(L) == rho_bar
+            for p in members:
+                assert tuple(w.bit_length() for w in _unpack(p, 2, 3)) == rho_bar
 
     def test_zero_vector_group(self):
         ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         grp = lambda_group(ctx, (0, 0))
-        assert grp.members == ((0, 0),)
-        assert grp.lambda0 == ((0, 0),)
+        assert grp.members == (0,)
+        assert grp.lambda0 == (0,)
 
     def test_cardinality_bound_small_nets(self):
         for gen in (van_der_corput_generators(3), van_der_corput_generators(4),
                     sobol_generators(3, 3), sobol_generators(3, 4)):
             ctx = DiscrepancyContext.build(gen.subspace)
             for rho_bar, members in ctx.groups.items():
-                if not any(any(L) for L in members):
+                if not any(members):
                     continue
                 grp = lambda_group(ctx, rho_bar)
                 assert grp.cardinality_bound_ok is True
@@ -307,20 +316,16 @@ class TestLambdaGroups:
 
     def test_lambda0_is_subgroup_and_translate(self):
         ctx = DiscrepancyContext.build(sobol_generators(3, 3).subspace)
-        dual_set = set(ctx.dual_points)
         for rho_bar, members in ctx.groups.items():
             grp = lambda_group(ctx, rho_bar)
             lam0 = set(grp.lambda0)
-            # Subgroup: closed under coordinatewise XOR.
+            # Subgroup: closed under XOR of packed words.
             for a in lam0:
                 for b in lam0:
-                    assert tuple(x ^ y for x, y in zip(a, b)) in lam0
+                    assert a ^ b in lam0
             # Affine translate: members = representative + lambda0.
-            if grp.representative is not None and any(any(L) for L in members):
-                rep = grp.representative
-                translate = {
-                    tuple(x ^ y for x, y in zip(rep, L)) for L in grp.members
-                }
+            if grp.representative is not None and any(members):
+                translate = {grp.representative ^ p for p in grp.members}
                 assert translate == lam0
 
     def test_range_validation(self):
@@ -339,31 +344,31 @@ class TestDeltaIndicator:
     def test_zero_query_counts_subgroup(self):
         ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         for rho_bar, members in ctx.groups.items():
-            if not any(any(L) for L in members):
+            if not any(members):
                 continue
             grp = lambda_group(ctx, rho_bar)
             val = delta_indicator(ctx, rho_bar, DyadicPoint.zero(2, 3))
-            assert val == grp.lambda0_count
+            assert val == len(grp.lambda0)
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_two_valued_and_unit_average(self, s):
         ctx = DiscrepancyContext.build(van_der_corput_generators(s).subspace)
         grid = list(iter_grid(2, s))
         for rho_bar, members in sorted(ctx.groups.items()):
-            if not any(any(L) for L in members):
+            if not any(members):
                 continue
             grp = lambda_group(ctx, rho_bar)
             total = 0
             for Y in grid:
                 val = delta_indicator(ctx, rho_bar, Y)
-                assert val in (0, grp.lambda0_count)
+                assert val in (0, len(grp.lambda0))
                 total += val
             assert Fraction(total, len(grid)) == 1
 
     def test_truncation_of_fine_queries(self):
         ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         rho_bar = next(
-            rb for rb, ms in ctx.groups.items() if any(any(L) for L in ms)
+            rb for rb, ms in ctx.groups.items() if any(ms)
         )
         for Y in list(iter_grid(2, 5))[:64]:
             coarse = truncate(Y, 3)
@@ -374,12 +379,12 @@ class TestDeltaIndicator:
     def test_representative_factorization(self):
         ctx = DiscrepancyContext.build(sobol_generators(3, 3).subspace)
         for rho_bar, members in ctx.groups.items():
-            if not any(any(L) for L in members):
+            if not any(members):
                 continue
             grp = lambda_group(ctx, rho_bar)
             for Y in list(iter_grid(3, 3))[::17]:
-                lhs = sum(walsh_nd(L, Y) for L in members)
-                rep = walsh_nd(grp.representative, Y)
+                lhs = sum(walsh_nd(_unpack(p, 3, 3), Y) for p in members)
+                rep = walsh_nd(_unpack(grp.representative, 3, 3), Y)
                 assert lhs == rep * delta_indicator(ctx, rho_bar, Y)
 
 
@@ -388,7 +393,7 @@ class TestPoissonSummation:
     def test_exhaustive(self, n, s):
         gen = van_der_corput_generators(s) if n == 2 else sobol_generators(n, s)
         ctx = DiscrepancyContext.build(gen.subspace)
-        dual_set = set(ctx.dual_points)
+        dual_set = set(dual_words(ctx))
         dual_packed = set(ctx.dual.enumerate_packed())
         net = [_unpack(p, n, s) for p in ctx.subspace.enumerate_packed()]
         card = ctx.cardinality
@@ -417,7 +422,7 @@ class TestDecoupling:
 class TestNegativeControls:
     def test_corrupted_dual_breaks_route_equality(self):
         ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
-        bad = list(ctx.dual_points)
+        bad = list(dual_words(ctx))
         bad[1] = (1, 1) if bad[1] != (1, 1) else (2, 1)
         corrupted = with_dual_points(ctx, tuple(dict.fromkeys(bad)))
         mismatches = sum(

@@ -27,7 +27,7 @@ from dyadnet.norms import (
     q_grid,
 )
 from dyadnet.norms import _DN_CHUNK
-from oracles import discrepancy_exact, dn_points_sampler, m_direct, m_dual_sum
+from oracles import discrepancy_exact, dn_points_sampler, dual_words, m_direct, m_dual_sum
 
 
 class TestLqNormMc:
@@ -153,7 +153,7 @@ class TestExactSecondMoment:
         exact = l2_m_exact(ctx)
         # Independent recomputation from the dual inventory.
         acc = Fraction(0)
-        for L in ctx.dual_points:
+        for L in dual_words(ctx):
             if any(L):
                 rho = sum(l.bit_length() for l in L)
                 acc += Fraction(1, 4**rho)
@@ -163,7 +163,7 @@ class TestExactSecondMoment:
         ctx = DiscrepancyContext.build(van_der_corput_generators(3).subspace)
         partial = Fraction(0)
         full = l2_m_exact(ctx)
-        for L in ctx.dual_points:
+        for L in dual_words(ctx):
             if any(L):
                 rho = sum(l.bit_length() for l in L)
                 term = Fraction(ctx.cardinality**2, 3**ctx.n) * Fraction(1, 4**rho)
@@ -182,7 +182,7 @@ class TestExactSecondMoment:
 def _dual_l2(ctx):
     """The squared L^2 norm of M summed over the enumerated nonzero dual."""
     acc = Fraction(0)
-    for L in ctx.dual_points:
+    for L in dual_words(ctx):
         if any(L):
             acc += Fraction(1, 4 ** sum(l.bit_length() for l in L))
     return Fraction(ctx.cardinality**2, 3**ctx.n) * acc
@@ -211,26 +211,25 @@ class TestNetSideOracle:
         ctx = DiscrepancyContext.build(sobol_generators(3, 5).subspace)
         m_sampler(ctx)(np.random.default_rng(0).random((256, 6)))
         l2_m_exact(ctx)
-        assert "dual_points" not in vars(ctx)
-        assert "dual_signs" not in vars(ctx)
-        assert len(ctx.dual_points) == 1 << 10
-        assert "dual_points" in vars(ctx)
+        assert "packed_dual" not in vars(ctx)
+        assert len(ctx.packed_dual) == 1 << 10
+        assert "packed_dual" in vars(ctx)
 
     def test_net_side_routes_leave_the_certificate_and_dual_uncomputed(self):
         ctx = DiscrepancyContext.build(sobol_generators(3, 5).subspace,
                                        random_shift(3, 5, 1))
         m_sampler(ctx)(np.random.default_rng(0).random((256, 6)))
         l2_m_exact(ctx)
-        assert not {"quality", "dual", "dual_points"} & set(vars(ctx))
+        assert not {"quality", "dual", "packed_dual"} & set(vars(ctx))
         assert "packed_net" in vars(ctx)
 
     def test_above_the_cap(self):
         ctx = DiscrepancyContext.build(sobol_generators(3, 4).subspace, cap=8)
-        for name in ("dual_points", "dual_signs", "groups"):
+        for name in ("packed_dual", "groups"):
             with pytest.raises(RouteUnavailableError, match="above the enumeration cap"):
                 getattr(ctx, name)
         # A cached property that raises stores nothing: no dual was listed.
-        assert not {"dual_points", "dual_signs", "groups"} & set(vars(ctx))
+        assert not {"packed_dual", "groups"} & set(vars(ctx))
         full = DiscrepancyContext.build(sobol_generators(3, 4).subspace)
         assert l2_m_exact(ctx) == l2_m_exact(full)
         u = np.random.default_rng(1).random((128, 6))

@@ -32,6 +32,7 @@ from oracles import (
     box_kernel,
     character_sum,
     delta_loop,
+    dual_words,
     gap_loop,
     m_direct,
     m_dual_sum,
@@ -129,7 +130,7 @@ class TestGridGuard:
                 check(ctx)
         with pytest.raises(RouteUnavailableError, match="grid has 2\\^12 points"):
             approximation_gap(ctx)
-        assert "dual_points" not in vars(ctx)  # raised before the dual was enumerated
+        assert "packed_dual" not in vars(ctx)  # raised before the dual was enumerated
 
     def test_grid_at_the_cap_runs(self):
         ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace, cap=256)
@@ -144,7 +145,7 @@ class TestGridGuard:
         ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace, cap=1 << 11)
         with pytest.raises(RouteUnavailableError, match="grid has 2\\^12 points"):
             run_net_suite(ctx)
-        assert "dual_points" not in vars(ctx)
+        assert "packed_dual" not in vars(ctx)
 
     def test_tables_that_could_leave_int64_are_unavailable(self):
         # With the cap raised out of the way, N * 2^(ng) decides: N = 2^5 and
@@ -153,7 +154,7 @@ class TestGridGuard:
         for route in (approximation_gap, check_route_equivalence, run_net_suite):
             with pytest.raises(RouteUnavailableError, match="could leave int64"):
                 route(ctx)
-        assert "dual_points" not in vars(ctx)
+        assert "packed_dual" not in vars(ctx)
         # The bound is terms * N * 2^(ng) < 2^63: 2^7 * 2^5 * 2^50 fits.
         assert _grid_size(ctx, 5, terms=1 << 7) == 1 << 50
         with pytest.raises(RouteUnavailableError, match="could leave int64"):
@@ -223,7 +224,7 @@ class TestBoxTablesAgainstLoops:
 
 def corrupted_duals(ctx):
     """Replacements for the enumerated dual of a context, by what they do."""
-    dual = ctx.dual_points
+    dual = dual_words(ctx)
     nonzero = [L for L in dual if any(L)]
     zero = dual[0]
     grid = [_unpack(v, ctx.n, ctx.s) for v in range(1 << (ctx.n * ctx.s))]
@@ -273,31 +274,31 @@ class TestCorruptedTablesAgainstLoops:
 
 class TestNegativeControls:
     def test_corrupted_dual_fails_poisson_with_witness(self, vdc_ctx):
-        bad = [L for L in vdc_ctx.dual_points if any(L)][:-1]  # drop one member
+        bad = [L for L in dual_words(vdc_ctx) if any(L)][:-1]  # drop one member
         corrupted = with_dual_points(vdc_ctx, [(0, 0)] + bad)
         res = check_poisson(corrupted)
         assert not res.passed
         assert outcome(res) == outcome(poisson_loop(corrupted))
-        missing = next(L for L in vdc_ctx.dual_points if any(L) and L not in bad)
+        missing = next(L for L in dual_words(vdc_ctx) if any(L) and L not in bad)
         assert res.witness["L"] == missing
         assert (res.witness["sum"], res.witness["expected"]) == (vdc_ctx.cardinality, 0)
 
     def test_foreign_vector_fails_poisson(self, vdc_ctx):
-        dual_set = set(vdc_ctx.dual_points)
+        dual_set = set(dual_words(vdc_ctx))
         intruder = next(
             (a, b)
             for a in range(8)
             for b in range(8)
             if (a, b) not in dual_set
         )
-        corrupted = with_dual_points(vdc_ctx, list(vdc_ctx.dual_points) + [intruder])
+        corrupted = with_dual_points(vdc_ctx, list(dual_words(vdc_ctx)) + [intruder])
         res = check_poisson(corrupted)
         assert not res.passed
         assert res.witness["expected"] in (0, vdc_ctx.cardinality)
         assert outcome(res) == outcome(poisson_loop(corrupted))
 
     def test_corrupted_dual_fails_route_equivalence(self, vdc_ctx):
-        bad = list(vdc_ctx.dual_points)
+        bad = list(dual_words(vdc_ctx))
         bad.remove(max(bad))
         corrupted = with_dual_points(vdc_ctx, bad)
         res = check_route_equivalence(corrupted)
@@ -307,7 +308,7 @@ class TestNegativeControls:
     def test_corrupted_dual_fails_delta_cardinality_bound(self, vdc_ctx):
         # A member with the wrong leading positions grows the strictly-below
         # subgroup of its group past the cardinality bound.
-        bad = list(vdc_ctx.dual_points) + [(1, 1)]
+        bad = list(dual_words(vdc_ctx)) + [(1, 1)]
         corrupted = with_dual_points(vdc_ctx, dict.fromkeys(bad))
         res = check_delta_identities(corrupted)
         assert not res.passed
@@ -317,7 +318,7 @@ class TestNegativeControls:
     def test_foreign_member_fails_delta_factorization(self, vdc_ctx):
         # (4, 4) has the leading positions of (7, 7) but is not in the dual,
         # so the group sum of (3, 3) no longer factors at some grid point.
-        bad = [(4, 4) if L == (7, 7) else L for L in vdc_ctx.dual_points]
+        bad = [(4, 4) if L == (7, 7) else L for L in dual_words(vdc_ctx)]
         corrupted = with_dual_points(vdc_ctx, bad)
         res, loop = check_delta_identities(corrupted), delta_loop(corrupted)
         assert not res.passed
@@ -325,7 +326,7 @@ class TestNegativeControls:
         assert res.witness.items() >= loop.witness.items()
 
     def test_describe_mentions_failure(self, vdc_ctx):
-        corrupted = with_dual_points(vdc_ctx, list(vdc_ctx.dual_points)[:-1])
+        corrupted = with_dual_points(vdc_ctx, list(dual_words(vdc_ctx))[:-1])
         res = check_poisson(corrupted)
         assert "FAIL" in res.describe()
         assert outcome(res) == outcome(poisson_loop(corrupted))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadnet.walsh import rho_index
 from oracles import (
     DyadicPoint,
     check_fine_closed_form,
@@ -194,7 +193,7 @@ class TestFineCoefficient:
         # Expansion indices add a bit above the leading digit, so ordinary
         # addition and XOR coincide there.
         for l in range(1, 1 << 10):
-            rho = rho_index(l)
+            rho = l.bit_length()
             for i in range(1, 9):
                 bit = 1 << (rho + i - 1)
                 assert l + bit == l ^ bit
@@ -208,7 +207,7 @@ class TestFineCoefficient:
             acc = Fraction(0)
             for a, b in zip(vals, vals[1:]):
                 acc += (a * a + a * b + b * b) / (3 * den)
-            assert acc == Fraction(1, 3 * (1 << (2 * rho_index(l))))
+            assert acc == Fraction(1, 3 * (1 << (2 * l.bit_length())))
 
     def test_self_checks(self):
         closed = check_fine_closed_form()
