@@ -15,7 +15,6 @@ from .f2core import F2Subspace
 from .nets import (
     DigitShift,
     GeneratorSet,
-    NetQuality,
     PointSet,
     certify_deficiency,
     load_generators,
@@ -60,7 +59,6 @@ __all__ = [
     "DiscrepancyContext",
     "F2Subspace",
     "GeneratorSet",
-    "NetQuality",
     "PointSet",
     "approximation_gap",
     "certify_deficiency",

@@ -231,12 +231,13 @@ def certify(net, n, s, box_check, fmt, out):
     readers of the earlier output."""
     gen_set = _load_net(net, n, s)
     config = {"net": net, "n": gen_set.n, "s": gen_set.s, "box_check": box_check}
-    quality = certify_deficiency(gen_set.subspace)
+    deficiency = certify_deficiency(gen_set.subspace)
     boxes = None
     if box_check and gen_set.s <= 12:
-        boxes = verify_box_counts(gen_set.point_words, gen_set.s, quality.deficiency)
+        boxes = verify_box_counts(gen_set.point_words, gen_set.s, deficiency)
     columns = ["n", "s", "deficiency", "dual_rt_weight", "exhaustive", "box_counts_ok"]
-    rows = [[gen_set.n, gen_set.s, quality.deficiency, quality.dual_rt_weight,
+    # The minimum RT weight of the nonzero dual follows from the deficiency.
+    rows = [[gen_set.n, gen_set.s, deficiency, gen_set.s + 1 - deficiency,
              True, boxes]]
     _emit(out, fmt, "certify", config, "exact", columns, rows)
     if boxes is False:

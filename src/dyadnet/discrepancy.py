@@ -17,15 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .f2core import (
-    DEFAULT_ENUM_CAP,
-    F2Subspace,
-    _character,
-    _pack,
-    _rev_words,
-    _unpack,
-)
-from .nets import DigitShift, NetQuality, _shift_words, certify_deficiency
+from .f2core import F2Subspace, _character, _pack, _rev_words, _unpack
+from .nets import DigitShift, _shift_words, certify_deficiency
 from . import walsh
 
 __all__ = [
@@ -35,6 +28,10 @@ __all__ = [
     "approximation_gap",
     "lambda_group",
 ]
+
+# The most dual elements, or grid points of a whole-grid table, that a
+# route lists; `DiscrepancyContext.cap` defaults to it.
+DEFAULT_ENUM_CAP = 1 << 24
 
 
 class RouteUnavailableError(RuntimeError):
@@ -83,7 +80,9 @@ class DiscrepancyContext:
         return self.subspace.cardinality
 
     @cached_property
-    def quality(self) -> NetQuality | None:
+    def deficiency(self) -> int | None:
+        """The certified deficiency; None when the subspace is not a net
+        of 2^s points."""
         return certify_deficiency(self.subspace) if self.subspace.dim == self.s else None
 
     @cached_property
@@ -93,7 +92,7 @@ class DiscrepancyContext:
     @cached_property
     def packed_net(self) -> tuple[int, ...]:
         # The cap gates the dual route only; the net itself is the object.
-        return tuple(self.subspace.enumerate_packed(max(self.cap, self.cardinality)))
+        return tuple(self.subspace.enumerate_packed())
 
     @cached_property
     def packed_dual(self) -> tuple[int, ...]:
@@ -101,7 +100,7 @@ class DiscrepancyContext:
             raise RouteUnavailableError(
                 f"dual has 2^{self.dual.dim} elements, above the enumeration cap"
             )
-        return tuple(self.dual.enumerate_packed(self.cap))
+        return tuple(self.dual.enumerate_packed())
 
     @cached_property
     def groups(self) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -197,9 +196,9 @@ def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
 
     The certified bound is n * 2^deficiency.
     """
-    if ctx.quality is None:
+    if ctx.deficiency is None:
         raise ValueError("gap bound needs a certified deficiency")
-    bound = ctx.n * (1 << ctx.quality.deficiency)
+    bound = ctx.n * (1 << ctx.deficiency)
     n, g = ctx.n, ctx.s + 2
     size = _grid_size(ctx, g)
     # Both routes subtract N * volume, so the gap is count - kernel alone.
@@ -246,8 +245,8 @@ def lambda_group(ctx: DiscrepancyContext, rho_bar: Sequence[int]) -> LambdaGroup
     lam0 = sorted(p for rho, group in groups.items()
                   if all(a <= b for a, b in zip(rho, below)) for p in group)
     bound_ok: bool | None = None
-    if ctx.quality is not None and any(members):
-        exponent = sum(rho_bar) - ctx.s + ctx.quality.deficiency
+    if ctx.deficiency is not None and any(members):
+        exponent = sum(rho_bar) - ctx.s + ctx.deficiency
         bound_ok = exponent >= 0 and len(lam0) <= (1 << exponent)
     representative = min(members) if members else None
     return LambdaGroup(rho_bar, members, representative, tuple(lam0), bound_ok)

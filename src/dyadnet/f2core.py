@@ -17,21 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-DEFAULT_ENUM_CAP = 1 << 24
-
-
-class EnumerationCapError(RuntimeError):
-    """Requested enumeration exceeds the configured element cap."""
-
-    def __init__(self, required: int, cap: int):
-        super().__init__(
-            f"enumeration needs {required} elements but the cap is {cap}; "
-            f"pass cap>={required} to override"
-        )
-        self.required = required
-        self.cap = cap
-
-
 class UndefinedWeightError(ValueError):
     """Minimum weight of the zero subspace is undefined."""
 
@@ -151,14 +136,6 @@ class F2Subspace:
     def from_packed(cls, n: int, s: int, vectors: Iterable[int]) -> "F2Subspace":
         return cls(n, s, _reduce(vectors))
 
-    @classmethod
-    def zero(cls, n: int, s: int) -> "F2Subspace":
-        return cls(n, s, ())
-
-    @classmethod
-    def full(cls, n: int, s: int) -> "F2Subspace":
-        return cls(n, s, _reduce(1 << i for i in range(n * s)))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -171,10 +148,12 @@ class F2Subspace:
     def cardinality(self) -> int:
         return 1 << self.dim
 
-    def enumerate_packed(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[int]:
-        """Yield every packed element exactly once (Gray-code order)."""
-        if self.cardinality > cap:
-            raise EnumerationCapError(self.cardinality, cap)
+    def enumerate_packed(self) -> Iterator[int]:
+        """Yield every packed element exactly once (Gray-code order).
+
+        There is no size limit here: the caller decides what it can list,
+        and `discrepancy.DiscrepancyContext` bounds the dual route.
+        """
         cur = 0
         yield cur
         for i in range(1, self.cardinality):
@@ -187,19 +166,20 @@ class F2Subspace:
         rows = [_rev_packed(b, self.n, self.s) for b in self.basis]
         return F2Subspace(self.n, self.s, _reduce(_nullspace(rows, self.ambient_dim)))
 
-    def min_weight(self, cap: int = DEFAULT_ENUM_CAP) -> int:
-        """Minimum RT weight over nonzero elements, by exhaustive enumeration.
+    def min_weight(self) -> int:
+        """Minimum RT weight over nonzero elements, by exhaustive enumeration
+        of all 2^dim elements, with no size limit.
 
-        No production route calls it: `nets.certify_deficiency` decides the
-        weight by rank conditions, and this is that certificate's test
-        oracle.  It stays a method because `perfbench/tracing.py` wraps it
-        by name.
+        No production route calls it: on a net's dual it is
+        s + 1 - `nets.certify_deficiency`, which decides the weight by rank
+        conditions, and this is that certificate's test oracle.  It stays a
+        method because `perfbench/tracing.py` wraps it by name.
         """
         if self.dim == 0:
             raise UndefinedWeightError("zero subspace has no nonzero element")
         return min(
             _packed_weight(v, self.n, self.s)
-            for v in self.enumerate_packed(cap)
+            for v in self.enumerate_packed()
             if v
         )
 

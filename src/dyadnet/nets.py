@@ -1,4 +1,4 @@
-"""Binary digital nets: generator matrices, quality certification, digit
+"""Binary digital nets: generator matrices, deficiency certification, digit
 shifts, and the rescaling that produces arbitrary-N point sets.
 
 A generator set holds n square s x s matrices over GF(2) by their
@@ -49,7 +49,6 @@ class GeneratorSet:
     n: int
     s: int
     columns: tuple[tuple[int, ...], ...]
-    name: str = "custom"
     subspace: F2Subspace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,16 +81,6 @@ class GeneratorSet:
                 cur[j] ^= img[j]
             words.append(tuple(cur))
         return tuple(words)
-
-
-@dataclass(frozen=True)
-class NetQuality:
-    """Exact deficiency certificate: every dyadic box of volume
-    2^(deficiency-s) holds exactly 2^deficiency points, and the minimum RT
-    weight of the nonzero dual is s + 1 - deficiency."""
-
-    deficiency: int
-    dual_rt_weight: int
 
 
 @dataclass(frozen=True)
@@ -161,9 +150,13 @@ def _shift_words(net: GeneratorSet | F2Subspace,
     return shift.words
 
 
-def certify_deficiency(sub: F2Subspace) -> NetQuality:
+def certify_deficiency(sub: F2Subspace) -> int:
     """Exact deficiency of a net, given as its subspace
     (`GeneratorSet.subspace`), from rank conditions on the leading digits.
+
+    The deficiency is the whole certificate: every dyadic box of volume
+    2^(deficiency-s) holds exactly 2^deficiency points, and the minimum RT
+    weight of the nonzero dual is s + 1 - deficiency.
 
     Boxes of volume 2^-m are fair exactly when, for every composition
     d_1 + ... + d_n = m, the leading d_j digits of the coordinates are
@@ -181,7 +174,7 @@ def certify_deficiency(sub: F2Subspace) -> NetQuality:
         for d in _compositions(m, n)
     ):
         m += 1
-    return NetQuality(s + 1 - m, m)
+    return s + 1 - m
 
 
 def _leading_digits_mask(shape: Sequence[int], s: int) -> int:
@@ -344,15 +337,14 @@ def van_der_corput_generators(s: int) -> GeneratorSet:
     """The classical planar pair: identity and bit-reversal matrices."""
     ident = tuple(1 << (s - 1 - k) for k in range(s))
     anti = tuple(1 << k for k in range(s))
-    return GeneratorSet(2, s, (ident, anti), name="van-der-corput")
+    return GeneratorSet(2, s, (ident, anti))
 
 
 def sobol_generators(n: int, s: int) -> GeneratorSet:
     """Sobol' generator matrices from tabulated direction numbers."""
     if not 1 <= n <= SOBOL_MAX_DIM:
         raise ValueError(f"sobol builtin supports 1 <= n <= {SOBOL_MAX_DIM}")
-    return GeneratorSet(n, s, tuple(_sobol_direction_words(j, s) for j in range(n)),
-                        name="sobol")
+    return GeneratorSet(n, s, tuple(_sobol_direction_words(j, s) for j in range(n)))
 
 
 def parse_generator_file(text: str) -> GeneratorSet:
@@ -398,7 +390,7 @@ def parse_generator_file(text: str) -> GeneratorSet:
         if lines[idx].strip():
             raise GeneratorFormatError(f"line {idx + 1}: trailing content")
         idx += 1
-    return GeneratorSet(n, s, blocks, name="file")
+    return GeneratorSet(n, s, blocks)
 
 
 def format_generator_file(gen: GeneratorSet) -> str:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .discrepancy import DiscrepancyContext
 from .f2core import _unpack
-from .nets import _compositions
 
 DEFAULT_Q_GRID = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0)
 _BLOCK = 4096
@@ -245,13 +244,6 @@ def khinchin_ratios(coeffs: Sequence[float], qs: Sequence[float], samples: int,
                       e.stderr / (math.sqrt(e.q) * c2), e.samples)
         for e in norms
     ]
-
-
-def hyperbolic_indices(n: int, k: int) -> list[tuple[int, ...]]:
-    """All positive integer vectors of length n with entries summing to k."""
-    if n < 1 or k < n:
-        raise ValueError("need k >= n >= 1 for positive entries")
-    return [tuple(d + 1 for d in c) for c in _compositions(k - n, n)]
 
 
 def hyperbolic_lp_ratios(coeffs: dict[tuple[int, ...], float], offset: Sequence[int],

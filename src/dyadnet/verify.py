@@ -33,11 +33,6 @@ class IdentityResult:
     details: dict = field(default_factory=dict)
     witness: dict | None = None
 
-    def describe(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        extra = f" witness={self.witness}" if self.witness else ""
-        return f"{self.name}: {status} ({self.checked} cases){extra}"
-
 
 def _character_table(words: Iterable[int], n: int, s: int) -> np.ndarray:
     """Character sums at every grid point at once: entry y is the sum of
@@ -45,8 +40,10 @@ def _character_table(words: Iterable[int], n: int, s: int) -> np.ndarray:
 
     An in-place Walsh-Hadamard butterfly over the indicator of the
     reversed words (Fino & Algazi, IEEE Trans. Computers C-25, 1976).
-    Every entry is at most the word count in absolute value, which callers
-    keep within the enumeration cap (2^24), so the int64 sums are exact.
+    Every entry is at most the word count in absolute value.  The words
+    are grid points, and every caller first passes
+    `discrepancy._grid_size`, which holds the grid within
+    `DiscrepancyContext.cap` (2^24 by default), so the int64 sums are exact.
     The table of one word is its +-1 character row, built by sign-doubling:
     setting bit k of y flips the sign when bit k of the reversed word is set.
     """
@@ -188,10 +185,10 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
 def run_net_suite(ctx: DiscrepancyContext) -> list[IdentityResult]:
     # Every grid of the suite is refused before any check runs.
     _grid_size(ctx, ctx.s)
-    if ctx.quality is not None:
+    if ctx.deficiency is not None:
         _grid_size(ctx, ctx.s + 2)
     results = [check_poisson(ctx), check_route_equivalence(ctx)]
-    if ctx.quality is not None:
+    if ctx.deficiency is not None:
         results.append(check_approximation_gap(ctx))
     results.append(check_delta_identities(ctx))
     return results

@@ -48,6 +48,11 @@ evaluates one way in production; tests compare the two.
   query with them; they are the oracles of
   `verify.check_route_equivalence` and `discrepancy.approximation_gap`,
   which read the whole-grid box and dual tables.
+
+Test helpers with no production caller live here too: `zero_subspace` and
+`full_subspace`, the trivial subspaces of Q^n(2^s); `hyperbolic_indices`,
+the index vectors of one hyperbolic level; and `describe`, a one-line
+summary of an `IdentityResult` for assertion messages.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from dyadnet.f2core import (
     bit_reverse,
     parity,
 )
-from dyadnet.nets import PointSet
+from dyadnet.nets import PointSet, _compositions
 from dyadnet.norms import _DN_CHUNK
 from dyadnet.verify import IdentityResult
 from dyadnet.walsh import _chi_num
@@ -119,6 +124,27 @@ class DyadicPoint:
 
     def pack(self) -> int:
         return _pack(self.words, self.s)
+
+
+def zero_subspace(n: int, s: int) -> F2Subspace:
+    return F2Subspace(n, s, ())
+
+
+def full_subspace(n: int, s: int) -> F2Subspace:
+    return F2Subspace.from_packed(n, s, (1 << i for i in range(n * s)))
+
+
+def hyperbolic_indices(n: int, k: int) -> list[tuple[int, ...]]:
+    """All positive integer vectors of length n with entries summing to k."""
+    if n < 1 or k < n:
+        raise ValueError("need k >= n >= 1 for positive entries")
+    return [tuple(d + 1 for d in c) for c in _compositions(k - n, n)]
+
+
+def describe(result: IdentityResult) -> str:
+    status = "pass" if result.passed else "FAIL"
+    extra = f" witness={result.witness}" if result.witness else ""
+    return f"{result.name}: {status} ({result.checked} cases){extra}"
 
 
 def digit_word(x: Fraction, k: int) -> int:
@@ -348,8 +374,8 @@ def lambda_group_walk(ctx: DiscrepancyContext, rho_bar) -> LambdaGroup:
         if all(l < b for l, b in zip(L, bounds)):
             lam0.append(p)
     bound_ok: bool | None = None
-    if ctx.quality is not None and any(members):
-        exponent = sum(rho_bar) - ctx.s + ctx.quality.deficiency
+    if ctx.deficiency is not None and any(members):
+        exponent = sum(rho_bar) - ctx.s + ctx.deficiency
         bound_ok = exponent >= 0 and len(lam0) <= (1 << exponent)
     representative = min(members) if members else None
     return LambdaGroup(rho_bar, tuple(members), representative, tuple(sorted(lam0)),
@@ -550,9 +576,9 @@ def route_loop(ctx: DiscrepancyContext) -> IdentityResult:
 def gap_loop(ctx: DiscrepancyContext) -> GapReport:
     """Largest |discrepancy - truncated approximation| over the exhaustive
     dyadic grid two digits finer than the net, visited in packed order."""
-    if ctx.quality is None:
+    if ctx.deficiency is None:
         raise ValueError("gap bound needs a certified deficiency")
-    bound = ctx.n * (1 << ctx.quality.deficiency)
+    bound = ctx.n * (1 << ctx.deficiency)
     g = ctx.s + 2
     den = 1 << (g * ctx.n)
     worst = Fraction(-1)

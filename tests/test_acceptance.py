@@ -146,7 +146,7 @@ def test_criterion_06_approximation_gap():
             ctx = DiscrepancyContext.build(gen.subspace,
                                            random_shift(2, s, seed=600 + 10 * s + k))
             rep = approximation_gap(ctx)  # exhaustive at s + 2 digits
-            assert rep.bound == 2 * (1 << ctx.quality.deficiency)
+            assert rep.bound == 2 * (1 << ctx.deficiency)
             assert rep.within_bound, (s, k, rep.max_gap)
             worst = max(worst, rep.max_gap / rep.bound)
     _report(6, True,

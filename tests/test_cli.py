@@ -131,13 +131,19 @@ class TestCertify:
         assert result.output == ("Error: cannot load net: generator map has rank 1 < 3; "
                                  "the net would collapse\n")
 
-    def test_exact_without_dual_enumeration(self, runner):
-        # The dual has 2^40 elements; the rank conditions still give t exactly.
-        out = run_ok(runner, ["certify", "--net", "sobol", "--n", "6", "--s", "8"])
+    @pytest.mark.parametrize("net, n, s, deficiency", [
+        *(("van-der-corput", 2, s, 0) for s in range(1, 9)),
+        ("sobol", 4, 6, 2),
+        ("sobol", 6, 8, 4),
+    ])
+    def test_exact_without_dual_enumeration(self, runner, net, n, s, deficiency):
+        # The Sobol (6, 8) dual has 2^40 elements; the rank conditions still
+        # give t exactly.  The printed dual weight is s + 1 - deficiency.
+        out = run_ok(runner, ["certify", "--net", net, "--n", str(n), "--s", str(s)])
         doc = json.loads(out)
         row = dict(zip(doc["columns"], doc["rows"][0]))
         assert "cap" not in doc["config"]
-        assert (row["deficiency"], row["dual_rt_weight"]) == (4, 5)
+        assert (row["deficiency"], row["dual_rt_weight"]) == (deficiency, s + 1 - deficiency)
         assert row["exhaustive"] is True
         assert row["box_counts_ok"] is True
 

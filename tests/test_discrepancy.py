@@ -12,10 +12,11 @@ from dyadnet.discrepancy import (
     approximation_gap,
     lambda_group,
 )
-from dyadnet.f2core import F2Subspace, _pack, _unpack
+from dyadnet.f2core import _pack, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
     certify_deficiency,
+    load_generators,
     net_points,
     random_shift,
     sobol_generators,
@@ -30,6 +31,7 @@ from oracles import (
     discrepancy_exact,
     dual_words,
     fine_coefficient,
+    full_subspace,
     iter_grid,
     lambda_group_walk,
     m_direct,
@@ -77,13 +79,12 @@ class TestDiscrepancyExact:
         with pytest.raises(ValueError):
             discrepancy_exact(pts, (1.5, 0.5))
 
-    @pytest.mark.parametrize("gen", [van_der_corput_generators(5), sobol_generators(3, 6),
-                                     sobol_generators(4, 5)],
-                             ids=lambda g: f"{g.name}-{g.n}-{g.s}")
-    def test_box_counts_match_the_sampler_and_the_kernel(self, gen):
+    @pytest.mark.parametrize("net, n, s", [("van-der-corput", 2, 5), ("sobol", 3, 6),
+                                           ("sobol", 4, 5)])
+    def test_box_counts_match_the_sampler_and_the_kernel(self, net, n, s):
         # Queries k/2^(s+2) are exact in float64, and a quarter of their
         # coordinates fall on the net's grid, where an inclusive count differs.
-        n, s = gen.n, gen.s
+        gen = load_generators(net, n, s)
         g = s + 2
         rng = np.random.default_rng(100 * n + s)
         for seed in range(3):
@@ -102,7 +103,7 @@ class TestDiscrepancyExact:
 
 
 def full_space_context(n, s):
-    return DiscrepancyContext.build(F2Subspace.full(n, s))
+    return DiscrepancyContext.build(full_subspace(n, s))
 
 
 class TestApproximationRoutes:
@@ -205,7 +206,7 @@ class TestApproximationRoutes:
         ctx = DiscrepancyContext.build(gen.subspace, random_shift(3, 4, seed=2))
         assert set(vars(ctx)) == {"subspace", "shift", "cap"}
         assert (ctx.n, ctx.s, ctx.cardinality) == (3, 4, 16)
-        assert ctx.quality.deficiency == certify_deficiency(gen.subspace).deficiency
+        assert ctx.deficiency == certify_deficiency(gen.subspace)
         assert ctx.dual == ctx.subspace.dual()
 
     def test_net_is_listed_once_in_enumeration_order(self):
@@ -237,22 +238,22 @@ class TestApproximationGap:
         gen = sobol_generators(3, 3)
         ctx = DiscrepancyContext.build(gen.subspace, random_shift(3, 3, seed=3))
         rep = approximation_gap(ctx)
-        assert rep.bound == 3 * (1 << ctx.quality.deficiency)
+        assert rep.bound == 3 * (1 << ctx.deficiency)
         assert rep.within_bound
 
 
 # Every builtin net with ns <= 12: van der Corput s = 1..6 and Sobol in
 # each supported dimension.
-BUILTIN_NETS = ([van_der_corput_generators(s) for s in range(1, 7)]
-                + [sobol_generators(n, s) for n in range(1, SOBOL_MAX_DIM + 1)
+BUILTIN_NETS = ([("van-der-corput", 2, s) for s in range(1, 7)]
+                + [("sobol", n, s) for n in range(1, SOBOL_MAX_DIM + 1)
                    for s in range(1, 12 // n + 1)])
 
 
 class TestPackedDual:
-    @pytest.mark.parametrize("gen", [van_der_corput_generators(3), sobol_generators(3, 3)],
-                             ids=lambda g: f"{g.name}-{g.n}-{g.s}")
-    def test_one_listing_in_enumeration_order(self, gen):
-        ctx = DiscrepancyContext.build(gen.subspace, random_shift(gen.n, gen.s, 4))
+    @pytest.mark.parametrize("net, n, s", [("van-der-corput", 2, 3), ("sobol", 3, 3)])
+    def test_one_listing_in_enumeration_order(self, net, n, s):
+        ctx = DiscrepancyContext.build(load_generators(net, n, s).subspace,
+                                       random_shift(n, s, 4))
         assert check_route_equivalence(ctx).passed
         assert ctx.packed_dual == tuple(ctx.dual.enumerate_packed())
         # The shift signs each index where the dual table is built.
@@ -266,14 +267,14 @@ class TestPackedDual:
 
 
 class TestLambdaGroups:
-    @pytest.mark.parametrize("gen", BUILTIN_NETS, ids=lambda g: f"{g.name}-{g.n}-{g.s}")
-    def test_matches_the_dual_walk(self, gen):
-        ctx = DiscrepancyContext.build(gen.subspace)
+    @pytest.mark.parametrize("net, n, s", BUILTIN_NETS)
+    def test_matches_the_dual_walk(self, net, n, s):
+        ctx = DiscrepancyContext.build(load_generators(net, n, s).subspace)
         positions = set(ctx.groups)
         # Every position vector in the box where that stays small, so that
         # vectors without members are compared as well.
-        if (gen.s + 1) ** gen.n <= 256:
-            positions.update(itertools.product(range(gen.s + 1), repeat=gen.n))
+        if (s + 1) ** n <= 256:
+            positions.update(itertools.product(range(s + 1), repeat=n))
         for rho_bar in sorted(positions):
             assert lambda_group(ctx, rho_bar) == lambda_group_walk(ctx, rho_bar), rho_bar
 

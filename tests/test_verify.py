@@ -32,6 +32,7 @@ from oracles import (
     box_kernel,
     character_sum,
     delta_loop,
+    describe,
     dual_words,
     gap_loop,
     m_direct,
@@ -59,11 +60,11 @@ def sobol_ctx():
 class TestSuitesPass:
     def test_vdc_suite(self, vdc_ctx):
         for result in run_net_suite(vdc_ctx):
-            assert result.passed, result.describe()
+            assert result.passed, describe(result)
 
     def test_sobol_suite(self, sobol_ctx):
         for result in run_net_suite(sobol_ctx):
-            assert result.passed, result.describe()
+            assert result.passed, describe(result)
 
     def test_gap_details(self, vdc_ctx):
         res = check_approximation_gap(vdc_ctx)
@@ -328,5 +329,5 @@ class TestNegativeControls:
     def test_describe_mentions_failure(self, vdc_ctx):
         corrupted = with_dual_points(vdc_ctx, list(dual_words(vdc_ctx))[:-1])
         res = check_poisson(corrupted)
-        assert "FAIL" in res.describe()
+        assert "FAIL" in describe(res)
         assert outcome(res) == outcome(poisson_loop(corrupted))
