@@ -104,6 +104,17 @@ def _reduce(vectors: Iterable[int]) -> tuple[int, ...]:
     return tuple(pivots[h] for h in sorted(pivots, reverse=True))
 
 
+def _span(words: Sequence[int]) -> Iterator[int]:
+    """The 2^len(words) XOR combinations of the words in Gray-code order:
+    element i is the XOR of words[k] over the set bits k of i's Gray code,
+    with repeats when the words are dependent."""
+    cur = 0
+    yield cur
+    for i in range(1, 1 << len(words)):
+        cur ^= words[(i & -i).bit_length() - 1]
+        yield cur
+
+
 def _nullspace(rows: Iterable[int], width: int) -> list[int]:
     """Basis of {v : parity(row & v) == 0 for all rows} over GF(2)."""
     reduced = _reduce(rows)
@@ -149,16 +160,12 @@ class F2Subspace:
         return 1 << self.dim
 
     def enumerate_packed(self) -> Iterator[int]:
-        """Yield every packed element exactly once (Gray-code order).
+        """Every packed element exactly once, `_span` of the basis.
 
         There is no size limit here: the caller decides what it can list,
         and `discrepancy.DiscrepancyContext` bounds the dual route.
         """
-        cur = 0
-        yield cur
-        for i in range(1, self.cardinality):
-            cur ^= self.basis[(i & -i).bit_length() - 1]
-            yield cur
+        return _span(self.basis)
 
     def dual(self) -> "F2Subspace":
         """Annihilator under the bit-reversed pairing (see `_rev_packed`);

@@ -20,7 +20,7 @@ from operator import index
 from pathlib import Path
 from typing import Sequence
 
-from .f2core import F2Subspace, _pack, _reduce
+from .f2core import F2Subspace, _pack, _reduce, _span
 
 
 class GeneratorFormatError(ValueError):
@@ -71,16 +71,9 @@ class GeneratorSet:
     @cached_property
     def point_words(self) -> tuple[tuple[int, ...], ...]:
         """Digit words of all 2^s net points, in Gray-code order of the
-        index word."""
-        images = list(zip(*self.columns))
-        cur = [0] * self.n
-        words = [tuple(cur)]
-        for i in range(1, 1 << self.s):
-            img = images[(i & -i).bit_length() - 1]
-            for j in range(self.n):
-                cur[j] ^= img[j]
-            words.append(tuple(cur))
-        return tuple(words)
+        index word.  Each coordinate walks its own columns with `_span`, so
+        one whose matrix alone is singular repeats words."""
+        return tuple(zip(*map(_span, self.columns)))
 
 
 @dataclass(frozen=True)
@@ -201,8 +194,8 @@ def verify_box_counts(words: Sequence[Sequence[int]], s: int, deficiency: int) -
     over all box shapes and offsets.
 
     A box of shape d keeps the leading d_j digits of each coordinate's
-    word, w >> (s - d_j), and a point's box is those digits concatenated
-    into one integer key.
+    word, and a point's box is its packed word masked by
+    `_leading_digits_mask(d, s)`, the mask of the rank certificate.
     """
     size = len(words)
     if s < 1 or size != 1 << s:
@@ -212,17 +205,13 @@ def verify_box_counts(words: Sequence[Sequence[int]], s: int, deficiency: int) -
     n = len(words[0])
     if n < 1 or any(len(p) != n for p in words):
         raise ValueError("points must share one dimension >= 1")
-    cols = list(zip(*words))
-    if any(min(col) < 0 or max(col) >> s for col in cols):
+    if any(w < 0 or w >> s for p in words for w in p):
         raise ValueError(f"digit word out of range for s={s}")
-    m = s - deficiency
+    packed = [_pack(p, s) for p in words]
     want = 1 << deficiency
-    for shape in _compositions(m, n):
-        keys = [0] * size
-        for col, d in zip(cols, shape):
-            cut = s - d
-            keys = [(k << d) | (w >> cut) for k, w in zip(keys, col)]
-        if any(v != want for v in Counter(keys).values()):
+    for shape in _compositions(s - deficiency, n):
+        boxes = Counter(map(_leading_digits_mask(shape, s).__and__, packed))
+        if any(v != want for v in boxes.values()):
             return False
     return True
 
@@ -353,43 +342,35 @@ def parse_generator_file(text: str) -> GeneratorSet:
     digit i of every column, so column k is the k-th characters read
     down the block."""
     lines = text.splitlines()
-    idx = 0
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx == len(lines):
+    # Non-blank line indices, then len(lines); block j starts at filled[1 + j*s].
+    filled = [k for k, line in enumerate(lines) if line.strip()] + [len(lines)]
+    if len(filled) == 1:
         raise GeneratorFormatError("empty generator file")
-    header = lines[idx].split()
-    idx += 1
-    if len(header) != 2:
-        raise GeneratorFormatError(f"line {idx}: header must be 'n s'")
+    head = filled[0] + 1
     try:
-        n, s = int(header[0]), int(header[1])
+        n, s = map(int, lines[filled[0]].split())
     except ValueError as exc:
-        raise GeneratorFormatError(f"line {idx}: header must be 'n s'") from exc
+        raise GeneratorFormatError(f"line {head}: header must be 'n s'") from exc
     if n < 1 or s < 1:
-        raise GeneratorFormatError(f"line {idx}: need n >= 1 and s >= 1")
+        raise GeneratorFormatError(f"line {head}: need n >= 1 and s >= 1")
     blocks = []
     for j in range(n):
-        while idx < len(lines) and not lines[idx].strip():
-            idx += 1
+        start = filled[1 + j * s]
         rows = []
-        for i in range(s):
-            if idx >= len(lines) or not lines[idx].strip():
+        for k in range(start, start + s):
+            row = lines[k].strip() if k < len(lines) else ""
+            if not row:
                 raise GeneratorFormatError(
-                    f"line {idx + 1}: block {j + 1} has fewer than {s} rows"
+                    f"line {k + 1}: block {j + 1} has fewer than {s} rows"
                 )
-            row = lines[idx].strip()
-            idx += 1
             if len(row) != s or any(ch not in "01" for ch in row):
                 raise GeneratorFormatError(
-                    f"line {idx}: expected {s} characters of 0/1, got {row!r}"
+                    f"line {k + 1}: expected {s} characters of 0/1, got {row!r}"
                 )
             rows.append(row)
         blocks.append(tuple(int("".join(col), 2) for col in zip(*rows)))
-    while idx < len(lines):
-        if lines[idx].strip():
-            raise GeneratorFormatError(f"line {idx + 1}: trailing content")
-        idx += 1
+    if filled[1 + n * s] < len(lines):
+        raise GeneratorFormatError(f"line {filled[1 + n * s] + 1}: trailing content")
     return GeneratorSet(n, s, blocks)
 
 
@@ -409,6 +390,8 @@ def load_generators(source: str | Path, n: int | None = None,
     Builtins need s (and n for sobol).
     """
     gen: GeneratorSet
+    if isinstance(source, str) and source.startswith("file:"):
+        source = Path(source[5:])
     if isinstance(source, Path):
         gen = parse_generator_file(source.read_text())
     elif source == "van-der-corput":
@@ -421,8 +404,6 @@ def load_generators(source: str | Path, n: int | None = None,
         if s is None or n is None:
             raise ValueError("sobol builtin needs n and s")
         gen = sobol_generators(n, s)
-    elif source.startswith("file:"):
-        gen = parse_generator_file(Path(source[5:]).read_text())
     else:
         raise ValueError(
             f"unknown net source {source!r}: use van-der-corput, sobol, or file:PATH"

@@ -21,6 +21,13 @@ evaluates one way in production; tests compare the two.
 - `iter_grid` yields every `DyadicPoint` of the grid in packed order, and
   `truncate` re-expresses a point at another resolution.
 - `discrepancy_exact` counts net points in a box one by one.
+- `point_words_loop` walks the index words once and XORs each step's
+  column image into all n coordinates; it is the oracle of
+  `GeneratorSet.point_words`, which walks each coordinate's columns with
+  `f2core._span`.  `box_counts_by_keys` keys a point's box by its leading
+  digits, w >> (s - d_j), concatenated into one integer; it is the oracle
+  of `nets.verify_box_counts`, which masks packed words with the rank
+  certificate's `_leading_digits_mask`.
 - `dn_points_sampler` is the discrepancy sampler over a `PointSet` of
   `Fraction`s, which it turns into floats; it is the oracle of
   `norms.dn_sampler`, which divides the context's shifted words in float64.
@@ -58,6 +65,7 @@ summary of an `IdentityResult` for assertion messages.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -77,7 +85,7 @@ from dyadnet.f2core import (
     bit_reverse,
     parity,
 )
-from dyadnet.nets import PointSet, _compositions
+from dyadnet.nets import GeneratorSet, PointSet, _compositions
 from dyadnet.norms import _DN_CHUNK
 from dyadnet.verify import IdentityResult
 from dyadnet.walsh import _chi_num
@@ -291,6 +299,36 @@ def discrepancy_exact(points: PointSet, Y) -> Fraction:
         if all(c < y for c, y in zip(p, ys)):
             count += 1
     return count - points.size * vol
+
+
+def point_words_loop(gen: GeneratorSet) -> tuple[tuple[int, ...], ...]:
+    """The net's digit words in Gray-code order of the index word, one
+    step per index word across all coordinates."""
+    images = list(zip(*gen.columns))
+    cur = [0] * gen.n
+    words = [tuple(cur)]
+    for i in range(1, 1 << gen.s):
+        img = images[(i & -i).bit_length() - 1]
+        for j in range(gen.n):
+            cur[j] ^= img[j]
+        words.append(tuple(cur))
+    return tuple(words)
+
+
+def box_counts_by_keys(words, s: int, deficiency: int) -> bool:
+    """Whether every dyadic box of volume 2^(deficiency-s) holds exactly
+    2^deficiency of the 2^s points, each point's box keyed by its leading
+    digits concatenated into one integer."""
+    cols = list(zip(*words))
+    want = 1 << deficiency
+    for shape in _compositions(s - deficiency, len(cols)):
+        keys = [0] * len(words)
+        for col, d in zip(cols, shape):
+            cut = s - d
+            keys = [(k << d) | (w >> cut) for k, w in zip(keys, col)]
+        if any(v != want for v in Counter(keys).values()):
+            return False
+    return True
 
 
 def dn_points_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:

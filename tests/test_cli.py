@@ -367,6 +367,25 @@ PINNED_STDOUT = {
         ["gen", "--net", "sobol", "--n", "3", "--s", "10", "--count", "700",
          "--shift-seed", "3", "--exact"],
         "0b930180305035626804adfee913fe866aa583dcbcb696d7b68ead5e3594b76b"),
+    # The order of the net listing: gen without --count prints the points
+    # in listing order, and m_sampler's float sums follow packed_net.
+    "norms-benchmark-seed-3": (
+        ["norms", "--net", "sobol", "--n", "3", "--s", "6", "--target", "both",
+         "--samples", "16384", "--q-grid", "1,2,4,8", "--seed", "3", "--shift-seed", "3"],
+        "5f0bf24cae7a1c3e3f89c1ea26ff0958a9010f767629ebd4c68b71236c7fb305"),
+    "gen-listing-order": (
+        ["gen", "--net", "sobol", "--n", "3", "--s", "8", "--shift-seed", "5"],
+        "f268e8c2e70a2e7b19b87f4ece39009408bede1254700e4ec2fb9b143de165fd"),
+    "gen-listing-order-exact": (
+        ["gen", "--net", "sobol", "--n", "3", "--s", "8", "--shift-seed", "5", "--exact"],
+        "d84f751c781f7b0644d40790bfd907d9f63f1299a4b1e4a0e098c6eefd9e3215"),
+    "sweep-sobol-3": (
+        ["sweep", "--net", "sobol", "--n", "3", "--s-min", "4", "--s-max", "6",
+         "--shifts", "3", "--samples", "2048"],
+        "d2be0310755db4f1da3c6b518e3fd050260e13191467bd8b8aebe82b5f577ff2"),
+    "certify-sobol-6-10-csv": (
+        ["certify", "--net", "sobol", "--n", "6", "--s", "10", "--format", "csv"],
+        "504bcf2a9b9ac10b7229cb0b6d0c115a7d99b4b36cfae18d503c03641ca13e7d"),
 }
 
 

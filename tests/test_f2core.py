@@ -12,6 +12,7 @@ from dyadnet.f2core import (
     _character,
     _packed_weight,
     _rev_packed,
+    _span,
     _unpack,
 )
 import dyadnet
@@ -197,6 +198,30 @@ class TestSubspace:
         from_enum = {DyadicPoint(_unpack(p, 2, 2), 2).values()
                      for p in sub.enumerate_packed()}
         assert from_net == from_enum
+
+    def test_enumerate_is_the_span_of_the_basis(self):
+        rng = random.Random(22)
+        for _ in range(20):
+            sub = random_subspace(rng, 2, 4)
+            assert list(_span(sub.basis)) == list(sub.enumerate_packed())
+
+    def test_span_element_i_follows_the_gray_code_of_i(self):
+        words = (0b1011, 0b0110, 0b1000, 0b0001)
+        for i, v in enumerate(_span(words)):
+            gray = i ^ (i >> 1)
+            want = 0
+            for k, w in enumerate(words):
+                if (gray >> k) & 1:
+                    want ^= w
+            assert v == want
+
+    def test_span_of_dependent_words_repeats(self):
+        # 3 ^ 5 == 6: three words span four elements, each listed twice.
+        elems = list(_span((3, 5, 6)))
+        assert len(elems) == 8
+        assert sorted(elems) == [0, 0, 3, 3, 5, 5, 6, 6]
+        assert list(_span((7, 7))) == [0, 7, 0, 7]
+        assert list(_span(())) == [0]
 
     def test_min_weight_zero_space(self):
         with pytest.raises(UndefinedWeightError):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from dyadnet.discrepancy import DiscrepancyContext
 from dyadnet.f2core import F2Subspace, _unpack
 from dyadnet.nets import (
+    SOBOL_MAX_DIM,
     DigitShift,
     GeneratorFormatError,
     GeneratorSet,
@@ -24,7 +26,7 @@ from dyadnet.nets import (
     van_der_corput_generators,
     verify_box_counts,
 )
-from oracles import DyadicPoint
+from oracles import DyadicPoint, box_counts_by_keys, point_words_loop
 
 
 def from_rows(n: int, s: int, rows) -> GeneratorSet:
@@ -241,6 +243,53 @@ class TestBoxCounts:
             verify_box_counts([(0, 0), (1,)], 1, 0)
 
 
+def _oracle_nets() -> list[GeneratorSet]:
+    """Every builtin with s <= 8, 200 random nets, and a net whose
+    coordinates are each singular (only the stacked map is injective)."""
+    gens = [van_der_corput_generators(s) for s in range(1, 9)]
+    gens += [sobol_generators(n, s) for n in range(1, SOBOL_MAX_DIM + 1) for s in range(1, 9)]
+    rng = random.Random(2208)
+    gens += [_random_injective_generators(rng, rng.randint(1, 4), rng.randint(1, 6))
+             for _ in range(200)]
+    gens.append(GeneratorSet(2, 3, ((4, 2, 6), (1, 2, 1))))
+    return gens
+
+
+class TestListingAndBoxesAgainstOracles:
+    """The per-coordinate `_span` listing and the mask-keyed box count
+    against the routes they replaced."""
+
+    def test_net_with_singular_coordinates(self):
+        gen = GeneratorSet(2, 3, ((4, 2, 6), (1, 2, 1)))
+        assert all(len(set(col)) < 8 for col in zip(*gen.point_words))
+        assert len(set(gen.point_words)) == 8
+
+    def test_point_words(self):
+        for gen in _oracle_nets():
+            assert gen.point_words == point_words_loop(gen), (gen.n, gen.s, gen.columns)
+
+    def test_box_counts_on_nets(self):
+        for k, gen in enumerate(_oracle_nets()):
+            n, s = gen.n, gen.s
+            # All deficiencies together check comb(s + n, n) box shapes.
+            if math.comb(s + n, n) > 1000:
+                continue
+            shift = random_shift(n, s, k).words
+            for words in (gen.point_words,
+                          [tuple(w ^ t for w, t in zip(p, shift)) for p in gen.point_words]):
+                got = [verify_box_counts(words, s, d) for d in range(s + 1)]
+                assert got == [box_counts_by_keys(words, s, d) for d in range(s + 1)]
+                assert got[certify_deficiency(gen.subspace)], (n, s, gen.columns)
+
+    def test_box_counts_on_random_word_lists(self):
+        rng = random.Random(2209)
+        for _ in range(200):
+            n, s = rng.randint(1, 4), rng.randint(1, 6)
+            words = [tuple(rng.getrandbits(s) for _ in range(n)) for _ in range(1 << s)]
+            for d in range(s + 1):
+                assert verify_box_counts(words, s, d) == box_counts_by_keys(words, s, d)
+
+
 class TestRandomShift:
     def test_deterministic(self):
         a = random_shift(3, 5, seed=11)
@@ -430,6 +479,27 @@ class TestGeneratorFiles:
     def test_trailing_garbage(self):
         with pytest.raises(GeneratorFormatError):
             parse_generator_file("1 1\n\n1\n\nextra\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty generator file"),
+        ("2\n", "line 1: header must be 'n s'"),
+        ("\n2 x\n", "line 2: header must be 'n s'"),
+        ("0 2\n", "line 1: need n >= 1 and s >= 1"),
+        ("1 2\n10\n\n01\n", "line 3: block 1 has fewer than 2 rows"),
+        ("1 2\n10\n", "line 3: block 1 has fewer than 2 rows"),
+        ("2 2\n10\n01\n", "line 4: block 2 has fewer than 2 rows"),
+        ("1 2\n12\n01\n", "line 2: expected 2 characters of 0/1, got '12'"),
+        ("1 2\n10\n01\n\n11\n", "line 5: trailing content"),
+    ])
+    def test_error_messages(self, tmp_path: Path, text, message):
+        path = tmp_path / "net.txt"
+        path.write_text(text)
+        for read in (lambda: parse_generator_file(text),
+                     lambda: load_generators(path),
+                     lambda: load_generators(f"file:{path}")):
+            with pytest.raises(GeneratorFormatError) as err:
+                read()
+            assert str(err.value) == message
 
 
 class TestLoadGenerators:
