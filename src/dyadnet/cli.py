@@ -91,7 +91,10 @@ def _emit(out: str | None, fmt: str, command: str, config: dict, mode: str,
             lines.append(",".join(_cell(v) for v in row))
         text = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise _Failure(f"cannot write {out}: {exc.strerror or exc}", EXIT_RUNTIME)
     else:
         _write_stdout(text.encode())
 

@@ -30,8 +30,8 @@ __all__ = [
 ]
 
 # The most dual elements, or grid points of a whole-grid table, that a
-# route lists; `DiscrepancyContext.cap` defaults to it.
-DEFAULT_ENUM_CAP = 1 << 24
+# route lists; read when a route is called.
+ENUM_CAP = 1 << 24
 
 
 class RouteUnavailableError(RuntimeError):
@@ -41,31 +41,30 @@ class RouteUnavailableError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiscrepancyContext:
-    """A (possibly shifted) linear distribution: its subspace, the shift's
-    digit words (zeros when unshifted) and the enumeration cap.
+    """A (possibly shifted) linear distribution: its subspace and the
+    shift's digit words (zeros when unshifted).
 
     Everything else is computed on first access and kept in the instance
     dict, so a route pays only for what it reads.  `packed_net` and
     `packed_dual`, packed words in `F2Subspace.enumerate_packed` order, are
     the one listings of the unshifted net and of its dual; reading
-    `packed_dual` (and so `groups`) above `cap` raises
-    `RouteUnavailableError` before the dual is enumerated, and stores
+    `packed_dual` (and so `groups`) above `ENUM_CAP` raises
+    `RouteUnavailableError` before the dual is computed, and stores
     nothing.
     """
 
     subspace: F2Subspace
     shift: tuple[int, ...]
-    cap: int
 
     @classmethod
-    def build(cls, sub: F2Subspace, shift: DigitShift | None = None,
-              cap: int = DEFAULT_ENUM_CAP) -> "DiscrepancyContext":
+    def build(cls, sub: F2Subspace, shift: DigitShift | None = None
+              ) -> "DiscrepancyContext":
         """A net enters as `GeneratorSet.subspace`."""
         if not isinstance(sub, F2Subspace):
             raise TypeError(f"need an F2Subspace, not {type(sub).__name__}")
         if sub.n < 1 or sub.s < 1:
             raise ValueError("need n >= 1 and s >= 1")
-        return cls(sub, _shift_words(sub, shift), cap)
+        return cls(sub, _shift_words(sub, shift))
 
     @property
     def n(self) -> int:
@@ -86,21 +85,17 @@ class DiscrepancyContext:
         return certify_deficiency(self.subspace) if self.subspace.dim == self.s else None
 
     @cached_property
-    def dual(self) -> F2Subspace:
-        return self.subspace.dual()
-
-    @cached_property
     def packed_net(self) -> tuple[int, ...]:
         # The cap gates the dual route only; the net itself is the object.
         return tuple(self.subspace.enumerate_packed())
 
     @cached_property
     def packed_dual(self) -> tuple[int, ...]:
-        if self.dual.cardinality > self.cap:
+        dim = self.n * self.s - self.subspace.dim
+        if 1 << dim > ENUM_CAP:
             raise RouteUnavailableError(
-                f"dual has 2^{self.dual.dim} elements, above the enumeration cap"
-            )
-        return tuple(self.dual.enumerate_packed())
+                f"dual has 2^{dim} elements, above the enumeration cap")
+        return tuple(self.subspace.dual().enumerate_packed())
 
     @cached_property
     def groups(self) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -113,16 +108,17 @@ class DiscrepancyContext:
         return {rho: tuple(members) for rho, members in out.items()}
 
 
-def _grid_size(ctx: DiscrepancyContext, g: int, terms: int = 1) -> int:
-    """2^(ng), the points of the resolution-g grid; raises before any table
-    is built or the dual enumerated when that is above the cap, or when
-    terms * N * 2^(ng), the bound on every entry and intermediate of the
-    tables with `terms` dual indices per entry, could leave int64."""
+def _grid_size(ctx: DiscrepancyContext, g: int) -> int:
+    """2^(ng), the points of the resolution-g grid (g >= s); raises before
+    any table is built or the dual listed when that is above `ENUM_CAP`, or
+    when its square could leave int64.  Every entry and intermediate of
+    every table is at most (dual indices per entry) * N * 2^(ng), and the
+    first two factors multiply to at most 2^(ns) <= 2^(ng)."""
     size = 1 << (ctx.n * g)
-    if size > ctx.cap:
+    if size > ENUM_CAP:
         raise RouteUnavailableError(
             f"grid has 2^{ctx.n * g} points, above the enumeration cap")
-    if (terms * ctx.cardinality) << (ctx.n * g) >= 1 << 63:
+    if size * size >= 1 << 63:
         raise RouteUnavailableError(
             f"grid has 2^{ctx.n * g} points, and its tables could leave int64")
     return size

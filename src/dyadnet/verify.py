@@ -7,7 +7,7 @@ or a bundle of nets and maps any failure to a dedicated exit code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable
@@ -30,7 +30,6 @@ class IdentityResult:
     name: str
     passed: bool
     checked: int
-    details: dict = field(default_factory=dict)
     witness: dict | None = None
 
 
@@ -43,7 +42,7 @@ def _character_table(words: Iterable[int], n: int, s: int) -> np.ndarray:
     Every entry is at most the word count in absolute value.  The words
     are grid points, and every caller first passes
     `discrepancy._grid_size`, which holds the grid within
-    `DiscrepancyContext.cap` (2^24 by default), so the int64 sums are exact.
+    `discrepancy.ENUM_CAP` (2^24), so the int64 sums are exact.
     The table of one word is its +-1 character row, built by sign-doubling:
     setting bit k of y flips the sign when bit k of the reversed word is set.
     """
@@ -96,7 +95,7 @@ def check_route_equivalence(ctx: DiscrepancyContext) -> IdentityResult:
     minus N times the box volume, and N times the dual table.
     """
     n, s = ctx.n, ctx.s
-    size = _grid_size(ctx, s, ctx.dual.cardinality)
+    size = _grid_size(ctx, s)
     card = ctx.cardinality
     volume = reduce(np.multiply.outer, [np.arange(1 << s, dtype=np.int64)] * n)
     direct = _box_table(ctx, s, kernel=True) << (n * s)
@@ -112,8 +111,7 @@ def check_route_equivalence(ctx: DiscrepancyContext) -> IdentityResult:
                      "direct": str(Fraction(int(direct[v]), den)),
                      "dual_sum": str(Fraction(int(dual_sum[v]), den))},
         )
-    return IdentityResult("route-equivalence", True, size,
-                          details={"resolution": s})
+    return IdentityResult("route-equivalence", True, size)
 
 
 def check_approximation_gap(ctx: DiscrepancyContext) -> IdentityResult:
@@ -121,11 +119,8 @@ def check_approximation_gap(ctx: DiscrepancyContext) -> IdentityResult:
     witness = None
     if not report.within_bound:
         witness = {"Y": [str(v) for v in report.argmax], "gap": str(report.max_gap)}
-    return IdentityResult(
-        "approximation-gap", report.within_bound, report.points_checked,
-        details={"max_gap": str(report.max_gap), "bound": report.bound},
-        witness=witness,
-    )
+    return IdentityResult("approximation-gap", report.within_bound,
+                          report.points_checked, witness=witness)
 
 
 def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
@@ -178,8 +173,7 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
                 witness={"rho_bar": rho_bar,
                          "grid_mean": str(Fraction(total, size))},
             )
-    return IdentityResult("delta-identities", True, checked,
-                          details={"groups": len(groups)})
+    return IdentityResult("delta-identities", True, checked)
 
 
 def run_net_suite(ctx: DiscrepancyContext) -> list[IdentityResult]:

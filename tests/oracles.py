@@ -504,8 +504,7 @@ def delta_loop(ctx: DiscrepancyContext) -> IdentityResult:
                 witness={"rho_bar": rho_bar,
                          "grid_mean": str(Fraction(total, 1 << (n * s)))},
             )
-    return IdentityResult("delta-identities", True, checked,
-                          details={"groups": len(groups)})
+    return IdentityResult("delta-identities", True, checked)
 
 
 def grid_words(Y, s: int, n: int) -> tuple[int, tuple[int, ...]]:
@@ -607,8 +606,7 @@ def route_loop(ctx: DiscrepancyContext) -> IdentityResult:
                 witness={"Y": [str(y) for y in Y],
                          "direct": str(a), "dual_sum": str(b)},
             )
-    return IdentityResult("route-equivalence", True, checked,
-                          details={"resolution": ctx.s})
+    return IdentityResult("route-equivalence", True, checked)
 
 
 def gap_loop(ctx: DiscrepancyContext) -> GapReport:

@@ -416,6 +416,17 @@ class TestOptions:
         assert result.exit_code == 2
         assert flag in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["certify", "--s", "3", "--format", "json"],
+        ["verify", "--s", "3", "--format", "csv"],
+        ["gen", "--net", "sobol", "--n", "2", "--s", "3"],
+    ], ids=["certify", "verify", "gen"])
+    def test_unwritable_out_is_runtime_error(self, runner, tmp_path, args):
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "x")])
+        assert result.exit_code == 1
+        assert "cannot write" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize("command", ["norms", "sweep"])
     def test_negative_seed_is_input_error(self, runner, command):
         result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",

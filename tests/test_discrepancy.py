@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dyadnet import discrepancy
 from dyadnet.discrepancy import (
     DiscrepancyContext,
     RouteUnavailableError,
@@ -109,7 +110,7 @@ def full_space_context(n, s):
 class TestApproximationRoutes:
     def test_trivial_distribution_zero(self):
         ctx = full_space_context(2, 3)
-        assert ctx.dual.dim == 0
+        assert ctx.subspace.dual().dim == 0
         for Y in iter_grid(2, 3):
             assert m_dual_sum(ctx, Y) == 0
             assert m_direct(ctx, Y) == 0
@@ -165,8 +166,9 @@ class TestApproximationRoutes:
                 )
                 assert overlap == partial
 
-    def test_cap_raises(self):
-        ctx = DiscrepancyContext.build(sobol_generators(3, 4).subspace, cap=8)
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(discrepancy, "ENUM_CAP", 8)
+        ctx = DiscrepancyContext.build(sobol_generators(3, 4).subspace)
         with pytest.raises(RouteUnavailableError):
             m_dual_sum(ctx, DyadicPoint.zero(3, 4))
 
@@ -204,10 +206,10 @@ class TestApproximationRoutes:
     def test_build_stores_only_its_input(self):
         gen = sobol_generators(3, 4)
         ctx = DiscrepancyContext.build(gen.subspace, random_shift(3, 4, seed=2))
-        assert set(vars(ctx)) == {"subspace", "shift", "cap"}
+        assert set(vars(ctx)) == {"subspace", "shift"}
         assert (ctx.n, ctx.s, ctx.cardinality) == (3, 4, 16)
         assert ctx.deficiency == certify_deficiency(gen.subspace)
-        assert ctx.dual == ctx.subspace.dual()
+        assert len(ctx.packed_dual) == ctx.subspace.dual().cardinality
 
     def test_net_is_listed_once_in_enumeration_order(self):
         sub = sobol_generators(3, 5).subspace
@@ -255,7 +257,7 @@ class TestPackedDual:
         ctx = DiscrepancyContext.build(load_generators(net, n, s).subspace,
                                        random_shift(n, s, 4))
         assert check_route_equivalence(ctx).passed
-        assert ctx.packed_dual == tuple(ctx.dual.enumerate_packed())
+        assert ctx.packed_dual == tuple(ctx.subspace.dual().enumerate_packed())
         # The shift signs each index where the dual table is built.
         assert "dual_signs" not in vars(ctx)
         # The groups partition the listing, each group in dual order.
@@ -395,7 +397,7 @@ class TestPoissonSummation:
         gen = van_der_corput_generators(s) if n == 2 else sobol_generators(n, s)
         ctx = DiscrepancyContext.build(gen.subspace)
         dual_set = set(dual_words(ctx))
-        dual_packed = set(ctx.dual.enumerate_packed())
+        dual_packed = set(ctx.subspace.dual().enumerate_packed())
         net = [_unpack(p, n, s) for p in ctx.subspace.enumerate_packed()]
         card = ctx.cardinality
         for L in iter_grid(n, s):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dyadnet import discrepancy, verify
 from dyadnet.discrepancy import (
     DiscrepancyContext,
     RouteUnavailableError,
@@ -69,7 +70,7 @@ class TestSuitesPass:
     def test_gap_details(self, vdc_ctx):
         res = check_approximation_gap(vdc_ctx)
         assert res.passed
-        assert res.details["bound"] == 2
+        assert approximation_gap(vdc_ctx).bound == 2
 
 
 # The builtin nets with ns <= 12 on which the tables meet the loops:
@@ -123,9 +124,10 @@ def test_one_word_table_is_its_character_row(n, s):
 
 
 class TestGridGuard:
-    def test_grid_above_the_cap_is_unavailable(self):
+    def test_grid_above_the_cap_is_unavailable(self, monkeypatch):
         # 2^8 grid points against a cap of 128; the dual (16 elements) fits.
-        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace, cap=128)
+        monkeypatch.setattr(discrepancy, "ENUM_CAP", 128)
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
         for check in (check_poisson, check_route_equivalence, check_delta_identities):
             with pytest.raises(RouteUnavailableError, match="grid has 2\\^8 points"):
                 check(ctx)
@@ -133,33 +135,67 @@ class TestGridGuard:
             approximation_gap(ctx)
         assert "packed_dual" not in vars(ctx)  # raised before the dual was enumerated
 
-    def test_grid_at_the_cap_runs(self):
-        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace, cap=256)
+    def test_grid_at_the_cap_runs(self, monkeypatch):
+        monkeypatch.setattr(discrepancy, "ENUM_CAP", 256)
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
         assert check_poisson(ctx).checked == 256
         assert check_route_equivalence(ctx).checked == 256
         assert check_delta_identities(ctx).passed
-        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace, cap=1 << 12)
+        monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 12)
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
         assert approximation_gap(ctx).points_checked == 1 << 12
 
-    def test_suite_refuses_its_gap_grid_before_any_check(self):
+    def test_suite_refuses_its_gap_grid_before_any_check(self, monkeypatch):
         # The 2^8 grid of the character checks fits; the 2^12 gap grid does not.
-        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace, cap=1 << 11)
+        monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 11)
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
         with pytest.raises(RouteUnavailableError, match="grid has 2\\^12 points"):
             run_net_suite(ctx)
         assert "packed_dual" not in vars(ctx)
 
-    def test_tables_that_could_leave_int64_are_unavailable(self):
-        # With the cap raised out of the way, N * 2^(ng) decides: N = 2^5 and
-        # a 2^70-point gap grid, or the 2^45-element dual on the 2^50 grid.
-        ctx = DiscrepancyContext.build(sobol_generators(10, 5).subspace, cap=1 << 80)
+    def test_tables_that_could_leave_int64_are_unavailable(self, monkeypatch):
+        # With the cap raised out of the way, the square of the grid decides:
+        # the 2^50-point grid of route equivalence or the 2^70-point gap grid.
+        monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 80)
+        ctx = DiscrepancyContext.build(sobol_generators(10, 5).subspace)
         for route in (approximation_gap, check_route_equivalence, run_net_suite):
             with pytest.raises(RouteUnavailableError, match="could leave int64"):
                 route(ctx)
         assert "packed_dual" not in vars(ctx)
-        # The bound is terms * N * 2^(ng) < 2^63: 2^7 * 2^5 * 2^50 fits.
-        assert _grid_size(ctx, 5, terms=1 << 7) == 1 << 50
+        # The bound is 2^(ng) * 2^(ng) < 2^63: a 2^31-point grid fits.
+        ctx = DiscrepancyContext.build(sobol_generators(1, 31).subspace)
+        assert _grid_size(ctx, 31) == 1 << 31
         with pytest.raises(RouteUnavailableError, match="could leave int64"):
-            _grid_size(ctx, 5, terms=1 << 8)
+            _grid_size(ctx, 32)
+
+    def test_suite_refuses_before_its_first_check(self, monkeypatch):
+        # Sobol (3, 11): the character checks' 2^33 grid could leave int64.
+        monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 80)
+        ran = []
+
+        def spy(ctx):
+            ran.append(ctx)
+            return verify.IdentityResult("poisson-summation", True, 0)
+
+        monkeypatch.setattr(verify, "check_poisson", spy)
+        ctx = DiscrepancyContext.build(sobol_generators(3, 11).subspace)
+        with pytest.raises(RouteUnavailableError, match="could leave int64"):
+            run_net_suite(ctx)
+        assert not ran
+        assert "packed_dual" not in vars(ctx)
+
+    def test_one_size_rule_bounds_every_table(self):
+        # Every entry and intermediate of a table with `terms` dual indices
+        # per entry is at most terms * N * 2^(ng), with N = 2^dim and terms
+        # at most the dual's 2^(ns - dim); the grid's square bounds them all.
+        for n in range(1, 5):
+            for s in range(1, 13):
+                for g in (s, s + 2):
+                    if 1 << (2 * n * g) >= 1 << 63:
+                        continue
+                    for dim in range(s + 1):
+                        for terms in (1, 1 << (n * s - dim)):
+                            assert (terms << dim) << (n * g) < 1 << 63, (n, s, g, dim)
 
 
 # Every builtin net with ns <= 12: van der Corput s = 1..6 and Sobol in
@@ -194,7 +230,7 @@ class TestBoxTablesAgainstLoops:
         n, s = ctx.n, ctx.s
         result = check_route_equivalence(ctx)
         assert result.passed and result.checked == 1 << (n * s)
-        if (1 << (n * s)) * (ctx.cardinality + ctx.dual.cardinality) <= LOOP_BUDGET:
+        if (1 << (n * s)) * (ctx.cardinality + len(ctx.packed_dual)) <= LOOP_BUDGET:
             assert result == route_loop(ctx)
             return
         kernel, dual = _box_table(ctx, s, kernel=True), _dual_table(ctx)
@@ -209,7 +245,7 @@ class TestBoxTablesAgainstLoops:
     def test_gap_matches_the_loop(self, net, seed):
         ctx = builtin_context(*net, seed)
         n, g = ctx.n, ctx.s + 2
-        if 1 << (n * g) > ctx.cap:
+        if 1 << (n * g) > discrepancy.ENUM_CAP:
             with pytest.raises(RouteUnavailableError, match=f"grid has 2\\^{n * g} points"):
                 approximation_gap(ctx)
             return
