@@ -8,6 +8,8 @@ failure.
 
 The array layers (`discrepancy`, `norms`, `verify`) are imported inside
 the commands that use them, so `gen` and `certify` run without numpy.
+Likewise `fractions` loads only with the points of `gen` (in `nets`) and
+`statistics` only in `sweep`, so `certify` loads neither.
 Before they load, the command group sets `OPENBLAS_NUM_THREADS=1` unless
 the caller has set it: no array layer uses threaded BLAS, and numpy's
 import would otherwise start OpenBLAS worker threads, one per extra core,
@@ -25,10 +27,9 @@ from __future__ import annotations
 import json
 import math
 import os
-import statistics
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
@@ -45,6 +46,9 @@ from .nets import (
     rescale_to_N,
     verify_box_counts,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_RUNTIME = 1
 EXIT_INPUT = 2
@@ -365,6 +369,8 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
 def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, fmt, out):
     """Growth-law table: discrepancy norms across resolutions and shifts,
     normalized by the expected moment profile."""
+    import statistics
+
     from .discrepancy import DiscrepancyContext
     from .norms import dn_sampler, lq_norms_mc, normalized_ratio
 

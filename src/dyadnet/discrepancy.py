@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,8 +173,7 @@ def _dual_table(ctx: DiscrepancyContext) -> np.ndarray:
     return table.reshape(-1)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     max_gap: Fraction
     bound: int
     argmax: tuple[Fraction, ...]
@@ -209,8 +208,7 @@ def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
     return GapReport(Fraction(int(gap[v]), 1 << (n * g)), bound, argmax, size)
 
 
-@dataclass(frozen=True)
-class LambdaGroup:
+class LambdaGroup(NamedTuple):
     """Packed dual indices with a prescribed leading-digit position vector."""
 
     rho_bar: tuple[int, ...]

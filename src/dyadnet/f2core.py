@@ -6,8 +6,8 @@ and a coordinate is a one-dimensional point.  There is no point class;
 `_pack` joins the words into one integer, coordinate 0 in the low bits,
 and `_unpack` splits it again.  Point sets with linear structure are
 subspaces under digitwise XOR.  The module provides the tensor Walsh
-character of the bit-reversed bilinear pairing, annihilators (dual
-subspaces), enumeration, and the Rosenbloom-Tsfasman weight, all in
+character of the bit-reversed bilinear pairing, ranks, annihilators
+(dual subspaces), enumeration, and the Rosenbloom-Tsfasman weight, all in
 integer words, with no rational arithmetic; the whole-grid character
 sums live in `verify`.
 """
@@ -85,18 +85,30 @@ def _packed_weight(packed: int, n: int, s: int) -> int:
     return sum(w.bit_length() for w in _unpack(packed, n, s))
 
 
-def _reduce(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row echelon basis over GF(2), pivots on leading bits,
-    returned in decreasing pivot order.  Canonical per subspace."""
+def _pivots(vectors: Iterable[int]) -> dict[int, int]:
+    """Forward elimination over GF(2): an echelon basis of the span, keyed
+    by each element's leading bit."""
     pivots: dict[int, int] = {}
     for v in vectors:
         while v:
             h = v.bit_length() - 1
-            if h in pivots:
-                v ^= pivots[h]
-            else:
+            p = pivots.get(h)
+            if p is None:
                 pivots[h] = v
                 break
+            v ^= p
+    return pivots
+
+
+def _rank(words: Iterable[int]) -> int:
+    """Rank over GF(2), `len(_reduce(words))` without the back-substitution."""
+    return len(_pivots(words))
+
+
+def _reduce(vectors: Iterable[int]) -> tuple[int, ...]:
+    """Reduced row echelon basis over GF(2), pivots on leading bits,
+    returned in decreasing pivot order.  Canonical per subspace."""
+    pivots = _pivots(vectors)
     for h in sorted(pivots):
         for g in list(pivots):
             if g != h and (pivots[g] >> h) & 1:

@@ -13,14 +13,16 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import index
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .f2core import F2Subspace, _pack, _reduce, _span
+from .f2core import F2Subspace, _pack, _rank, _span
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class GeneratorFormatError(ValueError):
@@ -123,6 +125,9 @@ class PointSet:
 
 def net_points(gen: GeneratorSet, shift: DigitShift | None = None) -> PointSet:
     """All 2^s net points, XOR-translated when a shift is given."""
+    # Imported here, so that `certify` never loads the rational module.
+    from fractions import Fraction
+
     t = _shift_words(gen, shift)
     den = 1 << gen.s
     return PointSet(tuple(
@@ -163,7 +168,7 @@ def certify_deficiency(sub: F2Subspace) -> int:
         raise ValueError(f"a subspace of dimension {sub.dim} is not a net of 2^{s} points")
     m = 1
     while m <= s and all(
-        len(_reduce(b & _leading_digits_mask(d, s) for b in sub.basis)) == m
+        _rank(map(_leading_digits_mask(d, s).__and__, sub.basis)) == m
         for d in _compositions(m, n)
     ):
         m += 1
@@ -225,8 +230,7 @@ def random_shift(n: int, s: int, seed: int) -> DigitShift:
     return DigitShift([rng.getrandbits(s) for _ in range(n)], s, seed)
 
 
-@dataclass(frozen=True)
-class RescaleResult:
+class RescaleResult(NamedTuple):
     points: PointSet
     divisor: Fraction
     shift: DigitShift | None
@@ -266,6 +270,8 @@ def rescale_to_N(gen: GeneratorSet, count: int, shift: DigitShift | None = None,
 
 
 def _rescale_once(gen: GeneratorSet, count: int, shift: DigitShift | None) -> RescaleResult:
+    from fractions import Fraction
+
     den = 1 << gen.s
     if count == den:
         return RescaleResult(net_points(gen, shift), Fraction(1), shift)

@@ -11,9 +11,8 @@ block order, so a seeded run is reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,16 +39,14 @@ def q_grid(values: Sequence[float]) -> tuple[float, ...]:
     return vals
 
 
-@dataclass(frozen=True)
-class LqEstimate:
+class LqEstimate(NamedTuple):
     q: float
     value: float
     stderr: float
     samples: int
 
 
-@dataclass(frozen=True)
-class OrliczEstimate:
+class OrliczEstimate(NamedTuple):
     value: float
     theta: float
     at_q: float
@@ -210,8 +207,7 @@ def normalized_ratio(value: float, q: float, s: int, n: int) -> float:
     return value / (q ** ((n + 1) / 2) * s ** ((n - 1) / 2))
 
 
-@dataclass(frozen=True)
-class RatioEstimate:
+class RatioEstimate(NamedTuple):
     q: float
     ratio: float
     stderr: float

@@ -7,10 +7,9 @@ or a bundle of nets and maps any failure to a dedicated exit code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -25,8 +24,7 @@ from .discrepancy import (
 from .f2core import F2Subspace, _rev_packed, _unpack
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     passed: bool
     checked: int

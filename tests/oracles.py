@@ -28,6 +28,10 @@ evaluates one way in production; tests compare the two.
   digits, w >> (s - d_j), concatenated into one integer; it is the oracle
   of `nets.verify_box_counts`, which masks packed words with the rank
   certificate's `_leading_digits_mask`.
+- `certify_by_reduce` is the rank certificate with each rank read as the
+  length of a reduced row echelon basis, `len(f2core._reduce(...))`; it
+  is the oracle of `nets.certify_deficiency`, which counts the pivots of
+  the forward elimination alone (`f2core._rank`).
 - `dn_points_sampler` is the discrepancy sampler over a `PointSet` of
   `Fraction`s, which it turns into floats; it is the oracle of
   `norms.dn_sampler`, which divides the context's shifted words in float64.
@@ -79,13 +83,14 @@ from dyadnet.f2core import (
     F2Subspace,
     _character,
     _pack,
+    _reduce,
     _rev_packed,
     _rev_words,
     _unpack,
     bit_reverse,
     parity,
 )
-from dyadnet.nets import GeneratorSet, PointSet, _compositions
+from dyadnet.nets import GeneratorSet, PointSet, _compositions, _leading_digits_mask
 from dyadnet.norms import _DN_CHUNK
 from dyadnet.verify import IdentityResult
 from dyadnet.walsh import _chi_num
@@ -329,6 +334,20 @@ def box_counts_by_keys(words, s: int, deficiency: int) -> bool:
         if any(v != want for v in Counter(keys).values()):
             return False
     return True
+
+
+def certify_by_reduce(sub: F2Subspace) -> int:
+    """Deficiency of a net of 2^s points from rank conditions: the first m
+    at which the basis masked to some composition of m leading digits has
+    a reduced basis shorter than m gives s + 1 - m."""
+    n, s = sub.n, sub.s
+    m = 1
+    while m <= s and all(
+        len(_reduce(b & _leading_digits_mask(d, s) for b in sub.basis)) == m
+        for d in _compositions(m, n)
+    ):
+        m += 1
+    return s + 1 - m
 
 
 def dn_points_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:

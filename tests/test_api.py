@@ -1,7 +1,10 @@
 """The public surface: every exported name resolves and has a caller in
-the library, and the integer layers and the CLI start without numpy."""
+the library, the result records are immutable value tuples, and the
+integer layers and the CLI start without numpy, and `certify` without the
+rational and statistics modules."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import dyadnet
+from dyadnet.discrepancy import GapReport
+from dyadnet.verify import IdentityResult
 
 # The synthetic digit-sign experiments of acceptance 09 have no caller
 # in the library yet; ROADMAP item 13 decides whether they stay.
@@ -76,20 +81,61 @@ def test_every_public_name_resolves():
         getattr(dyadnet, "no_such_name")
 
 
+# Plain value records: each name's fields in order, then its defaults.
+RECORDS = {
+    "dyadnet.nets.RescaleResult": (("points", "divisor", "shift"), {}),
+    "dyadnet.discrepancy.GapReport": (("max_gap", "bound", "argmax", "points_checked"), {}),
+    "dyadnet.discrepancy.LambdaGroup": (
+        ("rho_bar", "members", "representative", "lambda0", "cardinality_bound_ok"), {}),
+    "dyadnet.verify.IdentityResult": (
+        ("name", "passed", "checked", "witness"), {"witness": None}),
+    "dyadnet.norms.LqEstimate": (("q", "value", "stderr", "samples"), {}),
+    "dyadnet.norms.OrliczEstimate": (("value", "theta", "at_q"), {}),
+    "dyadnet.norms.RatioEstimate": (("q", "ratio", "stderr", "samples"), {}),
+}
+
+
+@pytest.mark.parametrize("path", sorted(RECORDS))
+def test_result_records_are_immutable_values(path):
+    module, name = path.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module), name)
+    fields, defaults = RECORDS[path]
+    assert (cls._fields, cls._field_defaults) == (fields, defaults)
+    values = tuple((k, "x") for k in range(len(fields)))
+    rec = cls(*values)
+    assert rec == cls(*values) and hash(rec) == hash(cls(*values))
+    assert rec != cls(*values[:-1], None)
+    with pytest.raises(AttributeError):
+        setattr(rec, fields[0], None)
+    with pytest.raises(AttributeError):
+        rec.extra = None
+
+
+def test_record_defaults_and_properties():
+    assert IdentityResult("poisson-summation", True, 4).witness is None
+    assert [GapReport(gap, 2, (), 1).within_bound for gap in (1, 2, 3)] == [
+        True, True, False]
+
+
 # Runs in a fresh interpreter, since this one has loaded numpy already.
-# It records whether numpy is loaded at each step, and after `verify` the
-# OpenBLAS setting and the thread count (None where /proc is absent).
+# It records which of the modules in WATCHED are loaded at each step, and
+# after `verify` the OpenBLAS setting and the thread count (None where
+# /proc is absent).
 STARTUP_PROBE = """
 import json, os, re, sys
+WATCHED = ("numpy", "fractions", "decimal", "statistics")
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
 import dyadnet, dyadnet.cli
-state = {"import": "numpy" in sys.modules}
+state = {"import": loaded()}
 from dyadnet.cli import main
 main(["certify", "--net", "sobol", "--n", "3", "--s", "5"], standalone_mode=False)
+state["certify"] = loaded()
 main(["gen", "--net", "sobol", "--n", "3", "--s", "6", "--count", "40",
       "--shift-seed", "1"], standalone_mode=False)
-state["certify_gen"] = "numpy" in sys.modules
+state["gen"] = loaded()
 main(["verify", "--net", "van-der-corput", "--s", "2"], standalone_mode=False)
-state["verify"] = "numpy" in sys.modules
+state["verify"] = loaded()
 state["blas_env"] = os.environ.get("OPENBLAS_NUM_THREADS")
 state["threads"] = None
 if os.path.exists("/proc/self/status"):
@@ -110,8 +156,17 @@ def run_startup_probe(**env) -> dict:
 
 def test_cli_loads_numpy_only_for_the_array_commands():
     state = run_startup_probe()
-    assert {k: state[k] for k in ("import", "certify_gen", "verify")} == {
-        "import": False, "certify_gen": False, "verify": True}
+    assert {k: "numpy" in state[k] for k in ("import", "certify", "gen", "verify")} == {
+        "import": False, "certify": False, "gen": False, "verify": True}
+
+
+def test_cli_loads_fractions_and_statistics_only_where_used():
+    # `certify` works on integer words; `gen` builds Fraction points, and
+    # only `sweep` takes a median.
+    state = run_startup_probe()
+    assert state["import"] == state["certify"] == []
+    assert "fractions" in state["gen"]
+    assert "statistics" not in state["verify"]
 
 
 def test_cli_runs_blas_single_threaded():

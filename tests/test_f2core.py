@@ -11,6 +11,8 @@ from dyadnet.f2core import (
     UndefinedWeightError,
     _character,
     _packed_weight,
+    _rank,
+    _reduce,
     _rev_packed,
     _span,
     _unpack,
@@ -226,6 +228,25 @@ class TestSubspace:
     def test_min_weight_zero_space(self):
         with pytest.raises(UndefinedWeightError):
             zero_subspace(2, 3).min_weight()
+
+
+class TestRank:
+    def test_rank_is_the_length_of_the_reduced_basis(self):
+        rng = random.Random(2410)
+        for _ in range(500):
+            width = rng.randint(1, 12)
+            words = [rng.getrandbits(width) for _ in range(rng.randint(0, 8))]
+            # Zeros, repeats and sums of earlier words make the list dependent.
+            for _ in range(rng.randint(0, 4)):
+                kind = rng.randrange(3)
+                if kind == 0 or not words:
+                    words.append(0)
+                elif kind == 1:
+                    words.append(rng.choice(words))
+                else:
+                    words.append(rng.choice(words) ^ rng.choice(words))
+            rng.shuffle(words)
+            assert _rank(iter(words)) == len(_reduce(words)), words
 
 
 class TestCharacterCompatibility:

@@ -26,7 +26,7 @@ from dyadnet.nets import (
     van_der_corput_generators,
     verify_box_counts,
 )
-from oracles import DyadicPoint, box_counts_by_keys, point_words_loop
+from oracles import DyadicPoint, box_counts_by_keys, certify_by_reduce, point_words_loop
 
 
 def from_rows(n: int, s: int, rows) -> GeneratorSet:
@@ -188,6 +188,14 @@ class TestRankCertificateAgainstDualOracle:
         sub = sobol_generators(3, 4).subspace
         with pytest.raises(ValueError):
             certify_deficiency(sub.dual())
+
+    def test_builtins_against_reduced_bases(self):
+        gens = [van_der_corput_generators(s) for s in range(1, 11)]
+        gens += [sobol_generators(n, s)
+                 for n in range(1, SOBOL_MAX_DIM + 1) for s in range(1, 11)]
+        for gen in gens:
+            assert certify_deficiency(gen.subspace) == certify_by_reduce(gen.subspace), (
+                gen.n, gen.s)
 
 
 def shifted_words(gen: GeneratorSet, shift: DigitShift) -> list[tuple[int, ...]]:
