@@ -6,15 +6,16 @@ version, arithmetic mode) and is byte-reproducible for a fixed config.
 Exit codes: 0 ok, 1 runtime failure, 2 input error, 3 identity-suite
 failure.
 
-The array layers (`discrepancy`, `norms`, `verify`) are imported inside
-the commands that use them, so `gen` and `certify` run without numpy.
-Likewise `fractions` loads only with the points of `gen` (in `nets`) and
-`statistics` only in `sweep`, so `certify` loads neither.
-Before they load, the command group sets `OPENBLAS_NUM_THREADS=1` unless
-the caller has set it: no array layer uses threaded BLAS, and numpy's
-import would otherwise start OpenBLAS worker threads, one per extra core,
-that only burn CPU time.  Only this command group sets it; `import
-dyadnet` does not.
+The command line is one stdlib `argparse` parser; neither it nor the
+integer layers load click, `inspect` or `dataclasses`.  The array layers
+(`discrepancy`, `norms`, `verify`) are imported inside the commands that
+use them, so `gen` and `certify` run without numpy.  Likewise `fractions`
+loads only with the points of `gen` (in `nets`) and `statistics` only in
+`sweep`, so `certify` loads neither.
+Before they load, `main` sets `OPENBLAS_NUM_THREADS=1` unless the caller
+has set it: no array layer uses threaded BLAS, and numpy's import would
+otherwise start OpenBLAS worker threads, one per extra core, that only
+burn CPU time.  Only `main` sets it; `import dyadnet` does not.
 
 The `dyadnet` process (the console script and `python -m dyadnet.cli`)
 enters through `run`: it flushes its output and ends without interpreter
@@ -28,10 +29,9 @@ import json
 import math
 import os
 import sys
+from argparse import ArgumentParser, ArgumentTypeError, BooleanOptionalAction
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-import click
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 from . import __version__
 from .nets import (
@@ -55,10 +55,13 @@ EXIT_INPUT = 2
 EXIT_IDENTITY = 3
 
 
-class _Failure(click.ClickException):
+class _Failure(Exception):
+    """A command's error: `main` prints `Error: <message>` and exits with
+    `code`."""
+
     def __init__(self, message: str, code: int):
         super().__init__(message)
-        self.exit_code = code
+        self.code = code
 
 
 def _provenance_lines(command: str, config: dict, mode: str) -> list[str]:
@@ -109,7 +112,7 @@ def _write_stdout(data: bytes) -> None:
     An unbuffered stdout (`PYTHONUNBUFFERED`) is a raw file, and a raw
     write that a closed pipe cuts short returns the count it wrote; the
     text layer drops the rest without an error.  Writing the remainder
-    again raises EPIPE instead, which click turns into exit 1.
+    again raises EPIPE instead, which `main` turns into exit 1.
     """
     if sys.stdout is None:
         return
@@ -148,42 +151,60 @@ def _parse_q_grid(text: str | None) -> tuple[float, ...]:
         raise _Failure(f"bad q grid: {exc}", EXIT_INPUT)
 
 
-_NET_OPTIONS = [
-    click.option("--net", default="van-der-corput", show_default=True,
-                 help="Builtin name (van-der-corput, sobol) or file:PATH."),
-    click.option("--n", type=int, default=None, help="Dimension (builtin nets)."),
-    click.option("--s", type=click.IntRange(min=1), default=None,
-                 help="Digit resolution; 2^s points."),
-]
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ArgumentTypeError(f"{value} is not in the range x>={low}.")
+        return value
+    return integer
 
 
-def _net_options(fn):
-    for opt in reversed(_NET_OPTIONS):
-        fn = opt(fn)
-    return fn
+_POSITIVE = _int_at_least(1)
+_NONNEGATIVE = _int_at_least(0)
 
 
-@click.group()
-@click.version_option(__version__, prog_name="dyadnet")
-def main():
-    """Digital nets, exact discrepancy identities, and norm experiments."""
-    # Runs before every subcommand, so before the deferred numpy import.
-    # Once numpy is loaded its BLAS pool is fixed, so leave the environment
-    # alone then; a value the caller exported wins.
-    if "numpy" not in sys.modules:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+def _option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """The arguments of one `add_argument` call."""
+    return flags, kwargs
 
 
-@main.command()
-@_net_options
-@click.option("--count", type=int, default=None,
-              help="Rescale the net down to this many points.")
-@click.option("--shift-seed", type=click.IntRange(min=0), default=None,
-              help="Random digit shift seed.")
-@click.option("--shift-retries", type=click.IntRange(min=0), default=64, show_default=True,
-              help="Extra seeded shifts to try when --count hits a tie.")
-@click.option("--exact", is_flag=True, help="Exact coordinates instead of doubles.")
-@click.option("--out", type=click.Path(), default=None)
+def _format_option(default: str):
+    return _option("--format", dest="fmt", choices=("csv", "json"), default=default,
+                   help="Output format.")
+
+
+_NET_OPTIONS = (
+    _option("--net", default="van-der-corput",
+            help="Builtin name (van-der-corput, sobol) or file:PATH."),
+    _option("--n", type=int, help="Dimension (builtin nets)."),
+    _option("--s", type=_POSITIVE, help="Digit resolution; 2^s points."),
+)
+_OUT_OPTION = _option("--out", help="Output file, instead of stdout.")
+
+# Command name -> (function, options); `main` calls the function with
+# the parsed options as keyword arguments.
+_COMMANDS: dict[str, tuple[Callable[..., None], tuple]] = {}
+
+
+def _command(*options):
+    """Register a command under its function's name, with the net options
+    before its own."""
+    def register(fn):
+        _COMMANDS[fn.__name__] = (fn, _NET_OPTIONS + options)
+        return fn
+    return register
+
+
+@_command(
+    _option("--count", type=int, help="Rescale the net down to this many points."),
+    _option("--shift-seed", type=_NONNEGATIVE, help="Random digit shift seed."),
+    _option("--shift-retries", type=_NONNEGATIVE, default=64,
+            help="Extra seeded shifts to try when --count hits a tie."),
+    _option("--exact", action="store_true", help="Exact coordinates instead of doubles."),
+    _OUT_OPTION,
+)
 def gen(net, n, s, count, shift_seed, shift_retries, exact, out):
     """Write net points (optionally shifted and rescaled) as CSV."""
     gen_set = _load_net(net, n, s)
@@ -225,13 +246,12 @@ def _exact_coord(c: Fraction, s: int) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-@main.command()
-@_net_options
-@click.option("--box-check/--no-box-check", default=True, show_default=True,
-              help="Also verify box counts directly (nets with s <= 12).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
-              show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@_command(
+    _option("--box-check", action=BooleanOptionalAction, default=True,
+            help="Also verify box counts directly (nets with s <= 12)."),
+    _format_option("json"),
+    _OUT_OPTION,
+)
 def certify(net, n, s, box_check, fmt, out):
     """Certify the deficiency exactly by rank conditions, with box-count
     cross-check.  The `exhaustive` column is always true; it stays for
@@ -251,12 +271,11 @@ def certify(net, n, s, box_check, fmt, out):
         raise _Failure("box counts contradict the rank certificate", EXIT_IDENTITY)
 
 
-@main.command()
-@_net_options
-@click.option("--shift-seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@_command(
+    _option("--shift-seed", type=_NONNEGATIVE, default=0, help="Digit shift seed."),
+    _format_option("csv"),
+    _OUT_OPTION,
+)
 def verify(net, n, s, shift_seed, fmt, out):
     """Run the exact identity suites; nonzero exit on any failure.
 
@@ -288,21 +307,20 @@ def verify(net, n, s, shift_seed, fmt, out):
         raise _Failure("identity suite failed", EXIT_IDENTITY)
 
 
-@main.command()
-@_net_options
-@click.option("--target", type=click.Choice(["dn", "m", "both"]), default="both",
-              show_default=True, help="Discrepancy of one shifted net (dn) and/or "
-              "the truncated approximation jointly over shifts (m).")
-@click.option("--shift-seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--q-grid", "q_text", default=None, help="Comma-separated exponents.")
-@click.option("--samples", type=click.IntRange(min=1), default=10000, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--theta", type=float, default=None,
-              help="Orlicz exponent; defaults to (n+1)/2.")
-@click.option("--stratified", is_flag=True, help="Per-axis stratified sampling.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@_command(
+    _option("--target", choices=("dn", "m", "both"), default="both",
+            help="Discrepancy of one shifted net (dn) and/or the truncated "
+                 "approximation jointly over shifts (m)."),
+    _option("--shift-seed", type=_NONNEGATIVE, default=0, help="Digit shift seed."),
+    _option("--q-grid", dest="q_text", metavar="Q_GRID",
+            help="Comma-separated exponents."),
+    _option("--samples", type=_POSITIVE, default=10000, help="Monte Carlo samples."),
+    _option("--seed", type=_NONNEGATIVE, default=0, help="Sampling seed."),
+    _option("--theta", type=float, help="Orlicz exponent; defaults to (n+1)/2."),
+    _option("--stratified", action="store_true", help="Per-axis stratified sampling."),
+    _format_option("csv"),
+    _OUT_OPTION,
+)
 def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratified,
           fmt, out):
     """Estimate moment norms over a q grid, with the exact second-moment
@@ -354,18 +372,18 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
     _emit(out, fmt, "norms", config, "float", columns, rows, extras)
 
 
-@main.command()
-@_net_options
-@click.option("--s-min", type=int, default=4, show_default=True)
-@click.option("--s-max", type=int, default=10, show_default=True)
-@click.option("--shifts", type=click.IntRange(min=1), default=8, show_default=True,
-              help="Random digit shifts per resolution.")
-@click.option("--q-grid", "q_text", default="2,4,8", show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=10000, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@_command(
+    _option("--s-min", type=int, default=4, help="Smallest digit resolution."),
+    _option("--s-max", type=int, default=10, help="Largest digit resolution."),
+    _option("--shifts", type=_POSITIVE, default=8,
+            help="Random digit shifts per resolution."),
+    _option("--q-grid", dest="q_text", metavar="Q_GRID", default="2,4,8",
+            help="Comma-separated exponents."),
+    _option("--samples", type=_POSITIVE, default=10000, help="Monte Carlo samples."),
+    _option("--seed", type=_NONNEGATIVE, default=0, help="Sampling seed."),
+    _format_option("csv"),
+    _OUT_OPTION,
+)
 def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, fmt, out):
     """Growth-law table: discrepancy norms across resolutions and shifts,
     normalized by the expected moment profile."""
@@ -410,6 +428,69 @@ def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, fmt, out):
     _emit(out, fmt, "sweep", config, "float", columns, rows)
 
 
+def _parse(args: list[str], prog: str) -> dict:
+    """The command name (key `command`) and its options, parsed as click
+    parsed them: option names are never abbreviated, and an option that
+    takes a value takes the next argument, whatever it looks like
+    (`--theta -inf`; argparse alone would read an option there)."""
+    parser = ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Digital nets, exact discrepancy identities, and norm experiments.")
+    parser.add_argument("--version", action="version", version=f"dyadnet, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    valued = set()
+    for name, (fn, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, allow_abbrev=False, description=fn.__doc__,
+                                  help=fn.__doc__.split(".")[0] + ".")
+        for flags, kwargs in options:
+            if "default" in kwargs:
+                kwargs = {**kwargs, "help": kwargs["help"] + " (default: %(default)s)"}
+            action = sub.add_argument(*flags, **kwargs)
+            if action.nargs != 0:
+                valued.update(action.option_strings)
+    joined = []
+    rest = iter(args)
+    for arg in rest:
+        value = next(rest, None) if arg in valued else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return vars(parser.parse_args(joined))
+
+
+def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Run the command line `args` (the process arguments by default) and
+    raise `SystemExit` with its exit code.
+
+    A command's `_Failure` prints `Error: <message>` on stderr; a closed
+    output pipe exits 1, and so does Ctrl-C, after `Aborted!` on stderr
+    and no traceback.  `main.name` and `main.main` let click's `CliRunner`
+    drive it as it drives a click command.
+    """
+    try:
+        options = _parse(sys.argv[1:] if args is None else list(args), prog_name or "dyadnet")
+        fn = _COMMANDS[options.pop("command")][0]
+        # Before the deferred numpy import.  Once numpy is loaded its BLAS
+        # pool is fixed, so leave the environment alone then; a value the
+        # caller exported wins.
+        if "numpy" not in sys.modules:
+            os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        fn(**options)
+    except _Failure as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        code = exc.code
+    except BrokenPipeError:
+        code = EXIT_RUNTIME
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        code = EXIT_RUNTIME
+    else:
+        code = 0
+    raise SystemExit(code)
+
+
+main.name = "dyadnet"
+main.main = main
+
+
 def run() -> None:
     """Process entry: run `main`, flush the standard streams and end the
     process with `os._exit`, as mypy's `util.hard_exit` does.
@@ -419,7 +500,7 @@ def run() -> None:
     It relies on every output being written through `sys.stdout`,
     `sys.stderr` or a closed file (`_emit` uses `Path.write_text`), and on
     nothing registering `atexit` work.  A flush that fails (a closed pipe) exits 1,
-    the code click uses for EPIPE.  Any exception other than `SystemExit`
+    as `main` does for EPIPE.  Any exception other than `SystemExit`
     propagates with its traceback and a normal exit.
     """
     code = 0

@@ -14,8 +14,44 @@ sums live in `verify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+
+class _Value:
+    """Base of the immutable value types.  A subclass names its fields
+    once, in `_fields`, and its `__init__` sets them with `_assign`;
+    instances compare, hash and print by those fields, in that order, and
+    refuse attribute assignment and deletion.  Plain classes, not
+    dataclasses: `dataclasses` imports `inspect`, the largest import a
+    `certify` or `gen` process would otherwise make."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 class UndefinedWeightError(ValueError):
     """Minimum weight of the zero subspace is undefined."""
@@ -143,17 +179,17 @@ def _nullspace(rows: Iterable[int], width: int) -> list[int]:
     return basis
 
 
-@dataclass(frozen=True)
-class F2Subspace:
+class F2Subspace(_Value):
     """Linear point distribution: a subspace of Q^n(2^s) under XOR.
 
     The stored basis is in reduced row echelon form on packed words, so
     two subspaces are equal exactly when their basis tuples are equal.
     """
 
-    n: int
-    s: int
-    basis: tuple[int, ...]
+    _fields = ("n", "s", "basis")
+
+    def __init__(self, n: int, s: int, basis: tuple[int, ...]):
+        self._assign(n, s, basis)
 
     @classmethod
     def from_packed(cls, n: int, s: int, vectors: Iterable[int]) -> "F2Subspace":

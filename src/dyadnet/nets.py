@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import index
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .f2core import F2Subspace, _pack, _rank, _span
+from .f2core import F2Subspace, _pack, _rank, _span, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -37,25 +36,21 @@ class RescaleError(RuntimeError):
     """No admissible scaling threshold yields the requested count."""
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(_Value):
     """n generator matrices over GF(2), each s x s, stored by columns.
 
     columns[j][k] is column k+1 of the j-th matrix: the digit word of
     coordinate j for index word 1 << k (digit i+1 is bit s-1-i of the
     word).  The map must be injective, so a generator set is a net of
     2^s distinct points once built; a singular one raises InjectivityError.
-    `subspace` is the net as a subspace of Q^n(2^s), reduced once here.
+    `subspace` is the net as a subspace of Q^n(2^s), reduced once here; it
+    is not a field, so equality, hashing and `repr` leave it out.
     """
 
-    n: int
-    s: int
-    columns: tuple[tuple[int, ...], ...]
-    subspace: F2Subspace = field(init=False, repr=False, compare=False)
+    _fields = ("n", "s", "columns")
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns",
-                           tuple(tuple(map(index, c)) for c in self.columns))
+    def __init__(self, n: int, s: int, columns: Sequence[Sequence[int]]):
+        self._assign(n, s, tuple(tuple(map(index, c)) for c in columns))
         if self.n < 1 or self.s < 1:
             raise ValueError("need n >= 1 and s >= 1")
         if len(self.columns) != self.n or any(len(c) != self.s for c in self.columns):
@@ -78,17 +73,14 @@ class GeneratorSet:
         return tuple(zip(*map(_span, self.columns)))
 
 
-@dataclass(frozen=True)
-class DigitShift:
+class DigitShift(_Value):
     """XOR translation of a net on Q^n(2^s): one digit word per coordinate,
     with seed provenance when randomly drawn."""
 
-    words: tuple[int, ...]
-    s: int
-    seed: int | None = None
+    _fields = ("words", "s", "seed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "words", tuple(map(index, self.words)))
+    def __init__(self, words: Sequence[int], s: int, seed: int | None = None):
+        self._assign(tuple(map(index, words)), s, seed)
         if len(self.words) < 1:
             raise ValueError("dimension must be >= 1")
         if self.s < 1:
@@ -103,14 +95,13 @@ class DigitShift:
         return len(self.words)
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(_Value):
     """Finite multiset-free point list in [0,1)^n with exact coordinates."""
 
-    points: tuple[tuple[Fraction, ...], ...]
-    n: int
+    _fields = ("points", "n")
 
-    def __post_init__(self):
+    def __init__(self, points: tuple[tuple[Fraction, ...], ...], n: int):
+        self._assign(points, n)
         for p in self.points:
             if len(p) != self.n:
                 raise ValueError("point dimension mismatch")

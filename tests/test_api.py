@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves and has a caller in
 the library, the result records are immutable value tuples, and the
-integer layers and the CLI start without numpy, and `certify` without the
-rational and statistics modules."""
+integer layers and the CLI start without numpy, click, `inspect` or
+`dataclasses`, and `certify` without the rational and statistics
+modules."""
 
 import ast
 import importlib
@@ -120,21 +121,26 @@ def test_record_defaults_and_properties():
 # Runs in a fresh interpreter, since this one has loaded numpy already.
 # It records which of the modules in WATCHED are loaded at each step, and
 # after `verify` the OpenBLAS setting and the thread count (None where
-# /proc is absent).
+# /proc is absent).  `main` ends every command with SystemExit.
 STARTUP_PROBE = """
 import json, os, re, sys
-WATCHED = ("numpy", "fractions", "decimal", "statistics")
+WATCHED = ("numpy", "fractions", "decimal", "statistics", "click", "inspect",
+           "dataclasses")
 def loaded():
     return [m for m in WATCHED if m in sys.modules]
+def run(*args):
+    try:
+        main(list(args))
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
 import dyadnet, dyadnet.cli
 state = {"import": loaded()}
 from dyadnet.cli import main
-main(["certify", "--net", "sobol", "--n", "3", "--s", "5"], standalone_mode=False)
+run("certify", "--net", "sobol", "--n", "3", "--s", "5")
 state["certify"] = loaded()
-main(["gen", "--net", "sobol", "--n", "3", "--s", "6", "--count", "40",
-      "--shift-seed", "1"], standalone_mode=False)
+run("gen", "--net", "sobol", "--n", "3", "--s", "6", "--count", "40", "--shift-seed", "1")
 state["gen"] = loaded()
-main(["verify", "--net", "van-der-corput", "--s", "2"], standalone_mode=False)
+run("verify", "--net", "van-der-corput", "--s", "2")
 state["verify"] = loaded()
 state["blas_env"] = os.environ.get("OPENBLAS_NUM_THREADS")
 state["threads"] = None
@@ -169,6 +175,16 @@ def test_cli_loads_fractions_and_statistics_only_where_used():
     assert "statistics" not in state["verify"]
 
 
+def test_cli_starts_without_click_inspect_or_dataclasses():
+    # The command line is argparse, and the integer layers' value types are
+    # plain classes: click and `dataclasses` (which imports `inspect`) were
+    # the largest imports of a `certify` or `gen` process.
+    state = run_startup_probe()
+    assert {step: sorted({"click", "inspect", "dataclasses"} & set(state[step]))
+            for step in ("import", "certify", "gen")} == {
+        "import": [], "certify": [], "gen": []}
+
+
 def test_cli_runs_blas_single_threaded():
     # numpy's OpenBLAS would start a worker thread per extra core; no array
     # layer uses threaded BLAS, so the CLI pins the pool before numpy loads.
@@ -189,5 +205,7 @@ def test_cli_leaves_the_environment_once_numpy_is_loaded(monkeypatch):
 
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     before = dict(os.environ)
-    main(["certify", "--net", "van-der-corput", "--s", "3"], standalone_mode=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--net", "van-der-corput", "--s", "3"])
+    assert exc.value.code == 0
     assert dict(os.environ) == before

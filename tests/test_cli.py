@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
 
@@ -397,7 +396,7 @@ def test_pinned_stdout(runner, args, digest):
 
 
 class TestOptions:
-    # Click keeps the last occurrence of an option, so the out-of-range
+    # argparse keeps the last occurrence of an option, so the out-of-range
     # value wins over the leading "--s 3".  Every flag here must be at
     # least 1, except --shift-retries, which must be at least 0.
     @pytest.mark.parametrize("command, flag", [("norms", "--samples"),
@@ -480,15 +479,33 @@ class TestOptions:
         assert result.exit_code == 2
         assert "--workers" in result.output
 
-    def test_readme_lists_every_option(self):
+    def test_readme_lists_every_option(self, runner):
+        # The commands, from the parser's usage line, and then the long
+        # option strings of each command's usage.
+        usage = run_ok(runner, ["--help"]).split("\n\n", 1)[0]
+        commands = re.search(r"\{([a-z,]+)\}", usage).group(1).split(",")
+        assert "certify" in commands
         options = set()
-        for param in [*main.params, *(p for c in main.commands.values() for p in c.params)]:
-            if isinstance(param, click.Option):
-                options.update(param.opts + param.secondary_opts)
-        options -= {"--help", "--version"}
+        for command in commands:
+            usage = run_ok(runner, [command, "--help"]).split("\n\n", 1)[0]
+            options.update(re.findall(r"--[a-z][a-z-]*", usage))
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         paragraph = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
         assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == options
+
+    @pytest.mark.parametrize("args, code, last_line", [
+        # Option names are never abbreviated (argparse would read --samples).
+        (["norms", "--sample", "64"], 2, []),
+        ([], 2, []),
+        (["no-such-command"], 2, []),
+        (["--version"], 0, ["dyadnet, version 0.1.0"]),
+        (["certify", "--s", "3", "--format", "csv", "--no-box-check"], 0,
+         ["2,3,0,4,True,None"]),
+    ], ids=["abbreviated-option", "no-command", "unknown-command", "version",
+            "no-box-check"])
+    def test_command_line_keeps_click_behaviour(self, runner, args, code, last_line):
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout.splitlines()[-1:]) == (code, last_line)
 
     def test_readme_library_example_runs(self):
         # Every name the example imports must still be exported.
@@ -618,6 +635,13 @@ class TestProcess:
         assert proc.returncode == 1
         assert b"RuntimeError: boom" in proc.stderr
         assert proc.stderr.endswith(b"teardown\n")
+
+    def test_interrupt_is_aborted_without_traceback(self):
+        # As click's standalone mode did: "Aborted!" on stderr and exit 1.
+        setup = ("def interrupt(sub):\n    raise KeyboardInterrupt\n"
+                 "cli.certify_deficiency = interrupt")
+        proc = cli_process(["certify", "--s", "3"], ENTRY_PROBE.format(setup=setup))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"\nAborted!\n")
 
     def test_console_script_uses_the_process_entry(self):
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

@@ -123,6 +123,26 @@ class TestSubspace:
             DiscrepancyContext.build(gen)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: sobol_generators(3, 4).subspace, "basis"),
+    (lambda: sobol_generators(3, 4), "columns"),
+    (lambda: DigitShift((1, 2), 2, seed=3), "words"),
+    (lambda: net_points(van_der_corput_generators(2)), "points"),
+], ids=["F2Subspace", "GeneratorSet", "DigitShift", "PointSet"])
+def test_value_types_are_immutable_values(make, field):
+    value, twin = make(), make()
+    assert value is not twin
+    assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+    assert value != getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert value == twin
+
+
 class TestCertify:
     def test_vdc_deficiency_zero(self):
         for s in range(1, 9):
