@@ -35,8 +35,6 @@ _LAZY = {
     "lambda_group": "discrepancy",
     "dn_sampler": "norms",
     "exp_orlicz_estimate": "norms",
-    "hyperbolic_lp_ratios": "norms",
-    "khinchin_ratios": "norms",
     "l2_m_exact": "norms",
     "lq_norms_mc": "norms",
     "m_sampler": "norms",
@@ -64,8 +62,6 @@ __all__ = [
     "certify_deficiency",
     "dn_sampler",
     "exp_orlicz_estimate",
-    "hyperbolic_lp_ratios",
-    "khinchin_ratios",
     "l2_m_exact",
     "lambda_group",
     "load_generators",

@@ -6,8 +6,10 @@ version, arithmetic mode) and is byte-reproducible for a fixed config.
 Exit codes: 0 ok, 1 runtime failure, 2 input error, 3 identity-suite
 failure.
 
-The command line is one stdlib `argparse` parser; neither it nor the
-integer layers load click, `inspect` or `dataclasses`.  The array layers
+The command line is one stdlib `argparse` parser, built on the first
+`main` call of a process and reused by later ones.  No module of the
+package loads click or `dataclasses`, and neither the parser nor the
+integer layers load `inspect` (numpy does).  The array layers
 (`discrepancy`, `norms`, `verify`) are imported inside the commands that
 use them, so `gen` and `certify` run without numpy.  Likewise `fractions`
 loads only with the points of `gen` (in `nets`) and `statistics` only in
@@ -30,6 +32,7 @@ import math
 import os
 import sys
 from argparse import ArgumentParser, ArgumentTypeError, BooleanOptionalAction
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
@@ -143,7 +146,7 @@ def _load_net(net: str, n: int | None, s: int | None) -> GeneratorSet:
 def _parse_q_grid(text: str | None) -> tuple[float, ...]:
     from .norms import DEFAULT_Q_GRID, q_grid
 
-    if not text:
+    if text is None:
         return q_grid(DEFAULT_Q_GRID)
     try:
         return q_grid([float(v) for v in text.split(",") if v.strip()])
@@ -428,11 +431,10 @@ def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, fmt, out):
     _emit(out, fmt, "sweep", config, "float", columns, rows)
 
 
-def _parse(args: list[str], prog: str) -> dict:
-    """The command name (key `command`) and its options, parsed as click
-    parsed them: option names are never abbreviated, and an option that
-    takes a value takes the next argument, whatever it looks like
-    (`--theta -inf`; argparse alone would read an option there)."""
+@cache
+def _parser(prog: str) -> tuple[ArgumentParser, frozenset[str]]:
+    """The parser of every command, built once per program name, and the
+    option strings that take a value."""
     parser = ArgumentParser(
         prog=prog, allow_abbrev=False,
         description="Digital nets, exact discrepancy identities, and norm experiments.")
@@ -448,6 +450,15 @@ def _parse(args: list[str], prog: str) -> dict:
             action = sub.add_argument(*flags, **kwargs)
             if action.nargs != 0:
                 valued.update(action.option_strings)
+    return parser, frozenset(valued)
+
+
+def _parse(args: list[str], prog: str) -> dict:
+    """The command name (key `command`) and its options, parsed as click
+    parsed them: option names are never abbreviated, and an option that
+    takes a value takes the next argument, whatever it looks like
+    (`--theta -inf`; argparse alone would read an option there)."""
+    parser, valued = _parser(prog)
     joined = []
     rest = iter(args)
     for arg in rest:

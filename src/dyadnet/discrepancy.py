@@ -10,14 +10,13 @@ leading-digit groups that drive the moment bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .f2core import F2Subspace, _character, _pack, _rev_words, _unpack
+from .f2core import F2Subspace, _Value, _character, _pack, _rev_words, _unpack
 from .nets import DigitShift, _shift_words, certify_deficiency
 from . import walsh
 
@@ -39,8 +38,7 @@ class RouteUnavailableError(RuntimeError):
     cap, or its entries could leave int64."""
 
 
-@dataclass(frozen=True)
-class DiscrepancyContext:
+class DiscrepancyContext(_Value):
     """A (possibly shifted) linear distribution: its subspace and the
     shift's digit words (zeros when unshifted).
 
@@ -53,8 +51,10 @@ class DiscrepancyContext:
     nothing.
     """
 
-    subspace: F2Subspace
-    shift: tuple[int, ...]
+    _fields = ("subspace", "shift")
+
+    def __init__(self, subspace: F2Subspace, shift: tuple[int, ...]):
+        self._assign(subspace, shift)
 
     @classmethod
     def build(cls, sub: F2Subspace, shift: DigitShift | None = None

@@ -21,9 +21,13 @@ class _Value:
     """Base of the immutable value types.  A subclass names its fields
     once, in `_fields`, and its `__init__` sets them with `_assign`;
     instances compare, hash and print by those fields, in that order, and
-    refuse attribute assignment and deletion.  Plain classes, not
-    dataclasses: `dataclasses` imports `inspect`, the largest import a
-    `certify` or `gen` process would otherwise make."""
+    refuse attribute assignment and deletion.  A `cached_property` of a
+    subclass still caches in the instance dict.  Every checked value type
+    of the package (`F2Subspace`, `GeneratorSet`, `DigitShift`, `PointSet`,
+    `DiscrepancyContext`) is such a plain class, and the result records are
+    `NamedTuple`s, so no module imports `dataclasses` (which imports
+    `inspect`, the largest import a `certify` or `gen` process would
+    otherwise make)."""
 
     _fields: tuple[str, ...] = ()
 

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -381,7 +381,7 @@ def with_dual_points(ctx: DiscrepancyContext, dual_points) -> DiscrepancyContext
     """A copy of `ctx` whose enumerated dual is the word tuples
     `dual_points`, packed in the given order; the copy computes `groups`
     from the replacement."""
-    out = replace(ctx)
+    out = DiscrepancyContext(ctx.subspace, ctx.shift)
     vars(out)["packed_dual"] = tuple(_pack(L, ctx.s) for L in dual_points)
     return out
 

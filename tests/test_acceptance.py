@@ -27,7 +27,6 @@ from dyadnet.nets import (
 )
 from dyadnet.norms import (
     dn_sampler,
-    khinchin_ratios,
     l2_m_exact,
     lq_norms_mc,
     m_sampler,
@@ -37,6 +36,7 @@ from dyadnet.verify import (
     check_poisson,
     check_route_equivalence,
 )
+from experiments import khinchin_ratios
 from oracles import (
     check_fine_closed_form,
     check_fine_square_norm,

@@ -1,8 +1,8 @@
 """The public surface: every exported name resolves and has a caller in
-the library, the result records are immutable value tuples, and the
-integer layers and the CLI start without numpy, click, `inspect` or
-`dataclasses`, and `certify` without the rational and statistics
-modules."""
+the library, the result records are immutable value tuples, the integer
+layers and the CLI start without numpy, click or `inspect`, no command
+loads `dataclasses`, and `certify` runs without the rational and
+statistics modules."""
 
 import ast
 import importlib
@@ -17,11 +17,6 @@ import pytest
 import dyadnet
 from dyadnet.discrepancy import GapReport
 from dyadnet.verify import IdentityResult
-
-# The synthetic digit-sign experiments of acceptance 09 have no caller
-# in the library yet; ROADMAP item 13 decides whether they stay.
-UNCALLED = {"khinchin_ratios", "hyperbolic_lp_ratios"}
-
 
 def referenced_names() -> set[str]:
     """Names read by the package's modules other than `__init__.py`:
@@ -67,8 +62,7 @@ def test_no_module_imports_a_name_it_never_reads():
 
 
 def test_every_public_name_has_a_production_caller():
-    assert UNCALLED <= set(dyadnet.__all__)
-    assert set(dyadnet.__all__) - referenced_names() == UNCALLED
+    assert set(dyadnet.__all__) <= referenced_names()
 
 
 def test_every_public_name_resolves():
@@ -92,7 +86,6 @@ RECORDS = {
         ("name", "passed", "checked", "witness"), {"witness": None}),
     "dyadnet.norms.LqEstimate": (("q", "value", "stderr", "samples"), {}),
     "dyadnet.norms.OrliczEstimate": (("value", "theta", "at_q"), {}),
-    "dyadnet.norms.RatioEstimate": (("q", "ratio", "stderr", "samples"), {}),
 }
 
 
@@ -183,6 +176,9 @@ def test_cli_starts_without_click_inspect_or_dataclasses():
     assert {step: sorted({"click", "inspect", "dataclasses"} & set(state[step]))
             for step in ("import", "certify", "gen")} == {
         "import": [], "certify": [], "gen": []}
+    # `DiscrepancyContext` is a plain class too, so no module of the
+    # package imports `dataclasses`, also once numpy is loaded.
+    assert "dataclasses" not in state["verify"]
 
 
 def test_cli_runs_blas_single_threaded():

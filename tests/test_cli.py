@@ -451,6 +451,14 @@ class TestOptions:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("command", ["norms", "sweep"])
+    def test_empty_q_grid_is_input_error(self, runner, command):
+        # An empty grid is refused, not read as a missing --q-grid.
+        result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",
+                                      "--samples", "64", "--q-grid", ""])
+        assert result.exit_code == 2
+        assert "bad q grid: moment grid must be nonempty" in result.output
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_theta_is_input_error(self, runner, value):
         # q^-theta ||f||_q has no exponential-Orlicz meaning for theta <= 0.

@@ -128,7 +128,9 @@ class TestSubspace:
     (lambda: sobol_generators(3, 4), "columns"),
     (lambda: DigitShift((1, 2), 2, seed=3), "words"),
     (lambda: net_points(van_der_corput_generators(2)), "points"),
-], ids=["F2Subspace", "GeneratorSet", "DigitShift", "PointSet"])
+    (lambda: DiscrepancyContext.build(sobol_generators(3, 4).subspace,
+                                      random_shift(3, 4, seed=2)), "shift"),
+], ids=["F2Subspace", "GeneratorSet", "DigitShift", "PointSet", "DiscrepancyContext"])
 def test_value_types_are_immutable_values(make, field):
     value, twin = make(), make()
     assert value is not twin

@@ -18,8 +18,6 @@ from dyadnet.norms import (
     DEFAULT_Q_GRID,
     dn_sampler,
     exp_orlicz_estimate,
-    hyperbolic_lp_ratios,
-    khinchin_ratios,
     l2_m_exact,
     lq_norms_mc,
     m_sampler,
@@ -27,6 +25,7 @@ from dyadnet.norms import (
     q_grid,
 )
 from dyadnet.norms import _DN_CHUNK
+from experiments import hyperbolic_lp_ratios, khinchin_ratios
 from oracles import (
     discrepancy_exact,
     dn_points_sampler,

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -299,7 +298,10 @@ class TestCorruptedTablesAgainstLoops:
         # gap exceeds n * 2^deficiency.
         for ctx in (vdc_ctx, sobol_ctx):
             for k in (0, 3, -1):
-                corrupted = replace(ctx)
+                corrupted = DiscrepancyContext(ctx.subspace, ctx.shift)
+                # A copy is equal by value but shares none of the cache.
+                assert (corrupted == ctx and hash(corrupted) == hash(ctx)
+                        and "packed_net" not in vars(corrupted))
                 vars(corrupted)["packed_net"] = (ctx.packed_net[k],) * ctx.cardinality
                 report = approximation_gap(corrupted)
                 assert not report.within_bound
