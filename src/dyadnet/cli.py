@@ -21,8 +21,9 @@ burn CPU time.  Only `main` sets it; `import dyadnet` does not.
 
 The `dyadnet` process (the console script and `python -m dyadnet.cli`)
 enters through `run`: it flushes its output and ends without interpreter
-teardown.  In-process callers of `main` (tests, click's `CliRunner`) are
-unaffected and exit normally.
+teardown.  In-process callers of `main` (the tests, and the benchmark's
+traced replay through click's `CliRunner`) are unaffected and exit
+normally.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 from . import __version__
 from .nets import (
-    GeneratorFormatError,
     GeneratorSet,
-    InjectivityError,
     RescaleError,
     certify_deficiency,
     load_generators,
@@ -98,7 +97,7 @@ def _emit(out: str | None, fmt: str, command: str, config: dict, mode: str,
                 lines.append(f"# {k}: {json.dumps(extras[k], sort_keys=True, default=str)}")
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
+            lines.append(",".join(map(str, row)))
         text = "\n".join(lines) + "\n"
     if out:
         try:
@@ -130,16 +129,10 @@ def _write_stdout(data: bytes) -> None:
     buffer.flush()
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _load_net(net: str, n: int | None, s: int | None) -> GeneratorSet:
     try:
         return load_generators(net, n=n, s=s)
-    except (GeneratorFormatError, InjectivityError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise _Failure(f"cannot load net: {exc}", EXIT_INPUT)
 
 
@@ -152,6 +145,14 @@ def _parse_q_grid(text: str | None) -> tuple[float, ...]:
         return q_grid([float(v) for v in text.split(",") if v.strip()])
     except ValueError as exc:
         raise _Failure(f"bad q grid: {exc}", EXIT_INPUT)
+
+
+def _check_seed(seed: int, last_key: int) -> None:
+    """Refuse a --seed whose largest sampling key, `last_key`, is outside
+    the key range of numpy's Philox, which takes keys below 2^128."""
+    if last_key >= 1 << 128:
+        raise _Failure(f"bad --seed: {seed}; the sampling keys up to {last_key} "
+                       "must be below 2^128", EXIT_INPUT)
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -229,7 +230,7 @@ def gen(net, n, s, count, shift_seed, shift_retries, exact, out):
                 extras["shift_applied"] = result.shift.seed
     except RescaleError as exc:
         raise _Failure(str(exc), EXIT_RUNTIME)
-    except (InjectivityError, ValueError) as exc:
+    except ValueError as exc:
         raise _Failure(str(exc), EXIT_INPUT)
     columns = [f"x{j + 1}" for j in range(points.n)]
     rows = []
@@ -341,6 +342,8 @@ def norms(net, n, s, target, shift_seed, q_text, samples, seed, theta, stratifie
     qs = _parse_q_grid(q_text)
     if theta is not None and not (math.isfinite(theta) and theta > 0):
         raise _Failure(f"bad --theta: {theta}; need a finite value > 0", EXIT_INPUT)
+    # The m target samples with key seed + 1.
+    _check_seed(seed, seed if target == "dn" else seed + 1)
     gen_set = _load_net(net, n, s)
     nn, ss = gen_set.n, gen_set.s
     theta_val = theta if theta is not None else (nn + 1) / 2
@@ -400,6 +403,8 @@ def sweep(net, n, s, s_min, s_max, shifts, q_text, samples, seed, fmt, out):
         s_min = s_max = s
     if s_min < 1 or s_max < s_min:
         raise _Failure("need 1 <= s-min <= s-max", EXIT_INPUT)
+    # The largest of the sampling keys below.
+    _check_seed(seed, seed + 104729 * s_max + shifts - 1)
     config = {"net": net, "n": n, "s_min": s_min, "s_max": s_max, "shifts": shifts,
               "q_grid": list(qs), "samples": samples, "seed": seed}
     columns = ["kind", "s", "q", "shift", "shift_seed", "estimate", "stderr", "ratio"]
@@ -473,8 +478,9 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoR
 
     A command's `_Failure` prints `Error: <message>` on stderr; a closed
     output pipe exits 1, and so does Ctrl-C, after `Aborted!` on stderr
-    and no traceback.  `main.name` and `main.main` let click's `CliRunner`
-    drive it as it drives a click command.
+    and no traceback.  `prog_name`, `main.name` and `main.main` let
+    click's `CliRunner` drive it as it drives a click command; their only
+    reader is the traced replay of `perfbench/`.
     """
     try:
         options = _parse(sys.argv[1:] if args is None else list(args), prog_name or "dyadnet")

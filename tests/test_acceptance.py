@@ -11,9 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from dyadnet.cli import main as cli_main
 from dyadnet.discrepancy import (
     DiscrepancyContext,
     approximation_gap,
@@ -49,9 +47,11 @@ _CAPTURE = None
 
 
 @pytest.fixture(autouse=True)
-def _live_report_handle(capfd):
+def _live_report_handle(capsysbinary):
     global _CAPTURE
-    _CAPTURE = capfd
+    # The `cli` fixture reads capsysbinary, and pytest allows one capture
+    # fixture a test.
+    _CAPTURE = capsysbinary
     yield
     _CAPTURE = None
 
@@ -259,9 +259,8 @@ def test_criterion_10_scaling_experiment():
             time.time() - t0, 600.0)
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(cli, tmp_path):
     t0 = time.time()
-    runner = CliRunner()
     jobs = [
         ["gen", "--net", "sobol", "--n", "3", "--s", "6", "--shift-seed", "4"],
         ["gen", "--net", "sobol", "--n", "3", "--s", "6", "--count", "40"],
@@ -276,8 +275,8 @@ def test_criterion_11_determinism(tmp_path):
         a = tmp_path / f"a{k}.out"
         b = tmp_path / f"b{k}.out"
         for path in (a, b):
-            res = runner.invoke(cli_main, args + ["--out", str(path)])
-            assert res.exit_code == 0, (args, res.output)
+            res = cli(args + ["--out", str(path)])
+            assert (res.code, res.stdout, res.stderr) == (0, b"", ""), args
         assert a.read_bytes() == b.read_bytes(), args
     _report(11, True,
             "byte-identical reruns for every command",

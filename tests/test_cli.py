@@ -7,22 +7,17 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from dyadnet.cli import main
 from dyadnet.nets import format_generator_file, sobol_generators
 from dyadnet.verify import IdentityResult
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def run_ok(runner, args):
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0, result.output
-    return result.output
+def run_ok(cli, args) -> str:
+    """The stdout text of a command that must succeed and write nothing to
+    stderr."""
+    result = cli(args)
+    assert (result.code, result.stderr) == (0, ""), result.stderr
+    return result.stdout.decode()
 
 
 def data_rows(output: str) -> list[str]:
@@ -31,46 +26,46 @@ def data_rows(output: str) -> list[str]:
 
 
 class TestGen:
-    def test_row_count(self, runner):
-        out = run_ok(runner, ["gen", "--net", "van-der-corput", "--s", "4"])
+    def test_row_count(self, cli):
+        out = run_ok(cli, ["gen", "--net", "van-der-corput", "--s", "4"])
         assert len(data_rows(out)) == 16
 
-    def test_rescaled_count(self, runner):
-        out = run_ok(runner, ["gen", "--net", "sobol", "--n", "3", "--s", "8",
-                              "--count", "200"])
+    def test_rescaled_count(self, cli):
+        out = run_ok(cli, ["gen", "--net", "sobol", "--n", "3", "--s", "8",
+                           "--count", "200"])
         assert len(data_rows(out)) == 200
 
-    def test_deterministic_rerun(self, runner, tmp_path):
+    def test_deterministic_rerun(self, cli, tmp_path):
         args = ["gen", "--net", "sobol", "--n", "2", "--s", "5",
                 "--shift-seed", "9"]
-        a = run_ok(runner, args + ["--out", str(tmp_path / "a.csv")])
-        b = run_ok(runner, args + ["--out", str(tmp_path / "b.csv")])
+        a = run_ok(cli, args + ["--out", str(tmp_path / "a.csv")])
+        b = run_ok(cli, args + ["--out", str(tmp_path / "b.csv")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_exact_format(self, runner):
-        out = run_ok(runner, ["gen", "--net", "van-der-corput", "--s", "3", "--exact"])
+    def test_exact_format(self, cli):
+        out = run_ok(cli, ["gen", "--net", "van-der-corput", "--s", "3", "--exact"])
         rows = data_rows(out)
         assert all("/2^3" in cell for row in rows for cell in row.split(","))
         assert "# mode: exact" in out
 
-    def test_provenance_header(self, runner):
-        out = run_ok(runner, ["gen", "--net", "van-der-corput", "--s", "2"])
+    def test_provenance_header(self, cli):
+        out = run_ok(cli, ["gen", "--net", "van-der-corput", "--s", "2"])
         assert out.startswith("# dyadnet ")
         assert "# command: gen" in out
         assert "# config: " in out
 
-    def test_missing_s_is_input_error(self, runner):
-        result = runner.invoke(main, ["gen", "--net", "van-der-corput"])
-        assert result.exit_code == 2
+    def test_missing_s_is_input_error(self, cli):
+        result = cli(["gen", "--net", "van-der-corput"])
+        assert result.code == 2
 
-    def test_malformed_matrix_file(self, runner, tmp_path):
+    def test_malformed_matrix_file(self, cli, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 3\n\n101\n01\n001\n\n111\n010\n001\n")
-        result = runner.invoke(main, ["gen", "--net", f"file:{bad}", "--s", "3"])
-        assert result.exit_code == 2
-        assert "line" in result.output
+        result = cli(["gen", "--net", f"file:{bad}", "--s", "3"])
+        assert result.code == 2
+        assert "line" in result.stderr
 
-    def test_retries_never_repeat_a_shift(self, runner, monkeypatch):
+    def test_retries_never_repeat_a_shift(self, cli, monkeypatch):
         import dyadnet.nets as nets_mod
 
         real = nets_mod._rescale_once
@@ -82,52 +77,52 @@ class TestGen:
 
         monkeypatch.setattr(nets_mod, "_rescale_once", spy)
         # Shift seeds 1, 2 and 3 all hit a tie at count 17; seed 4 does not.
-        out = run_ok(runner, ["gen", "--net", "sobol", "--n", "2", "--s", "5",
-                              "--count", "17", "--shift-seed", "1"])
+        out = run_ok(cli, ["gen", "--net", "sobol", "--n", "2", "--s", "5",
+                           "--count", "17", "--shift-seed", "1"])
         assert len(set(tried)) == len(tried)
         assert tried == [1, 2, 3, 4]
         assert "# shift_applied: 4" in out
 
-    def test_file_net_round_trip(self, runner, tmp_path):
+    def test_file_net_round_trip(self, cli, tmp_path):
         gen = sobol_generators(2, 4)
         p = tmp_path / "net.txt"
         p.write_text(format_generator_file(gen))
-        out = run_ok(runner, ["gen", "--net", f"file:{p}"])
+        out = run_ok(cli, ["gen", "--net", f"file:{p}"])
         assert len(data_rows(out)) == 16
 
 
 class TestCertify:
-    def test_vdc_json(self, runner):
-        out = run_ok(runner, ["certify", "--net", "van-der-corput", "--s", "6"])
+    def test_vdc_json(self, cli):
+        out = run_ok(cli, ["certify", "--net", "van-der-corput", "--s", "6"])
         doc = json.loads(out)
         row = dict(zip(doc["columns"], doc["rows"][0]))
         assert row["deficiency"] == 0
         assert row["exhaustive"] is True
         assert row["box_counts_ok"] is True
 
-    def test_sobol_positive_deficiency(self, runner):
-        out = run_ok(runner, ["certify", "--net", "sobol", "--n", "4", "--s", "5"])
+    def test_sobol_positive_deficiency(self, cli):
+        out = run_ok(cli, ["certify", "--net", "sobol", "--n", "4", "--s", "5"])
         doc = json.loads(out)
         row = dict(zip(doc["columns"], doc["rows"][0]))
         assert row["deficiency"] >= 1
 
-    def test_csv_format(self, runner):
-        out = run_ok(runner, ["certify", "--net", "van-der-corput", "--s", "4",
-                              "--format", "csv"])
+    def test_csv_format(self, cli):
+        out = run_ok(cli, ["certify", "--net", "van-der-corput", "--s", "4",
+                           "--format", "csv"])
         assert "deficiency" in out.splitlines()[4]
 
-    def test_malformed_file_exit_code(self, runner, tmp_path):
+    def test_malformed_file_exit_code(self, cli, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a net\n")
-        result = runner.invoke(main, ["certify", "--net", f"file:{bad}", "--s", "3"])
-        assert result.exit_code == 2
+        result = cli(["certify", "--net", f"file:{bad}", "--s", "3"])
+        assert result.code == 2
 
-    def test_singular_file_exit_code(self, runner, tmp_path):
+    def test_singular_file_exit_code(self, cli, tmp_path):
         singular = tmp_path / "singular.txt"
         singular.write_text("1 3\n\n110\n110\n110\n")  # rank 1
-        result = runner.invoke(main, ["certify", "--net", f"file:{singular}"])
-        assert result.exit_code == 2
-        assert result.output == ("Error: cannot load net: generator map has rank 1 < 3; "
+        result = cli(["certify", "--net", f"file:{singular}"])
+        assert result.code == 2
+        assert result.stderr == ("Error: cannot load net: generator map has rank 1 < 3; "
                                  "the net would collapse\n")
 
     @pytest.mark.parametrize("net, n, s, deficiency", [
@@ -135,10 +130,10 @@ class TestCertify:
         ("sobol", 4, 6, 2),
         ("sobol", 6, 8, 4),
     ])
-    def test_exact_without_dual_enumeration(self, runner, net, n, s, deficiency):
+    def test_exact_without_dual_enumeration(self, cli, net, n, s, deficiency):
         # The Sobol (6, 8) dual has 2^40 elements; the rank conditions still
         # give t exactly.  The printed dual weight is s + 1 - deficiency.
-        out = run_ok(runner, ["certify", "--net", net, "--n", str(n), "--s", str(s)])
+        out = run_ok(cli, ["certify", "--net", net, "--n", str(n), "--s", str(s)])
         doc = json.loads(out)
         row = dict(zip(doc["columns"], doc["rows"][0]))
         assert "cap" not in doc["config"]
@@ -147,7 +142,7 @@ class TestCertify:
         assert row["box_counts_ok"] is True
 
     @pytest.mark.parametrize("fmt, unchecked", [("json", None), ("csv", "None")])
-    def test_no_box_check_skips_box_counts(self, runner, monkeypatch, fmt, unchecked):
+    def test_no_box_check_skips_box_counts(self, cli, monkeypatch, fmt, unchecked):
         import dyadnet.cli as cli_mod
 
         real = cli_mod.verify_box_counts
@@ -160,9 +155,9 @@ class TestCertify:
         # The CLI binds the name from dyadnet.nets at import.
         monkeypatch.setattr(cli_mod, "verify_box_counts", spy)
         args = ["certify", "--net", "van-der-corput", "--s", "5", "--format", fmt]
-        run_ok(runner, args)
+        run_ok(cli, args)
         assert len(calls) == 1
-        out = run_ok(runner, args + ["--no-box-check"])
+        out = run_ok(cli, args + ["--no-box-check"])
         assert len(calls) == 1
         if fmt == "json":
             doc = json.loads(out)
@@ -174,13 +169,13 @@ class TestCertify:
 
 
 class TestVerify:
-    def test_single_net_passes(self, runner):
-        out = run_ok(runner, ["verify", "--net", "sobol", "--n", "3", "--s", "3"])
+    def test_single_net_passes(self, cli):
+        out = run_ok(cli, ["verify", "--net", "sobol", "--n", "3", "--s", "3"])
         assert "poisson-summation,True" in out
         assert "route-equivalence,True" in out
 
-    def test_default_bundle_passes(self, runner):
-        out = run_ok(runner, ["verify"])
+    def test_default_bundle_passes(self, cli):
+        out = run_ok(cli, ["verify"])
         assert out.count("route-equivalence,True") == 3
         # Only net suites: case counts of the planar builtin at s = 2, 3, 4,
         # the 2^(2s) grid for Poisson and for route equivalence, the
@@ -192,14 +187,14 @@ class TestVerify:
                          "approximation-gap", "delta-identities"), counts)
         assert data_rows(out) == [f"{name},True,{k}," for name, k in want]
 
-    def test_three_dimensional_bundle_passes(self, runner):
+    def test_three_dimensional_bundle_passes(self, cli):
         # In three dimensions some dual indices have an odd number of nonzero
         # truncated indices, so a flipped truncated-character sign in
         # `walsh._chi_num` fails route equivalence; the planar bundle cannot
         # see it.  Case counts of Sobol n = 3 at s = 2, 3, 4: the 2^(3s)
         # grid twice, the 2^(3s+6) gap grid, and the grid once per nonzero
         # leading-digit group.
-        out = run_ok(runner, ["verify", "--net", "sobol", "--n", "3"])
+        out = run_ok(cli, ["verify", "--net", "sobol", "--n", "3"])
         want = []
         for counts in ((64, 64, 4096, 832), (512, 512, 32768, 18944),
                        (4096, 4096, 262144, 323584)):
@@ -207,20 +202,20 @@ class TestVerify:
                          "approximation-gap", "delta-identities"), counts)
         assert data_rows(out) == [f"{name},True,{k}," for name, k in want]
 
-    def test_grid_above_the_cap_is_runtime_error(self, runner):
+    def test_grid_above_the_cap_is_runtime_error(self, cli):
         # 2^25 grid points: the character checks refuse before any table.
-        result = runner.invoke(main, ["verify", "--net", "sobol", "--n", "5", "--s", "5"])
-        assert result.exit_code == 1
-        assert "grid has 2^25 points, above the enumeration cap" in result.output
+        result = cli(["verify", "--net", "sobol", "--n", "5", "--s", "5"])
+        assert result.code == 1
+        assert "grid has 2^25 points, above the enumeration cap" in result.stderr
 
-    def test_gap_grid_above_the_cap_is_runtime_error(self, runner):
+    def test_gap_grid_above_the_cap_is_runtime_error(self, cli):
         # The 2^21 grid of the character checks fits the cap, but the gap
         # grid two digits finer has 2^27 points: the suite refuses up front.
-        result = runner.invoke(main, ["verify", "--net", "sobol", "--n", "3", "--s", "7"])
-        assert result.exit_code == 1
-        assert "grid has 2^27 points, above the enumeration cap" in result.output
+        result = cli(["verify", "--net", "sobol", "--n", "3", "--s", "7"])
+        assert result.code == 1
+        assert "grid has 2^27 points, above the enumeration cap" in result.stderr
 
-    def test_failure_exit_code(self, runner, monkeypatch):
+    def test_failure_exit_code(self, cli, monkeypatch):
         # The command imports the suite when it runs, so the patch goes
         # on the defining module.
         import dyadnet.verify as verify_mod
@@ -230,55 +225,56 @@ class TestVerify:
                                    witness={"L": (1, 0)})]
 
         monkeypatch.setattr(verify_mod, "run_net_suite", fake_suite)
-        result = runner.invoke(main, ["verify", "--net", "van-der-corput", "--s", "2"])
-        assert result.exit_code == 3
-        assert "poisson-summation,False" in result.output
-        assert '"L": [1, 0]' in result.output
-    def test_file_net_uses_its_own_shape(self, runner, tmp_path):
+        result = cli(["verify", "--net", "van-der-corput", "--s", "2"])
+        assert result.code == 3
+        out = result.stdout.decode()
+        assert "poisson-summation,False" in out
+        assert '"L": [1, 0]' in out
+    def test_file_net_uses_its_own_shape(self, cli, tmp_path):
         gen = sobol_generators(3, 4)
         p = tmp_path / "net.txt"
         p.write_text(format_generator_file(gen))
-        out = run_ok(runner, ["verify", "--net", f"file:{p}"])
+        out = run_ok(cli, ["verify", "--net", f"file:{p}"])
         assert "route-equivalence,True" in out
 
 
 
 class TestNorms:
-    def test_output_columns(self, runner):
-        out = run_ok(runner, ["norms", "--net", "van-der-corput", "--s", "3",
-                              "--samples", "2000", "--q-grid", "1,2"])
+    def test_output_columns(self, cli):
+        out = run_ok(cli, ["norms", "--net", "van-der-corput", "--s", "3",
+                           "--samples", "2000", "--q-grid", "1,2"])
         header = [l for l in out.splitlines() if not l.startswith("#")][0]
         assert header == "target,q,estimate,stderr,samples,normalized_ratio"
         assert "# m_l2_exact" in out
 
-    def test_trivial_distribution_norms_vanish(self, runner):
-        out = run_ok(runner, ["norms", "--net", "sobol", "--n", "1", "--s", "4",
-                              "--target", "m", "--samples", "2000"])
+    def test_trivial_distribution_norms_vanish(self, cli):
+        out = run_ok(cli, ["norms", "--net", "sobol", "--n", "1", "--s", "4",
+                           "--target", "m", "--samples", "2000"])
         for row in data_rows(out):
             cells = row.split(",")
             assert float(cells[2]) == 0.0
 
-    def test_oracle_within_three_sigma(self, runner):
-        out = run_ok(runner, ["norms", "--net", "van-der-corput", "--s", "3",
-                              "--target", "m", "--samples", "40000",
-                              "--q-grid", "2", "--format", "json"])
+    def test_oracle_within_three_sigma(self, cli):
+        out = run_ok(cli, ["norms", "--net", "van-der-corput", "--s", "3",
+                           "--target", "m", "--samples", "40000",
+                           "--q-grid", "2", "--format", "json"])
         doc = json.loads(out)
         row = dict(zip(doc["columns"], doc["rows"][0]))
         exact = doc["extras"]["m_l2_exact"]
         assert abs(row["estimate"] - exact) <= 3 * row["stderr"]
 
-    def test_m_target_above_the_dual_cap(self, runner):
+    def test_m_target_above_the_dual_cap(self, cli):
         # The dual of this net has 2^40 elements; M and its oracle stay on the net.
-        out = run_ok(runner, ["norms", "--net", "sobol", "--n", "5", "--s", "10",
-                              "--target", "m", "--samples", "4096", "--q-grid", "2"])
+        out = run_ok(cli, ["norms", "--net", "sobol", "--n", "5", "--s", "10",
+                           "--target", "m", "--samples", "4096", "--q-grid", "2"])
         assert "# m_l2_exact" in out
         assert len(data_rows(out)) == 1
 
-    def test_both_targets_equal_the_separate_runs(self, runner):
+    def test_both_targets_equal_the_separate_runs(self, cli):
         # One shifted context feeds both samplers; the shift must not reach M.
         args = ["norms", "--net", "sobol", "--n", "3", "--s", "5", "--samples", "3000",
                 "--q-grid", "1,2,8", "--seed", "4", "--shift-seed", "9", "--format", "json"]
-        both, dn, m = (json.loads(run_ok(runner, args + ["--target", target]))
+        both, dn, m = (json.loads(run_ok(cli, args + ["--target", target]))
                        for target in ("both", "dn", "m"))
         assert both["rows"] == dn["rows"] + m["rows"]
         assert both["extras"] == {**dn["extras"], **m["extras"]}
@@ -289,7 +285,7 @@ class TestNorms:
     ["certify", "--net", "sobol", "--n", "4", "--s", "7"],
     ["norms", "--net", "sobol", "--n", "3", "--s", "6", "--samples", "1024"],
 ], ids=["certify", "norms"])
-def test_net_is_reduced_once(runner, monkeypatch, args):
+def test_net_is_reduced_once(cli, monkeypatch, args):
     # The generator set reduces its subspace once; every consumer reads it.
     from dyadnet.f2core import F2Subspace
 
@@ -301,43 +297,42 @@ def test_net_is_reduced_once(runner, monkeypatch, args):
         return real(cls, n, s, vectors)
 
     monkeypatch.setattr(F2Subspace, "from_packed", classmethod(spy))
-    run_ok(runner, args)
+    run_ok(cli, args)
     assert len(calls) == 1
 
 
 class TestSweep:
-    def test_deterministic_rerun(self, runner, tmp_path):
+    def test_deterministic_rerun(self, cli, tmp_path):
         args = ["sweep", "--net", "van-der-corput", "--s-min", "3", "--s-max", "4",
                 "--shifts", "2", "--samples", "2000", "--seed", "3"]
-        run_ok(runner, args + ["--out", str(tmp_path / "a.csv")])
-        run_ok(runner, args + ["--out", str(tmp_path / "b.csv")])
+        run_ok(cli, args + ["--out", str(tmp_path / "a.csv")])
+        run_ok(cli, args + ["--out", str(tmp_path / "b.csv")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_single_resolution_block(self, runner):
-        out = run_ok(runner, ["sweep", "--net", "van-der-corput", "--s", "4",
-                              "--shifts", "2", "--samples", "1000",
-                              "--q-grid", "2"])
+    def test_single_resolution_block(self, cli):
+        out = run_ok(cli, ["sweep", "--net", "van-der-corput", "--s", "4",
+                           "--shifts", "2", "--samples", "1000",
+                           "--q-grid", "2"])
         rows = data_rows(out)
         kinds = {r.split(",")[0] for r in rows}
         assert kinds == {"dn", "summary-min", "summary-median", "summary-max"}
         assert all(r.split(",")[1] == "4" for r in rows)
 
-    def test_no_summary_for_single_shift(self, runner):
-        out = run_ok(runner, ["sweep", "--net", "van-der-corput", "--s", "3",
-                              "--shifts", "1", "--samples", "1000", "--q-grid", "2"])
+    def test_no_summary_for_single_shift(self, cli):
+        out = run_ok(cli, ["sweep", "--net", "van-der-corput", "--s", "3",
+                           "--shifts", "1", "--samples", "1000", "--q-grid", "2"])
         assert "summary" not in out
 
-    def test_bad_range(self, runner):
-        result = runner.invoke(main, ["sweep", "--net", "van-der-corput",
-                                      "--s-min", "5", "--s-max", "3"])
-        assert result.exit_code == 2
+    def test_bad_range(self, cli):
+        result = cli(["sweep", "--net", "van-der-corput", "--s-min", "5", "--s-max", "3"])
+        assert result.code == 2
 
 
-# The stdout sha256 of exact commands, recorded at commit 9b13492 (the
+# The stdout sha256 of commands, recorded at commit 9b13492 (the
 # single-net Sobol verify runs at (3, 5) and (4, 3), which reach the 3-D
-# and 4-D groups, at c5f9c00); every line of these outputs is integer or
-# Fraction arithmetic (norms and sweep, whose floats pass through numpy
-# reductions, are left out).  The provenance header names the package
+# and 4-D groups, at c5f9c00).  The certify, verify and gen lines are
+# integer or Fraction arithmetic; the norms and sweep floats are seeded
+# and reduced in a fixed order.  The provenance header names the package
 # version, so a version bump changes every digest.
 PINNED_STDOUT = {
     "certify-sobol-4-7": (
@@ -385,14 +380,19 @@ PINNED_STDOUT = {
     "certify-sobol-6-10-csv": (
         ["certify", "--net", "sobol", "--n", "6", "--s", "10", "--format", "csv"],
         "504bcf2a9b9ac10b7229cb0b6d0c115a7d99b4b36cfae18d503c03641ca13e7d"),
+    # Stratified sampling and a --theta other than (n+1)/2.
+    "norms-stratified-theta": (
+        ["norms", "--net", "sobol", "--n", "3", "--s", "5", "--samples", "2048",
+         "--q-grid", "1,2,4", "--stratified", "--theta", "1.5", "--seed", "7",
+         "--shift-seed", "2"],
+        "d40142d7eb192d25762825f9480dcb95577ae61a073be70521b6c82e9922bb94"),
 }
 
 
 @pytest.mark.parametrize("args, digest", PINNED_STDOUT.values(), ids=PINNED_STDOUT)
-def test_pinned_stdout(runner, args, digest):
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0, result.output
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+def test_pinned_stdout(cli, args, digest):
+    # UTF-8 decoding and encoding round-trip the bytes exactly.
+    assert hashlib.sha256(run_ok(cli, args).encode()).hexdigest() == digest
 
 
 class TestOptions:
@@ -408,94 +408,105 @@ class TestOptions:
                                                ("certify", "--s"),
                                                ("sweep", "--s"),
                                                ("gen", "--shift-retries")])
-    def test_zero_count_is_input_error(self, runner, command, flag):
+    def test_zero_count_is_input_error(self, cli, command, flag):
         value = "-1" if flag == "--shift-retries" else "0"
-        result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",
-                                      flag, value])
-        assert result.exit_code == 2
-        assert flag in result.output
+        result = cli([command, "--net", "van-der-corput", "--s", "3", flag, value])
+        assert result.code == 2
+        assert flag in result.stderr
 
     @pytest.mark.parametrize("args", [
         ["certify", "--s", "3", "--format", "json"],
         ["verify", "--s", "3", "--format", "csv"],
         ["gen", "--net", "sobol", "--n", "2", "--s", "3"],
     ], ids=["certify", "verify", "gen"])
-    def test_unwritable_out_is_runtime_error(self, runner, tmp_path, args):
-        result = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "x")])
-        assert result.exit_code == 1
-        assert "cannot write" in result.output
-        assert isinstance(result.exception, SystemExit)
+    def test_unwritable_out_is_runtime_error(self, cli, tmp_path, args):
+        result = cli(args + ["--out", str(tmp_path / "missing" / "x")])
+        assert result.code == 1
+        assert "cannot write" in result.stderr
 
     @pytest.mark.parametrize("command", ["norms", "sweep"])
-    def test_negative_seed_is_input_error(self, runner, command):
-        result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",
-                                      "--seed", "-1"])
-        assert result.exit_code == 2
-        assert "--seed" in result.output
+    def test_negative_seed_is_input_error(self, cli, command):
+        result = cli([command, "--net", "van-der-corput", "--s", "3", "--seed", "-1"])
+        assert result.code == 2
+        assert "--seed" in result.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["norms", "--target", "m", "--seed", str(2**128 - 1)],
+        ["norms", "--target", "dn", "--seed", str(2**128)],
+        ["sweep", "--shifts", "1", "--seed", str(2**128 - 456)],
+    ], ids=["norms-m", "norms-dn", "sweep"])
+    def test_seed_outside_the_key_range_is_input_error(self, cli, args):
+        # numpy's Philox takes keys below 2^128; norms keys its m target at
+        # seed + 1, sweep resolution s and shift r at seed + 104729 s + r.
+        result = cli(args + ["--s", "3", "--samples", "64", "--q-grid", "2"])
+        assert (result.code, result.stdout) == (2, b"")
+        assert result.stderr.startswith("Error: bad --seed: ")
+        assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["gen", "verify", "norms"])
-    def test_negative_shift_seed_is_input_error(self, runner, command):
+    def test_negative_shift_seed_is_input_error(self, cli, command):
         # random.Random hashes abs(seed), so -5 would print the points of 5.
-        result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",
-                                      "--shift-seed", "-5"])
-        assert result.exit_code == 2
-        assert "--shift-seed" in result.output
+        result = cli([command, "--net", "van-der-corput", "--s", "3",
+                      "--shift-seed", "-5"])
+        assert result.code == 2
+        assert "--shift-seed" in result.stderr
 
     @pytest.mark.parametrize("flag, value", [("--q-grid", "nan"),
                                              ("--q-grid", "2,inf"),
                                              ("--theta", "nan"),
                                              ("--theta", "-inf")])
-    def test_non_finite_exponent_is_input_error(self, runner, flag, value):
-        result = runner.invoke(main, ["norms", "--net", "van-der-corput", "--s", "3",
-                                      "--samples", "64", flag, value, "--format", "json"])
-        assert result.exit_code == 2
-        assert "finite" in result.output
+    def test_non_finite_exponent_is_input_error(self, cli, flag, value):
+        result = cli(["norms", "--net", "van-der-corput", "--s", "3",
+                      "--samples", "64", flag, value, "--format", "json"])
+        assert result.code == 2
+        assert "finite" in result.stderr
 
     @pytest.mark.parametrize("command", ["norms", "sweep"])
-    def test_empty_q_grid_is_input_error(self, runner, command):
+    def test_empty_q_grid_is_input_error(self, cli, command):
         # An empty grid is refused, not read as a missing --q-grid.
-        result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",
-                                      "--samples", "64", "--q-grid", ""])
-        assert result.exit_code == 2
-        assert "bad q grid: moment grid must be nonempty" in result.output
+        result = cli([command, "--net", "van-der-corput", "--s", "3",
+                      "--samples", "64", "--q-grid", ""])
+        assert result.code == 2
+        assert "bad q grid: moment grid must be nonempty" in result.stderr
 
     @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_non_positive_theta_is_input_error(self, runner, value):
+    def test_non_positive_theta_is_input_error(self, cli, value):
         # q^-theta ||f||_q has no exponential-Orlicz meaning for theta <= 0.
-        result = runner.invoke(main, ["norms", "--net", "van-der-corput", "--s", "3",
-                                      "--samples", "64", "--theta", value])
-        assert result.exit_code == 2
-        assert "--theta" in result.output
-        assert "orlicz" not in result.output
+        result = cli(["norms", "--net", "van-der-corput", "--s", "3",
+                      "--samples", "64", "--theta", value])
+        assert result.code == 2
+        assert result.stdout == b""
+        assert "--theta" in result.stderr
+        assert "orlicz" not in result.stderr
 
     @pytest.mark.parametrize("command", ["norms", "sweep"])
-    def test_overflowing_moment_is_runtime_error(self, runner, command):
+    def test_overflowing_moment_is_runtime_error(self, cli, command):
         # |D_N| > 1 somewhere, so its 2000th power overflows float64.
         args = [command, "--net", "van-der-corput", "--s", "3", "--samples", "256",
                 "--q-grid", "1,2000"]
         if command == "sweep":
             args += ["--shifts", "1"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 1
-        assert "q=2000.0" in result.output
-        assert "inf" not in result.output and "nan" not in result.output
+        result = cli(args)
+        assert result.code == 1
+        assert result.stdout == b""
+        assert "q=2000.0" in result.stderr
+        assert "inf" not in result.stderr and "nan" not in result.stderr
 
     @pytest.mark.parametrize("command", ["norms", "sweep"])
-    def test_workers_is_not_an_option(self, runner, command):
-        result = runner.invoke(main, [command, "--net", "van-der-corput", "--s", "3",
-                                      "--workers", "2"])
-        assert result.exit_code == 2
-        assert "--workers" in result.output
+    def test_workers_is_not_an_option(self, cli, command):
+        result = cli([command, "--net", "van-der-corput", "--s", "3", "--workers", "2"])
+        assert result.code == 2
+        assert "--workers" in result.stderr
 
-    def test_readme_lists_every_option(self, runner):
+    def test_readme_lists_every_option(self, cli):
         # The commands, from the parser's usage line, and then the long
         # option strings of each command's usage.
-        usage = run_ok(runner, ["--help"]).split("\n\n", 1)[0]
+        usage = run_ok(cli, ["--help"]).split("\n\n", 1)[0]
         commands = re.search(r"\{([a-z,]+)\}", usage).group(1).split(",")
         assert "certify" in commands
         options = set()
         for command in commands:
-            usage = run_ok(runner, [command, "--help"]).split("\n\n", 1)[0]
+            usage = run_ok(cli, [command, "--help"]).split("\n\n", 1)[0]
             options.update(re.findall(r"--[a-z][a-z-]*", usage))
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         paragraph = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
@@ -511,9 +522,9 @@ class TestOptions:
          ["2,3,0,4,True,None"]),
     ], ids=["abbreviated-option", "no-command", "unknown-command", "version",
             "no-box-check"])
-    def test_command_line_keeps_click_behaviour(self, runner, args, code, last_line):
-        result = runner.invoke(main, args)
-        assert (result.exit_code, result.stdout.splitlines()[-1:]) == (code, last_line)
+    def test_command_line_keeps_click_behaviour(self, cli, args, code, last_line):
+        result = cli(args)
+        assert (result.code, result.stdout.decode().splitlines()[-1:]) == (code, last_line)
 
     def test_readme_library_example_runs(self):
         # Every name the example imports must still be exported.
@@ -564,18 +575,22 @@ class TestProcess:
         ["verify"],
         ["gen", "--net", "sobol", "--n", "3", "--s", "6", "--count", "40",
          "--shift-seed", "1"],
-    ], ids=["certify", "verify", "gen"])
-    def test_stdout_matches_the_in_process_run(self, runner, args):
+        ["norms", "--net", "sobol", "--n", "3", "--s", "5", "--samples", "1024",
+         "--q-grid", "1,2"],
+        ["sweep", "--net", "van-der-corput", "--s", "4", "--shifts", "2",
+         "--samples", "512", "--q-grid", "2"],
+    ], ids=["certify", "verify", "gen", "norms", "sweep"])
+    def test_stdout_matches_the_in_process_run(self, cli, args):
         proc = cli_process(args)
         assert (proc.returncode, proc.stderr) == (0, b"")
-        assert proc.stdout == runner.invoke(main, args).stdout_bytes
+        assert proc.stdout == cli(args).stdout
 
-    def test_out_file_matches_the_in_process_run(self, runner, tmp_path):
+    def test_out_file_matches_the_in_process_run(self, cli, tmp_path):
         args = ["gen", "--net", "sobol", "--n", "3", "--s", "6", "--shift-seed", "1",
                 "--exact", "--out"]
         proc = cli_process(args + [str(tmp_path / "process.csv")])
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
-        run_ok(runner, args + [str(tmp_path / "in_process.csv")])
+        run_ok(cli, args + [str(tmp_path / "in_process.csv")])
         assert ((tmp_path / "process.csv").read_bytes()
                 == (tmp_path / "in_process.csv").read_bytes())
 
