@@ -21,7 +21,7 @@ from .discrepancy import (
     approximation_gap,
     lambda_group,
 )
-from .f2core import F2Subspace, _rev_packed, _unpack
+from .f2core import _character, _rank, _rev_packed, _unpack
 
 
 class IdentityResult(NamedTuple):
@@ -41,20 +41,12 @@ def _character_table(words: Iterable[int], n: int, s: int) -> np.ndarray:
     are grid points, and every caller first passes
     `discrepancy._grid_size`, which holds the grid within
     `discrepancy.ENUM_CAP` (2^24), so the int64 sums are exact.
-    The table of one word is its +-1 character row, built by sign-doubling:
-    setting bit k of y flips the sign when bit k of the reversed word is set.
+    When every word is 0 the table is the constant word count, with no
+    butterfly.
     """
     rev = [_rev_packed(a, n, s) for a in words]
-    if len(rev) == 1:
-        table = np.empty(1 << (n * s), dtype=np.int64)
-        table[0] = 1
-        for k in range(n * s):
-            low, high = table[:1 << k], table[1 << k:2 << k]
-            if rev[0] >> k & 1:
-                np.negative(low, out=high)
-            else:
-                high[:] = low
-        return table
+    if not any(rev):
+        return np.full(1 << (n * s), len(rev), dtype=np.int64)
     table = np.bincount(rev, minlength=1 << (n * s)).astype(np.int64)
     for k in range(n * s):
         pairs = table.reshape(-1, 2, 1 << k)
@@ -125,9 +117,11 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
     """Group slice identities: two-valued indicator, unit grid average,
     cardinality bound, and the representative factorization.
 
-    The indicator (the character sum over the strictly-below subgroup)
-    and each group's sum are whole-grid tables; a failure names the first
-    grid point in packed order.
+    The indicator is the character sum over the strictly-below subgroup
+    Lambda0.  The group sum factors as chi_rep times the indicator exactly
+    when the members XOR-ed with the representative have Lambda0's table;
+    both are whole-grid tables.  A failure names the first grid point in
+    packed order.
     """
     n, s = ctx.n, ctx.s
     size = _grid_size(ctx, s)
@@ -138,30 +132,27 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
             continue
         grp = lambda_group(ctx, rho_bar)
         count = len(grp.lambda0)
-        if grp.cardinality_bound_ok is False:
+        reason = ("cardinality bound" if grp.cardinality_bound_ok is False
+                  else "not a subgroup" if count != 1 << _rank(grp.lambda0)
+                  else None)
+        if reason:
             return IdentityResult(
                 "delta-identities", False, checked,
-                witness={"rho_bar": rho_bar, "lambda0": count,
-                         "reason": "cardinality bound"},
+                witness={"rho_bar": rho_bar, "lambda0": count, "reason": reason},
             )
-        if count != F2Subspace.from_packed(n, s, grp.lambda0).cardinality:
-            return IdentityResult(
-                "delta-identities", False, checked,
-                witness={"rho_bar": rho_bar, "lambda0": count,
-                         "reason": "not a subgroup"},
-            )
+        rep = grp.representative
         delta = _character_table(grp.lambda0, n, s)
-        group_sum = _character_table(members, n, s)
-        factored = _character_table([grp.representative], n, s) * delta
+        coset = _character_table([m ^ rep for m in members], n, s)
         two_valued = (delta == 0) | (delta == count)
-        bad = np.flatnonzero(~two_valued | (group_sum != factored))
+        bad = np.flatnonzero(~two_valued | (coset != delta))
         if bad.size:
             y = int(bad[0])
+            sign = _character(_rev_packed(rep, n, s), y)
             return IdentityResult(
                 "delta-identities", False, checked + y + 1,
                 witness={"rho_bar": rho_bar, "Y": _unpack(y, n, s), "lambda0": count,
-                         "delta": int(delta[y]), "group_sum": int(group_sum[y]),
-                         "factored": int(factored[y])},
+                         "delta": int(delta[y]), "group_sum": sign * int(coset[y]),
+                         "factored": sign * int(delta[y])},
             )
         checked += size
         total = int(delta.sum())

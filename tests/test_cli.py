@@ -350,6 +350,10 @@ PINNED_STDOUT = {
     "verify-sobol-3-5": (
         ["verify", "--net", "sobol", "--n", "3", "--s", "5"],
         "4eeaec0f5ac6952d2a51bf18a03decad302b25a1d5e09bdebb65caf7065b474b"),
+    # 143 nonempty groups, 51 of them one-member cosets with Lambda0 = {0}.
+    "verify-sobol-3-5-shift-seed-1": (
+        ["verify", "--net", "sobol", "--n", "3", "--s", "5", "--shift-seed", "1"],
+        "b8c7485ad040a2c6ecf077600fef652ad591518880a3f5286ba344945eb0be0b"),
     "verify-sobol-4-3": (
         ["verify", "--net", "sobol", "--n", "4", "--s", "3"],
         "1244e0d2ce5e24708ea5830bfeebbac1b0e1c0a8bcf366d2343b5956154878ea"),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from dyadnet.discrepancy import (
     _dual_table,
     _grid_size,
     approximation_gap,
+    lambda_group,
 )
-from dyadnet.f2core import _rev_packed, _unpack
+from dyadnet.f2core import _character, _pack, _rev_packed, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
     random_shift,
@@ -112,7 +114,8 @@ class TestTablesAgainstLoops:
 
 @pytest.mark.parametrize("n,s", [(2, 3), (3, 2)])
 def test_one_word_table_is_its_character_row(n, s):
-    # A single word takes the sign-doubling branch, not the butterfly.
+    # A single nonzero word goes through the butterfly; the zero word
+    # takes the constant table.
     words = list(sobol_generators(n, s).subspace.enumerate_packed())
     assert 0 in words
     for w in words:
@@ -120,6 +123,13 @@ def test_one_word_table_is_its_character_row(n, s):
         table = _character_table([w], n, s)
         assert table.dtype == np.int64
         assert table.tolist() == row, w
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_zero_words_give_the_constant_table(k):
+    table = _character_table([0] * k, 2, 3)
+    assert table.dtype == np.int64
+    assert table.tolist() == [k] * (1 << 6)
 
 
 class TestGridGuard:
@@ -361,6 +371,34 @@ class TestNegativeControls:
         corrupted = with_dual_points(vdc_ctx, bad)
         res, loop = check_delta_identities(corrupted), delta_loop(corrupted)
         assert not res.passed
+        assert res.checked == loop.checked
+        assert res.witness.items() >= loop.witness.items()
+
+    def test_delta_witness_keeps_the_representative_sign(self):
+        # A foreign member whose witness point has chi_rep = -1 and neither
+        # side of the factorization 0, so a dropped sign shows on both.
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
+        n, s = ctx.n, ctx.s
+        words = dual_words(ctx)
+
+        def corruptions():
+            # Replacing the largest members first finds one within a few
+            # hundred tries.
+            for i in reversed(range(len(words))):
+                for f in product(range(1 << s), repeat=n):
+                    if f not in words:
+                        c = with_dual_points(ctx, words[:i] + (f,) + words[i + 1:])
+                        yield c, check_delta_identities(c)
+
+        def rep_sign(c, witness):
+            rep = lambda_group(c, witness["rho_bar"]).representative
+            return _character(_rev_packed(rep, n, s), _pack(witness["Y"], s))
+
+        corrupted, res = next(
+            (c, r) for c, r in corruptions()
+            if r.witness and r.witness.get("group_sum") and r.witness["factored"]
+            and rep_sign(c, r.witness) == -1)
+        loop = delta_loop(corrupted)
         assert res.checked == loop.checked
         assert res.witness.items() >= loop.witness.items()
 
