@@ -22,7 +22,6 @@ from . import walsh
 
 __all__ = [
     "DiscrepancyContext",
-    "LambdaGroup",
     "RouteUnavailableError",
     "approximation_gap",
     "lambda_group",
@@ -208,40 +207,16 @@ def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
     return GapReport(Fraction(int(gap[v]), 1 << (n * g)), bound, argmax, size)
 
 
-class LambdaGroup(NamedTuple):
-    """Packed dual indices with a prescribed leading-digit position vector."""
-
-    rho_bar: tuple[int, ...]
-    members: tuple[int, ...]
-    representative: int | None
-    lambda0: tuple[int, ...]
-    cardinality_bound_ok: bool | None
-
-
-def lambda_group(ctx: DiscrepancyContext, rho_bar: Sequence[int]) -> LambdaGroup:
-    """Slice the dual at one leading-digit position vector.
-
-    Members share the exact per-coordinate positions; the companion
-    subgroup collects indices strictly below them (coordinates with
-    position 0 must vanish there, keeping the subgroup linear).  The
-    cardinality bound 2^(|rho_bar| - s + deficiency) is checked whenever
-    the group has a nonzero member and the deficiency is certified.
-    Members stay in dual order and the subgroup is sorted; the
-    representative is the smallest member, though on a true dual any
-    member factors the group sum the same way.
+def lambda_group(ctx: DiscrepancyContext, rho_bar: Sequence[int]) -> tuple[int, ...]:
+    """The strictly-below subgroup Lambda0 of one leading-digit position
+    vector, as sorted packed dual indices: each coordinate of position
+    r >= 1 stays below 2^(r - 1), and each coordinate of position 0 must
+    vanish, keeping the subgroup linear.  The group itself is
+    `ctx.groups[rho_bar]`, a coset of Lambda0 when nonzero.
     """
     rho_bar = tuple(rho_bar)
     if len(rho_bar) != ctx.n or any(not 0 <= r <= ctx.s for r in rho_bar):
         raise ValueError(f"position vector {rho_bar} out of range for s={ctx.s}")
-    groups = ctx.groups
-    members = groups.get(rho_bar, ())
     below = [max(r - 1, 0) for r in rho_bar]
-    lam0 = sorted(p for rho, group in groups.items()
-                  if all(a <= b for a, b in zip(rho, below)) for p in group)
-    bound_ok: bool | None = None
-    if ctx.deficiency is not None and any(members):
-        exponent = sum(rho_bar) - ctx.s + ctx.deficiency
-        bound_ok = exponent >= 0 and len(lam0) <= (1 << exponent)
-    representative = min(members) if members else None
-    return LambdaGroup(rho_bar, members, representative, tuple(lam0), bound_ok)
-
+    return tuple(sorted(p for rho, group in ctx.groups.items()
+                        if all(a <= b for a, b in zip(rho, below)) for p in group))

@@ -117,11 +117,13 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
     """Group slice identities: two-valued indicator, unit grid average,
     cardinality bound, and the representative factorization.
 
-    The indicator is the character sum over the strictly-below subgroup
-    Lambda0.  The group sum factors as chi_rep times the indicator exactly
-    when the members XOR-ed with the representative have Lambda0's table;
-    both are whole-grid tables.  A failure names the first grid point in
-    packed order.
+    Each nonzero group is checked in turn: with a certified deficiency,
+    |Lambda0| <= 2^(|rho_bar| - s + deficiency); Lambda0, the
+    strictly-below subgroup, is a subgroup; then its whole-grid tables.
+    The indicator is the character sum over Lambda0.  The group sum
+    factors as chi_rep times the indicator, the representative being the
+    smallest member, exactly when the members XOR-ed with it have
+    Lambda0's table.  A failure names the first grid point in packed order.
     """
     n, s = ctx.n, ctx.s
     size = _grid_size(ctx, s)
@@ -130,18 +132,20 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
     for rho_bar, members in sorted(groups.items()):
         if not any(members):
             continue
-        grp = lambda_group(ctx, rho_bar)
-        count = len(grp.lambda0)
-        reason = ("cardinality bound" if grp.cardinality_bound_ok is False
-                  else "not a subgroup" if count != 1 << _rank(grp.lambda0)
+        lambda0 = lambda_group(ctx, rho_bar)
+        count = len(lambda0)
+        exponent = None if ctx.deficiency is None else sum(rho_bar) - s + ctx.deficiency
+        reason = ("cardinality bound"
+                  if exponent is not None and (exponent < 0 or count > 1 << exponent)
+                  else "not a subgroup" if count != 1 << _rank(lambda0)
                   else None)
         if reason:
             return IdentityResult(
                 "delta-identities", False, checked,
                 witness={"rho_bar": rho_bar, "lambda0": count, "reason": reason},
             )
-        rep = grp.representative
-        delta = _character_table(grp.lambda0, n, s)
+        rep = min(members)
+        delta = _character_table(lambda0, n, s)
         coset = _character_table([m ^ rep for m in members], n, s)
         two_valued = (delta == 0) | (delta == count)
         bad = np.flatnonzero(~two_valued | (coset != delta))

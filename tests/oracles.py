@@ -78,7 +78,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from dyadnet.discrepancy import DiscrepancyContext, GapReport, LambdaGroup, lambda_group
+from dyadnet.discrepancy import DiscrepancyContext, GapReport, lambda_group
 from dyadnet.f2core import (
     F2Subspace,
     _character,
@@ -405,7 +405,7 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar, Y) -> int:
             words.append(digit_word(fy, ctx.s))
     if len(words) != ctx.n:
         raise ValueError("query dimension mismatch")
-    lam0 = lambda_group(ctx, rho_bar).lambda0
+    lam0 = lambda_group(ctx, rho_bar)
     total = character_sum((_rev_packed(p, ctx.n, ctx.s) for p in lam0),
                           _pack(words, ctx.s))
     if total not in (0, len(lam0)):
@@ -414,29 +414,15 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar, Y) -> int:
     return total
 
 
-def lambda_group_walk(ctx: DiscrepancyContext, rho_bar) -> LambdaGroup:
-    """`lambda_group` by one walk over the dual: members match the position
-    vector exactly, and the subgroup keeps the indices below 2^(r - 1) in
-    each coordinate of position r >= 1 and zero where r = 0."""
+def lambda_group_walk(ctx: DiscrepancyContext, rho_bar) -> tuple[int, ...]:
+    """`lambda_group` by one walk over the dual: the sorted indices below
+    2^(r - 1) in each coordinate of position r >= 1 and zero where r = 0."""
     rho_bar = tuple(rho_bar)
     if len(rho_bar) != ctx.n or any(not 0 <= r <= ctx.s for r in rho_bar):
         raise ValueError(f"position vector {rho_bar} out of range for s={ctx.s}")
     bounds = [1 << (r - 1) if r >= 1 else 1 for r in rho_bar]
-    members = []
-    lam0 = []
-    for p in ctx.packed_dual:
-        L = _unpack(p, ctx.n, ctx.s)
-        if tuple(l.bit_length() for l in L) == rho_bar:
-            members.append(p)
-        if all(l < b for l, b in zip(L, bounds)):
-            lam0.append(p)
-    bound_ok: bool | None = None
-    if ctx.deficiency is not None and any(members):
-        exponent = sum(rho_bar) - ctx.s + ctx.deficiency
-        bound_ok = exponent >= 0 and len(lam0) <= (1 << exponent)
-    representative = min(members) if members else None
-    return LambdaGroup(rho_bar, tuple(members), representative, tuple(sorted(lam0)),
-                       bound_ok)
+    return tuple(sorted(p for p in ctx.packed_dual
+                        if all(l < b for l, b in zip(_unpack(p, ctx.n, ctx.s), bounds))))
 
 
 def poisson_loop(ctx: DiscrepancyContext) -> IdentityResult:
@@ -475,15 +461,17 @@ def delta_loop(ctx: DiscrepancyContext) -> IdentityResult:
     for rho_bar, members in sorted(groups.items()):
         if not any(members):
             continue
-        grp = lambda_group_walk(ctx, rho_bar)
-        count = len(grp.lambda0)
-        if grp.cardinality_bound_ok is False:
+        lam0 = lambda_group_walk(ctx, rho_bar)
+        count = len(lam0)
+        # |Lambda0| <= 2^(|rho_bar| - s + t) for a certified deficiency t.
+        t = ctx.deficiency
+        if t is not None and (sum(rho_bar) < s - t or count > 2 ** (sum(rho_bar) - s + t)):
             return IdentityResult(
                 "delta-identities", False, checked,
                 witness={"rho_bar": rho_bar, "lambda0": count,
                          "reason": "cardinality bound"},
             )
-        span = F2Subspace.from_packed(n, s, grp.lambda0)
+        span = F2Subspace.from_packed(n, s, lam0)
         if count != span.cardinality:
             return IdentityResult(
                 "delta-identities", False, checked,
@@ -492,8 +480,8 @@ def delta_loop(ctx: DiscrepancyContext) -> IdentityResult:
             )
         rev_basis = [_rev_packed(b, n, s) for b in span.basis]
         rev_members = [_rev_packed(p, n, s) for p in members]
-        rev_rep = _rev_packed(grp.representative, n, s)
-        rev_lam0 = [_rev_packed(p, n, s) for p in grp.lambda0]
+        rev_rep = _rev_packed(min(members), n, s)
+        rev_lam0 = [_rev_packed(p, n, s) for p in lam0]
         total = 0
         for y in range(1 << (n * s)):
             val = count if all(_character(b, y) == 1 for b in rev_basis) else 0

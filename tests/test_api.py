@@ -80,8 +80,6 @@ def test_every_public_name_resolves():
 RECORDS = {
     "dyadnet.nets.RescaleResult": (("points", "divisor", "shift"), {}),
     "dyadnet.discrepancy.GapReport": (("max_gap", "bound", "argmax", "points_checked"), {}),
-    "dyadnet.discrepancy.LambdaGroup": (
-        ("rho_bar", "members", "representative", "lambda0", "cardinality_bound_ok"), {}),
     "dyadnet.verify.IdentityResult": (
         ("name", "passed", "checked", "witness"), {"witness": None}),
     "dyadnet.norms.LqEstimate": (("q", "value", "stderr", "samples"), {}),

@@ -13,7 +13,6 @@ from dyadnet.discrepancy import (
     _dual_table,
     _grid_size,
     approximation_gap,
-    lambda_group,
 )
 from dyadnet.f2core import _character, _pack, _rev_packed, _unpack
 from dyadnet.nets import (
@@ -364,6 +363,19 @@ class TestNegativeControls:
         assert res.witness["reason"] == "cardinality bound"
         assert (res.passed, res.checked) == outcome(delta_loop(corrupted))[:2]
 
+    @pytest.mark.parametrize("gen, dropped, rho_bar", [
+        (van_der_corput_generators(4), (6, 6), (4, 4)),
+        (sobol_generators(3, 3), (2, 1, 3), (3, 2, 3)),
+    ])
+    def test_dropped_word_fails_delta_subgroup(self, gen, dropped, rho_bar):
+        # Dropping a nonzero word of some strictly-below subgroup leaves it
+        # with three elements, within the cardinality bound but not a subgroup.
+        ctx = DiscrepancyContext.build(gen.subspace)
+        corrupted = with_dual_points(ctx, [L for L in dual_words(ctx) if L != dropped])
+        res = check_delta_identities(corrupted)
+        assert res.witness == {"rho_bar": rho_bar, "lambda0": 3, "reason": "not a subgroup"}
+        assert res == delta_loop(corrupted)
+
     def test_foreign_member_fails_delta_factorization(self, vdc_ctx):
         # (4, 4) has the leading positions of (7, 7) but is not in the dual,
         # so the group sum of (3, 3) no longer factors at some grid point.
@@ -391,7 +403,7 @@ class TestNegativeControls:
                         yield c, check_delta_identities(c)
 
         def rep_sign(c, witness):
-            rep = lambda_group(c, witness["rho_bar"]).representative
+            rep = min(c.groups[witness["rho_bar"]])
             return _character(_rev_packed(rep, n, s), _pack(witness["Y"], s))
 
         corrupted, res = next(
