@@ -1,10 +1,10 @@
 """Binary digital nets, dyadic Walsh analysis, and discrepancy diagnostics.
 
 The exports of the integer layers (`f2core`, `nets`) load with the
-package.  Those of the array layers, `DiscrepancyContext`,
-`approximation_gap` and `lambda_group` from `discrepancy` and the
-estimators from `norms`, load on first access, so `import dyadnet`
-leaves numpy unloaded until one of them is read.
+package.  Those of the array layers, `DiscrepancyContext` and
+`approximation_gap` from `discrepancy` and the estimators from `norms`,
+load on first access, so `import dyadnet` leaves numpy unloaded until
+one of them is read.
 """
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ from .nets import (
 _LAZY = {
     "DiscrepancyContext": "discrepancy",
     "approximation_gap": "discrepancy",
-    "lambda_group": "discrepancy",
     "dn_sampler": "norms",
     "exp_orlicz_estimate": "norms",
     "l2_m_exact": "norms",
@@ -63,7 +62,6 @@ __all__ = [
     "dn_sampler",
     "exp_orlicz_estimate",
     "l2_m_exact",
-    "lambda_group",
     "load_generators",
     "lq_norms_mc",
     "m_sampler",

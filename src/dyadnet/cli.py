@@ -284,9 +284,11 @@ def verify(net, n, s, shift_seed, fmt, out):
     """Run the exact identity suites; nonzero exit on any failure.
 
     Without --s, runs the bundle of the builtin net at s = 2..4, a shifted
-    instance each; by default that is the planar builtin.
+    instance each; by default that is the planar builtin.  A check above
+    the enumeration cap prints a refused row, and its refusal on stderr;
+    the run then exits 1, or 3 when a check that ran failed.
     """
-    from .discrepancy import DiscrepancyContext, RouteUnavailableError
+    from .discrepancy import DiscrepancyContext
     from .verify import run_net_suite
 
     results = []
@@ -295,20 +297,22 @@ def verify(net, n, s, shift_seed, fmt, out):
         runs = [(si, shift_seed + si) for si in (2, 3, 4)]
     else:
         runs = [(s, shift_seed)]
-    try:
-        for si, seed in runs:
-            gen_set = _load_net(net, n, si)
-            shift = random_shift(gen_set.n, gen_set.s, seed)
-            results.extend(run_net_suite(DiscrepancyContext.build(gen_set.subspace, shift)))
-    except RouteUnavailableError as exc:
-        raise _Failure(str(exc), EXIT_RUNTIME)
+    for si, seed in runs:
+        gen_set = _load_net(net, n, si)
+        shift = random_shift(gen_set.n, gen_set.s, seed)
+        results.extend(run_net_suite(DiscrepancyContext.build(gen_set.subspace, shift)))
     columns = ["identity", "passed", "checked", "witness"]
     rows = [[r.name, r.passed, r.checked,
              json.dumps(r.witness, sort_keys=True, default=str) if r.witness else ""]
             for r in results]
     _emit(out, fmt, "verify", config, "exact", columns, rows)
-    if not all(r.passed for r in results):
-        raise _Failure("identity suite failed", EXIT_IDENTITY)
+    refusals = [f"{r.name} refused: {r.witness['refused']}"
+                for r in results if r.witness and "refused" in r.witness]
+    # Every row that neither passed nor was refused is a check that failed.
+    if len(refusals) + sum(r.passed for r in results) < len(results):
+        raise _Failure("; ".join(["identity suite failed", *refusals]), EXIT_IDENTITY)
+    if refusals:
+        raise _Failure("; ".join(refusals), EXIT_RUNTIME)
 
 
 @_command(

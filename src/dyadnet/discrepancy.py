@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "DiscrepancyContext",
     "RouteUnavailableError",
     "approximation_gap",
-    "lambda_group",
 ]
 
 # The most dual elements, or grid points of a whole-grid table, that a
@@ -205,18 +204,3 @@ def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
     v = int(np.argmax(gap))
     argmax = tuple(Fraction(u, 1 << g) for u in _unpack(v, n, g))
     return GapReport(Fraction(int(gap[v]), 1 << (n * g)), bound, argmax, size)
-
-
-def lambda_group(ctx: DiscrepancyContext, rho_bar: Sequence[int]) -> tuple[int, ...]:
-    """The strictly-below subgroup Lambda0 of one leading-digit position
-    vector, as sorted packed dual indices: each coordinate of position
-    r >= 1 stays below 2^(r - 1), and each coordinate of position 0 must
-    vanish, keeping the subgroup linear.  The group itself is
-    `ctx.groups[rho_bar]`, a coset of Lambda0 when nonzero.
-    """
-    rho_bar = tuple(rho_bar)
-    if len(rho_bar) != ctx.n or any(not 0 <= r <= ctx.s for r in rho_bar):
-        raise ValueError(f"position vector {rho_bar} out of range for s={ctx.s}")
-    below = [max(r - 1, 0) for r in rho_bar]
-    return tuple(sorted(p for rho, group in ctx.groups.items()
-                        if all(a <= b for a, b in zip(rho, below)) for p in group))

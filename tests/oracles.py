@@ -41,14 +41,18 @@ evaluates one way in production; tests compare the two.
   checks.
 - `character_sum`, one character sum at one grid point, is the oracle of
   the whole-grid Walsh-Hadamard table `verify._character_table`.
-- `delta_indicator` is that sum over the strictly-below subgroup at one
-  query, the per-query form of the Delta table.
-- `lambda_group_walk` slices the dual by walking it once per position
-  vector; it is the oracle of `discrepancy.lambda_group`, which reads
-  the context's `groups`.
+- `lambda_group_walk` lists the strictly-below subgroup of one position
+  vector by walking the dual once; production only counts it, by
+  cumulative sums of the group sizes, and the count must equal the net's
+  rank identity.
+- `delta_indicator` is the character sum over that subgroup at one
+  query, the per-query form of the Delta indicator.
 - `poisson_loop` and `delta_loop` walk the `2^(ns)` grid point by point
-  with `character_sum`; they are the oracles of `verify.check_poisson`
-  and `verify.check_delta_identities`, which read the tables.
+  with `character_sum`; they are the oracles of `verify.check_poisson`,
+  which reads the table, and of `verify.check_delta_identities`, which
+  checks each group's coset and subgroup by sets and ranks.
+  `delta_tables` is a second Delta oracle: two whole-grid tables per
+  group, the subgroup's and the group's XOR-ed with its representative.
 - `box_kernel` counts the net points in one box and sums their truncated
   kernel; like the box tables it reads the context's one net listing,
   `packed_net`, and XORs in `ctx.shift` itself.  `m_direct` is the kernel
@@ -78,11 +82,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from dyadnet.discrepancy import DiscrepancyContext, GapReport, lambda_group
+from dyadnet.discrepancy import DiscrepancyContext, GapReport, _grid_size
 from dyadnet.f2core import (
     F2Subspace,
     _character,
     _pack,
+    _rank,
     _reduce,
     _rev_packed,
     _rev_words,
@@ -92,7 +97,7 @@ from dyadnet.f2core import (
 )
 from dyadnet.nets import GeneratorSet, PointSet, _compositions, _leading_digits_mask
 from dyadnet.norms import _DN_CHUNK
-from dyadnet.verify import IdentityResult
+from dyadnet.verify import IdentityResult, _character_table
 from dyadnet.walsh import _chi_num
 
 
@@ -405,7 +410,7 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar, Y) -> int:
             words.append(digit_word(fy, ctx.s))
     if len(words) != ctx.n:
         raise ValueError("query dimension mismatch")
-    lam0 = lambda_group(ctx, rho_bar)
+    lam0 = lambda_group_walk(ctx, rho_bar)
     total = character_sum((_rev_packed(p, ctx.n, ctx.s) for p in lam0),
                           _pack(words, ctx.s))
     if total not in (0, len(lam0)):
@@ -415,8 +420,9 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar, Y) -> int:
 
 
 def lambda_group_walk(ctx: DiscrepancyContext, rho_bar) -> tuple[int, ...]:
-    """`lambda_group` by one walk over the dual: the sorted indices below
-    2^(r - 1) in each coordinate of position r >= 1 and zero where r = 0."""
+    """The strictly-below subgroup Lambda0 of one leading-digit position
+    vector, by one walk over the dual: the sorted indices below 2^(r - 1)
+    in each coordinate of position r >= 1 and zero where r = 0."""
     rho_bar = tuple(rho_bar)
     if len(rho_bar) != ctx.n or any(not 0 <= r <= ctx.s for r in rho_bar):
         raise ValueError(f"position vector {rho_bar} out of range for s={ctx.s}")
@@ -510,6 +516,63 @@ def delta_loop(ctx: DiscrepancyContext) -> IdentityResult:
                 "delta-identities", False, checked,
                 witness={"rho_bar": rho_bar,
                          "grid_mean": str(Fraction(total, 1 << (n * s)))},
+            )
+    return IdentityResult("delta-identities", True, checked)
+
+
+def delta_tables(ctx: DiscrepancyContext) -> IdentityResult:
+    """Group slice identities from two whole-grid Walsh-Hadamard tables
+    per nonzero group: two-valued indicator, unit grid average,
+    cardinality bound, and the representative factorization.
+
+    Each nonzero group is checked in turn: with a certified deficiency,
+    |Lambda0| <= 2^(|rho_bar| - s + deficiency); Lambda0, the
+    strictly-below subgroup, is a subgroup; then its whole-grid tables.
+    The indicator is the character sum over Lambda0.  The group sum
+    factors as chi_rep times the indicator, the representative being the
+    smallest member, exactly when the members XOR-ed with it have
+    Lambda0's table.  A failure names the first grid point in packed order.
+    """
+    n, s = ctx.n, ctx.s
+    size = _grid_size(ctx, s)
+    groups = ctx.groups
+    checked = 0
+    for rho_bar, members in sorted(groups.items()):
+        if not any(members):
+            continue
+        lambda0 = lambda_group_walk(ctx, rho_bar)
+        count = len(lambda0)
+        exponent = None if ctx.deficiency is None else sum(rho_bar) - s + ctx.deficiency
+        reason = ("cardinality bound"
+                  if exponent is not None and (exponent < 0 or count > 1 << exponent)
+                  else "not a subgroup" if count != 1 << _rank(lambda0)
+                  else None)
+        if reason:
+            return IdentityResult(
+                "delta-identities", False, checked,
+                witness={"rho_bar": rho_bar, "lambda0": count, "reason": reason},
+            )
+        rep = min(members)
+        delta = _character_table(lambda0, n, s)
+        coset = _character_table([m ^ rep for m in members], n, s)
+        two_valued = (delta == 0) | (delta == count)
+        bad = np.flatnonzero(~two_valued | (coset != delta))
+        if bad.size:
+            y = int(bad[0])
+            sign = _character(_rev_packed(rep, n, s), y)
+            return IdentityResult(
+                "delta-identities", False, checked + y + 1,
+                witness={"rho_bar": rho_bar, "Y": _unpack(y, n, s), "lambda0": count,
+                         "delta": int(delta[y]), "group_sum": sign * int(coset[y]),
+                         "factored": sign * int(delta[y])},
+            )
+        checked += size
+        total = int(delta.sum())
+        if total != size:
+            return IdentityResult(
+                "delta-identities", False, checked,
+                witness={"rho_bar": rho_bar,
+                         "grid_mean": str(Fraction(total, size))},
             )
     return IdentityResult("delta-identities", True, checked)
 

@@ -12,11 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadnet.discrepancy import (
-    DiscrepancyContext,
-    approximation_gap,
-    lambda_group,
-)
+from dyadnet.discrepancy import DiscrepancyContext, approximation_gap
 from dyadnet.f2core import F2Subspace
 from dyadnet.nets import (
     random_shift,
@@ -40,6 +36,7 @@ from oracles import (
     check_fine_square_norm,
     delta_indicator,
     iter_grid,
+    lambda_group_walk,
 )
 
 
@@ -163,7 +160,7 @@ def test_criterion_07_delta_identities():
         for rho_bar, members in sorted(ctx.groups.items()):
             if not any(members):
                 continue
-            lam0 = lambda_group(ctx, rho_bar)
+            lam0 = lambda_group_walk(ctx, rho_bar)
             exponent = sum(rho_bar) - s + ctx.deficiency
             assert exponent >= 0 and len(lam0) <= 2 ** exponent, rho_bar
             total = 0

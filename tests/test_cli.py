@@ -203,17 +203,37 @@ class TestVerify:
         assert data_rows(out) == [f"{name},True,{k}," for name, k in want]
 
     def test_grid_above_the_cap_is_runtime_error(self, cli):
-        # 2^25 grid points: the character checks refuse before any table.
+        # 2^25 grid points: the three grid checks refuse before any table,
+        # each with its own row, and the group check runs on the 2^20-word
+        # dual, 6941 nonzero groups.
         result = cli(["verify", "--net", "sobol", "--n", "5", "--s", "5"])
         assert result.code == 1
-        assert "grid has 2^25 points, above the enumeration cap" in result.stderr
+        refused = '{"refused": "grid has 2^%d points, above the enumeration cap"}'
+        assert data_rows(result.stdout.decode()) == [
+            f"poisson-summation,False,0,{refused % 25}",
+            f"route-equivalence,False,0,{refused % 25}",
+            f"approximation-gap,False,0,{refused % 35}",
+            f"delta-identities,True,{6941 << 25},",
+        ]
+        assert result.stderr == (
+            "Error: poisson-summation refused: grid has 2^25 points, above the "
+            "enumeration cap; route-equivalence refused: grid has 2^25 points, above "
+            "the enumeration cap; approximation-gap refused: grid has 2^35 points, "
+            "above the enumeration cap\n")
 
     def test_gap_grid_above_the_cap_is_runtime_error(self, cli):
         # The 2^21 grid of the character checks fits the cap, but the gap
-        # grid two digits finer has 2^27 points: the suite refuses up front.
+        # grid two digits finer has 2^27 points: the gap check alone refuses.
         result = cli(["verify", "--net", "sobol", "--n", "3", "--s", "7"])
         assert result.code == 1
-        assert "grid has 2^27 points, above the enumeration cap" in result.stderr
+        rows = data_rows(result.stdout.decode())
+        assert rows[2] == ('approximation-gap,False,0,'
+                           '{"refused": "grid has 2^27 points, above the enumeration cap"}')
+        assert [r.split(",")[:2] for r in rows[:2] + rows[3:]] == [
+            ["poisson-summation", "True"], ["route-equivalence", "True"],
+            ["delta-identities", "True"]]
+        assert result.stderr == ("Error: approximation-gap refused: grid has 2^27 "
+                                 "points, above the enumeration cap\n")
 
     def test_failure_exit_code(self, cli, monkeypatch):
         # The command imports the suite when it runs, so the patch goes
@@ -230,6 +250,22 @@ class TestVerify:
         out = result.stdout.decode()
         assert "poisson-summation,False" in out
         assert '"L": [1, 0]' in out
+
+    def test_failure_wins_over_a_refusal(self, cli, monkeypatch):
+        import dyadnet.verify as verify_mod
+
+        def fake_suite(ctx):
+            return [IdentityResult("poisson-summation", False, 0,
+                                   witness={"refused": "grid too large"}),
+                    IdentityResult("delta-identities", False, 0,
+                                   witness={"reason": "rank identity"})]
+
+        monkeypatch.setattr(verify_mod, "run_net_suite", fake_suite)
+        result = cli(["verify", "--net", "van-der-corput", "--s", "2"])
+        assert result.code == 3
+        assert result.stderr == ("Error: identity suite failed; "
+                                 "poisson-summation refused: grid too large\n")
+
     def test_file_net_uses_its_own_shape(self, cli, tmp_path):
         gen = sobol_generators(3, 4)
         p = tmp_path / "net.txt"
@@ -330,7 +366,10 @@ class TestSweep:
 
 # The stdout sha256 of commands, recorded at commit 9b13492 (the
 # single-net Sobol verify runs at (3, 5) and (4, 3), which reach the 3-D
-# and 4-D groups, at c5f9c00).  The certify, verify and gen lines are
+# and 4-D groups, at c5f9c00; at (3, 6) and (4, 4) at d6e964b, where the
+# group check still read whole-grid tables; at (3, 7), which refused the
+# whole suite there, once each check refused on its own).  The certify,
+# verify and gen lines are
 # integer or Fraction arithmetic; the norms and sweep floats are seeded
 # and reduced in a fixed order.  The provenance header names the package
 # version, so a version bump changes every digest.
@@ -357,6 +396,16 @@ PINNED_STDOUT = {
     "verify-sobol-4-3": (
         ["verify", "--net", "sobol", "--n", "4", "--s", "3"],
         "1244e0d2ce5e24708ea5830bfeebbac1b0e1c0a8bcf366d2343b5956154878ea"),
+    "verify-sobol-3-6": (
+        ["verify", "--net", "sobol", "--n", "3", "--s", "6"],
+        "4ecdb1c252e6851d6fbeb0502c5cd24a74e8c36da41c05d00e1415e481094b2c"),
+    "verify-sobol-4-4": (
+        ["verify", "--net", "sobol", "--n", "4", "--s", "4"],
+        "eeb864ccc934980a99016b336bb94b08b687952e533bed13d9e8541f0b83eba8"),
+    # Three passing rows and the gap check's refused row; exits 1.
+    "verify-sobol-3-7": (
+        ["verify", "--net", "sobol", "--n", "3", "--s", "7"],
+        "3455907399f0fb77423c57b838c674f2b388d9d9fa3c219546666aebaf7315a4"),
     "gen-float": (
         ["gen", "--net", "sobol", "--n", "3", "--s", "10", "--count", "700",
          "--shift-seed", "3"],
@@ -393,10 +442,15 @@ PINNED_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("args, digest", PINNED_STDOUT.values(), ids=PINNED_STDOUT)
-def test_pinned_stdout(cli, args, digest):
-    # UTF-8 decoding and encoding round-trip the bytes exactly.
-    assert hashlib.sha256(run_ok(cli, args).encode()).hexdigest() == digest
+@pytest.mark.parametrize("name", PINNED_STDOUT)
+def test_pinned_stdout(cli, name):
+    args, digest = PINNED_STDOUT[name]
+    result = cli(args)
+    if name == "verify-sobol-3-7":
+        assert result.code == 1 and "approximation-gap refused" in result.stderr
+    else:
+        assert (result.code, result.stderr) == (0, ""), result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
 class TestOptions:

@@ -33,6 +33,7 @@ from oracles import (
     box_kernel,
     character_sum,
     delta_loop,
+    delta_tables,
     describe,
     dual_words,
     gap_loop,
@@ -109,12 +110,13 @@ class TestTablesAgainstLoops:
         assert poisson.passed and delta.passed
         assert outcome(poisson) == outcome(poisson_loop(ctx))
         assert (delta.passed, delta.checked) == outcome(delta_loop(ctx))[:2]
+        assert delta == delta_tables(ctx)
 
 
 @pytest.mark.parametrize("n,s", [(2, 3), (3, 2)])
 def test_one_word_table_is_its_character_row(n, s):
-    # A single nonzero word goes through the butterfly; the zero word
-    # takes the constant table.
+    # Every word goes through the butterfly; the zero word's table is the
+    # constant 1.
     words = list(sobol_generators(n, s).subspace.enumerate_packed())
     assert 0 in words
     for w in words:
@@ -124,24 +126,23 @@ def test_one_word_table_is_its_character_row(n, s):
         assert table.tolist() == row, w
 
 
-@pytest.mark.parametrize("k", [2, 5])
-def test_zero_words_give_the_constant_table(k):
-    table = _character_table([0] * k, 2, 3)
-    assert table.dtype == np.int64
-    assert table.tolist() == [k] * (1 << 6)
-
-
 class TestGridGuard:
     def test_grid_above_the_cap_is_unavailable(self, monkeypatch):
         # 2^8 grid points against a cap of 128; the dual (16 elements) fits.
         monkeypatch.setattr(discrepancy, "ENUM_CAP", 128)
         ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
-        for check in (check_poisson, check_route_equivalence, check_delta_identities):
+        for check in (check_poisson, check_route_equivalence):
             with pytest.raises(RouteUnavailableError, match="grid has 2\\^8 points"):
                 check(ctx)
         with pytest.raises(RouteUnavailableError, match="grid has 2\\^12 points"):
             approximation_gap(ctx)
         assert "packed_dual" not in vars(ctx)  # raised before the dual was enumerated
+        # The group check builds no grid table; only the dual listing bounds it.
+        res = check_delta_identities(ctx)
+        assert res.passed and res.checked == 256 * (len(ctx.groups) - 1)
+        monkeypatch.setattr(discrepancy, "ENUM_CAP", 8)
+        with pytest.raises(RouteUnavailableError, match="dual has 2\\^4 elements"):
+            check_delta_identities(DiscrepancyContext.build(ctx.subspace))
 
     def test_grid_at_the_cap_runs(self, monkeypatch):
         monkeypatch.setattr(discrepancy, "ENUM_CAP", 256)
@@ -153,20 +154,25 @@ class TestGridGuard:
         ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
         assert approximation_gap(ctx).points_checked == 1 << 12
 
-    def test_suite_refuses_its_gap_grid_before_any_check(self, monkeypatch):
-        # The 2^8 grid of the character checks fits; the 2^12 gap grid does not.
+    def test_suite_refuses_its_gap_check_alone(self, monkeypatch):
+        # The 2^8 grid of the character checks fits; the 2^12 gap grid does
+        # not, so the gap check gives a refused row and the others run.
         monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 11)
         ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
-        with pytest.raises(RouteUnavailableError, match="grid has 2\\^12 points"):
-            run_net_suite(ctx)
-        assert "packed_dual" not in vars(ctx)
+        poisson, route, gap, delta = run_net_suite(ctx)
+        assert gap == verify.IdentityResult(
+            "approximation-gap", False, 0,
+            witness={"refused": "grid has 2^12 points, above the enumeration cap"})
+        assert [poisson, route, delta] == [check_poisson(ctx), check_route_equivalence(ctx),
+                                           check_delta_identities(ctx)]
+        assert poisson.passed and route.passed and delta.passed
 
     def test_tables_that_could_leave_int64_are_unavailable(self, monkeypatch):
         # With the cap raised out of the way, the square of the grid decides:
-        # the 2^50-point grid of route equivalence or the 2^70-point gap grid.
+        # the 2^50-point grid of the character checks or the 2^70-point gap grid.
         monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 80)
         ctx = DiscrepancyContext.build(sobol_generators(10, 5).subspace)
-        for route in (approximation_gap, check_route_equivalence, run_net_suite):
+        for route in (approximation_gap, check_poisson, check_route_equivalence):
             with pytest.raises(RouteUnavailableError, match="could leave int64"):
                 route(ctx)
         assert "packed_dual" not in vars(ctx)
@@ -176,20 +182,29 @@ class TestGridGuard:
         with pytest.raises(RouteUnavailableError, match="could leave int64"):
             _grid_size(ctx, 32)
 
-    def test_suite_refuses_before_its_first_check(self, monkeypatch):
-        # Sobol (3, 11): the character checks' 2^33 grid could leave int64.
+    def test_suite_runs_past_its_refused_checks(self, monkeypatch):
+        # Sobol (3, 11): the 2^33 grid of the character checks, and the gap
+        # grid, could leave int64.  Each grid check gives its refused row
+        # before any table or dual listing, and the group check still runs;
+        # a spy stands in for it, since its 2^22-element dual lists under
+        # this cap.
         monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 80)
         ran = []
 
         def spy(ctx):
             ran.append(ctx)
-            return verify.IdentityResult("poisson-summation", True, 0)
+            return verify.IdentityResult("delta-identities", True, 0)
 
-        monkeypatch.setattr(verify, "check_poisson", spy)
+        monkeypatch.setattr(verify, "check_delta_identities", spy)
         ctx = DiscrepancyContext.build(sobol_generators(3, 11).subspace)
-        with pytest.raises(RouteUnavailableError, match="could leave int64"):
-            run_net_suite(ctx)
-        assert not ran
+        results = run_net_suite(ctx)
+        assert [r.name for r in results] == ["poisson-summation", "route-equivalence",
+                                             "approximation-gap", "delta-identities"]
+        for r, bits in zip(results, (33, 33, 39)):
+            assert (r.passed, r.checked) == (False, 0)
+            assert r.witness == {"refused": f"grid has 2^{bits} points, and its "
+                                            "tables could leave int64"}
+        assert results[-1].passed and ran == [ctx]
         assert "packed_dual" not in vars(ctx)
 
     def test_one_size_rule_bounds_every_table(self):
@@ -291,7 +306,58 @@ def corrupted_duals(ctx):
     }
 
 
+# Nets whose corrupted duals the group check meets against its table
+# oracle; unshifted, since a shift leaves the dual as it is.
+CORRUPTION_NETS = ([van_der_corput_generators(s) for s in (2, 3, 4)]
+                   + [sobol_generators(n, s) for n, s in ((2, 3), (3, 2), (2, 4), (3, 3))])
+
+
+def random_corruption(dual, grid, rng):
+    """The dual with one word replaced by a random grid index, dropped,
+    joined by a random index, or repeated."""
+    dual = list(dual)
+    i = rng.randrange(len(dual))
+    kind = rng.randrange(4)
+    if kind == 0:
+        dual[i] = rng.choice(grid)
+    elif kind == 1:
+        del dual[i]
+    else:
+        dual.append(rng.choice(grid) if kind == 2 else dual[i])
+    return dual
+
+
 class TestCorruptedTablesAgainstLoops:
+    def test_delta_failures_match_the_table_oracle(self):
+        # Every index as the dual of Sobol (3, 2) is the one case apart: only
+        # the rank identity rejects it (see TestNegativeControls).
+        failed = 0
+        for gen in CORRUPTION_NETS:
+            ctx = DiscrepancyContext.build(gen.subspace)
+            for reason, dual in corrupted_duals(ctx).items():
+                corrupted = with_dual_points(ctx, dual)
+                res, tables = check_delta_identities(corrupted), delta_tables(corrupted)
+                if (gen.n, gen.s, reason) == (3, 2, "every index"):
+                    assert (res.passed, tables.passed) == (False, True)
+                    continue
+                assert res.passed == tables.passed, (gen.n, gen.s, reason)
+                failed += not res.passed
+        assert failed >= 60
+
+    def test_delta_random_failures_match_the_table_oracle(self):
+        rng = random.Random(28)
+        failed = 0
+        for gen in CORRUPTION_NETS:
+            ctx = DiscrepancyContext.build(gen.subspace)
+            grid = [_unpack(v, ctx.n, ctx.s) for v in range(1 << (ctx.n * ctx.s))]
+            for _ in range(120):
+                corrupted = with_dual_points(
+                    ctx, random_corruption(dual_words(ctx), grid, rng))
+                res, tables = check_delta_identities(corrupted), delta_tables(corrupted)
+                assert res.passed == tables.passed, (gen.n, gen.s, res, tables)
+                failed += not res.passed
+        assert failed >= 600
+
     def test_route_failures_match_the_loop(self, vdc_ctx, sobol_ctx):
         failed = 0
         for ctx in (vdc_ctx, sobol_ctx):
@@ -369,26 +435,62 @@ class TestNegativeControls:
     ])
     def test_dropped_word_fails_delta_subgroup(self, gen, dropped, rho_bar):
         # Dropping a nonzero word of some strictly-below subgroup leaves it
-        # with three elements, within the cardinality bound but not a subgroup.
+        # with three elements, within the cardinality bound but not a
+        # subgroup of the table oracle; the check meets the same group first
+        # by the net's ranks, which give it four.
         ctx = DiscrepancyContext.build(gen.subspace)
         corrupted = with_dual_points(ctx, [L for L in dual_words(ctx) if L != dropped])
-        res = check_delta_identities(corrupted)
-        assert res.witness == {"rho_bar": rho_bar, "lambda0": 3, "reason": "not a subgroup"}
-        assert res == delta_loop(corrupted)
+        tables = delta_tables(corrupted)
+        assert tables.witness == {"rho_bar": rho_bar, "lambda0": 3,
+                                  "reason": "not a subgroup"}
+        assert tables == delta_loop(corrupted)
+        assert check_delta_identities(corrupted) == tables._replace(
+            witness={"rho_bar": rho_bar, "lambda0": 3, "reason": "rank identity"})
 
     def test_foreign_member_fails_delta_factorization(self, vdc_ctx):
         # (4, 4) has the leading positions of (7, 7) but is not in the dual,
-        # so the group sum of (3, 3) no longer factors at some grid point.
+        # so the group sum of (3, 3) no longer factors at some grid point of
+        # the table oracle; the check finds (4, 4) XOR (5, 5) outside the dual.
         bad = [(4, 4) if L == (7, 7) else L for L in dual_words(vdc_ctx)]
         corrupted = with_dual_points(vdc_ctx, bad)
-        res, loop = check_delta_identities(corrupted), delta_loop(corrupted)
-        assert not res.passed
-        assert res.checked == loop.checked
-        assert res.witness.items() >= loop.witness.items()
+        tables, loop = delta_tables(corrupted), delta_loop(corrupted)
+        assert not tables.passed
+        assert tables.checked == loop.checked
+        assert tables.witness.items() >= loop.witness.items()
+        assert check_delta_identities(corrupted).witness == {
+            "rho_bar": (3, 3), "lambda0": 2, "reason": "not a coset"}
+
+    def test_swapped_pair_fails_delta_subgroup(self):
+        # Van der Corput s = 4: Lambda0 of (4, 4) keeps its four words but
+        # holds the foreign (4, 4) in place of (6, 6), and the group its
+        # coset, so sizes, ranks and coset hold and only the span is wrong.
+        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
+        rep = min(ctx.groups[(4, 4)])
+        out = {(6, 6), _unpack(rep ^ _pack((6, 6), 4), 2, 4)}
+        into = [(4, 4), _unpack(rep ^ _pack((4, 4), 4), 2, 4)]
+        corrupted = with_dual_points(
+            ctx, [L for L in dual_words(ctx) if L not in out] + into)
+        res = check_delta_identities(corrupted)
+        assert res.witness == {"rho_bar": (4, 4), "lambda0": 4, "reason": "not a subgroup"}
+        assert not delta_tables(corrupted).passed
+
+    def test_every_index_fails_delta_rank_identity(self):
+        # Sobol (3, 2) with every grid index as its dual: each Lambda0 is a
+        # whole box, a subgroup within the cardinality bound whose groups are
+        # its cosets, so the tables and the loop pass it; only the net's
+        # ranks show that the box holds too many words.
+        ctx = DiscrepancyContext.build(sobol_generators(3, 2).subspace)
+        corrupted = with_dual_points(ctx, [_unpack(v, 3, 2) for v in range(1 << 6)])
+        res = check_delta_identities(corrupted)
+        assert res == verify.IdentityResult(
+            "delta-identities", False, 64,
+            witness={"rho_bar": (0, 0, 2), "lambda0": 2, "reason": "rank identity"})
+        assert delta_tables(corrupted).passed and delta_loop(corrupted).passed
 
     def test_delta_witness_keeps_the_representative_sign(self):
-        # A foreign member whose witness point has chi_rep = -1 and neither
-        # side of the factorization 0, so a dropped sign shows on both.
+        # A foreign member whose witness point in the table oracle has
+        # chi_rep = -1 and neither side of the factorization 0, so a dropped
+        # sign shows on both.
         ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
         n, s = ctx.n, ctx.s
         words = dual_words(ctx)
@@ -400,7 +502,7 @@ class TestNegativeControls:
                 for f in product(range(1 << s), repeat=n):
                     if f not in words:
                         c = with_dual_points(ctx, words[:i] + (f,) + words[i + 1:])
-                        yield c, check_delta_identities(c)
+                        yield c, delta_tables(c)
 
         def rep_sign(c, witness):
             rep = min(c.groups[witness["rho_bar"]])
