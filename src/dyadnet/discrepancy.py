@@ -99,9 +99,11 @@ class DiscrepancyContext(_Value):
     def groups(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Packed dual members by leading-digit position vector, each group
         in dual order; raises `RouteUnavailableError` above the cap."""
+        mask = (1 << self.s) - 1
+        shifts = range(0, self.n * self.s, self.s)
         out: dict[tuple[int, ...], list[int]] = {}
         for p in self.packed_dual:
-            rho = tuple(w.bit_length() for w in _unpack(p, self.n, self.s))
+            rho = tuple([(p >> sh & mask).bit_length() for sh in shifts])
             out.setdefault(rho, []).append(p)
         return {rho: tuple(members) for rho, members in out.items()}
 

@@ -8,8 +8,7 @@ and `_unpack` splits it again.  Point sets with linear structure are
 subspaces under digitwise XOR.  The module provides the tensor Walsh
 character of the bit-reversed bilinear pairing, ranks, annihilators
 (dual subspaces), enumeration, and the Rosenbloom-Tsfasman weight, all in
-integer words, with no rational arithmetic; the whole-grid character
-sums live in `verify`.
+integer words, with no rational arithmetic.
 """
 
 from __future__ import annotations

@@ -3,13 +3,17 @@
 Each check returns a machine-readable result with a counterexample
 witness on failure; the CLI `verify` command runs the suite on one net
 or a bundle of nets and maps any failure to a dedicated exit code.
+Poisson summation and the Delta identities are checked by sets and
+ranks, with no grid table; route equivalence and the approximation gap
+compare `discrepancy`'s whole-grid tables.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .discrepancy import (
     _grid_size,
     approximation_gap,
 )
-from .f2core import _rank, _rev_packed, _unpack
+from .f2core import _character, _pivots, _rank, _rev_packed, _unpack
 from .nets import _leading_digits_mask
 
 
@@ -32,45 +36,37 @@ class IdentityResult(NamedTuple):
     witness: dict | None = None
 
 
-def _character_table(words: Iterable[int], n: int, s: int) -> np.ndarray:
-    """Character sums at every grid point at once: entry y is the sum of
-    `f2core._character(_rev_packed(a, n, s), y)` over the packed words a.
-
-    An in-place Walsh-Hadamard butterfly over the indicator of the
-    reversed words (Fino & Algazi, IEEE Trans. Computers C-25, 1976).
-    Every entry is at most the word count in absolute value.  The words
-    are grid points, and every caller first passes
-    `discrepancy._grid_size`, which holds the grid within
-    `discrepancy.ENUM_CAP` (2^24), so the int64 sums are exact.
-    """
-    rev = [_rev_packed(a, n, s) for a in words]
-    table = np.bincount(rev, minlength=1 << (n * s)).astype(np.int64)
-    for k in range(n * s):
-        pairs = table.reshape(-1, 2, 1 << k)
-        low, high = pairs[:, 0], pairs[:, 1]
-        low += high
-        high *= -2
-        high += low
-    return table
-
-
 def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
     """Character sums over the net hit cardinality exactly on the dual,
-    zero elsewhere.  A failure names the first grid point in packed order."""
+    zero elsewhere.  They are the invertible Walsh-Hadamard transform of
+    the net listing's word counts, so this holds exactly when: the
+    listing has N entries; its distinct words V, listed equally often,
+    number 2^rank(V), a subgroup; the dual has 2^(ns) / |V| distinct
+    words; and each has character +1 against V's pivots, so the dual is
+    V's annihilator.  A pass counts the 2^(ns) grid points; a failure
+    checked nothing and names its reason, and for "not orthogonal" the
+    first such dual word.  No grid table is built: above the cap
+    `ctx.packed_dual` raises `RouteUnavailableError`."""
     n, s = ctx.n, ctx.s
-    size = _grid_size(ctx, s)
-    sums = _character_table(ctx.packed_net, n, s)
-    want = np.zeros(size, dtype=np.int64)
-    want[list(ctx.packed_dual)] = ctx.cardinality
-    bad = np.flatnonzero(sums != want)
-    if bad.size:
-        v = int(bad[0])
-        return IdentityResult(
-            "poisson-summation", False, v + 1,
-            witness={"L": _unpack(v, n, s),
-                     "sum": int(sums[v]), "expected": int(want[v])},
-        )
-    return IdentityResult("poisson-summation", True, size)
+    dual = ctx.packed_dual
+    counts = Counter(ctx.packed_net)
+    pivots = _pivots(counts)
+    reason = ("net not a subgroup"
+              if len(ctx.packed_net) != ctx.cardinality or len(counts) != 1 << len(pivots)
+              or len(set(counts.values())) != 1
+              else "dual size" if len(set(dual)) * len(counts) != 1 << (n * s)
+              else None)
+    if reason:
+        return IdentityResult("poisson-summation", False, 0, witness={"reason": reason})
+    rev = [_rev_packed(p, n, s) for p in pivots.values()]
+    for L in dual:
+        for r in rev:
+            if _character(r, L) < 0:
+                return IdentityResult(
+                    "poisson-summation", False, 0,
+                    witness={"reason": "not orthogonal", "L": _unpack(L, n, s)},
+                )
+    return IdentityResult("poisson-summation", True, 1 << (n * s))
 
 
 def check_route_equivalence(ctx: DiscrepancyContext) -> IdentityResult:

@@ -39,8 +39,10 @@ evaluates one way in production; tests compare the two.
   and `with_dual_points` is a copy of a context with its dual replaced
   by word tuples (e.g. corrupted), for the negative controls of the dual
   checks.
-- `character_sum`, one character sum at one grid point, is the oracle of
-  the whole-grid Walsh-Hadamard table `verify._character_table`.
+- `character_sum` is one character sum at one grid point, and
+  `_character_table` the sums at every grid point at once, a
+  Walsh-Hadamard butterfly; tests compare the two, and the table serves
+  the second Delta oracle, `delta_tables`.
 - `lambda_group_walk` lists the strictly-below subgroup of one position
   vector by walking the dual once; production only counts it, by
   cumulative sums of the group sizes, and the count must equal the net's
@@ -48,9 +50,12 @@ evaluates one way in production; tests compare the two.
 - `delta_indicator` is the character sum over that subgroup at one
   query, the per-query form of the Delta indicator.
 - `poisson_loop` and `delta_loop` walk the `2^(ns)` grid point by point
-  with `character_sum`; they are the oracles of `verify.check_poisson`,
-  which reads the table, and of `verify.check_delta_identities`, which
-  checks each group's coset and subgroup by sets and ranks.
+  with `character_sum`, `poisson_loop` over the context's net listing
+  `packed_net`; they are the oracles of `verify.check_poisson`, which
+  checks that the net is a subgroup whose annihilator is the dual by
+  sizes, ranks and characters against its pivots, and of
+  `verify.check_delta_identities`, which checks each group's coset and
+  subgroup by sets and ranks.
   `delta_tables` is a second Delta oracle: two whole-grid tables per
   group, the subgroup's and the group's XOR-ed with its representative.
 - `box_kernel` counts the net points in one box and sums their truncated
@@ -97,7 +102,7 @@ from dyadnet.f2core import (
 )
 from dyadnet.nets import GeneratorSet, PointSet, _compositions, _leading_digits_mask
 from dyadnet.norms import _DN_CHUNK
-from dyadnet.verify import IdentityResult, _character_table
+from dyadnet.verify import IdentityResult
 from dyadnet.walsh import _chi_num
 
 
@@ -431,12 +436,33 @@ def lambda_group_walk(ctx: DiscrepancyContext, rho_bar) -> tuple[int, ...]:
                         if all(l < b for l, b in zip(_unpack(p, ctx.n, ctx.s), bounds))))
 
 
+def _character_table(words, n: int, s: int) -> np.ndarray:
+    """Character sums at every grid point at once: entry y is the sum of
+    `f2core._character(_rev_packed(a, n, s), y)` over the packed words a.
+
+    An in-place Walsh-Hadamard butterfly over the indicator of the
+    reversed words (Fino & Algazi, IEEE Trans. Computers C-25, 1976).
+    Every entry is at most the word count in absolute value; the callers
+    pass grids that `discrepancy._grid_size` admits, at most
+    `discrepancy.ENUM_CAP` (2^24) points, so the int64 sums are exact.
+    """
+    rev = [_rev_packed(a, n, s) for a in words]
+    table = np.bincount(rev, minlength=1 << (n * s)).astype(np.int64)
+    for k in range(n * s):
+        pairs = table.reshape(-1, 2, 1 << k)
+        low, high = pairs[:, 0], pairs[:, 1]
+        low += high
+        high *= -2
+        high += low
+    return table
+
+
 def poisson_loop(ctx: DiscrepancyContext) -> IdentityResult:
     """Character sums over the net hit cardinality exactly on the dual,
     zero elsewhere."""
     n, s = ctx.n, ctx.s
     card = ctx.cardinality
-    net = list(ctx.subspace.enumerate_packed())
+    net = ctx.packed_net
     dual_set = set(ctx.packed_dual)
     checked = 0
     for v in range(1 << (n * s)):

@@ -203,22 +203,21 @@ class TestVerify:
         assert data_rows(out) == [f"{name},True,{k}," for name, k in want]
 
     def test_grid_above_the_cap_is_runtime_error(self, cli):
-        # 2^25 grid points: the three grid checks refuse before any table,
-        # each with its own row, and the group check runs on the 2^20-word
-        # dual, 6941 nonzero groups.
+        # 2^25 grid points: the two grid checks refuse before any table,
+        # each with its own row, and the group checks run on the 2^20-word
+        # dual, Delta over 6941 nonzero groups.
         result = cli(["verify", "--net", "sobol", "--n", "5", "--s", "5"])
         assert result.code == 1
         refused = '{"refused": "grid has 2^%d points, above the enumeration cap"}'
         assert data_rows(result.stdout.decode()) == [
-            f"poisson-summation,False,0,{refused % 25}",
+            f"poisson-summation,True,{1 << 25},",
             f"route-equivalence,False,0,{refused % 25}",
             f"approximation-gap,False,0,{refused % 35}",
             f"delta-identities,True,{6941 << 25},",
         ]
         assert result.stderr == (
-            "Error: poisson-summation refused: grid has 2^25 points, above the "
-            "enumeration cap; route-equivalence refused: grid has 2^25 points, above "
-            "the enumeration cap; approximation-gap refused: grid has 2^35 points, "
+            "Error: route-equivalence refused: grid has 2^25 points, above the "
+            "enumeration cap; approximation-gap refused: grid has 2^35 points, "
             "above the enumeration cap\n")
 
     def test_gap_grid_above_the_cap_is_runtime_error(self, cli):
@@ -406,6 +405,11 @@ PINNED_STDOUT = {
     "verify-sobol-3-7": (
         ["verify", "--net", "sobol", "--n", "3", "--s", "7"],
         "3455907399f0fb77423c57b838c674f2b388d9d9fa3c219546666aebaf7315a4"),
+    # A 2^26-point grid with a 2^13-word dual: passing Poisson and Delta
+    # rows, refused route-equivalence and gap rows; exits 1.
+    "verify-van-der-corput-13": (
+        ["verify", "--s", "13"],
+        "e5405e4eff009f2e75b64905c86a508f4af766efc706367f030d960b46883088"),
     "gen-float": (
         ["gen", "--net", "sobol", "--n", "3", "--s", "10", "--count", "700",
          "--shift-seed", "3"],
@@ -446,7 +450,7 @@ PINNED_STDOUT = {
 def test_pinned_stdout(cli, name):
     args, digest = PINNED_STDOUT[name]
     result = cli(args)
-    if name == "verify-sobol-3-7":
+    if name in ("verify-sobol-3-7", "verify-van-der-corput-13"):
         assert result.code == 1 and "approximation-gap refused" in result.stderr
     else:
         assert (result.code, result.stderr) == (0, ""), result.stderr

@@ -14,7 +14,7 @@ from dyadnet.discrepancy import (
     _grid_size,
     approximation_gap,
 )
-from dyadnet.f2core import _character, _pack, _rev_packed, _unpack
+from dyadnet.f2core import F2Subspace, _character, _pack, _rev_packed, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
     random_shift,
@@ -22,7 +22,6 @@ from dyadnet.nets import (
     van_der_corput_generators,
 )
 from dyadnet.verify import (
-    _character_table,
     check_approximation_gap,
     check_delta_identities,
     check_poisson,
@@ -30,6 +29,7 @@ from dyadnet.verify import (
     run_net_suite,
 )
 from oracles import (
+    _character_table,
     box_kernel,
     character_sum,
     delta_loop,
@@ -131,18 +131,19 @@ class TestGridGuard:
         # 2^8 grid points against a cap of 128; the dual (16 elements) fits.
         monkeypatch.setattr(discrepancy, "ENUM_CAP", 128)
         ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
-        for check in (check_poisson, check_route_equivalence):
-            with pytest.raises(RouteUnavailableError, match="grid has 2\\^8 points"):
-                check(ctx)
+        with pytest.raises(RouteUnavailableError, match="grid has 2\\^8 points"):
+            check_route_equivalence(ctx)
         with pytest.raises(RouteUnavailableError, match="grid has 2\\^12 points"):
             approximation_gap(ctx)
         assert "packed_dual" not in vars(ctx)  # raised before the dual was enumerated
-        # The group check builds no grid table; only the dual listing bounds it.
+        # The group checks build no grid table; only the dual listing bounds them.
+        assert check_poisson(ctx) == verify.IdentityResult("poisson-summation", True, 256)
         res = check_delta_identities(ctx)
         assert res.passed and res.checked == 256 * (len(ctx.groups) - 1)
         monkeypatch.setattr(discrepancy, "ENUM_CAP", 8)
-        with pytest.raises(RouteUnavailableError, match="dual has 2\\^4 elements"):
-            check_delta_identities(DiscrepancyContext.build(ctx.subspace))
+        for check in (check_poisson, check_delta_identities):
+            with pytest.raises(RouteUnavailableError, match="dual has 2\\^4 elements"):
+                check(DiscrepancyContext.build(ctx.subspace))
 
     def test_grid_at_the_cap_runs(self, monkeypatch):
         monkeypatch.setattr(discrepancy, "ENUM_CAP", 256)
@@ -169,10 +170,10 @@ class TestGridGuard:
 
     def test_tables_that_could_leave_int64_are_unavailable(self, monkeypatch):
         # With the cap raised out of the way, the square of the grid decides:
-        # the 2^50-point grid of the character checks or the 2^70-point gap grid.
+        # the 2^50-point grid of route equivalence or the 2^70-point gap grid.
         monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 80)
         ctx = DiscrepancyContext.build(sobol_generators(10, 5).subspace)
-        for route in (approximation_gap, check_poisson, check_route_equivalence):
+        for route in (approximation_gap, check_route_equivalence):
             with pytest.raises(RouteUnavailableError, match="could leave int64"):
                 route(ctx)
         assert "packed_dual" not in vars(ctx)
@@ -183,28 +184,32 @@ class TestGridGuard:
             _grid_size(ctx, 32)
 
     def test_suite_runs_past_its_refused_checks(self, monkeypatch):
-        # Sobol (3, 11): the 2^33 grid of the character checks, and the gap
+        # Sobol (3, 11): the 2^33 grid of route equivalence, and the gap
         # grid, could leave int64.  Each grid check gives its refused row
-        # before any table or dual listing, and the group check still runs;
-        # a spy stands in for it, since its 2^22-element dual lists under
+        # before any table or dual listing, and the group checks still run;
+        # spies stand in for them, since the 2^22-element dual lists under
         # this cap.
         monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 80)
         ran = []
 
-        def spy(ctx):
-            ran.append(ctx)
-            return verify.IdentityResult("delta-identities", True, 0)
+        def spy(name):
+            def check(ctx):
+                ran.append((name, ctx))
+                return verify.IdentityResult(name, True, 0)
+            return check
 
-        monkeypatch.setattr(verify, "check_delta_identities", spy)
+        monkeypatch.setattr(verify, "check_poisson", spy("poisson-summation"))
+        monkeypatch.setattr(verify, "check_delta_identities", spy("delta-identities"))
         ctx = DiscrepancyContext.build(sobol_generators(3, 11).subspace)
         results = run_net_suite(ctx)
         assert [r.name for r in results] == ["poisson-summation", "route-equivalence",
                                              "approximation-gap", "delta-identities"]
-        for r, bits in zip(results, (33, 33, 39)):
+        for r, bits in zip(results[1:3], (33, 39)):
             assert (r.passed, r.checked) == (False, 0)
             assert r.witness == {"refused": f"grid has 2^{bits} points, and its "
                                             "tables could leave int64"}
-        assert results[-1].passed and ran == [ctx]
+        assert results[0].passed and results[-1].passed
+        assert ran == [("poisson-summation", ctx), ("delta-identities", ctx)]
         assert "packed_dual" not in vars(ctx)
 
     def test_one_size_rule_bounds_every_table(self):
@@ -327,6 +332,19 @@ def random_corruption(dual, grid, rng):
     return dual
 
 
+def repeated_word_listings(ctx):
+    """Copies of `ctx` whose net listing is its first, fourth or last word
+    repeated N times; piling every point onto one cell breaks the net
+    property."""
+    for k in (0, 3, -1):
+        corrupted = DiscrepancyContext(ctx.subspace, ctx.shift)
+        # A copy is equal by value but shares none of the cache.
+        assert (corrupted == ctx and hash(corrupted) == hash(ctx)
+                and "packed_net" not in vars(corrupted))
+        vars(corrupted)["packed_net"] = (ctx.packed_net[k],) * ctx.cardinality
+        yield corrupted
+
+
 class TestCorruptedTablesAgainstLoops:
     def test_delta_failures_match_the_table_oracle(self):
         # Every index as the dual of Sobol (3, 2) is the one case apart: only
@@ -369,15 +387,9 @@ class TestCorruptedTablesAgainstLoops:
         assert failed >= 10
 
     def test_gap_failures_match_the_loop(self, vdc_ctx, sobol_ctx):
-        # Piling every point onto one cell breaks the net property, so the
-        # gap exceeds n * 2^deficiency.
+        # A net listing piled onto one cell has a gap above n * 2^deficiency.
         for ctx in (vdc_ctx, sobol_ctx):
-            for k in (0, 3, -1):
-                corrupted = DiscrepancyContext(ctx.subspace, ctx.shift)
-                # A copy is equal by value but shares none of the cache.
-                assert (corrupted == ctx and hash(corrupted) == hash(ctx)
-                        and "packed_net" not in vars(corrupted))
-                vars(corrupted)["packed_net"] = (ctx.packed_net[k],) * ctx.cardinality
+            for corrupted in repeated_word_listings(ctx):
                 report = approximation_gap(corrupted)
                 assert not report.within_bound
                 assert report == gap_loop(corrupted)
@@ -385,17 +397,64 @@ class TestCorruptedTablesAgainstLoops:
                 assert res.witness == {"Y": [str(y) for y in report.argmax],
                                        "gap": str(report.max_gap)}
 
+    def test_poisson_failures_match_the_loop(self):
+        # The loop sums the characters of the net listing at every grid
+        # point, as the table does; the group check must agree on every
+        # corrupted dual and on 120 seeded random ones per net.
+        rng = random.Random(5)
+        failed = 0
+        for gen in CORRUPTION_NETS:
+            ctx = DiscrepancyContext.build(gen.subspace)
+            grid = [_unpack(v, ctx.n, ctx.s) for v in range(1 << (ctx.n * ctx.s))]
+            duals = list(corrupted_duals(ctx).items()) + [
+                ("random", random_corruption(dual_words(ctx), grid, rng))
+                for _ in range(120)]
+            for reason, dual in duals:
+                corrupted = with_dual_points(ctx, dual)
+                res = check_poisson(corrupted)
+                assert res.passed == poisson_loop(corrupted).passed, (gen.n, gen.s, reason)
+                failed += not res.passed
+        assert failed >= 600
+
+    def test_poisson_net_listing_failures_match_the_loop(self, vdc_ctx, sobol_ctx):
+        # The zero word repeated is a subgroup of one word, whose annihilator
+        # is the whole grid; any other word repeated is no subgroup.
+        for ctx in (vdc_ctx, sobol_ctx):
+            reasons = []
+            for corrupted in repeated_word_listings(ctx):
+                res = check_poisson(corrupted)
+                assert (res.passed, res.checked) == (False, 0)
+                assert not poisson_loop(corrupted).passed
+                reasons.append(res.witness)
+            assert reasons == [{"reason": "dual size"}] + [{"reason": "net not a subgroup"}] * 2
+
+    def test_poisson_rejects_uneven_net_listings(self, vdc_ctx, sobol_ctx):
+        # The net listed twice has N words too many.  Its first half in
+        # enumeration order is a subgroup; listed unevenly in N words
+        # against its own annihilator, every size but the counts fits.
+        for ctx in (vdc_ctx, sobol_ctx):
+            n, s, net = ctx.n, ctx.s, ctx.packed_net
+            half = net[: len(net) // 2]
+            half_dual = F2Subspace.from_packed(n, s, half).dual().enumerate_packed()
+            for listing, dual in ((net * 2, dual_words(ctx)),
+                                  (half[:1] * (len(half) + 1) + half[1:],
+                                   [_unpack(p, n, s) for p in half_dual])):
+                corrupted = with_dual_points(ctx, dual)
+                vars(corrupted)["packed_net"] = listing
+                res = check_poisson(corrupted)
+                assert not poisson_loop(corrupted).passed
+                assert res == verify.IdentityResult("poisson-summation", False, 0,
+                                                    witness={"reason": "net not a subgroup"})
+
 
 class TestNegativeControls:
     def test_corrupted_dual_fails_poisson_with_witness(self, vdc_ctx):
         bad = [L for L in dual_words(vdc_ctx) if any(L)][:-1]  # drop one member
         corrupted = with_dual_points(vdc_ctx, [(0, 0)] + bad)
         res = check_poisson(corrupted)
-        assert not res.passed
-        assert outcome(res) == outcome(poisson_loop(corrupted))
-        missing = next(L for L in dual_words(vdc_ctx) if any(L) and L not in bad)
-        assert res.witness["L"] == missing
-        assert (res.witness["sum"], res.witness["expected"]) == (vdc_ctx.cardinality, 0)
+        assert res.passed == poisson_loop(corrupted).passed
+        assert res == verify.IdentityResult("poisson-summation", False, 0,
+                                            witness={"reason": "dual size"})
 
     def test_foreign_vector_fails_poisson(self, vdc_ctx):
         dual_set = set(dual_words(vdc_ctx))
@@ -405,11 +464,15 @@ class TestNegativeControls:
             for b in range(8)
             if (a, b) not in dual_set
         )
-        corrupted = with_dual_points(vdc_ctx, list(dual_words(vdc_ctx)) + [intruder])
-        res = check_poisson(corrupted)
-        assert not res.passed
-        assert res.witness["expected"] in (0, vdc_ctx.cardinality)
-        assert outcome(res) == outcome(poisson_loop(corrupted))
+        # Joining the dual, the intruder makes it too large; in place of a
+        # member it is the one dual word off the net's annihilator.
+        joined = with_dual_points(vdc_ctx, list(dual_words(vdc_ctx)) + [intruder])
+        swapped = with_dual_points(vdc_ctx, list(dual_words(vdc_ctx))[:-1] + [intruder])
+        for corrupted, witness in ((joined, {"reason": "dual size"}),
+                                   (swapped, {"reason": "not orthogonal", "L": intruder})):
+            res = check_poisson(corrupted)
+            assert res.passed == poisson_loop(corrupted).passed
+            assert (res.passed, res.checked, res.witness) == (False, 0, witness)
 
     def test_corrupted_dual_fails_route_equivalence(self, vdc_ctx):
         bad = list(dual_words(vdc_ctx))
@@ -519,5 +582,5 @@ class TestNegativeControls:
     def test_describe_mentions_failure(self, vdc_ctx):
         corrupted = with_dual_points(vdc_ctx, list(dual_words(vdc_ctx))[:-1])
         res = check_poisson(corrupted)
-        assert "FAIL" in describe(res)
-        assert outcome(res) == outcome(poisson_loop(corrupted))
+        assert "FAIL" in describe(res) and "dual size" in describe(res)
+        assert res.passed == poisson_loop(corrupted).passed
