@@ -43,10 +43,10 @@ class DiscrepancyContext(_Value):
     Everything else is computed on first access and kept in the instance
     dict, so a route pays only for what it reads.  `packed_net` and
     `packed_dual`, packed words in `F2Subspace.enumerate_packed` order, are
-    the one listings of the unshifted net and of its dual; reading
-    `packed_dual` (and so `groups`) above `ENUM_CAP` raises
-    `RouteUnavailableError` before the dual is computed, and stores
-    nothing.
+    the one listings of the unshifted net and of its dual, and `dual_set`
+    the dual's one hashed copy; reading `packed_dual` (and so `dual_set`
+    and `groups`) above `ENUM_CAP` raises `RouteUnavailableError` before
+    the dual is computed, and stores nothing.
     """
 
     _fields = ("subspace", "shift")
@@ -94,6 +94,10 @@ class DiscrepancyContext(_Value):
             raise RouteUnavailableError(
                 f"dual has 2^{dim} elements, above the enumeration cap")
         return tuple(self.subspace.dual().enumerate_packed())
+
+    @cached_property
+    def dual_set(self) -> frozenset[int]:
+        return frozenset(self.packed_dual)
 
     @cached_property
     def groups(self) -> dict[tuple[int, ...], tuple[int, ...]]:

@@ -1,8 +1,9 @@
 """Monte Carlo L^q norms with standard errors, the samplers of a net's
 discrepancy and of its truncated approximation, an exact second-moment
 oracle for that approximation, and the exponential-Orlicz estimate over a
-moment grid.  The synthetic digit-sign ratio experiments, which sample no
-net, are test code (`tests/experiments.py`).
+moment grid.  Both samplers are one kernel sum over the shifted net, with
+a step or a ramp kernel.  The synthetic digit-sign ratio experiments,
+which sample no net, are test code (`tests/experiments.py`).
 
 Sampling is counter-based: each fixed-size block owns a jumped Philox
 substream, and block moments are reduced with compensated summation in
@@ -22,8 +23,6 @@ from .f2core import _unpack
 
 DEFAULT_Q_GRID = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0)
 _BLOCK = 4096
-# Net points compared with a block's queries at a time in `dn_sampler`.
-_DN_CHUNK = 4096
 
 
 def q_grid(values: Sequence[float]) -> tuple[float, ...]:
@@ -112,29 +111,36 @@ def lq_norms_mc(f: Callable[[np.ndarray], np.ndarray], dims: int,
     return _block_moments(eval_block, qs, samples, seed)
 
 
+def _net_sum(ctx: DiscrepancyContext, kernel: Callable[..., np.ndarray]
+             ) -> Callable[[np.ndarray, Sequence], np.ndarray]:
+    """sum_x prod_j kernel(2^s y_j, t_j xor x_j) - N prod_j y_j over the
+    XOR-shifted net, at queries y (block, n) and digit shifts t, one net
+    point at a time: a block's working set is O(block * n) at any N.  The
+    net is unpacked once, when the closure is made."""
+    n, s = ctx.n, ctx.s
+    card = float(ctx.cardinality)
+    net = [_unpack(p, n, s) for p in ctx.packed_net]
+
+    def f(y: np.ndarray, t: Sequence) -> np.ndarray:
+        scaled = np.ascontiguousarray((y * (1 << s)).T)
+        total = np.zeros(y.shape[0], dtype=np.float64)
+        for x in net:
+            term = kernel(scaled[0], t[0] ^ x[0])
+            for j in range(1, n):
+                term *= kernel(scaled[j], t[j] ^ x[j])
+            total += term
+        return total - card * y.prod(axis=1)
+
+    return f
+
+
 def dn_sampler(ctx: DiscrepancyContext) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized discrepancy of the context's shifted net at uniform queries.
 
-    A point is its net word XOR the context's shift, over 2^s in float64,
-    which is exact for s <= 53.  The points below each query are counted
-    `_DN_CHUNK` points at a time and the integer counts added, so a block's
-    working set is O(_DN_CHUNK * block) whatever the size of the net.
-    """
-    n, s = ctx.n, ctx.s
-    words = np.array([_unpack(p, n, s) for p in ctx.packed_net], dtype=np.int64)
-    arr = (words ^ np.array(ctx.shift, dtype=np.int64)) / (1 << s)
-    size = ctx.cardinality
-
-    def f(y: np.ndarray) -> np.ndarray:
-        counts = np.zeros(y.shape[0], dtype=np.int64)
-        for chunk in np.split(arr, range(_DN_CHUNK, size, _DN_CHUNK)):
-            inside = np.ones((len(chunk), y.shape[0]), dtype=bool)
-            for j in range(n):
-                inside &= chunk[:, j][:, None] < y[None, :, j]
-            counts += inside.sum(axis=0)
-        return counts - size * y.prod(axis=1)
-
-    return f
+    The kernel is the step [2^s y > x xor t], t the context's own shift: in
+    float64 the same test as (x xor t) / 2^s < y, exact for s <= 53."""
+    f = _net_sum(ctx, np.greater)
+    return lambda y: f(y, ctx.shift)
 
 
 def m_sampler(ctx: DiscrepancyContext) -> Callable[[np.ndarray], np.ndarray]:
@@ -142,28 +148,18 @@ def m_sampler(ctx: DiscrepancyContext) -> Callable[[np.ndarray], np.ndarray]:
 
     Input columns: n query coordinates, then n uniforms that are floored
     to grid words acting as the random digit shift, which replaces the
-    context's own.  Evaluated as the kernel sum over the XOR-shifted net,
-    M(y, t) = sum_x prod_j clip(2^s y_j - (x_j xor t_j), 0, 1) - N prod_j y_j,
-    one net point at a time so a block's working set stays O(block * n).
+    context's own.  The kernel is the ramp,
+    M(y, t) = sum_x prod_j clip(2^s y_j - (x_j xor t_j), 0, 1) - N prod_j y_j.
     """
     n, s = ctx.n, ctx.s
-    card = float(ctx.cardinality)
-    net = [_unpack(p, n, s) for p in ctx.packed_net]
+    f = _net_sum(ctx, lambda a, w: np.clip(a - w, 0.0, 1.0))
 
-    def f(u: np.ndarray) -> np.ndarray:
-        y = u[:, :n]
-        scaled = np.ascontiguousarray((y * (1 << s)).T)
+    def g(u: np.ndarray) -> np.ndarray:
         twords = np.ascontiguousarray(
             np.minimum((u[:, n:] * (1 << s)).astype(np.int64), (1 << s) - 1).T)
-        total = np.zeros(u.shape[0], dtype=np.float64)
-        for x in net:
-            term = np.clip(scaled[0] - (twords[0] ^ x[0]), 0.0, 1.0)
-            for j in range(1, n):
-                term *= np.clip(scaled[j] - (twords[j] ^ x[j]), 0.0, 1.0)
-            total += term
-        return total - card * y.prod(axis=1)
+        return f(u[:, :n], twords)
 
-    return f
+    return g
 
 
 def l2_m_exact(ctx: DiscrepancyContext) -> Fraction:

@@ -54,7 +54,7 @@ def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
     reason = ("net not a subgroup"
               if len(ctx.packed_net) != ctx.cardinality or len(counts) != 1 << len(pivots)
               or len(set(counts.values())) != 1
-              else "dual size" if len(set(dual)) * len(counts) != 1 << (n * s)
+              else "dual size" if len(ctx.dual_set) * len(counts) != 1 << (n * s)
               else None)
     if reason:
         return IdentityResult("poisson-summation", False, 0, witness={"reason": reason})
@@ -128,7 +128,6 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
     """
     n, s = ctx.n, ctx.s
     groups = ctx.groups
-    dual = set(ctx.packed_dual)
     below = np.zeros((s + 1,) * n, dtype=np.int64)
     for rho, members in groups.items():
         below[rho] = len(members)
@@ -148,7 +147,7 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
                   if exponent is not None and (exponent < 0 or count > 1 << exponent)
                   else "rank identity" if count != 1 << (sum(d) - rank)
                   else "not a coset"
-                  if not len(offsets) == len(members) == count or not offsets <= dual
+                  if not len(offsets) == len(members) == count or not offsets <= ctx.dual_set
                   else "not a subgroup" if count != 1 << _rank(offsets)
                   else None)
         if reason:

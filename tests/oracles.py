@@ -33,8 +33,10 @@ evaluates one way in production; tests compare the two.
   is the oracle of `nets.certify_deficiency`, which counts the pivots of
   the forward elimination alone (`f2core._rank`).
 - `dn_points_sampler` is the discrepancy sampler over a `PointSet` of
-  `Fraction`s, which it turns into floats; it is the oracle of
-  `norms.dn_sampler`, which divides the context's shifted words in float64.
+  `Fraction`s, which it turns into floats and compares with a block's
+  queries in chunks of points; it is the oracle of `norms.dn_sampler`,
+  which compares 2^s y with the context's shifted words one net point at
+  a time, through the kernel sum it shares with `norms.m_sampler`.
 - `dual_words` lists the context's packed dual as sorted word tuples,
   and `with_dual_points` is a copy of a context with its dual replaced
   by word tuples (e.g. corrupted), for the negative controls of the dual
@@ -101,7 +103,6 @@ from dyadnet.f2core import (
     parity,
 )
 from dyadnet.nets import GeneratorSet, PointSet, _compositions, _leading_digits_mask
-from dyadnet.norms import _DN_CHUNK
 from dyadnet.verify import IdentityResult
 from dyadnet.walsh import _chi_num
 
@@ -358,6 +359,10 @@ def certify_by_reduce(sub: F2Subspace) -> int:
     ):
         m += 1
     return s + 1 - m
+
+
+# Points compared with a block's queries at a time in `dn_points_sampler`.
+_DN_CHUNK = 4096
 
 
 def dn_points_sampler(points: PointSet) -> Callable[[np.ndarray], np.ndarray]:

@@ -24,7 +24,6 @@ from dyadnet.norms import (
     normalized_ratio,
     q_grid,
 )
-from dyadnet.norms import _DN_CHUNK
 from experiments import hyperbolic_lp_ratios, khinchin_ratios
 from oracles import (
     discrepancy_exact,
@@ -110,7 +109,7 @@ class TestLqNormMc:
 
 
 # Every builtin net with n * s <= 12, and Sobol (3,13), whose 8192
-# points are counted in two chunks.
+# points are two of the oracle's chunks.
 DN_NETS = [
     *(("van-der-corput", 2, s) for s in range(1, 7)),
     *(("sobol", n, s) for n in range(1, 11) for s in range(1, 12 // n + 1)),
@@ -119,13 +118,13 @@ DN_NETS = [
 
 
 class TestDnSampler:
-    def test_counts_past_one_chunk_match_the_oracle(self):
-        # 8192 points are counted in two chunks.  Queries k/2^15 are exact
-        # in float64, and so is the sampler's value at them.
+    def test_counts_on_8192_points_match_the_exact_count(self):
+        # Queries k/2^15 are exact in float64, and so is the sampler's
+        # value at them.
         gen, shift = sobol_generators(3, 13), random_shift(3, 13, 2)
         pts = net_points(gen, shift)
         ctx = DiscrepancyContext.build(gen.subspace, shift)
-        assert ctx.cardinality == 2 * _DN_CHUNK
+        assert ctx.cardinality == 8192
         ks = np.random.default_rng(13).integers(0, (1 << 15) + 1, size=(24, 3))
         ks[0] = 1 << 15  # the whole cube holds every point
         values = dn_sampler(ctx)(ks / (1 << 15))
@@ -148,6 +147,20 @@ class TestDnSampler:
             want = dn_points_sampler(net_points(gen, shift))(ys)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("net, n, s", DN_NETS)
+    def test_m_at_grid_queries_and_the_context_shift_is_dn(self, net, n, s):
+        # At y = k/2^s the ramp clip(k - w, 0, 1) is the step [k > w], and
+        # the shift columns (t_j + 1/2)/2^s floor to the context's shift.
+        gen = load_generators(net, n, s)
+        rng = np.random.default_rng(1000 * n + s)
+        ks = np.vstack([np.zeros(n, dtype=np.int64), np.full(n, 1 << s),
+                        rng.integers(0, (1 << s) + 1, size=(254, n))])
+        y = ks / (1 << s)
+        for seed in (0, 1):
+            ctx = DiscrepancyContext.build(gen.subspace, random_shift(n, s, seed))
+            t = np.broadcast_to((np.array(ctx.shift) + 0.5) / (1 << s), y.shape)
+            assert np.array_equal(m_sampler(ctx)(np.hstack([y, t])), dn_sampler(ctx)(y))
 
 
 class TestExactSecondMoment:
@@ -226,6 +239,7 @@ class TestNetSideOracle:
         ctx = DiscrepancyContext.build(sobol_generators(3, 5).subspace,
                                        random_shift(3, 5, 1))
         m_sampler(ctx)(np.random.default_rng(0).random((256, 6)))
+        dn_sampler(ctx)(np.random.default_rng(1).random((256, 3)))
         l2_m_exact(ctx)
         assert not {"deficiency", "packed_dual"} & set(vars(ctx))
         assert "packed_net" in vars(ctx)
