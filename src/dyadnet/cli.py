@@ -266,6 +266,8 @@ def certify(net, n, s, box_check, fmt, out):
     boxes = None
     if box_check and gen_set.s <= 12:
         boxes = verify_box_counts(gen_set.point_words, gen_set.s, deficiency)
+    elif box_check:
+        print("certify: box cross-check skipped; it runs for s <= 12 only", file=sys.stderr)
     columns = ["n", "s", "deficiency", "dual_rt_weight", "exhaustive", "box_counts_ok"]
     # The minimum RT weight of the nonzero dual follows from the deficiency.
     rows = [[gen_set.n, gen_set.s, deficiency, gen_set.s + 1 - deficiency,

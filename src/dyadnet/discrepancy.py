@@ -1,11 +1,11 @@
 """Discrepancy of shifted digital nets, exactly.
 
 The box-counting discrepancy and its truncated-character approximation
-are evaluated as whole-grid int64 tables of integer numerators over a
-common power-of-two denominator, so the two independent routes (kernel
-sum over the net versus character sum over the nonzero dual) can be
-compared for exact equality, and the dual can be sliced into the
-leading-digit groups that drive the moment bounds.
+are whole-grid int64 tables of integer numerators over a common
+power-of-two denominator, every box sum one prefix sum (`_box_table`)
+of cell weights; the two independent routes (kernel sum over the net,
+character sum over the nonzero dual) compare exactly, and the dual
+slices into the leading-digit groups that drive the moment bounds.
 """
 
 from __future__ import annotations
@@ -116,8 +116,9 @@ def _grid_size(ctx: DiscrepancyContext, g: int) -> int:
     """2^(ng), the points of the resolution-g grid (g >= s); raises before
     any table is built or the dual listed when that is above `ENUM_CAP`, or
     when its square could leave int64.  Every entry and intermediate of
-    every table is at most (dual indices per entry) * N * 2^(ng), and the
-    first two factors multiply to at most 2^(ns) <= 2^(ng)."""
+    every table is at most (dual indices per entry) * N * 2^(ng), the first
+    two factors at most 2^(ns) <= 2^(ng) together; a partial sum of signed
+    cells is a difference of two such sums of non-negative cells."""
     size = 1 << (ctx.n * g)
     if size > ENUM_CAP:
         raise RouteUnavailableError(
@@ -128,30 +129,23 @@ def _grid_size(ctx: DiscrepancyContext, g: int) -> int:
     return size
 
 
-def _box_table(ctx: DiscrepancyContext, g: int, kernel: bool) -> np.ndarray:
-    """Net points in the box [0, u/2^g), or with `kernel` the truncated-kernel
-    sum, at every u of the resolution-g grid (g >= s), flat in packed order.
-
-    The kernel term of a point is its cell's overlap with the box, in
-    units of 2^-g per coordinate, so the kernel sums the point indicator
-    with each cell repeated 2^(g-s) times per axis, and the count places
-    each cell at its corner x * 2^(g-s); at g = s they are equal.  Entry u
-    is an exclusive prefix sum: it sums the cells v < u componentwise.
-    """
+def _point_counts(ctx: DiscrepancyContext) -> np.ndarray:
+    """The shifted net's points per cell of its grid, side 2^s, flat in
+    packed order."""
     n, s = ctx.n, ctx.s
-    step = 1 << (g - s)
     words = np.array(ctx.packed_net, dtype=np.int64) ^ _pack(ctx.shift, s)
-    points = np.bincount(words, minlength=1 << (n * s)).reshape((1 << s,) * n)
-    cells = np.zeros((1 << g,) * n, dtype=np.int64)
-    if kernel:
-        cells.reshape((1 << s, step) * n)[...] = points.reshape((1 << s, 1) * n)
-    else:
-        cells[(slice(None, None, step),) * n] = points
-    table = np.zeros_like(cells)
-    table[(slice(1, None),) * n] = cells[(slice(None, -1),) * n]
-    for axis in range(n):
+    return np.bincount(words, minlength=1 << (n * s)).reshape((1 << s,) * n)
+
+
+def _box_table(cells: np.ndarray) -> np.ndarray:
+    """The exclusive prefix sum of an n-D int64 grid of cell weights, of
+    any side lengths: entry u, the box [0, u), sums the cells v < u
+    componentwise.  It is linear, so a difference of box sums is the box
+    table of signed cells."""
+    table = np.pad(cells[(slice(None, -1),) * cells.ndim], [(1, 0)] * cells.ndim)
+    for axis in range(cells.ndim):
         np.cumsum(table, axis=axis, out=table)
-    return table.reshape(-1)
+    return table
 
 
 def _dual_table(ctx: DiscrepancyContext) -> np.ndarray:
@@ -188,24 +182,30 @@ class GapReport(NamedTuple):
         return self.max_gap <= self.bound
 
 
+def _gap_table(ctx: DiscrepancyContext) -> np.ndarray:
+    """2^(ng) times count minus truncated kernel, the whole gap, of the
+    boxes [0, u/2^g) of the grid g = s + 2, flat in packed order.  A
+    point's kernel term, its cell's overlap with the box in units of 2^-g
+    per axis, spreads it over the 4^n fine cells of its cell; the count
+    puts it at the cell's corner x * 2^(g-s)."""
+    n, s = ctx.n, ctx.s
+    points = _point_counts(ctx)
+    cells = np.empty((1 << (s + 2),) * n, dtype=np.int64)
+    cells.reshape((1 << s, 4) * n)[...] = -(points << (n * s)).reshape((1 << s, 1) * n)
+    cells[(slice(None, None, 4),) * n] += points << (n * (s + 2))
+    return _box_table(cells).reshape(-1)
+
+
 def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
     """Largest |discrepancy - truncated approximation| over the exhaustive
     dyadic grid two digits finer than the net; the first maximum in packed
-    order is the argmax.
-
-    The certified bound is n * 2^deficiency.
-    """
+    order is the argmax, and the certified bound is n * 2^deficiency."""
     if ctx.deficiency is None:
         raise ValueError("gap bound needs a certified deficiency")
     bound = ctx.n * (1 << ctx.deficiency)
     n, g = ctx.n, ctx.s + 2
     size = _grid_size(ctx, g)
-    # Both routes subtract N * volume, so the gap is count - kernel alone.
-    gap = _box_table(ctx, g, kernel=False)
-    gap <<= n * g
-    kernel = _box_table(ctx, g, kernel=True)
-    kernel <<= n * ctx.s
-    gap -= kernel
+    gap = _gap_table(ctx)
     np.abs(gap, out=gap)
     v = int(np.argmax(gap))
     argmax = tuple(Fraction(u, 1 << g) for u in _unpack(v, n, g))

@@ -4,15 +4,14 @@ Each check returns a machine-readable result with a counterexample
 witness on failure; the CLI `verify` command runs the suite on one net
 or a bundle of nets and maps any failure to a dedicated exit code.
 Poisson summation and the Delta identities are checked by sets and
-ranks, with no grid table; route equivalence and the approximation gap
-compare `discrepancy`'s whole-grid tables.
+ranks, with no table of the 2^(ns) grid; route equivalence and the
+approximation gap sum signed cells over it by `discrepancy._box_table`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +22,7 @@ from .discrepancy import (
     _box_table,
     _dual_table,
     _grid_size,
+    _point_counts,
     approximation_gap,
 )
 from .f2core import _character, _pivots, _rank, _rev_packed, _unpack
@@ -74,15 +74,14 @@ def check_route_equivalence(ctx: DiscrepancyContext) -> IdentityResult:
     dyadic grid of the net's resolution; a failure names the first grid
     point in packed order.
 
-    Both sides are numerators over 2^(ns): the kernel table times 2^(ns)
-    minus N times the box volume, and N times the dual table.
+    Both sides are numerators over 2^(ns): the box table of the cells
+    2^(ns) * points - N, the kernel sum less N times the box volume, and
+    N times the dual table.
     """
     n, s = ctx.n, ctx.s
     size = _grid_size(ctx, s)
     card = ctx.cardinality
-    volume = reduce(np.multiply.outer, [np.arange(1 << s, dtype=np.int64)] * n)
-    direct = _box_table(ctx, s, kernel=True) << (n * s)
-    direct -= card * volume.reshape(-1)
+    direct = _box_table((_point_counts(ctx) << (n * s)) - card).reshape(-1)
     dual_sum = card * _dual_table(ctx)
     bad = np.flatnonzero(direct != dual_sum)
     if bad.size:
@@ -112,7 +111,7 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
 
     Lambda0 of rho_bar is the dual inside the box of shape d,
     d_j = max(rho_j - 1, 0), and its size, for every rho_bar at once, is
-    an inclusive cumulative sum of the group sizes.  Each nonzero group is
+    the box table of the group sizes at d + 1.  Each nonzero group is
     checked in sorted order for: the paper's bound
     |Lambda0| <= 2^(|rho_bar| - s + deficiency), with a certified
     deficiency; the rank identity |Lambda0| = 2^(|d| - rank), Lambda0
@@ -128,17 +127,16 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
     """
     n, s = ctx.n, ctx.s
     groups = ctx.groups
-    below = np.zeros((s + 1,) * n, dtype=np.int64)
+    sizes = np.zeros((s + 1,) * n, dtype=np.int64)
     for rho, members in groups.items():
-        below[rho] = len(members)
-    for axis in range(n):
-        np.cumsum(below, axis=axis, out=below)
+        sizes[rho] = len(members)
+    below = _box_table(sizes)
     checked = 0
     for rho_bar, members in sorted(groups.items()):
         if not any(members):
             continue
         d = [max(r - 1, 0) for r in rho_bar]
-        count = int(below[tuple(d)])
+        count = int(below[tuple(x + 1 for x in d)])
         exponent = None if ctx.deficiency is None else sum(rho_bar) - s + ctx.deficiency
         rank = _rank(map(_leading_digits_mask(d, s).__and__, ctx.subspace.basis))
         rep = min(members)

@@ -46,9 +46,9 @@ evaluates one way in production; tests compare the two.
   Walsh-Hadamard butterfly; tests compare the two, and the table serves
   the second Delta oracle, `delta_tables`.
 - `lambda_group_walk` lists the strictly-below subgroup of one position
-  vector by walking the dual once; production only counts it, by
-  cumulative sums of the group sizes, and the count must equal the net's
-  rank identity.
+  vector by walking the dual once; production only counts it, by the
+  box table (`discrepancy._box_table`) of the group sizes, and the count
+  must equal the net's rank identity.
 - `delta_indicator` is the character sum over that subgroup at one
   query, the per-query form of the Delta indicator.
 - `poisson_loop` and `delta_loop` walk the `2^(ns)` grid point by point
@@ -61,15 +61,17 @@ evaluates one way in production; tests compare the two.
   `delta_tables` is a second Delta oracle: two whole-grid tables per
   group, the subgroup's and the group's XOR-ed with its representative.
 - `box_kernel` counts the net points in one box and sums their truncated
-  kernel; like the box tables it reads the context's one net listing,
-  `packed_net`, and XORs in `ctx.shift` itself.  `m_direct` is the kernel
-  route to the approximation `M` at one query and `m_dual_sum` the dual
-  route, through a cache in front of `walsh._chi_num`; it signs each
-  index with the reversal on the index side, where `_dual_table` reverses
-  the shift.  `route_loop` and `gap_loop` walk the grids query by
-  query with them; they are the oracles of
+  kernel; like `discrepancy._point_counts` it reads the context's one
+  net listing, `packed_net`, and XORs in `ctx.shift` itself.  `m_direct`
+  is the kernel route to the approximation `M` at one query and
+  `m_dual_sum` the dual route, through a cache in front of
+  `walsh._chi_num`; it signs each index with the reversal on the index
+  side, where `_dual_table` reverses the shift.  `route_loop` and
+  `gap_loop` walk the grids query by query with them; they are the
+  oracles of
   `verify.check_route_equivalence` and `discrepancy.approximation_gap`,
-  which read the whole-grid box and dual tables.
+  which read the box table of signed cells (count less kernel for the
+  gap, kernel less `N` times the volume for the route) and the dual table.
 
 Test helpers with no production caller live here too: `zero_subspace` and
 `full_subspace`, the trivial subspaces of Q^n(2^s); `hyperbolic_indices`,

@@ -61,6 +61,43 @@ def test_no_module_imports_a_name_it_never_reads():
             assert unread_imports(path.read_text()) == set(), path.name
 
 
+def cumsum_callers(source: str) -> set[str]:
+    """The functions (dotted through classes and nesting) whose bodies
+    call `cumsum`, by any name or attribute path; "<module>" for a call
+    outside every function."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "cumsum":
+                    found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_cumsum_callers_are_found():
+    source = ("import numpy as np\nfrom numpy import cumsum\nnp.cumsum([1])\n"
+              "def f(a):\n    return a.cumsum()\n"
+              "class C:\n    def g(self, a):\n        return cumsum(a, axis=0)\n")
+    assert cumsum_callers(source) == {"<module>", "f", "C.g"}
+
+
+def test_every_box_sum_is_the_one_prefix_sum():
+    # `discrepancy._box_table` is the one exclusive prefix sum; a check
+    # that needs box sums writes signed cells for it instead of summing.
+    callers = {path.name: cumsum_callers(path.read_text())
+               for path in Path(dyadnet.__file__).parent.glob("*.py")}
+    assert {name: c for name, c in callers.items() if c} == {
+        "discrepancy.py": {"_box_table"}}
+
+
 def test_every_public_name_has_a_production_caller():
     assert set(dyadnet.__all__) <= referenced_names()
 

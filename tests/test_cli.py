@@ -141,6 +141,21 @@ class TestCertify:
         assert row["exhaustive"] is True
         assert row["box_counts_ok"] is True
 
+    def test_box_check_above_s12_is_named_on_stderr(self, cli):
+        result = cli(["certify", "--net", "sobol", "--n", "3", "--s", "13"])
+        doc = json.loads(result.stdout)
+        assert result.code == 0 and doc["config"]["box_check"] is True
+        assert doc["rows"][0][doc["columns"].index("box_counts_ok")] is None
+        assert result.stderr == "certify: box cross-check skipped; it runs for s <= 12 only\n"
+
+    def test_no_box_check_prints_no_skip_line(self, cli):
+        args = ["certify", "--net", "sobol", "--n", "3", "--s", "13"]
+        skipped, unasked = cli(args), cli(args + ["--no-box-check"])
+        assert unasked.code == 0 and unasked.stderr == ""
+        # The config echo is all that differs on stdout.
+        assert unasked.stdout == skipped.stdout.replace(
+            b'"box_check": true', b'"box_check": false')
+
     @pytest.mark.parametrize("fmt, unchecked", [("json", None), ("csv", "None")])
     def test_no_box_check_skips_box_counts(self, cli, monkeypatch, fmt, unchecked):
         import dyadnet.cli as cli_mod

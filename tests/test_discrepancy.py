@@ -194,7 +194,7 @@ class TestApproximationRoutes:
         t = random_shift(2, 3, seed=9)
         ctx = DiscrepancyContext.build(gen.subspace, t)
         assert ctx.shift == t.words
-        # The net is listed unshifted; only the box tables apply the shift.
+        # The net is listed unshifted; only its point counts apply the shift.
         assert set(ctx.packed_net) == {_pack(p, 3) for p in gen.point_words}
         for other in (t.words, DyadicPoint(t.words, 3)):
             with pytest.raises(TypeError, match="DigitShift"):

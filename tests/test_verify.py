@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +12,9 @@ from dyadnet.discrepancy import (
     RouteUnavailableError,
     _box_table,
     _dual_table,
+    _gap_table,
     _grid_size,
+    _point_counts,
     approximation_gap,
 )
 from dyadnet.f2core import F2Subspace, _character, _pack, _rev_packed, _unpack
@@ -261,13 +264,13 @@ class TestBoxTablesAgainstLoops:
         if (1 << (n * s)) * (ctx.cardinality + len(ctx.packed_dual)) <= LOOP_BUDGET:
             assert result == route_loop(ctx)
             return
-        kernel, dual = _box_table(ctx, s, kernel=True), _dual_table(ctx)
+        # The route table's signed cells, as `check_route_equivalence` writes them.
         den = 1 << (n * s)
+        direct = _box_table((_point_counts(ctx) << (n * s)) - ctx.cardinality).reshape(-1)
+        dual = _dual_table(ctx)
         for v in sampled_queries(ctx, s):
             Y = tuple(Fraction(u, 1 << s) for u in _unpack(v, n, s))
-            volume = int(np.prod(_unpack(v, n, s), dtype=object))
-            assert m_direct(ctx, Y) == Fraction(
-                int(kernel[v]) * den - ctx.cardinality * volume, den)
+            assert m_direct(ctx, Y) == Fraction(int(direct[v]), den)
             assert m_dual_sum(ctx, Y) == Fraction(ctx.cardinality * int(dual[v]), den)
 
     def test_gap_matches_the_loop(self, net, seed):
@@ -282,9 +285,41 @@ class TestBoxTablesAgainstLoops:
         if (1 << (n * g)) * ctx.cardinality <= LOOP_BUDGET:
             assert report == gap_loop(ctx)
             return
-        count, kernel = _box_table(ctx, g, kernel=False), _box_table(ctx, g, kernel=True)
+        gap = _gap_table(ctx)
         for v in sampled_queries(ctx, g):
-            assert (int(count[v]), int(kernel[v])) == box_kernel(ctx, g, _unpack(v, n, g))
+            count, kernel = box_kernel(ctx, g, _unpack(v, n, g))
+            assert int(gap[v]) == (count << (n * g)) - (kernel << (n * ctx.s))
+
+
+@pytest.mark.parametrize("shape", [
+    (1,), (2,), (7,), (16,), (3, 3), (2, 5), (4, 4), (3, 3, 3), (2, 3, 4),
+    (4, 4, 4), (2, 2, 2, 2), (3, 3, 3, 3), (5, 2, 3, 4),
+], ids=lambda shape: "x".join(map(str, shape)))
+def test_box_table_is_the_exclusive_prefix_sum(shape):
+    # Odd sides such as (s+1)^n are the Delta check's grid of group sizes.
+    cells = np.random.default_rng(len(shape) * 100 + sum(shape)).integers(
+        -1 << 20, 1 << 20, size=shape, dtype=np.int64)
+    table = _box_table(cells)
+    assert table.shape == cells.shape and table.dtype == np.int64
+    for u in product(*map(range, shape)):
+        below = cells[tuple(slice(0, k) for k in u)]
+        assert int(table[u]) == sum(int(c) for c in below.flat), u
+
+
+def test_gap_peaks_at_two_grid_tables():
+    # One table of signed cells and its prefix sum; the gap's absolute
+    # value is taken in place.
+    ctx = builtin_context("sobol", 3, 5, 1)
+    # Certify and list the net first, so that the peak counts the tables.
+    assert ctx.deficiency is not None and len(ctx.packed_net) == ctx.cardinality
+    table_bytes = 8 << (ctx.n * (ctx.s + 2))
+    tracemalloc.start()
+    try:
+        approximation_gap(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * table_bytes, peak / table_bytes
 
 
 def corrupted_duals(ctx):
