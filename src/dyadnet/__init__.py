@@ -1,9 +1,9 @@
 """Binary digital nets, dyadic Walsh analysis, and discrepancy diagnostics.
 
-The exports of the integer layers (`f2core`, `nets`) load with the
-package.  Those of the array layers, `DiscrepancyContext` and
-`approximation_gap` from `discrepancy` and the estimators from `norms`,
-load on first access, so `import dyadnet` leaves numpy unloaded until
+The exports of `f2core` and `nets` load with the package.  Those of
+`discrepancy` (`DiscrepancyContext`, `approximation_gap`) and the
+estimators of `norms`, the one module that imports numpy, load on first
+access, so `import dyadnet` leaves numpy and `fractions` unloaded until
 one of them is read.
 """
 
@@ -26,7 +26,7 @@ from .nets import (
     verify_box_counts,
 )
 
-# Exports of the array layers, resolved on every access (PEP 562) from
+# Exports loaded on first access, resolved on every access (PEP 562) from
 # their defining module, so a patched or traced module function shows
 # through: name -> module.
 _LAZY = {

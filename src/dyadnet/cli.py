@@ -9,15 +9,17 @@ failure.
 The command line is one stdlib `argparse` parser, built on the first
 `main` call of a process and reused by later ones.  No module of the
 package loads click or `dataclasses`, and neither the parser nor the
-integer layers load `inspect` (numpy does).  The array layers
-(`discrepancy`, `norms`, `verify`) are imported inside the commands that
-use them, so `gen` and `certify` run without numpy.  Likewise `fractions`
-loads only with the points of `gen` (in `nets`) and `statistics` only in
-`sweep`, so `certify` loads neither.
-Before they load, `main` sets `OPENBLAS_NUM_THREADS=1` unless the caller
-has set it: no array layer uses threaded BLAS, and numpy's import would
-otherwise start OpenBLAS worker threads, one per extra core, that only
-burn CPU time.  Only `main` sets it; `import dyadnet` does not.
+library loads `inspect` (numpy does).  The layers past `nets`
+(`discrepancy`, `verify`, `norms`) are imported inside the commands that
+use them, and only `norms` imports numpy, so `gen`, `certify` and
+`verify` run without it; `norms` and `sweep` load it.  Likewise
+`fractions` loads only with the points of `gen` (in `nets`) and the
+exact checks of `verify`, and `statistics` only in `sweep`, so `certify`
+loads neither.
+Before numpy loads, `main` sets `OPENBLAS_NUM_THREADS=1` unless the
+caller has set it: `norms` uses no threaded BLAS, and numpy's import
+would otherwise start OpenBLAS worker threads, one per extra core, that
+only burn CPU time.  Only `main` sets it; `import dyadnet` does not.
 
 The `dyadnet` process (the console script and `python -m dyadnet.cli`)
 enters through `run`: it flushes its output and ends without interpreter

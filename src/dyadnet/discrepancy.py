@@ -1,22 +1,32 @@
 """Discrepancy of shifted digital nets, exactly.
 
 The box-counting discrepancy and its truncated-character approximation
-are whole-grid int64 tables of integer numerators over a common
-power-of-two denominator, every box sum one prefix sum (`_box_table`)
-of cell weights; the two independent routes (kernel sum over the net,
-character sum over the nonzero dual) compare exactly, and the dual
-slices into the leading-digit groups that drive the moment bounds.
+are whole-grid tables of integer numerators over a common power-of-two
+denominator, flat lists of Python ints in packed order, every box sum
+one prefix sum (`_box_table`) of cell weights; the two independent
+routes (kernel sum over the net, character sum over the nonzero dual,
+a Walsh synthesis) compare exactly, the gap between the discrepancy and
+the approximation is read off the net's own grid, and the dual slices
+into the leading-digit groups that drive the moment bounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import add, mul, sub
 from typing import NamedTuple
 
-import numpy as np
-
-from .f2core import F2Subspace, _Value, _character, _pack, _rev_words, _unpack
+from .f2core import (
+    F2Subspace,
+    _Value,
+    _character,
+    _pack,
+    _rev_packed,
+    _rev_words,
+    _unpack,
+)
 from .nets import DigitShift, _shift_words, certify_deficiency
 from . import walsh
 
@@ -118,7 +128,9 @@ def _grid_size(ctx: DiscrepancyContext, g: int) -> int:
     when its square could leave int64.  Every entry and intermediate of
     every table is at most (dual indices per entry) * N * 2^(ng), the first
     two factors at most 2^(ns) <= 2^(ng) together; a partial sum of signed
-    cells is a difference of two such sums of non-negative cells."""
+    cells is a difference of two such sums of non-negative cells.  The
+    tables hold Python ints, which cannot overflow; the int64 rule keeps
+    which grids a route refuses independent of how its tables are held."""
     size = 1 << (ctx.n * g)
     if size > ENUM_CAP:
         raise RouteUnavailableError(
@@ -129,46 +141,66 @@ def _grid_size(ctx: DiscrepancyContext, g: int) -> int:
     return size
 
 
-def _point_counts(ctx: DiscrepancyContext) -> np.ndarray:
-    """The shifted net's points per cell of its grid, side 2^s, flat in
-    packed order."""
+def _index(words, side: int) -> int:
+    """The position, flat in packed order, of the grid point with these
+    coordinates on a grid of this side."""
+    out = 0
+    for w in reversed(words):
+        out = out * side + w
+    return out
+
+
+def _point_counts(ctx: DiscrepancyContext, side: int) -> list[int]:
+    """The shifted net's points per cell, flat in packed order on the grid
+    of this side, at least 2^s; the cells at 2^s and past it stay empty."""
     n, s = ctx.n, ctx.s
-    words = np.array(ctx.packed_net, dtype=np.int64) ^ _pack(ctx.shift, s)
-    return np.bincount(words, minlength=1 << (n * s)).reshape((1 << s,) * n)
+    shift = _pack(ctx.shift, s)
+    counts = [0] * side ** n
+    for p in ctx.packed_net:
+        counts[_index(_unpack(p ^ shift, n, s), side)] += 1
+    return counts
 
 
-def _box_table(cells: np.ndarray) -> np.ndarray:
-    """The exclusive prefix sum of an n-D int64 grid of cell weights, of
-    any side lengths: entry u, the box [0, u), sums the cells v < u
-    componentwise.  It is linear, so a difference of box sums is the box
-    table of signed cells."""
-    table = np.pad(cells[(slice(None, -1),) * cells.ndim], [(1, 0)] * cells.ndim)
-    for axis in range(cells.ndim):
-        np.cumsum(table, axis=axis, out=table)
+def _box_table(cells: list[int], sides: tuple[int, ...]) -> list[int]:
+    """The exclusive prefix sum of a grid of integer cell weights, flat in
+    packed order (coordinate 0 fastest) with these side lengths: entry u,
+    the box [0, u), sums the cells v < u componentwise.  It is linear, so
+    a difference of box sums is the box table of signed cells.
+
+    One axis at a time: laying out the entries whose fastest coordinate is
+    0, then those where it is 1, and so on, makes the fastest axis the
+    slowest, whose slices then take a running sum; after the last axis the
+    order is back."""
+    table = cells
+    for side in sides:
+        table = list(chain.from_iterable(table[k::side] for k in range(side)))
+        step = len(table) // side
+        slices = (table[k:k + step] for k in range(0, len(table) - step, step))
+        running = accumulate(slices, lambda a, b: list(map(add, a, b)), initial=[0] * step)
+        table = list(chain.from_iterable(running))
     return table
 
 
-def _dual_table(ctx: DiscrepancyContext) -> np.ndarray:
-    """N^-1 * 2^(ns) times the dual route at every point of the net's grid,
-    flat in packed order: one mode product per axis of the signed
-    indicator of the nonzero dual indices (repeats add up) with the rows of
-    the matrix `walsh._chi_num(l, u, s)` that some index holds.  The sign
-    of an index is the shift's character there, with the shift reversed."""
+def _dual_table(ctx: DiscrepancyContext) -> list[int]:
+    """2^(ns) times the dual route at every point of the net's grid, flat
+    in packed order.
+
+    The dual route is N times the sum, over the nonzero dual indices
+    (repeats add up), of the index's sign times the product of its
+    interval coefficients.  The coefficient of w_l on [0, u/2^s) is 2^-s
+    times the sum of w_l over the cells below u, and w_l at cell c is
+    (-1)^parity(rev(l) & c), rev reversing the s digits.  So the table is
+    the box table of the Walsh synthesis of the indicator at the reversed
+    indices, signed and times N.  The sign of an index is the shift's
+    character there, with the shift reversed."""
     n, s = ctx.n, ctx.s
-    dual = ctx.packed_dual
+    card = ctx.cardinality
     rev_shift = _rev_words(ctx.shift, s)
-    indicator = np.zeros(1 << (n * s), dtype=np.int64)
-    np.add.at(indicator, np.array(dual, dtype=np.int64),
-              [_character(rev_shift, p) for p in dual])
+    indicator = [0] * (1 << (n * s))
+    for p in ctx.packed_dual:
+        indicator[_rev_packed(p, n, s)] += card * _character(rev_shift, p)
     indicator[0] = 0
-    rows = sorted({l for p in dual for l in _unpack(p, n, s)})
-    chi = np.array([[walsh._chi_num(l, u, s) for u in range(1 << s)] for l in rows],
-                   dtype=np.int64)
-    table = indicator.reshape((1 << s,) * n)
-    for axis in range(n):
-        table = np.tensordot(table.take(rows, axis), chi, axes=(axis, 0))
-        table = np.moveaxis(table, -1, axis)
-    return table.reshape(-1)
+    return _box_table(walsh.synthesis(indicator), (1 << s,) * n)
 
 
 class GapReport(NamedTuple):
@@ -182,31 +214,59 @@ class GapReport(NamedTuple):
         return self.max_gap <= self.bound
 
 
-def _gap_table(ctx: DiscrepancyContext) -> np.ndarray:
-    """2^(ng) times count minus truncated kernel, the whole gap, of the
-    boxes [0, u/2^g) of the grid g = s + 2, flat in packed order.  A
-    point's kernel term, its cell's overlap with the box in units of 2^-g
-    per axis, spreads it over the 4^n fine cells of its cell; the count
-    puts it at the cell's corner x * 2^(g-s)."""
-    n, s = ctx.n, ctx.s
-    points = _point_counts(ctx)
-    cells = np.empty((1 << (s + 2),) * n, dtype=np.int64)
-    cells.reshape((1 << s, 4) * n)[...] = -(points << (n * s)).reshape((1 << s, 1) * n)
-    cells[(slice(None, None, 4),) * n] += points << (n * (s + 2))
-    return _box_table(cells).reshape(-1)
-
-
 def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
     """Largest |discrepancy - truncated approximation| over the exhaustive
     dyadic grid two digits finer than the net; the first maximum in packed
-    order is the argmax, and the certified bound is n * 2^deficiency."""
+    order is the argmax, and the certified bound is n * 2^deficiency.
+
+    At the fine point u, u_j = 4 c_j + r_j with 0 <= r_j < 4, both parts
+    sum over the shifted net points x in the box [0, u/2^g): a point with
+    x_j = c_j lies in it only when r_j > 0.  In units of 4^-n the count
+    weighs each 4^n and the approximation, the point's cell overlap,
+    the product of 4 (x_j < c_j) or r_j (x_j = c_j) over the axes.  So the
+    gap is not negative, and within the cell c it peaks at r_j = 1 on
+    every axis, where, expanding the product of 3 [x_j < c_j] + 1 over the
+    points x <= c, it is
+    G1(c) = 4^n B(c + 1) - sum over T of 3^(n - |T|) B(c + 1_T),
+    B the box table of the point counts on the (2^s + 1)^n grid.  The
+    peak's first point in the cell keeps r_j = 1 only where some point
+    x <= c has x_j = c_j, that is where B(c + 1) > B(c + 1 - e_j), and
+    drops it to 0 elsewhere; the argmax is the first of these over the
+    cells that reach the maximum."""
     if ctx.deficiency is None:
         raise ValueError("gap bound needs a certified deficiency")
     bound = ctx.n * (1 << ctx.deficiency)
-    n, g = ctx.n, ctx.s + 2
+    n, s, g = ctx.n, ctx.s, ctx.s + 2
     size = _grid_size(ctx, g)
-    gap = _gap_table(ctx)
-    np.abs(gap, out=gap)
-    v = int(np.argmax(gap))
-    argmax = tuple(Fraction(u, 1 << g) for u in _unpack(v, n, g))
-    return GapReport(Fraction(int(gap[v]), 1 << (n * g)), bound, argmax, size)
+    side = (1 << s) + 1
+    box = _box_table(_point_counts(ctx, side), (side,) * n)
+    strides = [side ** j for j in range(n)]
+    # One axis at a time, 3 B(a) + B(a + e_j); each pass drops the tail
+    # that the next would read past, all of it outside [0, 2^s)^n.
+    weighted = box
+    for t in strides:
+        weighted = list(map(add, map(mul, repeat(3), weighted), weighted[t:]))
+    corner = sum(strides)
+    peaks = list(map(sub, map(mul, repeat(4 ** n), box[corner:]), weighted))
+    # Where each row of the cells [0, 2^s)^n starts; gathered, a cell's
+    # position is its packed word.
+    starts = [0]
+    for t in strides[1:]:
+        starts = [c * t + k for c in range(1 << s) for k in starts]
+    cells = list(chain.from_iterable(peaks[k:k + (1 << s)] for k in starts))
+    top = max(cells)
+    # A fine point's packed order compares u_(n-1) = 4 c_(n-1) + r_(n-1)
+    # first, and r < 4: only the cells that reach the maximum in the first
+    # such cell's slab of c_(n-1) can hold the first fine maximum.
+    first = cells.index(top)
+    slab = 1 << (s * (n - 1))
+    last = first - first % slab + slab
+
+    def first_peak(c: int) -> int:
+        words = _unpack(c, n, s)
+        a = _index([w + 1 for w in words], side)
+        return _pack([4 * w + (box[a] > box[a - t]) for w, t in zip(words, strides)], g)
+
+    fine = min(first_peak(c) for c in range(first, last) if cells[c] == top)
+    argmax = tuple(Fraction(u, 1 << g) for u in _unpack(fine, n, g))
+    return GapReport(Fraction(top, 4 ** n), bound, argmax, size)

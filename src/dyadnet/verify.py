@@ -4,8 +4,11 @@ Each check returns a machine-readable result with a counterexample
 witness on failure; the CLI `verify` command runs the suite on one net
 or a bundle of nets and maps any failure to a dedicated exit code.
 Poisson summation and the Delta identities are checked by sets and
-ranks, with no table of the 2^(ns) grid; route equivalence and the
-approximation gap sum signed cells over it by `discrepancy._box_table`.
+ranks, with no table of the 2^(ns) grid; route equivalence compares two
+tables over it, box sums of signed cells and the dual table, and the
+approximation gap reads the box table of the point counts.  Every table
+is a flat list of Python ints from `discrepancy`, so no check loads
+numpy.
 """
 
 from __future__ import annotations
@@ -14,14 +17,13 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .discrepancy import (
     DiscrepancyContext,
     RouteUnavailableError,
     _box_table,
     _dual_table,
     _grid_size,
+    _index,
     _point_counts,
     approximation_gap,
 )
@@ -76,22 +78,22 @@ def check_route_equivalence(ctx: DiscrepancyContext) -> IdentityResult:
 
     Both sides are numerators over 2^(ns): the box table of the cells
     2^(ns) * points - N, the kernel sum less N times the box volume, and
-    N times the dual table.
+    the dual table.
     """
     n, s = ctx.n, ctx.s
     size = _grid_size(ctx, s)
     card = ctx.cardinality
-    direct = _box_table((_point_counts(ctx) << (n * s)) - card).reshape(-1)
-    dual_sum = card * _dual_table(ctx)
-    bad = np.flatnonzero(direct != dual_sum)
-    if bad.size:
-        v = int(bad[0])
+    direct = _box_table([(c << (n * s)) - card for c in _point_counts(ctx, 1 << s)],
+                        (1 << s,) * n)
+    dual_sum = _dual_table(ctx)
+    if direct != dual_sum:
+        v = next(v for v, (a, b) in enumerate(zip(direct, dual_sum)) if a != b)
         den = 1 << (n * s)
         return IdentityResult(
             "route-equivalence", False, v + 1,
             witness={"Y": [str(Fraction(w, 1 << s)) for w in _unpack(v, n, s)],
-                     "direct": str(Fraction(int(direct[v]), den)),
-                     "dual_sum": str(Fraction(int(dual_sum[v]), den))},
+                     "direct": str(Fraction(direct[v], den)),
+                     "dual_sum": str(Fraction(dual_sum[v], den))},
         )
     return IdentityResult("route-equivalence", True, size)
 
@@ -127,16 +129,16 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
     """
     n, s = ctx.n, ctx.s
     groups = ctx.groups
-    sizes = np.zeros((s + 1,) * n, dtype=np.int64)
+    sizes = [0] * (s + 1) ** n
     for rho, members in groups.items():
-        sizes[rho] = len(members)
-    below = _box_table(sizes)
+        sizes[_index(rho, s + 1)] = len(members)
+    below = _box_table(sizes, (s + 1,) * n)
     checked = 0
     for rho_bar, members in sorted(groups.items()):
         if not any(members):
             continue
         d = [max(r - 1, 0) for r in rho_bar]
-        count = int(below[tuple(x + 1 for x in d)])
+        count = below[_index([x + 1 for x in d], s + 1)]
         exponent = None if ctx.deficiency is None else sum(rho_bar) - s + ctx.deficiency
         rank = _rank(map(_leading_digits_mask(d, s).__and__, ctx.subspace.basis))
         rep = min(members)

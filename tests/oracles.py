@@ -10,14 +10,17 @@ evaluates one way in production; tests compare the two.
 - `walsh_1d` reads the digits of x selected by the index, and `walsh_nd`,
   the product of one-dimensional characters, is the oracle of the packed
   tensor character `f2core._character`.
-- `fine_coefficient(l, y)` is the interval coefficient, the integral of
-  w_l over [0, y), as a `Fraction` of the integer numerator
-  `walsh._chi_num`.  `check_fine_closed_form` compares it with cell-sum
+- `_chi_num(l, u, g)` is the interval coefficient, the integral of w_l
+  over [0, u/2^g), as an integer numerator over 2^g by its sawtooth
+  closed form; `fine_coefficient(l, y)` is the same integral as a
+  `Fraction`.  `check_fine_closed_form` compares it with cell-sum
   quadrature of `walsh_1d` and `check_fine_square_norm` with the exact
-  squared norm 4^-rho / 3 (acceptance 03 and 04).
+  squared norm 4^-rho / 3 (acceptance 03 and 04).  The library never
+  evaluates one coefficient: its dual table sums whole grids of them as
+  running sums of Walsh syntheses (`walsh.synthesis`).
 - `omega`, the sawtooth factor, gives the closed form
   `2^(-rho-1) w_tau(y) omega_rho(y)` of the interval coefficient, the
-  oracle of the integer evaluation `walsh._chi_num`.
+  oracle of the integer evaluation `_chi_num`.
 - `iter_grid` yields every `DyadicPoint` of the grid in packed order, and
   `truncate` re-expresses a point at another resolution.
 - `discrepancy_exact` counts net points in a box one by one.
@@ -42,9 +45,9 @@ evaluates one way in production; tests compare the two.
   by word tuples (e.g. corrupted), for the negative controls of the dual
   checks.
 - `character_sum` is one character sum at one grid point, and
-  `_character_table` the sums at every grid point at once, a
-  Walsh-Hadamard butterfly; tests compare the two, and the table serves
-  the second Delta oracle, `delta_tables`.
+  `_character_table` the sums at every grid point at once, an in-place
+  int64 Walsh-Hadamard butterfly; tests compare the two, and the table
+  serves the second Delta oracle, `delta_tables`.
 - `lambda_group_walk` lists the strictly-below subgroup of one position
   vector by walking the dual once; production only counts it, by the
   box table (`discrepancy._box_table`) of the group sizes, and the count
@@ -64,14 +67,22 @@ evaluates one way in production; tests compare the two.
   kernel; like `discrepancy._point_counts` it reads the context's one
   net listing, `packed_net`, and XORs in `ctx.shift` itself.  `m_direct`
   is the kernel route to the approximation `M` at one query and
-  `m_dual_sum` the dual route, through a cache in front of
-  `walsh._chi_num`; it signs each index with the reversal on the index
-  side, where `_dual_table` reverses the shift.  `route_loop` and
+  `m_dual_sum` the dual route, through a cache in front of `_chi_num`;
+  it signs each index with the reversal on the index side, where
+  `discrepancy._dual_table` reverses the shift.  `route_loop` and
   `gap_loop` walk the grids query by query with them; they are the
-  oracles of
-  `verify.check_route_equivalence` and `discrepancy.approximation_gap`,
-  which read the box table of signed cells (count less kernel for the
-  gap, kernel less `N` times the volume for the route) and the dual table.
+  oracles of `verify.check_route_equivalence`, which reads the box table
+  of the signed cells `2^(ns)·points − N` and the dual table, and of
+  `discrepancy.approximation_gap`, which reads the box table of the
+  point counts on the net's own `(2^s+1)^n` grid.
+- `dual_table_modes` is the dual table as int64 mode products, one per
+  axis, of the signed dual indicator with the matrix of `_chi_num`
+  values; it is the oracle of `discrepancy._dual_table`, a Walsh
+  synthesis and one box table.  `gap_table` is the gap on the fine grid
+  itself: the int64 box table, 4^n times the net's grid, of
+  `2^(ng)·points` at each cell's corner less `2^(ns)·points` spread over
+  its `4^n` fine cells, and its first maximum in packed order; it is the
+  oracle of `approximation_gap` where `gap_loop` would take minutes.
 
 Test helpers with no production caller live here too: `zero_subspace` and
 `full_subspace`, the trivial subspaces of Q^n(2^s); `hyperbolic_indices`,
@@ -106,7 +117,6 @@ from dyadnet.f2core import (
 )
 from dyadnet.nets import GeneratorSet, PointSet, _compositions, _leading_digits_mask
 from dyadnet.verify import IdentityResult
-from dyadnet.walsh import _chi_num
 
 
 @dataclass(frozen=True)
@@ -224,6 +234,28 @@ def omega(m: int, y) -> Fraction:
     u = fy % period
     tri = u if 2 * u <= period else period - u
     return tri * (1 << (m + 1))
+
+
+def _chi_num(l: int, u: int, g: int) -> int:
+    """Numerator over 2^g of the integral of w_l on [0, u/2^g), for g at
+    least the bit length of l.
+
+    The sawtooth closed form in integers: a triangle of period
+    2^(g+1-rho) signed by the character of the truncated index.
+    """
+    if l == 0:
+        return u
+    rho = l.bit_length()
+    period = 1 << (g + 1 - rho)
+    r = u % period
+    tri = min(r, period - r)
+    if tri == 0:
+        return 0
+    tau = l ^ (1 << (rho - 1))
+    if tau == 0:
+        return tri
+    k = tau.bit_length()
+    return tri * _character(bit_reverse(tau, k), u >> (g - k))
 
 
 def fine_coefficient(l: int, y) -> Fraction:
@@ -633,7 +665,7 @@ def grid_words(Y, s: int, n: int) -> tuple[int, tuple[int, ...]]:
 
 
 # The dual route meets the same few coefficients for every dual index, so
-# its evaluations of `walsh._chi_num` go through one shared cache.
+# its evaluations of `_chi_num` go through one shared cache.
 _chi_num_cached = lru_cache(maxsize=1 << 20)(_chi_num)
 
 
@@ -736,3 +768,52 @@ def gap_loop(ctx: DiscrepancyContext) -> GapReport:
             worst = gap
             argmax = tuple(Fraction(u, 1 << g) for u in us)
     return GapReport(worst, bound, argmax, checked)
+
+
+def dual_table_modes(ctx: DiscrepancyContext) -> list[int]:
+    """2^(ns) times the dual route at every point of the net's grid, flat
+    in packed order: N times one int64 mode product per axis of the signed
+    indicator of the nonzero dual indices (repeats add up) with the rows
+    of the matrix `_chi_num(l, u, s)` that some index holds.  The sign of
+    an index is the shift's character there, with the shift reversed."""
+    n, s = ctx.n, ctx.s
+    dual = ctx.packed_dual
+    rev_shift = _rev_words(ctx.shift, s)
+    indicator = np.zeros(1 << (n * s), dtype=np.int64)
+    np.add.at(indicator, np.array(dual, dtype=np.int64),
+              [_character(rev_shift, p) for p in dual])
+    indicator[0] = 0
+    rows = sorted({l for p in dual for l in _unpack(p, n, s)})
+    chi = np.array([[_chi_num(l, u, s) for u in range(1 << s)] for l in rows],
+                   dtype=np.int64)
+    table = indicator.reshape((1 << s,) * n)
+    for axis in range(n):
+        table = np.tensordot(table.take(rows, axis), chi, axes=(axis, 0))
+        table = np.moveaxis(table, -1, axis)
+    return [ctx.cardinality * int(v) for v in table.reshape(-1)]
+
+
+def gap_table(ctx: DiscrepancyContext) -> GapReport:
+    """The gap report from the whole fine grid g = s + 2: 2^(ng) times count
+    minus truncated kernel of every box [0, u/2^g), one int64 box table of
+    cells, and its first maximum in packed order.  A point's kernel term,
+    its cell's overlap with the box in units of 2^-g per axis, spreads it
+    over the 4^n fine cells of its cell; the count puts it at the cell's
+    corner x * 2^(g-s)."""
+    if ctx.deficiency is None:
+        raise ValueError("gap bound needs a certified deficiency")
+    n, s, g = ctx.n, ctx.s, ctx.s + 2
+    size = _grid_size(ctx, g)
+    words = np.array(ctx.packed_net, dtype=np.int64) ^ _pack(ctx.shift, s)
+    points = np.bincount(words, minlength=1 << (n * s)).reshape((1 << s,) * n)
+    cells = np.empty((1 << g,) * n, dtype=np.int64)
+    cells.reshape((1 << s, 4) * n)[...] = -(points << (n * s)).reshape((1 << s, 1) * n)
+    cells[(slice(None, None, 4),) * n] += points << (n * g)
+    table = np.pad(cells[(slice(None, -1),) * n], [(1, 0)] * n)
+    del cells
+    for axis in range(n):
+        np.cumsum(table, axis=axis, out=table)
+    gap = np.abs(table.reshape(-1))
+    v = int(np.argmax(gap))
+    return GapReport(Fraction(int(gap[v]), size), n << ctx.deficiency,
+                     tuple(Fraction(u, 1 << g) for u in _unpack(v, n, g)), size)

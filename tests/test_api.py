@@ -1,8 +1,8 @@
 """The public surface: every exported name resolves and has a caller in
 the library, the result records are immutable value tuples, the integer
-layers and the CLI start without numpy, click or `inspect`, no command
-loads `dataclasses`, and `certify` runs without the rational and
-statistics modules."""
+layers and the CLI start without numpy, click or `inspect`, only `norms`
+loads numpy, no command loads `dataclasses`, and `certify` runs without
+the rational and statistics modules."""
 
 import ast
 import importlib
@@ -61,10 +61,14 @@ def test_no_module_imports_a_name_it_never_reads():
             assert unread_imports(path.read_text()) == set(), path.name
 
 
-def cumsum_callers(source: str) -> set[str]:
+# The running sums: `itertools.accumulate`, and numpy's `cumsum`.
+RUNNING_SUMS = {"accumulate", "cumsum"}
+
+
+def running_sum_callers(source: str) -> set[str]:
     """The functions (dotted through classes and nesting) whose bodies
-    call `cumsum`, by any name or attribute path; "<module>" for a call
-    outside every function."""
+    call a running sum, by any name or attribute path; "<module>" for a
+    call outside every function."""
     found = set()
 
     def visit(node, scope):
@@ -74,7 +78,7 @@ def cumsum_callers(source: str) -> set[str]:
                 continue
             if isinstance(child, ast.Call):
                 f = child.func
-                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "cumsum":
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in RUNNING_SUMS:
                     found.add(".".join(scope) or "<module>")
             visit(child, scope)
 
@@ -82,17 +86,20 @@ def cumsum_callers(source: str) -> set[str]:
     return found
 
 
-def test_cumsum_callers_are_found():
+def test_running_sum_callers_are_found():
     source = ("import numpy as np\nfrom numpy import cumsum\nnp.cumsum([1])\n"
               "def f(a):\n    return a.cumsum()\n"
-              "class C:\n    def g(self, a):\n        return cumsum(a, axis=0)\n")
-    assert cumsum_callers(source) == {"<module>", "f", "C.g"}
+              "class C:\n    def g(self, a):\n        return cumsum(a, axis=0)\n"
+              "import itertools\nfrom itertools import accumulate\n"
+              "def h(a):\n    def inner():\n        return accumulate(a)\n"
+              "    return list(itertools.accumulate(a, initial=0))\n")
+    assert running_sum_callers(source) == {"<module>", "f", "C.g", "h", "h.inner"}
 
 
 def test_every_box_sum_is_the_one_prefix_sum():
     # `discrepancy._box_table` is the one exclusive prefix sum; a check
     # that needs box sums writes signed cells for it instead of summing.
-    callers = {path.name: cumsum_callers(path.read_text())
+    callers = {path.name: running_sum_callers(path.read_text())
                for path in Path(dyadnet.__file__).parent.glob("*.py")}
     assert {name: c for name, c in callers.items() if c} == {
         "discrepancy.py": {"_box_table"}}
@@ -148,8 +155,9 @@ def test_record_defaults_and_properties():
 
 # Runs in a fresh interpreter, since this one has loaded numpy already.
 # It records which of the modules in WATCHED are loaded at each step, and
-# after `verify` the OpenBLAS setting and the thread count (None where
-# /proc is absent).  `main` ends every command with SystemExit.
+# after `norms`, the first command that loads numpy, the OpenBLAS setting
+# and the thread count (None where /proc is absent).  `main` ends every
+# command with SystemExit.
 STARTUP_PROBE = """
 import json, os, re, sys
 WATCHED = ("numpy", "fractions", "decimal", "statistics", "click", "inspect",
@@ -170,6 +178,8 @@ run("gen", "--net", "sobol", "--n", "3", "--s", "6", "--count", "40", "--shift-s
 state["gen"] = loaded()
 run("verify", "--net", "van-der-corput", "--s", "2")
 state["verify"] = loaded()
+run("norms", "--net", "van-der-corput", "--s", "2", "--samples", "256", "--q-grid", "2")
+state["norms"] = loaded()
 state["blas_env"] = os.environ.get("OPENBLAS_NUM_THREADS")
 state["threads"] = None
 if os.path.exists("/proc/self/status"):
@@ -189,9 +199,12 @@ def run_startup_probe(**env) -> dict:
 
 
 def test_cli_loads_numpy_only_for_the_array_commands():
+    # `verify` works on lists of Python ints; the Monte Carlo layer `norms`
+    # is the one that loads numpy.
     state = run_startup_probe()
-    assert {k: "numpy" in state[k] for k in ("import", "certify", "gen", "verify")} == {
-        "import": False, "certify": False, "gen": False, "verify": True}
+    steps = ("import", "certify", "gen", "verify", "norms")
+    assert {k: "numpy" in state[k] for k in steps} == {
+        "import": False, "certify": False, "gen": False, "verify": False, "norms": True}
 
 
 def test_cli_loads_fractions_and_statistics_only_where_used():
@@ -214,6 +227,7 @@ def test_cli_starts_without_click_inspect_or_dataclasses():
     # `DiscrepancyContext` is a plain class too, so no module of the
     # package imports `dataclasses`, also once numpy is loaded.
     assert "dataclasses" not in state["verify"]
+    assert "dataclasses" not in state["norms"]
 
 
 def test_cli_runs_blas_single_threaded():

@@ -204,9 +204,9 @@ class TestVerify:
 
     def test_three_dimensional_bundle_passes(self, cli):
         # In three dimensions some dual indices have an odd number of nonzero
-        # truncated indices, so a flipped truncated-character sign in
-        # `walsh._chi_num` fails route equivalence; the planar bundle cannot
-        # see it.  Case counts of Sobol n = 3 at s = 2, 3, 4: the 2^(3s)
+        # coordinates, so a dual table that flips the sign of one
+        # coordinate's interval coefficient fails route equivalence; the
+        # planar bundle cannot see it.  Case counts of Sobol n = 3 at s = 2, 3, 4: the 2^(3s)
         # grid twice, the 2^(3s+6) gap grid, and the grid once per nonzero
         # leading-digit group.
         out = run_ok(cli, ["verify", "--net", "sobol", "--n", "3"])

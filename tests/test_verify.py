@@ -12,7 +12,6 @@ from dyadnet.discrepancy import (
     RouteUnavailableError,
     _box_table,
     _dual_table,
-    _gap_table,
     _grid_size,
     _point_counts,
     approximation_gap,
@@ -33,13 +32,14 @@ from dyadnet.verify import (
 )
 from oracles import (
     _character_table,
-    box_kernel,
     character_sum,
     delta_loop,
     delta_tables,
     describe,
+    dual_table_modes,
     dual_words,
     gap_loop,
+    gap_table,
     m_direct,
     m_dual_sum,
     poisson_loop,
@@ -266,12 +266,17 @@ class TestBoxTablesAgainstLoops:
             return
         # The route table's signed cells, as `check_route_equivalence` writes them.
         den = 1 << (n * s)
-        direct = _box_table((_point_counts(ctx) << (n * s)) - ctx.cardinality).reshape(-1)
+        cells = [(c << (n * s)) - ctx.cardinality for c in _point_counts(ctx, 1 << s)]
+        direct = _box_table(cells, (1 << s,) * n)
         dual = _dual_table(ctx)
         for v in sampled_queries(ctx, s):
             Y = tuple(Fraction(u, 1 << s) for u in _unpack(v, n, s))
-            assert m_direct(ctx, Y) == Fraction(int(direct[v]), den)
-            assert m_dual_sum(ctx, Y) == Fraction(ctx.cardinality * int(dual[v]), den)
+            assert m_direct(ctx, Y) == Fraction(direct[v], den)
+            assert m_dual_sum(ctx, Y) == Fraction(dual[v], den)
+
+    def test_dual_table_is_the_mode_products(self, net, seed):
+        ctx = builtin_context(*net, seed)
+        assert _dual_table(ctx) == dual_table_modes(ctx)
 
     def test_gap_matches_the_loop(self, net, seed):
         ctx = builtin_context(*net, seed)
@@ -280,15 +285,13 @@ class TestBoxTablesAgainstLoops:
             with pytest.raises(RouteUnavailableError, match=f"grid has 2\\^{n * g} points"):
                 approximation_gap(ctx)
             return
+        # The maximum and its first point in packed order: unshifted nets
+        # reach the maximum at many cells.
         report = approximation_gap(ctx)
         assert report.within_bound and report.points_checked == 1 << (n * g)
+        assert report == gap_table(ctx)
         if (1 << (n * g)) * ctx.cardinality <= LOOP_BUDGET:
             assert report == gap_loop(ctx)
-            return
-        gap = _gap_table(ctx)
-        for v in sampled_queries(ctx, g):
-            count, kernel = box_kernel(ctx, g, _unpack(v, n, g))
-            assert int(gap[v]) == (count << (n * g)) - (kernel << (n * ctx.s))
 
 
 @pytest.mark.parametrize("shape", [
@@ -297,29 +300,35 @@ class TestBoxTablesAgainstLoops:
 ], ids=lambda shape: "x".join(map(str, shape)))
 def test_box_table_is_the_exclusive_prefix_sum(shape):
     # Odd sides such as (s+1)^n are the Delta check's grid of group sizes.
-    cells = np.random.default_rng(len(shape) * 100 + sum(shape)).integers(
-        -1 << 20, 1 << 20, size=shape, dtype=np.int64)
-    table = _box_table(cells)
-    assert table.shape == cells.shape and table.dtype == np.int64
+    # The flat list is in packed order: coordinate 0, the first side, fastest.
+    rng = random.Random(len(shape) * 100 + sum(shape))
+    sides = shape[::-1]
+    cells = [rng.randrange(-1 << 20, 1 << 20) for _ in range(np.prod(shape))]
+    table = _box_table(cells, sides)
+    grid = np.array(cells, dtype=np.int64).reshape(shape)
+    assert len(table) == len(cells)
     for u in product(*map(range, shape)):
-        below = cells[tuple(slice(0, k) for k in u)]
-        assert int(table[u]) == sum(int(c) for c in below.flat), u
+        below = grid[tuple(slice(0, k) for k in u)]
+        assert table[np.ravel_multi_index(u, shape)] == sum(int(c) for c in below.flat), u
 
 
-def test_gap_peaks_at_two_grid_tables():
-    # One table of signed cells and its prefix sum; the gap's absolute
-    # value is taken in place.
+def test_gap_peaks_at_coarse_grid_tables():
+    # The gap reads tables on the net's own (2^s + 1)^n grid, never one on
+    # the fine grid, 4^n times as many points.  A table entry is a list
+    # slot and an int: at most 8 + 32 bytes.
     ctx = builtin_context("sobol", 3, 5, 1)
     # Certify and list the net first, so that the peak counts the tables.
     assert ctx.deficiency is not None and len(ctx.packed_net) == ctx.cardinality
-    table_bytes = 8 << (ctx.n * (ctx.s + 2))
+    bound = 3 * 40 * ((1 << ctx.s) + 1) ** ctx.n
+    # One fine-grid table of 8-byte entries would break the bound alone.
+    assert 8 << (ctx.n * (ctx.s + 2)) > bound
     tracemalloc.start()
     try:
         approximation_gap(ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * table_bytes, peak / table_bytes
+    assert peak < bound, peak / bound
 
 
 def corrupted_duals(ctx):
@@ -410,6 +419,23 @@ class TestCorruptedTablesAgainstLoops:
                 assert res.passed == tables.passed, (gen.n, gen.s, res, tables)
                 failed += not res.passed
         assert failed >= 600
+
+    def test_corrupted_dual_tables_are_the_mode_products(self):
+        # Shifted as well, so that each index's sign counts: the named
+        # corruptions and 20 seeded random ones per net and shift.
+        rng = random.Random(35)
+        for gen in CORRUPTION_NETS:
+            grid = [_unpack(v, gen.n, gen.s) for v in range(1 << (gen.n * gen.s))]
+            for seed in (None, 1):
+                ctx = DiscrepancyContext.build(
+                    gen.subspace, None if seed is None else random_shift(gen.n, gen.s, seed))
+                duals = list(corrupted_duals(ctx).items()) + [
+                    ("random", random_corruption(dual_words(ctx), grid, rng))
+                    for _ in range(20)]
+                for reason, dual in duals:
+                    corrupted = with_dual_points(ctx, dual)
+                    assert _dual_table(corrupted) == dual_table_modes(corrupted), (
+                        gen.n, gen.s, seed, reason)
 
     def test_route_failures_match_the_loop(self, vdc_ctx, sobol_ctx):
         failed = 0

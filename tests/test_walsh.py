@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyadnet import walsh
 from oracles import (
     DyadicPoint,
     check_fine_closed_form,
@@ -232,3 +233,15 @@ class TestOrthonormality:
             w2 = np.kron(w1, w1)
             gram2 = w2 @ w2.T
             assert (gram2 == size * size * np.eye(size * size, dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("bits", range(7))
+def test_synthesis_is_the_character_sum_at_every_cell(bits):
+    # Any integer coefficients, big and negative among them: entry c sums
+    # coefficient q times (-1)^parity(q & c).
+    rng = random.Random(bits)
+    coefficients = [rng.randrange(-1 << 70, 1 << 70) for _ in range(1 << bits)]
+    want = [sum(a if (q & c).bit_count() % 2 == 0 else -a
+                for q, a in enumerate(coefficients))
+            for c in range(1 << bits)]
+    assert walsh.synthesis(coefficients) == want
