@@ -3,11 +3,12 @@
 The box-counting discrepancy and its truncated-character approximation
 are whole-grid tables of integer numerators over a common power-of-two
 denominator, flat lists of Python ints in packed order, every box sum
-one prefix sum (`_box_table`) of cell weights; the two independent
+one prefix sum (`_box_table`) of cell weights.  The two independent
 routes (kernel sum over the net, character sum over the nonzero dual,
-a Walsh synthesis) compare exactly, the gap between the discrepancy and
-the approximation is read off the net's own grid, and the dual slices
-into the leading-digit groups that drive the moment bounds.
+a Walsh synthesis) compare exactly cell by cell, the gap between the
+discrepancy and the approximation is read off the net's own grid, and
+the dual slices into the leading-digit groups that drive the moment
+bounds.  Each check refuses by the size of the table it builds.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ __all__ = [
     "approximation_gap",
 ]
 
-# The most dual elements, or grid points of a whole-grid table, that a
+# The most dual elements, or entries of a whole-grid table, that a
 # route lists; read when a route is called.
 ENUM_CAP = 1 << 24
 
 
 class RouteUnavailableError(RuntimeError):
     """The dual enumeration or grid table needed by this route exceeds the
-    cap, or its entries could leave int64."""
+    cap."""
 
 
 class DiscrepancyContext(_Value):
@@ -122,22 +123,13 @@ class DiscrepancyContext(_Value):
         return {rho: tuple(members) for rho, members in out.items()}
 
 
-def _grid_size(ctx: DiscrepancyContext, g: int) -> int:
-    """2^(ng), the points of the resolution-g grid (g >= s); raises before
-    any table is built or the dual listed when that is above `ENUM_CAP`, or
-    when its square could leave int64.  Every entry and intermediate of
-    every table is at most (dual indices per entry) * N * 2^(ng), the first
-    two factors at most 2^(ns) <= 2^(ng) together; a partial sum of signed
-    cells is a difference of two such sums of non-negative cells.  The
-    tables hold Python ints, which cannot overflow; the int64 rule keeps
-    which grids a route refuses independent of how its tables are held."""
-    size = 1 << (ctx.n * g)
+def _within_cap(side: int, n: int) -> int:
+    """side^n, the entries of the grid table a check is about to build;
+    raises, before the table is built or the dual listed, when that is
+    above `ENUM_CAP`.  The tables hold Python ints, which cannot overflow."""
+    size = side ** n
     if size > ENUM_CAP:
-        raise RouteUnavailableError(
-            f"grid has 2^{ctx.n * g} points, above the enumeration cap")
-    if size * size >= 1 << 63:
-        raise RouteUnavailableError(
-            f"grid has 2^{ctx.n * g} points, and its tables could leave int64")
+        raise RouteUnavailableError(f"grid has {side}^{n} points, above the enumeration cap")
     return size
 
 
@@ -181,18 +173,18 @@ def _box_table(cells: list[int], sides: tuple[int, ...]) -> list[int]:
     return table
 
 
-def _dual_table(ctx: DiscrepancyContext) -> list[int]:
-    """2^(ns) times the dual route at every point of the net's grid, flat
-    in packed order.
+def _dual_cells(ctx: DiscrepancyContext) -> list[int]:
+    """The cells of the dual route on the net's grid, flat in packed order.
 
     The dual route is N times the sum, over the nonzero dual indices
     (repeats add up), of the index's sign times the product of its
     interval coefficients.  The coefficient of w_l on [0, u/2^s) is 2^-s
-    times the sum of w_l over the cells below u, and w_l at cell c is
-    (-1)^parity(rev(l) & c), rev reversing the s digits.  So the table is
-    the box table of the Walsh synthesis of the indicator at the reversed
-    indices, signed and times N.  The sign of an index is the shift's
-    character there, with the shift reversed."""
+    times the sum of w_l over the cells below u, so 2^(ns) times the route
+    is the box table of these cells.  w_l at cell c is
+    (-1)^parity(rev(l) & c), rev reversing the s digits, so the cells are
+    the Walsh synthesis of the indicator at the reversed indices, signed
+    and times N.  The sign of an index is the shift's character there,
+    with the shift reversed."""
     n, s = ctx.n, ctx.s
     card = ctx.cardinality
     rev_shift = _rev_words(ctx.shift, s)
@@ -200,7 +192,7 @@ def _dual_table(ctx: DiscrepancyContext) -> list[int]:
     for p in ctx.packed_dual:
         indicator[_rev_packed(p, n, s)] += card * _character(rev_shift, p)
     indicator[0] = 0
-    return _box_table(walsh.synthesis(indicator), (1 << s,) * n)
+    return walsh.synthesis(indicator)
 
 
 class GapReport(NamedTuple):
@@ -232,13 +224,14 @@ def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
     peak's first point in the cell keeps r_j = 1 only where some point
     x <= c has x_j = c_j, that is where B(c + 1) > B(c + 1 - e_j), and
     drops it to 0 elsewhere; the argmax is the first of these over the
-    cells that reach the maximum."""
+    cells that reach the maximum.  It refuses by the size of B, and
+    `points_checked` counts the 2^(ng) fine points it covers."""
     if ctx.deficiency is None:
         raise ValueError("gap bound needs a certified deficiency")
     bound = ctx.n * (1 << ctx.deficiency)
     n, s, g = ctx.n, ctx.s, ctx.s + 2
-    size = _grid_size(ctx, g)
     side = (1 << s) + 1
+    _within_cap(side, n)
     box = _box_table(_point_counts(ctx, side), (side,) * n)
     strides = [side ** j for j in range(n)]
     # One axis at a time, 3 B(a) + B(a + e_j); each pass drops the tail
@@ -269,4 +262,4 @@ def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
 
     fine = min(first_peak(c) for c in range(first, last) if cells[c] == top)
     argmax = tuple(Fraction(u, 1 << g) for u in _unpack(fine, n, g))
-    return GapReport(Fraction(top, 4 ** n), bound, argmax, size)
+    return GapReport(Fraction(top, 4 ** n), bound, argmax, 1 << (n * g))

@@ -4,27 +4,30 @@ Each check returns a machine-readable result with a counterexample
 witness on failure; the CLI `verify` command runs the suite on one net
 or a bundle of nets and maps any failure to a dedicated exit code.
 Poisson summation and the Delta identities are checked by sets and
-ranks, with no table of the 2^(ns) grid; route equivalence compares two
-tables over it, box sums of signed cells and the dual table, and the
-approximation gap reads the box table of the point counts.  Every table
-is a flat list of Python ints from `discrepancy`, so no check loads
-numpy.
+ranks, with no table of the 2^(ns) grid; route equivalence compares the
+cells of its two routes on that grid, and the approximation gap reads
+the box table of the point counts on the net's own (2^s + 1)^n grid.
+Each grid check refuses by the size of the one table it builds.  Every
+table is a flat list of Python ints from `discrepancy`, so no check
+loads numpy.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import lshift, ne, sub
 from typing import NamedTuple
 
 from .discrepancy import (
     DiscrepancyContext,
     RouteUnavailableError,
     _box_table,
-    _dual_table,
-    _grid_size,
+    _dual_cells,
     _index,
     _point_counts,
+    _within_cap,
     approximation_gap,
 )
 from .f2core import _character, _pivots, _rank, _rev_packed, _unpack
@@ -73,29 +76,32 @@ def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
 
 def check_route_equivalence(ctx: DiscrepancyContext) -> IdentityResult:
     """The kernel-sum and dual-sum evaluations agree exactly on the full
-    dyadic grid of the net's resolution; a failure names the first grid
-    point in packed order.
+    dyadic grid of the net's resolution.
 
-    Both sides are numerators over 2^(ns): the box table of the cells
-    2^(ns) * points - N, the kernel sum less N times the box volume, and
-    the dual table.
+    Times 2^(ns), each route is the box sum of its cells: the direct
+    cells 2^(ns) * points - N and the dual cells, which Poisson summation
+    for the shifted net makes equal on every cell, top faces too.  So no
+    box table is built: a pass counts the 2^(ns) grid points, and a
+    failure names the first differing cell in packed order.
     """
     n, s = ctx.n, ctx.s
-    size = _grid_size(ctx, s)
+    ns = n * s
+    size = _within_cap(2, ns)
     card = ctx.cardinality
-    direct = _box_table([(c << (n * s)) - card for c in _point_counts(ctx, 1 << s)],
-                        (1 << s,) * n)
-    dual_sum = _dual_table(ctx)
-    if direct != dual_sum:
-        v = next(v for v, (a, b) in enumerate(zip(direct, dual_sum)) if a != b)
-        den = 1 << (n * s)
-        return IdentityResult(
-            "route-equivalence", False, v + 1,
-            witness={"Y": [str(Fraction(w, 1 << s)) for w in _unpack(v, n, s)],
-                     "direct": str(Fraction(direct[v], den)),
-                     "dual_sum": str(Fraction(dual_sum[v], den))},
-        )
-    return IdentityResult("route-equivalence", True, size)
+    dual_sum = _dual_cells(ctx)
+    points = _point_counts(ctx, 1 << s)
+    # Compared lazily, so no third list is held; v is the first cell
+    # where the routes differ.
+    direct = map(sub, map(lshift, points, repeat(ns)), repeat(card))
+    v = next(compress(count(), map(ne, direct, dual_sum)), None)
+    if v is None:
+        return IdentityResult("route-equivalence", True, size)
+    return IdentityResult(
+        "route-equivalence", False, v + 1,
+        witness={"cell": [str(Fraction(w, 1 << s)) for w in _unpack(v, n, s)],
+                 "direct": str(Fraction((points[v] << ns) - card, size)),
+                 "dual_sum": str(Fraction(dual_sum[v], size))},
+    )
 
 
 def check_approximation_gap(ctx: DiscrepancyContext) -> IdentityResult:
@@ -161,7 +167,7 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
 
 def run_net_suite(ctx: DiscrepancyContext) -> list[IdentityResult]:
     """The net's checks in order, each refusing on its own: a check whose
-    grid or dual is above the cap gives a failing row that checked
+    grid table or dual is above the cap gives a failing row that checked
     nothing, with the refusal as its witness."""
     checks = [("poisson-summation", check_poisson),
               ("route-equivalence", check_route_equivalence)]

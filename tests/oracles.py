@@ -69,16 +69,20 @@ evaluates one way in production; tests compare the two.
   is the kernel route to the approximation `M` at one query and
   `m_dual_sum` the dual route, through a cache in front of `_chi_num`;
   it signs each index with the reversal on the index side, where
-  `discrepancy._dual_table` reverses the shift.  `route_loop` and
-  `gap_loop` walk the grids query by query with them; they are the
-  oracles of `verify.check_route_equivalence`, which reads the box table
-  of the signed cells `2^(ns)·points − N` and the dual table, and of
-  `discrepancy.approximation_gap`, which reads the box table of the
-  point counts on the net's own `(2^s+1)^n` grid.
+  `discrepancy._dual_cells` reverses the shift.  `route_loop` and
+  `gap_loop` walk the grids query by query with them; `route_loop` is
+  the grid-point oracle of the box tables of both routes' cells, and
+  `gap_loop` the oracle of `discrepancy.approximation_gap`, which reads
+  the box table of the point counts on the net's own `(2^s+1)^n` grid.
+- `route_cells_loop` walks the cells in packed order, the net's points
+  in each less `N·2^−ns` against `N·2^−ns` times the shift's character
+  times `walsh_nd` summed over the nonzero dual listing; it is the oracle
+  of `verify.check_route_equivalence`, which compares the cells
+  `2^(ns)·points − N` with `discrepancy._dual_cells`.
 - `dual_table_modes` is the dual table as int64 mode products, one per
   axis, of the signed dual indicator with the matrix of `_chi_num`
-  values; it is the oracle of `discrepancy._dual_table`, a Walsh
-  synthesis and one box table.  `gap_table` is the gap on the fine grid
+  values; it is the oracle of the box table of `discrepancy._dual_cells`,
+  a Walsh synthesis.  `gap_table` is the gap on the fine grid
   itself: the int64 box table, 4^n times the net's grid, of
   `2^(ng)·points` at each cell's corner less `2^(ns)·points` spread over
   its `4^n` fine cells, and its first maximum in packed order; it is the
@@ -102,7 +106,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from dyadnet.discrepancy import DiscrepancyContext, GapReport, _grid_size
+from dyadnet.discrepancy import DiscrepancyContext, GapReport, _within_cap
 from dyadnet.f2core import (
     F2Subspace,
     _character,
@@ -482,7 +486,7 @@ def _character_table(words, n: int, s: int) -> np.ndarray:
     An in-place Walsh-Hadamard butterfly over the indicator of the
     reversed words (Fino & Algazi, IEEE Trans. Computers C-25, 1976).
     Every entry is at most the word count in absolute value; the callers
-    pass grids that `discrepancy._grid_size` admits, at most
+    pass grids that `discrepancy._within_cap` admits, at most
     `discrepancy.ENUM_CAP` (2^24) points, so the int64 sums are exact.
     """
     rev = [_rev_packed(a, n, s) for a in words]
@@ -599,7 +603,7 @@ def delta_tables(ctx: DiscrepancyContext) -> IdentityResult:
     Lambda0's table.  A failure names the first grid point in packed order.
     """
     n, s = ctx.n, ctx.s
-    size = _grid_size(ctx, s)
+    size = _within_cap(2, n * s)
     groups = ctx.groups
     checked = 0
     for rho_bar, members in sorted(groups.items()):
@@ -744,6 +748,33 @@ def route_loop(ctx: DiscrepancyContext) -> IdentityResult:
     return IdentityResult("route-equivalence", True, checked)
 
 
+def route_cells_loop(ctx: DiscrepancyContext) -> IdentityResult:
+    """The two routes' cells agree on every cell of the net's grid,
+    visited in packed order: the shifted net's points in the cell less
+    N 2^-ns, and N 2^-ns times the sum, over the nonzero dual listing
+    (repeats add up), of the shift's character times the tensor Walsh
+    function on the cell."""
+    n, s = ctx.n, ctx.s
+    vol = Fraction(ctx.cardinality, 1 << (n * s))
+    values = [Fraction(w, 1 << s) for w in range(1 << s)]
+    shift = _pack(ctx.shift, s)
+    points = Counter(p ^ shift for p in ctx.packed_net)
+    dual = [_unpack(p, n, s) for p in ctx.packed_dual if p]
+    shift_point = [values[w] for w in ctx.shift]
+    signs = [walsh_nd(L, shift_point) for L in dual]
+    for v in range(1 << (n * s)):
+        X = [values[w] for w in _unpack(v, n, s)]
+        direct = points[v] - vol
+        dual_sum = vol * sum(sign * walsh_nd(L, X) for sign, L in zip(signs, dual))
+        if direct != dual_sum:
+            return IdentityResult(
+                "route-equivalence", False, v + 1,
+                witness={"cell": [str(x) for x in X],
+                         "direct": str(direct), "dual_sum": str(dual_sum)},
+            )
+    return IdentityResult("route-equivalence", True, 1 << (n * s))
+
+
 def gap_loop(ctx: DiscrepancyContext) -> GapReport:
     """Largest |discrepancy - truncated approximation| over the exhaustive
     dyadic grid two digits finer than the net, visited in packed order."""
@@ -803,7 +834,7 @@ def gap_table(ctx: DiscrepancyContext) -> GapReport:
     if ctx.deficiency is None:
         raise ValueError("gap bound needs a certified deficiency")
     n, s, g = ctx.n, ctx.s, ctx.s + 2
-    size = _grid_size(ctx, g)
+    size = _within_cap(2, n * g)
     words = np.array(ctx.packed_net, dtype=np.int64) ^ _pack(ctx.shift, s)
     points = np.bincount(words, minlength=1 << (n * s)).reshape((1 << s,) * n)
     cells = np.empty((1 << g,) * n, dtype=np.int64)

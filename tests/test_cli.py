@@ -218,35 +218,39 @@ class TestVerify:
         assert data_rows(out) == [f"{name},True,{k}," for name, k in want]
 
     def test_grid_above_the_cap_is_runtime_error(self, cli):
-        # 2^25 grid points: the two grid checks refuse before any table,
-        # each with its own row, and the group checks run on the 2^20-word
-        # dual, Delta over 6941 nonzero groups.
+        # 2^25 cells and a 33^5 gap table: the two grid checks refuse before
+        # any table, each with its own row, and the group checks run on the
+        # 2^20-word dual, Delta over 6941 nonzero groups.
         result = cli(["verify", "--net", "sobol", "--n", "5", "--s", "5"])
         assert result.code == 1
-        refused = '{"refused": "grid has 2^%d points, above the enumeration cap"}'
+        refused = '{"refused": "grid has %s points, above the enumeration cap"}'
         assert data_rows(result.stdout.decode()) == [
             f"poisson-summation,True,{1 << 25},",
-            f"route-equivalence,False,0,{refused % 25}",
-            f"approximation-gap,False,0,{refused % 35}",
+            f"route-equivalence,False,0,{refused % '2^25'}",
+            f"approximation-gap,False,0,{refused % '33^5'}",
             f"delta-identities,True,{6941 << 25},",
         ]
         assert result.stderr == (
             "Error: route-equivalence refused: grid has 2^25 points, above the "
-            "enumeration cap; approximation-gap refused: grid has 2^35 points, "
+            "enumeration cap; approximation-gap refused: grid has 33^5 points, "
             "above the enumeration cap\n")
 
-    def test_gap_grid_above_the_cap_is_runtime_error(self, cli):
-        # The 2^21 grid of the character checks fits the cap, but the gap
-        # grid two digits finer has 2^27 points: the gap check alone refuses.
-        result = cli(["verify", "--net", "sobol", "--n", "3", "--s", "7"])
+    def test_gap_grid_above_the_cap_is_runtime_error(self, cli, monkeypatch):
+        # Van der Corput s = 4 under a cap of 2^8: the 2^8 cells of route
+        # equivalence fit, but the gap's box table on the 17^2 grid does
+        # not, so the gap check alone refuses.
+        from dyadnet import discrepancy
+
+        monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 8)
+        result = cli(["verify", "--net", "van-der-corput", "--s", "4"])
         assert result.code == 1
         rows = data_rows(result.stdout.decode())
         assert rows[2] == ('approximation-gap,False,0,'
-                           '{"refused": "grid has 2^27 points, above the enumeration cap"}')
+                           '{"refused": "grid has 17^2 points, above the enumeration cap"}')
         assert [r.split(",")[:2] for r in rows[:2] + rows[3:]] == [
             ["poisson-summation", "True"], ["route-equivalence", "True"],
             ["delta-identities", "True"]]
-        assert result.stderr == ("Error: approximation-gap refused: grid has 2^27 "
+        assert result.stderr == ("Error: approximation-gap refused: grid has 17^2 "
                                  "points, above the enumeration cap\n")
 
     def test_failure_exit_code(self, cli, monkeypatch):
@@ -416,15 +420,15 @@ PINNED_STDOUT = {
     "verify-sobol-4-4": (
         ["verify", "--net", "sobol", "--n", "4", "--s", "4"],
         "eeb864ccc934980a99016b336bb94b08b687952e533bed13d9e8541f0b83eba8"),
-    # Three passing rows and the gap check's refused row; exits 1.
+    # 2^21 cells and a 129^3 gap table, both within the cap: four passing rows.
     "verify-sobol-3-7": (
         ["verify", "--net", "sobol", "--n", "3", "--s", "7"],
-        "3455907399f0fb77423c57b838c674f2b388d9d9fa3c219546666aebaf7315a4"),
-    # A 2^26-point grid with a 2^13-word dual: passing Poisson and Delta
-    # rows, refused route-equivalence and gap rows; exits 1.
+        "819542d4c26489c9cb4100f109e302cda2b1fcd45ee33662d3703c5abdcdcf7b"),
+    # 2^26 cells, an 8193^2 gap table and a 2^13-word dual: passing Poisson
+    # and Delta rows, refused route-equivalence and gap rows; exits 1.
     "verify-van-der-corput-13": (
         ["verify", "--s", "13"],
-        "e5405e4eff009f2e75b64905c86a508f4af766efc706367f030d960b46883088"),
+        "e7246db437e0388b4f092a590cf97c0ae5097ba2b9244ea396a0c3c1f41a62a7"),
     "gen-float": (
         ["gen", "--net", "sobol", "--n", "3", "--s", "10", "--count", "700",
          "--shift-seed", "3"],
@@ -465,7 +469,7 @@ PINNED_STDOUT = {
 def test_pinned_stdout(cli, name):
     args, digest = PINNED_STDOUT[name]
     result = cli(args)
-    if name in ("verify-sobol-3-7", "verify-van-der-corput-13"):
+    if name == "verify-van-der-corput-13":
         assert result.code == 1 and "approximation-gap refused" in result.stderr
     else:
         assert (result.code, result.stderr) == (0, ""), result.stderr
@@ -672,7 +676,7 @@ class TestProcess:
                 == (tmp_path / "in_process.csv").read_bytes())
 
     def test_error_exit_codes(self):
-        proc = cli_process(["verify", "--net", "sobol", "--n", "3", "--s", "7"])
+        proc = cli_process(["verify", "--s", "13"])
         assert proc.returncode == 1
         assert b"above the enumeration cap" in proc.stderr
         proc = cli_process(["certify", "--s", "0"])

@@ -6,13 +6,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from dyadnet import discrepancy, verify
+from dyadnet import discrepancy, verify, walsh
 from dyadnet.discrepancy import (
     DiscrepancyContext,
     RouteUnavailableError,
     _box_table,
-    _dual_table,
-    _grid_size,
+    _dual_cells,
     _point_counts,
     approximation_gap,
 )
@@ -32,6 +31,7 @@ from dyadnet.verify import (
 )
 from oracles import (
     _character_table,
+    box_kernel,
     character_sum,
     delta_loop,
     delta_tables,
@@ -43,6 +43,7 @@ from oracles import (
     m_direct,
     m_dual_sum,
     poisson_loop,
+    route_cells_loop,
     route_loop,
     with_dual_points,
 )
@@ -136,7 +137,7 @@ class TestGridGuard:
         ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
         with pytest.raises(RouteUnavailableError, match="grid has 2\\^8 points"):
             check_route_equivalence(ctx)
-        with pytest.raises(RouteUnavailableError, match="grid has 2\\^12 points"):
+        with pytest.raises(RouteUnavailableError, match="grid has 17\\^2 points"):
             approximation_gap(ctx)
         assert "packed_dual" not in vars(ctx)  # raised before the dual was enumerated
         # The group checks build no grid table; only the dual listing bounds them.
@@ -154,45 +155,32 @@ class TestGridGuard:
         assert check_poisson(ctx).checked == 256
         assert check_route_equivalence(ctx).checked == 256
         assert check_delta_identities(ctx).passed
-        monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 12)
+        # The gap builds its box table on the 17^2 grid, and covers the
+        # 2^12 points of the fine grid.
+        monkeypatch.setattr(discrepancy, "ENUM_CAP", 17 ** 2)
         ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
         assert approximation_gap(ctx).points_checked == 1 << 12
 
     def test_suite_refuses_its_gap_check_alone(self, monkeypatch):
-        # The 2^8 grid of the character checks fits; the 2^12 gap grid does
-        # not, so the gap check gives a refused row and the others run.
-        monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 11)
-        ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
-        poisson, route, gap, delta = run_net_suite(ctx)
-        assert gap == verify.IdentityResult(
-            "approximation-gap", False, 0,
-            witness={"refused": "grid has 2^12 points, above the enumeration cap"})
-        assert [poisson, route, delta] == [check_poisson(ctx), check_route_equivalence(ctx),
-                                           check_delta_identities(ctx)]
-        assert poisson.passed and route.passed and delta.passed
-
-    def test_tables_that_could_leave_int64_are_unavailable(self, monkeypatch):
-        # With the cap raised out of the way, the square of the grid decides:
-        # the 2^50-point grid of route equivalence or the 2^70-point gap grid.
-        monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 80)
-        ctx = DiscrepancyContext.build(sobol_generators(10, 5).subspace)
-        for route in (approximation_gap, check_route_equivalence):
-            with pytest.raises(RouteUnavailableError, match="could leave int64"):
-                route(ctx)
-        assert "packed_dual" not in vars(ctx)
-        # The bound is 2^(ng) * 2^(ng) < 2^63: a 2^31-point grid fits.
-        ctx = DiscrepancyContext.build(sobol_generators(1, 31).subspace)
-        assert _grid_size(ctx, 31) == 1 << 31
-        with pytest.raises(RouteUnavailableError, match="could leave int64"):
-            _grid_size(ctx, 32)
+        # The 2^8 grid of route equivalence fits; the gap's 17^2 box table
+        # does not, so the gap check gives a refused row and the others run.
+        for cap in (1 << 8, 17 ** 2 - 1):
+            monkeypatch.setattr(discrepancy, "ENUM_CAP", cap)
+            ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
+            poisson, route, gap, delta = run_net_suite(ctx)
+            assert gap == verify.IdentityResult(
+                "approximation-gap", False, 0,
+                witness={"refused": "grid has 17^2 points, above the enumeration cap"})
+            assert [poisson, route, delta] == [
+                check_poisson(ctx), check_route_equivalence(ctx), check_delta_identities(ctx)]
+            assert poisson.passed and route.passed and delta.passed
 
     def test_suite_runs_past_its_refused_checks(self, monkeypatch):
-        # Sobol (3, 11): the 2^33 grid of route equivalence, and the gap
-        # grid, could leave int64.  Each grid check gives its refused row
-        # before any table or dual listing, and the group checks still run;
-        # spies stand in for them, since the 2^22-element dual lists under
-        # this cap.
-        monkeypatch.setattr(discrepancy, "ENUM_CAP", 1 << 80)
+        # Sobol (3, 11): the 2^33 cells of route equivalence and the gap's
+        # 2049^3 box table are above the cap.  Each grid check gives its
+        # refused row before any table or dual listing, and the group checks
+        # still run; spies stand in for them, which would refuse the
+        # 2^22-element dual.
         ran = []
 
         def spy(name):
@@ -207,26 +195,13 @@ class TestGridGuard:
         results = run_net_suite(ctx)
         assert [r.name for r in results] == ["poisson-summation", "route-equivalence",
                                              "approximation-gap", "delta-identities"]
-        for r, bits in zip(results[1:3], (33, 39)):
+        for r, grid in zip(results[1:3], ("2^33", "2049^3")):
             assert (r.passed, r.checked) == (False, 0)
-            assert r.witness == {"refused": f"grid has 2^{bits} points, and its "
-                                            "tables could leave int64"}
+            assert r.witness == {"refused": f"grid has {grid} points, above the "
+                                            "enumeration cap"}
         assert results[0].passed and results[-1].passed
         assert ran == [("poisson-summation", ctx), ("delta-identities", ctx)]
         assert "packed_dual" not in vars(ctx)
-
-    def test_one_size_rule_bounds_every_table(self):
-        # Every entry and intermediate of a table with `terms` dual indices
-        # per entry is at most terms * N * 2^(ng), with N = 2^dim and terms
-        # at most the dual's 2^(ns - dim); the grid's square bounds them all.
-        for n in range(1, 5):
-            for s in range(1, 13):
-                for g in (s, s + 2):
-                    if 1 << (2 * n * g) >= 1 << 63:
-                        continue
-                    for dim in range(s + 1):
-                        for terms in (1, 1 << (n * s - dim)):
-                            assert (terms << dim) << (n * g) < 1 << 63, (n, s, g, dim)
 
 
 # Every builtin net with ns <= 12: van der Corput s = 1..6 and Sobol in
@@ -264,11 +239,11 @@ class TestBoxTablesAgainstLoops:
         if (1 << (n * s)) * (ctx.cardinality + len(ctx.packed_dual)) <= LOOP_BUDGET:
             assert result == route_loop(ctx)
             return
-        # The route table's signed cells, as `check_route_equivalence` writes them.
+        # The box tables of the cells that `check_route_equivalence` compares.
         den = 1 << (n * s)
         cells = [(c << (n * s)) - ctx.cardinality for c in _point_counts(ctx, 1 << s)]
         direct = _box_table(cells, (1 << s,) * n)
-        dual = _dual_table(ctx)
+        dual = _box_table(_dual_cells(ctx), (1 << s,) * n)
         for v in sampled_queries(ctx, s):
             Y = tuple(Fraction(u, 1 << s) for u in _unpack(v, n, s))
             assert m_direct(ctx, Y) == Fraction(direct[v], den)
@@ -276,19 +251,29 @@ class TestBoxTablesAgainstLoops:
 
     def test_dual_table_is_the_mode_products(self, net, seed):
         ctx = builtin_context(*net, seed)
-        assert _dual_table(ctx) == dual_table_modes(ctx)
+        sides = (1 << ctx.s,) * ctx.n
+        assert _box_table(_dual_cells(ctx), sides) == dual_table_modes(ctx)
 
     def test_gap_matches_the_loop(self, net, seed):
         ctx = builtin_context(*net, seed)
         n, g = ctx.n, ctx.s + 2
+        # The gap's (2^s + 1)^n table is within the cap on every net here,
+        # 3^12 entries at most.
+        report = approximation_gap(ctx)
+        assert report.within_bound and report.points_checked == 1 << (n * g)
         if 1 << (n * g) > discrepancy.ENUM_CAP:
-            with pytest.raises(RouteUnavailableError, match=f"grid has 2\\^{n * g} points"):
-                approximation_gap(ctx)
+            # Sobol n >= 9 at s = 1: the fine grid is above the cap of the
+            # fine-grid oracle, so the gap meets the per-box count and
+            # kernel at its argmax and at sampled fine points.
+            with pytest.raises(RouteUnavailableError):
+                gap_table(ctx)
+            argmax = [int(y * (1 << g)) for y in report.argmax]
+            assert fine_gap(ctx, argmax) == report.max_gap
+            for v in sampled_queries(ctx, g):
+                assert fine_gap(ctx, _unpack(v, n, g)) <= report.max_gap
             return
         # The maximum and its first point in packed order: unshifted nets
         # reach the maximum at many cells.
-        report = approximation_gap(ctx)
-        assert report.within_bound and report.points_checked == 1 << (n * g)
         assert report == gap_table(ctx)
         if (1 << (n * g)) * ctx.cardinality <= LOOP_BUDGET:
             assert report == gap_loop(ctx)
@@ -310,6 +295,33 @@ def test_box_table_is_the_exclusive_prefix_sum(shape):
     for u in product(*map(range, shape)):
         below = grid[tuple(slice(0, k) for k in u)]
         assert table[np.ravel_multi_index(u, shape)] == sum(int(c) for c in below.flat), u
+
+
+def fine_gap(ctx, us):
+    """|discrepancy - truncated approximation| of the box [0, us/2^g) on the
+    fine grid g = s + 2, from its point count and kernel sum."""
+    g = ctx.s + 2
+    count, kernel = box_kernel(ctx, g, us)
+    return Fraction(abs((count << (ctx.n * g)) - (kernel << (ctx.n * ctx.s))),
+                    1 << (ctx.n * g))
+
+
+def test_route_equivalence_peaks_at_its_cells():
+    # The check keeps the point counts and the dual cells, and the
+    # synthesis's lists while it runs; it builds no box table.  About 75
+    # bytes per cell here, where two box tables took about 167.
+    ctx = builtin_context("sobol", 3, 5, 1)
+    # List the net and the dual first, so that the peak counts the tables.
+    assert len(ctx.packed_net) == ctx.cardinality and ctx.packed_dual
+    bound = 100 << (ctx.n * ctx.s)
+    tracemalloc.start()
+    try:
+        result = check_route_equivalence(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < bound, peak / bound
 
 
 def test_gap_peaks_at_coarse_grid_tables():
@@ -434,8 +446,8 @@ class TestCorruptedTablesAgainstLoops:
                     for _ in range(20)]
                 for reason, dual in duals:
                     corrupted = with_dual_points(ctx, dual)
-                    assert _dual_table(corrupted) == dual_table_modes(corrupted), (
-                        gen.n, gen.s, seed, reason)
+                    assert (_box_table(_dual_cells(corrupted), (1 << gen.s,) * gen.n)
+                            == dual_table_modes(corrupted)), (gen.n, gen.s, seed, reason)
 
     def test_route_failures_match_the_loop(self, vdc_ctx, sobol_ctx):
         failed = 0
@@ -443,9 +455,49 @@ class TestCorruptedTablesAgainstLoops:
             for reason, dual in corrupted_duals(ctx).items():
                 corrupted = with_dual_points(ctx, dual)
                 res = check_route_equivalence(corrupted)
-                assert res == route_loop(corrupted), reason
+                assert res == route_cells_loop(corrupted), reason
                 failed += not res.passed
         assert failed >= 10
+
+    def test_route_equivalence_builds_no_box_table(self, monkeypatch, vdc_ctx, sobol_ctx):
+        # Neither on a pass nor on a failure.
+        def refuse(cells, sides):
+            raise AssertionError("route equivalence built a box table")
+
+        monkeypatch.setattr(discrepancy, "_box_table", refuse)
+        monkeypatch.setattr(verify, "_box_table", refuse)
+        for ctx in (vdc_ctx, sobol_ctx):
+            assert check_route_equivalence(ctx).passed
+            bad = list(dual_words(ctx))
+            bad.remove(max(bad))
+            corrupted = with_dual_points(ctx, bad)
+            assert check_route_equivalence(corrupted) == route_cells_loop(corrupted)
+
+    def test_top_face_cell_fails_route_equivalence(self, monkeypatch, sobol_ctx):
+        # A box table sums the cells below each grid point, so it never
+        # reads a cell on the top face, where some c_j = 2^s - 1: a dual cell
+        # perturbed there leaves the dual table as it was.  The cell
+        # comparison names that cell.
+        n, s = sobol_ctx.n, sobol_ctx.s
+        cell = (2, (1 << s) - 1, 5)
+        top = _pack(cell, s)
+        synthesis = walsh.synthesis
+
+        def perturbed(coefficients):
+            cells = synthesis(coefficients)
+            cells[top] += 1
+            return cells
+
+        sides = (1 << s,) * n
+        clean = _dual_cells(sobol_ctx)
+        monkeypatch.setattr(walsh, "synthesis", perturbed)
+        assert _box_table(_dual_cells(sobol_ctx), sides) == _box_table(clean, sides)
+        res = check_route_equivalence(sobol_ctx)
+        assert (res.passed, res.checked) == (False, top + 1)
+        assert res.witness["cell"] == [str(Fraction(w, 1 << s)) for w in cell]
+        direct, dual_sum = Fraction(res.witness["direct"]), Fraction(res.witness["dual_sum"])
+        assert dual_sum - direct == Fraction(1, 1 << (n * s))
+        assert direct == Fraction(clean[top], 1 << (n * s))
 
     def test_gap_failures_match_the_loop(self, vdc_ctx, sobol_ctx):
         # A net listing piled onto one cell has a gap above n * 2^deficiency.
