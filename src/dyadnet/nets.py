@@ -150,18 +150,15 @@ def certify_deficiency(sub: F2Subspace) -> int:
     Boxes of volume 2^-m are fair exactly when, for every composition
     d_1 + ... + d_n = m, the leading d_j digits of the coordinates are
     independent over GF(2): the net's basis masked to those digits has
-    rank m.  The condition only weakens as m drops, so the first failing
-    m gives deficiency s + 1 - m and is the minimum dual RT weight; no
-    dual is enumerated.
+    rank m, `_shape_rank(sub, d)`.  The condition only weakens as m
+    drops, so the first failing m gives deficiency s + 1 - m and is the
+    minimum dual RT weight; no dual is enumerated.
     """
     n, s = sub.n, sub.s
     if sub.dim != s:
         raise ValueError(f"a subspace of dimension {sub.dim} is not a net of 2^{s} points")
     m = 1
-    while m <= s and all(
-        _rank(map(_leading_digits_mask(d, s).__and__, sub.basis)) == m
-        for d in _compositions(m, n)
-    ):
+    while m <= s and all(_shape_rank(sub, d) == m for d in _compositions(m, n)):
         m += 1
     return s + 1 - m
 
@@ -172,6 +169,14 @@ def _leading_digits_mask(shape: Sequence[int], s: int) -> int:
     for j, d in enumerate(shape):
         mask |= ((1 << d) - 1) << (s - d + j * s)
     return mask
+
+
+def _shape_rank(sub: F2Subspace, shape: Sequence[int]) -> int:
+    """GF(2) rank of the subspace's basis masked to the leading shape[j]
+    digits of coordinate j, by `_leading_digits_mask`: the boxes of this
+    shape are fair when it is |shape|, and the dual words inside the box
+    of this shape number 2^(|shape| - rank)."""
+    return _rank(map(_leading_digits_mask(shape, sub.s).__and__, sub.basis))
 
 
 def _compositions(total: int, parts: int):
@@ -191,7 +196,8 @@ def verify_box_counts(words: Sequence[Sequence[int]], s: int, deficiency: int) -
 
     A box of shape d keeps the leading d_j digits of each coordinate's
     word, and a point's box is its packed word masked by
-    `_leading_digits_mask(d, s)`, the mask of the rank certificate.
+    `_leading_digits_mask(d, s)`, the mask under which `_shape_rank`
+    ranks the net's basis for the rank certificate.
     """
     size = len(words)
     if s < 1 or size != 1 << s:

@@ -31,7 +31,7 @@ from .discrepancy import (
     approximation_gap,
 )
 from .f2core import _character, _pivots, _rank, _rev_packed, _unpack
-from .nets import _leading_digits_mask
+from .nets import _shape_rank
 
 
 class IdentityResult(NamedTuple):
@@ -124,9 +124,10 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
     |Lambda0| <= 2^(|rho_bar| - s + deficiency), with a certified
     deficiency; the rank identity |Lambda0| = 2^(|d| - rank), Lambda0
     being the annihilator of the net's basis under the box's leading-digit
-    mask; the coset, the members XOR-ed with the smallest being distinct
-    dual words, as many as Lambda0 has (they lie in the box, so they are
-    Lambda0); and the subgroup, their span having no more words.  The
+    mask, rank = `nets._shape_rank(ctx.subspace, d)`; the coset, the
+    members XOR-ed with the smallest being distinct dual words, as many as
+    Lambda0 has (they lie in the box, so they are Lambda0); and the
+    subgroup, their span having no more words.  The
     group's character sums then factor as chi_rep times Lambda0's
     two-valued indicator of unit grid mean, so a passing group counts the
     2^(ns) grid points.  A failure names rho_bar, |Lambda0| and the
@@ -146,7 +147,7 @@ def check_delta_identities(ctx: DiscrepancyContext) -> IdentityResult:
         d = [max(r - 1, 0) for r in rho_bar]
         count = below[_index([x + 1 for x in d], s + 1)]
         exponent = None if ctx.deficiency is None else sum(rho_bar) - s + ctx.deficiency
-        rank = _rank(map(_leading_digits_mask(d, s).__and__, ctx.subspace.basis))
+        rank = _shape_rank(ctx.subspace, d)
         rep = min(members)
         offsets = {m ^ rep for m in members}
         reason = ("cardinality bound"

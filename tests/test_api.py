@@ -105,6 +105,69 @@ def test_every_box_sum_is_the_one_prefix_sum():
         "discrepancy.py": {"_box_table"}}
 
 
+# The GF(2) rank and the leading-digit mask of a box shape.
+MASKED_RANK = {"_rank", "_leading_digits_mask"}
+
+
+def masked_rank_callers(source: str) -> set[str]:
+    """The functions (dotted through classes and nesting) whose bodies,
+    nested functions included, read both the rank and the leading-digit
+    mask, by any name or attribute path, called or not; "<module>" when
+    code outside every function reads both."""
+    read: dict[str, set[str]] = {}
+
+    def visit(node, scope, functions):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = [*scope, child.name]
+                is_function = not isinstance(child, ast.ClassDef)
+                visit(child, inner, [*functions, ".".join(inner)] if is_function else functions)
+                continue
+            name = (child.attr if isinstance(child, ast.Attribute)
+                    else child.id if isinstance(child, ast.Name) else None)
+            if name in MASKED_RANK:
+                for f in functions or ["<module>"]:
+                    read.setdefault(f, set()).add(name)
+            visit(child, scope, functions)
+
+    visit(ast.parse(source), [], [])
+    return {f for f, names in read.items() if names == MASKED_RANK}
+
+
+def test_masked_rank_callers_are_found():
+    source = ("from dyadnet import f2core, nets\n"
+              "from dyadnet.f2core import _rank\n"
+              "from dyadnet.nets import _leading_digits_mask\n"
+              "TABLE = [_rank([_leading_digits_mask(d, 3)]) for d in ((1,), (2,))]\n"
+              "def inline(d, s, basis):\n"
+              "    return _rank(map(_leading_digits_mask(d, s).__and__, basis))\n"
+              "def hoisted(d, s, basis):\n"
+              "    mask = nets._leading_digits_mask(d, s)\n"
+              "    return f2core._rank(b & mask for b in basis)\n"
+              "class C:\n"
+              "    def method(self, d, s):\n"
+              "        rank = _rank\n"
+              "        return rank([_leading_digits_mask(d, s)])\n"
+              "def outer(d, s, basis):\n"
+              "    mask = _leading_digits_mask(d, s)\n"
+              "    def inner():\n"
+              "        return _rank(b & mask for b in basis)\n"
+              "    return inner()\n"
+              "def mask_only(d, s):\n"
+              "    return _leading_digits_mask(d, s)\n"
+              "def rank_only(basis):\n"
+              "    return _rank(basis)\n")
+    assert masked_rank_callers(source) == {"<module>", "inline", "hoisted", "C.method", "outer"}
+
+
+def test_the_masked_rank_is_the_one_shape_rank():
+    # `nets._shape_rank` is the one route to the rank of a net's basis
+    # under a box shape's leading-digit mask; every other route calls it.
+    callers = {path.name: masked_rank_callers(path.read_text())
+               for path in Path(dyadnet.__file__).parent.glob("*.py")}
+    assert {name: c for name, c in callers.items() if c} == {"nets.py": {"_shape_rank"}}
+
+
 def test_every_public_name_has_a_production_caller():
     assert set(dyadnet.__all__) <= referenced_names()
 

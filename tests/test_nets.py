@@ -1,13 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dyadnet.discrepancy import DiscrepancyContext
-from dyadnet.f2core import F2Subspace, _unpack
+from dyadnet.f2core import F2Subspace, _reduce, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
     DigitShift,
@@ -25,7 +26,10 @@ from dyadnet.nets import (
     sobol_generators,
     van_der_corput_generators,
     verify_box_counts,
+    _leading_digits_mask,
+    _shape_rank,
 )
+from dyadnet.verify import check_delta_identities
 from oracles import DyadicPoint, box_counts_by_keys, certify_by_reduce, point_words_loop
 
 
@@ -218,6 +222,33 @@ class TestRankCertificateAgainstDualOracle:
         for gen in gens:
             assert certify_deficiency(gen.subspace) == certify_by_reduce(gen.subspace), (
                 gen.n, gen.s)
+
+
+class TestShapeRank:
+    """`_shape_rank` against the reduced-basis length of the masked basis,
+    on every shape of the (s+1)^n grid."""
+
+    def _check(self, sub: F2Subspace):
+        for d in product(range(sub.s + 1), repeat=sub.n):
+            mask = _leading_digits_mask(d, sub.s)
+            assert _shape_rank(sub, d) == len(_reduce(b & mask for b in sub.basis)), d
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_van_der_corput(self, s):
+        self._check(van_der_corput_generators(s).subspace)
+
+    @pytest.mark.parametrize("n, s", [(3, 4), (4, 3), (5, 3)])
+    def test_sobol(self, n, s):
+        self._check(sobol_generators(n, s).subspace)
+
+    def test_subspace_below_a_net(self):
+        # Two words at n = s = 3: not a net, yet a context and the Delta
+        # check, which reads `_shape_rank` for its rank identity, accept it.
+        sub = F2Subspace.from_packed(3, 3, [0b101_011_110, 0b011_100_001])
+        assert sub.dim == 2 < sub.s
+        self._check(sub)
+        result = check_delta_identities(DiscrepancyContext.build(sub))
+        assert result.passed and result.checked > 0
 
 
 def shifted_words(gen: GeneratorSet, shift: DigitShift) -> list[tuple[int, ...]]:
