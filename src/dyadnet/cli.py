@@ -13,8 +13,9 @@ library loads `inspect` (numpy does).  The layers past `nets`
 (`discrepancy`, `verify`, `norms`) are imported inside the commands that
 use them, and only `norms` imports numpy, so `gen`, `certify` and
 `verify` run without it; `norms` and `sweep` load it.  Likewise
-`fractions` loads only with the points of `gen` (in `nets`) and the
-exact checks of `verify`, and `statistics` only in `sweep`, so `certify`
+`fractions` loads with the points of `gen` (in `nets`) and with every
+command past `nets` (`discrepancy` and `norms` import `Fraction` for
+their exact values), and `statistics` only in `sweep`, so `certify`
 loads neither.
 Before numpy loads, `main` sets `OPENBLAS_NUM_THREADS=1` unless the
 caller has set it: `norms` uses no threaded BLAS, and numpy's import

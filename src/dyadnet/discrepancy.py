@@ -23,7 +23,7 @@ from .f2core import (
     F2Subspace,
     _Value,
     _character,
-    _pack,
+    _index,
     _rev_packed,
     _rev_words,
     _unpack,
@@ -133,20 +133,11 @@ def _within_cap(side: int, n: int) -> int:
     return size
 
 
-def _index(words, side: int) -> int:
-    """The position, flat in packed order, of the grid point with these
-    coordinates on a grid of this side."""
-    out = 0
-    for w in reversed(words):
-        out = out * side + w
-    return out
-
-
 def _point_counts(ctx: DiscrepancyContext, side: int) -> list[int]:
     """The shifted net's points per cell, flat in packed order on the grid
     of this side, at least 2^s; the cells at 2^s and past it stay empty."""
     n, s = ctx.n, ctx.s
-    shift = _pack(ctx.shift, s)
+    shift = _index(ctx.shift, 1 << s)
     counts = [0] * side ** n
     for p in ctx.packed_net:
         counts[_index(_unpack(p ^ shift, n, s), side)] += 1
@@ -258,7 +249,7 @@ def approximation_gap(ctx: DiscrepancyContext) -> GapReport:
     def first_peak(c: int) -> int:
         words = _unpack(c, n, s)
         a = _index([w + 1 for w in words], side)
-        return _pack([4 * w + (box[a] > box[a - t]) for w, t in zip(words, strides)], g)
+        return _index([4 * w + (box[a] > box[a - t]) for w, t in zip(words, strides)], 1 << g)
 
     fine = min(first_peak(c) for c in range(first, last) if cells[c] == top)
     argmax = tuple(Fraction(u, 1 << g) for u in _unpack(fine, n, g))

@@ -3,12 +3,15 @@
 Points of Q^n(2^s), s >= 1, are plain tuples of n integer digit words:
 word w of coordinate j stands for the s-digit binary fraction w / 2^s,
 and a coordinate is a one-dimensional point.  There is no point class;
-`_pack` joins the words into one integer, coordinate 0 in the low bits,
-and `_unpack` splits it again.  Point sets with linear structure are
-subspaces under digitwise XOR.  The module provides the tensor Walsh
-character of the bit-reversed bilinear pairing, ranks, annihilators
-(dual subspaces), enumeration, and the Rosenbloom-Tsfasman weight, all in
-integer words, with no rational arithmetic.
+`_index(words, 1 << s)` joins the words into one integer, coordinate 0
+in the low bits, and `_unpack` splits it again.  `_index` is the one
+packed-order position of digit words at any side: a net's points, their
+shift and the leading-digit masks at side 2^s, and the cells of every
+whole-grid table.  Point sets with linear structure are subspaces under
+digitwise XOR.  The module provides the tensor Walsh character of the
+bit-reversed bilinear pairing, ranks, annihilators (dual subspaces),
+enumeration, and the Rosenbloom-Tsfasman weight, all in integer words,
+with no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -79,11 +82,13 @@ def _unpack(packed: int, n: int, s: int) -> tuple[int, ...]:
     return tuple((packed >> (j * s)) & mask for j in range(n))
 
 
-def _pack(words: Sequence[int], s: int) -> int:
-    """The packed point with these coordinate words; inverse of `_unpack`."""
+def _index(words: Sequence[int], side: int) -> int:
+    """The position, flat in packed order (coordinate 0 fastest), of the
+    grid point with these coordinates on a grid of this side; at side 2^s,
+    the packed point with these words, the inverse of `_unpack`."""
     out = 0
-    for j, w in enumerate(words):
-        out |= w << (j * s)
+    for w in reversed(words):
+        out = out * side + w
     return out
 
 
@@ -100,10 +105,7 @@ def _rev_packed(packed: int, n: int, s: int) -> int:
 
 def _rev_words(words: Sequence[int], s: int) -> int:
     """`_rev_packed` of the point with these coordinate words."""
-    out = 0
-    for j, w in enumerate(words):
-        out |= bit_reverse(w, s) << (j * s)
-    return out
+    return _index([bit_reverse(w, s) for w in words], 1 << s)
 
 
 def _character(rev_a: int, b: int) -> int:

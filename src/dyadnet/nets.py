@@ -18,7 +18,7 @@ from operator import index
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .f2core import F2Subspace, _pack, _rank, _span, _Value
+from .f2core import F2Subspace, _index, _rank, _span, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -58,7 +58,7 @@ class GeneratorSet(_Value):
         if any(not 0 <= w < 1 << self.s for block in self.columns for w in block):
             raise GeneratorFormatError("matrix column wider than s bits")
         sub = F2Subspace.from_packed(self.n, self.s,
-                                     (_pack(w, self.s) for w in zip(*self.columns)))
+                                     (_index(w, 1 << self.s) for w in zip(*self.columns)))
         if sub.dim != self.s:
             raise InjectivityError(
                 f"generator map has rank {sub.dim} < {self.s}; the net would collapse"
@@ -165,10 +165,7 @@ def certify_deficiency(sub: F2Subspace) -> int:
 
 def _leading_digits_mask(shape: Sequence[int], s: int) -> int:
     """Packed-word mask keeping the leading shape[j] digits of coordinate j."""
-    mask = 0
-    for j, d in enumerate(shape):
-        mask |= ((1 << d) - 1) << (s - d + j * s)
-    return mask
+    return _index([((1 << d) - 1) << (s - d) for d in shape], 1 << s)
 
 
 def _shape_rank(sub: F2Subspace, shape: Sequence[int]) -> int:
@@ -209,7 +206,7 @@ def verify_box_counts(words: Sequence[Sequence[int]], s: int, deficiency: int) -
         raise ValueError("points must share one dimension >= 1")
     if any(w < 0 or w >> s for p in words for w in p):
         raise ValueError(f"digit word out of range for s={s}")
-    packed = [_pack(p, s) for p in words]
+    packed = [_index(p, 1 << s) for p in words]
     want = 1 << deficiency
     for shape in _compositions(s - deficiency, n):
         boxes = Counter(map(_leading_digits_mask(shape, s).__and__, packed))

@@ -25,12 +25,11 @@ from .discrepancy import (
     RouteUnavailableError,
     _box_table,
     _dual_cells,
-    _index,
     _point_counts,
     _within_cap,
     approximation_gap,
 )
-from .f2core import _character, _pivots, _rank, _rev_packed, _unpack
+from .f2core import _character, _index, _pivots, _rank, _rev_packed, _unpack
 from .nets import _shape_rank
 
 

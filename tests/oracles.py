@@ -110,7 +110,7 @@ from dyadnet.discrepancy import DiscrepancyContext, GapReport, _within_cap
 from dyadnet.f2core import (
     F2Subspace,
     _character,
-    _pack,
+    _index,
     _rank,
     _reduce,
     _rev_packed,
@@ -163,7 +163,7 @@ class DyadicPoint:
         return tuple(Fraction(w, den) for w in self.words)
 
     def pack(self) -> int:
-        return _pack(self.words, self.s)
+        return _index(self.words, 1 << self.s)
 
 
 def zero_subspace(n: int, s: int) -> F2Subspace:
@@ -435,7 +435,7 @@ def with_dual_points(ctx: DiscrepancyContext, dual_points) -> DiscrepancyContext
     `dual_points`, packed in the given order; the copy computes `groups`
     from the replacement."""
     out = DiscrepancyContext(ctx.subspace, ctx.shift)
-    vars(out)["packed_dual"] = tuple(_pack(L, ctx.s) for L in dual_points)
+    vars(out)["packed_dual"] = tuple(_index(L, 1 << ctx.s) for L in dual_points)
     return out
 
 
@@ -460,7 +460,7 @@ def delta_indicator(ctx: DiscrepancyContext, rho_bar, Y) -> int:
         raise ValueError("query dimension mismatch")
     lam0 = lambda_group_walk(ctx, rho_bar)
     total = character_sum((_rev_packed(p, ctx.n, ctx.s) for p in lam0),
-                          _pack(words, ctx.s))
+                          _index(words, 1 << ctx.s))
     if total not in (0, len(lam0)):
         raise AssertionError(f"character sum {total} over {tuple(rho_bar)} is "
                              f"neither zero nor the subgroup size {len(lam0)}")
@@ -682,7 +682,7 @@ def box_kernel(ctx: DiscrepancyContext, g: int, us) -> tuple[int, int]:
     lies in the box.
     """
     step = 1 << (g - ctx.s)
-    shift = _pack(ctx.shift, ctx.s)
+    shift = _index(ctx.shift, 1 << ctx.s)
     count = 0
     kernel = 0
     for p in ctx.packed_net:
@@ -712,7 +712,7 @@ def m_dual_sum(ctx: DiscrepancyContext, Y) -> Fraction:
     """Dual route: cardinality times the character-weighted coefficient sum
     over the nonzero dual indices."""
     g, us = grid_words(Y, ctx.s, ctx.n)
-    shift = _pack(ctx.shift, ctx.s)
+    shift = _index(ctx.shift, 1 << ctx.s)
     total = 0
     for p in ctx.packed_dual:
         if not p:
@@ -757,7 +757,7 @@ def route_cells_loop(ctx: DiscrepancyContext) -> IdentityResult:
     n, s = ctx.n, ctx.s
     vol = Fraction(ctx.cardinality, 1 << (n * s))
     values = [Fraction(w, 1 << s) for w in range(1 << s)]
-    shift = _pack(ctx.shift, s)
+    shift = _index(ctx.shift, 1 << s)
     points = Counter(p ^ shift for p in ctx.packed_net)
     dual = [_unpack(p, n, s) for p in ctx.packed_dual if p]
     shift_point = [values[w] for w in ctx.shift]
@@ -835,7 +835,7 @@ def gap_table(ctx: DiscrepancyContext) -> GapReport:
         raise ValueError("gap bound needs a certified deficiency")
     n, s, g = ctx.n, ctx.s, ctx.s + 2
     size = _within_cap(2, n * g)
-    words = np.array(ctx.packed_net, dtype=np.int64) ^ _pack(ctx.shift, s)
+    words = np.array(ctx.packed_net, dtype=np.int64) ^ _index(ctx.shift, 1 << s)
     points = np.bincount(words, minlength=1 << (n * s)).reshape((1 << s,) * n)
     cells = np.empty((1 << g,) * n, dtype=np.int64)
     cells.reshape((1 << s, 4) * n)[...] = -(points << (n * s)).reshape((1 << s, 1) * n)

@@ -50,8 +50,8 @@ def unread_imports(source: str) -> set[str]:
 
 def test_unread_imports_are_found():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
-              "from .f2core import _pack, _unpack\nx = np.zeros(_unpack(1, 1, 1))\n")
-    assert unread_imports(source) == {"os", "_pack"}
+              "from .f2core import _index, _unpack\nx = np.zeros(_unpack(1, 1, 1))\n")
+    assert unread_imports(source) == {"os", "_index"}
 
 
 def test_no_module_imports_a_name_it_never_reads():
@@ -168,6 +168,57 @@ def test_the_masked_rank_is_the_one_shape_rank():
     assert {name: c for name, c in callers.items() if c} == {"nets.py": {"_shape_rank"}}
 
 
+def product_shifts(source: str) -> set[str]:
+    """The functions (dotted through classes and nesting) that left-shift
+    by an amount containing a product, the inline packing form
+    `w << (j * s)`; "<module>" for such a shift outside every function.
+    A size `1 << (...)` is no packing and is skipped."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.BinOp):
+                shifted, amount = child.left, child.right
+            elif isinstance(child, ast.AugAssign):
+                shifted, amount = child.target, child.value
+            else:
+                shifted = None
+            if (shifted is not None and isinstance(child.op, ast.LShift)
+                    and not (isinstance(shifted, ast.Constant) and shifted.value == 1)
+                    and any(isinstance(c, ast.BinOp) and isinstance(c.op, ast.Mult)
+                            for c in ast.walk(amount))):
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_product_shifts_are_found():
+    source = ("def pack(words, s):\n    out = 0\n    for j, w in enumerate(words):\n"
+              "        out |= w << (j * s)\n    return out\n"
+              "class C:\n    def rev(self, words, s):\n"
+              "        return sum(bit_reverse(w, s) << (j * s) for j, w in enumerate(words))\n"
+              "def mask(shape, s):\n    m = 0\n    for j, d in enumerate(shape):\n"
+              "        m |= ((1 << d) - 1) << (s - d + j * s)\n    return m\n"
+              "def augmented(w, j, s):\n    w <<= j * s\n    return w\n"
+              "TOP = 5 << (2 * 3)\n"
+              "def size(n, s):\n    return 1 << (n * s)\n"
+              "def plain(w, s):\n    return (w << s) * 2\n")
+    assert product_shifts(source) == {"pack", "C.rev", "mask", "augmented", "<module>"}
+
+
+def test_every_packed_position_is_the_one_index():
+    # `f2core._index` lays out every digit word in packed order; no
+    # function packs words with its own `w << (j * s)`.
+    found = {path.name: product_shifts(path.read_text())
+             for path in Path(dyadnet.__file__).parent.glob("*.py")}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
 def test_every_public_name_has_a_production_caller():
     assert set(dyadnet.__all__) <= referenced_names()
 
@@ -277,6 +328,7 @@ def test_cli_loads_fractions_and_statistics_only_where_used():
     assert state["import"] == state["certify"] == []
     assert "fractions" in state["gen"]
     assert "statistics" not in state["verify"]
+    assert "statistics" not in state["norms"]
 
 
 def test_cli_starts_without_click_inspect_or_dataclasses():

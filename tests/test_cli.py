@@ -401,6 +401,10 @@ PINNED_STDOUT = {
     "verify-shift-seed-0": (
         ["verify", "--shift-seed", "0"],
         "83d5666fe0664cbd5ddfe378b10f1017418de43ae2fa762ba9ae37f35b6e85be"),
+    # The verify bundle of the benchmark.s certify pass at seed 3.
+    "verify-shift-seed-3": (
+        ["verify", "--shift-seed", "3"],
+        "b5cb4e4e0ae3f34077f6d2918e06821696cde0bec9ef53c4a5fae5f39c8d6672"),
     "verify-sobol-3": (
         ["verify", "--net", "sobol", "--n", "3"],
         "37f55088dd6bfb9a7143ea18893ca1954452201fc40f570a14866c5dc59e77d9"),
@@ -433,6 +437,11 @@ PINNED_STDOUT = {
         ["gen", "--net", "sobol", "--n", "3", "--s", "10", "--count", "700",
          "--shift-seed", "3"],
         "1429a076d441785cf32045de417b932510a364c6231783613c7f3999f54e84f1"),
+    # The benchmark's gen command: 12000 of 2^14 rescaled points.
+    "gen-benchmark-12000": (
+        ["gen", "--net", "sobol", "--n", "3", "--s", "14", "--count", "12000",
+         "--shift-seed", "6"],
+        "750e685848b34ff9eecc292da6fb02f5fcd51e2413ffd0d4c2008ce4395553de"),
     "gen-exact": (
         ["gen", "--net", "sobol", "--n", "3", "--s", "10", "--count", "700",
          "--shift-seed", "3", "--exact"],

@@ -11,7 +11,7 @@ from dyadnet.discrepancy import (
     RouteUnavailableError,
     approximation_gap,
 )
-from dyadnet.f2core import _pack, _rank, _unpack
+from dyadnet.f2core import _index, _rank, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
     _leading_digits_mask,
@@ -195,7 +195,7 @@ class TestApproximationRoutes:
         ctx = DiscrepancyContext.build(gen.subspace, t)
         assert ctx.shift == t.words
         # The net is listed unshifted; only its point counts apply the shift.
-        assert set(ctx.packed_net) == {_pack(p, 3) for p in gen.point_words}
+        assert set(ctx.packed_net) == {_index(p, 8) for p in gen.point_words}
         for other in (t.words, DyadicPoint(t.words, 3)):
             with pytest.raises(TypeError, match="DigitShift"):
                 DiscrepancyContext.build(gen.subspace, other)
@@ -289,8 +289,8 @@ class TestLambdaGroups:
         kept = [L for L in dual_words(ctx) if L != (7, 7)]
         copy = with_dual_points(ctx, kept)
         assert "groups" not in vars(copy)
-        assert sorted(ctx.groups[(3, 3)]) == [_pack((5, 5), 3), _pack((7, 7), 3)]
-        assert copy.groups[(3, 3)] == (_pack((5, 5), 3),)
+        assert sorted(ctx.groups[(3, 3)]) == [_index((5, 5), 8), _index((7, 7), 8)]
+        assert copy.groups[(3, 3)] == (_index((5, 5), 8),)
         assert sum(map(len, copy.groups.values())) == len(kept)
 
     def test_partition(self):

@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -10,15 +11,22 @@ from dyadnet.f2core import (
     F2Subspace,
     UndefinedWeightError,
     _character,
+    _index,
     _packed_weight,
     _rank,
     _reduce,
     _rev_packed,
+    _rev_words,
     _span,
     _unpack,
 )
 import dyadnet
-from dyadnet.nets import van_der_corput_generators, net_points
+from dyadnet.nets import (
+    _leading_digits_mask,
+    net_points,
+    sobol_generators,
+    van_der_corput_generators,
+)
 from oracles import DyadicPoint, full_subspace, iter_grid, walsh_nd, zero_subspace
 
 
@@ -261,6 +269,44 @@ class TestCharacterCompatibility:
                 # The packed character; the reversal may sit on either side.
                 assert _character(_rev_packed(y.pack(), n, s), x.pack()) == lhs
                 assert _character(_rev_packed(x.pack(), n, s), y.pack()) == lhs
+
+
+class TestPackedOrder:
+    """`_index` is the one packed-order position: a base-side numeral,
+    coordinate 0 fastest, and `_unpack`'s inverse at side 2^s; the words
+    it lays out for `_rev_words` and `_leading_digits_mask` agree with a
+    bit-by-bit construction."""
+
+    @pytest.mark.parametrize("side", range(2, 10))
+    def test_index_is_the_base_side_numeral(self, side):
+        for n in range(1, 4):
+            for w in product(range(side), repeat=n):
+                assert _index(w, side) == sum(wj * side**j for j, wj in enumerate(w)), w
+
+    @pytest.mark.parametrize("n, s", [(1, 1), (1, 6), (2, 3), (3, 2), (3, 4), (4, 3)])
+    def test_unpack_inverts_index(self, n, s):
+        for w in product(range(1 << s), repeat=n):
+            assert _unpack(_index(w, 1 << s), n, s) == w
+
+    @staticmethod
+    def _packed(bits, n, s):
+        # bits(j, i) is digit i + 1 of coordinate j, bit s - 1 - i of its word.
+        return sum(1 << (j * s + s - 1 - i)
+                   for j in range(n) for i in range(s) if bits(j, i))
+
+    @pytest.mark.parametrize("gen", [van_der_corput_generators(s) for s in range(1, 7)]
+                             + [sobol_generators(3, 4), sobol_generators(4, 3)],
+                             ids=lambda g: f"{g.n}-{g.s}")
+    def test_rev_words_and_leading_mask_match_bits(self, gen):
+        n, s = gen.n, gen.s
+        for d in product(range(s + 1), repeat=n):
+            # The leading d_j digits of coordinate j; reversed, the trailing.
+            assert _leading_digits_mask(d, s) == self._packed(lambda j, i: i < d[j], n, s), d
+            lead = [(1 << s) - (1 << (s - dj)) for dj in d]
+            assert _rev_words(lead, s) == self._packed(lambda j, i: i >= s - d[j], n, s), d
+        for w in gen.point_words:
+            assert _rev_words(w, s) == self._packed(
+                lambda j, i: (w[j] >> i) & 1, n, s), w
 
 
 class TestOneCharacter:

@@ -15,7 +15,7 @@ from dyadnet.discrepancy import (
     _point_counts,
     approximation_gap,
 )
-from dyadnet.f2core import F2Subspace, _character, _pack, _rev_packed, _unpack
+from dyadnet.f2core import F2Subspace, _character, _index, _rev_packed, _unpack
 from dyadnet.nets import (
     SOBOL_MAX_DIM,
     random_shift,
@@ -480,7 +480,7 @@ class TestCorruptedTablesAgainstLoops:
         # comparison names that cell.
         n, s = sobol_ctx.n, sobol_ctx.s
         cell = (2, (1 << s) - 1, 5)
-        top = _pack(cell, s)
+        top = _index(cell, 1 << s)
         synthesis = walsh.synthesis
 
         def perturbed(coefficients):
@@ -642,8 +642,8 @@ class TestNegativeControls:
         # coset, so sizes, ranks and coset hold and only the span is wrong.
         ctx = DiscrepancyContext.build(van_der_corput_generators(4).subspace)
         rep = min(ctx.groups[(4, 4)])
-        out = {(6, 6), _unpack(rep ^ _pack((6, 6), 4), 2, 4)}
-        into = [(4, 4), _unpack(rep ^ _pack((4, 4), 4), 2, 4)]
+        out = {(6, 6), _unpack(rep ^ _index((6, 6), 16), 2, 4)}
+        into = [(4, 4), _unpack(rep ^ _index((4, 4), 16), 2, 4)]
         corrupted = with_dual_points(
             ctx, [L for L in dual_words(ctx) if L not in out] + into)
         res = check_delta_identities(corrupted)
@@ -682,7 +682,7 @@ class TestNegativeControls:
 
         def rep_sign(c, witness):
             rep = min(c.groups[witness["rho_bar"]])
-            return _character(_rev_packed(rep, n, s), _pack(witness["Y"], s))
+            return _character(_rev_packed(rep, n, s), _index(witness["Y"], 1 << s))
 
         corrupted, res = next(
             (c, r) for c, r in corruptions()
