@@ -1,14 +1,16 @@
 """Discrepancy of shifted digital nets, exactly.
 
-The box-counting discrepancy and its truncated-character approximation
-are whole-grid tables of integer numerators over a common power-of-two
-denominator, flat lists of Python ints in packed order, every box sum
-one prefix sum (`_box_table`) of cell weights.  The two independent
-routes (kernel sum over the net, character sum over the nonzero dual,
-a Walsh synthesis) compare exactly cell by cell, the gap between the
-discrepancy and the approximation is read off the net's own grid, and
-the dual slices into the leading-digit groups that drive the moment
-bounds.  Each check refuses by the size of the table it builds.
+A context holds a shifted net's subspace and shift and lists, on first
+use, the net, its dual and the dual's leading-digit groups that drive
+the moment bounds.  Whole-grid tables are flat lists of Python ints in
+packed order, integer numerators over a common power-of-two
+denominator: the shifted net's point counts, and every box sum one
+prefix sum (`_box_table`) of cell weights.  The gap between the
+discrepancy and its truncated-character approximation is read off the
+net's own grid, and each table refuses by its own size (`_within_cap`).
+The approximation's dual route, a character sum over the nonzero dual,
+lives beside the check that compares it with the kernel sum, in
+`verify`.
 """
 
 from __future__ import annotations
@@ -19,17 +21,8 @@ from itertools import accumulate, chain, repeat
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .f2core import (
-    F2Subspace,
-    _Value,
-    _character,
-    _index,
-    _rev_packed,
-    _rev_words,
-    _unpack,
-)
+from .f2core import F2Subspace, _Value, _index, _unpack
 from .nets import DigitShift, _shift_words, certify_deficiency
-from . import walsh
 
 __all__ = [
     "DiscrepancyContext",
@@ -162,28 +155,6 @@ def _box_table(cells: list[int], sides: tuple[int, ...]) -> list[int]:
         running = accumulate(slices, lambda a, b: list(map(add, a, b)), initial=[0] * step)
         table = list(chain.from_iterable(running))
     return table
-
-
-def _dual_cells(ctx: DiscrepancyContext) -> list[int]:
-    """The cells of the dual route on the net's grid, flat in packed order.
-
-    The dual route is N times the sum, over the nonzero dual indices
-    (repeats add up), of the index's sign times the product of its
-    interval coefficients.  The coefficient of w_l on [0, u/2^s) is 2^-s
-    times the sum of w_l over the cells below u, so 2^(ns) times the route
-    is the box table of these cells.  w_l at cell c is
-    (-1)^parity(rev(l) & c), rev reversing the s digits, so the cells are
-    the Walsh synthesis of the indicator at the reversed indices, signed
-    and times N.  The sign of an index is the shift's character there,
-    with the shift reversed."""
-    n, s = ctx.n, ctx.s
-    card = ctx.cardinality
-    rev_shift = _rev_words(ctx.shift, s)
-    indicator = [0] * (1 << (n * s))
-    for p in ctx.packed_dual:
-        indicator[_rev_packed(p, n, s)] += card * _character(rev_shift, p)
-    indicator[0] = 0
-    return walsh.synthesis(indicator)
 
 
 class GapReport(NamedTuple):

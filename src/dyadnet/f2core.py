@@ -100,12 +100,7 @@ def _rev_packed(packed: int, n: int, s: int) -> int:
     sum_i xi_i(a) * xi_{s-i+1}(b), with xi_i the i-th digit from the least
     significant end, and on points it adds the coordinate pairings mod 2.
     """
-    return _rev_words(_unpack(packed, n, s), s)
-
-
-def _rev_words(words: Sequence[int], s: int) -> int:
-    """`_rev_packed` of the point with these coordinate words."""
-    return _index([bit_reverse(w, s) for w in words], 1 << s)
+    return _index([bit_reverse(w, s) for w in _unpack(packed, n, s)], 1 << s)
 
 
 def _character(rev_a: int, b: int) -> int:

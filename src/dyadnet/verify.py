@@ -4,12 +4,14 @@ Each check returns a machine-readable result with a counterexample
 witness on failure; the CLI `verify` command runs the suite on one net
 or a bundle of nets and maps any failure to a dedicated exit code.
 Poisson summation and the Delta identities are checked by sets and
-ranks, with no table of the 2^(ns) grid; route equivalence compares the
-cells of its two routes on that grid, and the approximation gap reads
-the box table of the point counts on the net's own (2^s + 1)^n grid.
-Each grid check refuses by the size of the one table it builds.  Every
-table is a flat list of Python ints from `discrepancy`, so no check
-loads numpy.
+ranks, with no table of the 2^(ns) grid.  Route equivalence compares
+the cells of its two routes on that grid: the kernel sum's from
+`discrepancy._point_counts`, and the dual route's (`_dual_cells`, here
+beside its check), one Walsh synthesis of the dual indicator signed by
+the shift's character.  The approximation gap reads the box table of
+the point counts on the net's own (2^s + 1)^n grid.  Each grid check
+refuses by the size of the one table it builds.  Every table is a flat
+list of Python ints, so no check loads numpy.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from .discrepancy import (
     DiscrepancyContext,
     RouteUnavailableError,
     _box_table,
-    _dual_cells,
     _point_counts,
     _within_cap,
     approximation_gap,
 )
 from .f2core import _character, _index, _pivots, _rank, _rev_packed, _unpack
 from .nets import _shape_rank
+from . import walsh
 
 
 class IdentityResult(NamedTuple):
@@ -71,6 +73,29 @@ def check_poisson(ctx: DiscrepancyContext) -> IdentityResult:
                     witness={"reason": "not orthogonal", "L": _unpack(L, n, s)},
                 )
     return IdentityResult("poisson-summation", True, 1 << (n * s))
+
+
+def _dual_cells(ctx: DiscrepancyContext) -> list[int]:
+    """The cells of the dual route on the net's grid, flat in packed order.
+
+    The dual route is N times the sum, over the nonzero dual indices
+    (repeats add up), of the index's sign times the product of its
+    interval coefficients.  The coefficient of w_l on [0, u/2^s) is 2^-s
+    times the sum of w_l over the cells below u, so 2^(ns) times the route
+    is the box table of these cells.  w_l at cell c is
+    (-1)^parity(rev(l) & c), rev reversing the s digits, so the cells are
+    the Walsh synthesis of the indicator at the reversed indices, signed
+    and times N.  The sign of an index is the shift's character there:
+    the reversed index, which places it, paired with the packed shift."""
+    n, s = ctx.n, ctx.s
+    card = ctx.cardinality
+    shift = _index(ctx.shift, 1 << s)
+    indicator = [0] * (1 << (n * s))
+    for p in ctx.packed_dual:
+        r = _rev_packed(p, n, s)
+        indicator[r] += card * _character(r, shift)
+    indicator[0] = 0
+    return walsh.synthesis(indicator)
 
 
 def check_route_equivalence(ctx: DiscrepancyContext) -> IdentityResult:

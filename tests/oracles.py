@@ -68,8 +68,8 @@ evaluates one way in production; tests compare the two.
   net listing, `packed_net`, and XORs in `ctx.shift` itself.  `m_direct`
   is the kernel route to the approximation `M` at one query and
   `m_dual_sum` the dual route, through a cache in front of `_chi_num`;
-  it signs each index with the reversal on the index side, where
-  `discrepancy._dual_cells` reverses the shift.  `route_loop` and
+  it signs each index by its reversal paired with the packed shift, as
+  `verify._dual_cells` does.  `route_loop` and
   `gap_loop` walk the grids query by query with them; `route_loop` is
   the grid-point oracle of the box tables of both routes' cells, and
   `gap_loop` the oracle of `discrepancy.approximation_gap`, which reads
@@ -78,10 +78,11 @@ evaluates one way in production; tests compare the two.
   in each less `N·2^−ns` against `N·2^−ns` times the shift's character
   times `walsh_nd` summed over the nonzero dual listing; it is the oracle
   of `verify.check_route_equivalence`, which compares the cells
-  `2^(ns)·points − N` with `discrepancy._dual_cells`.
+  `2^(ns)·points − N` with `verify._dual_cells`.
 - `dual_table_modes` is the dual table as int64 mode products, one per
   axis, of the signed dual indicator with the matrix of `_chi_num`
-  values; it is the oracle of the box table of `discrepancy._dual_cells`,
+  values, each index signed by the reversed shift, the other side of
+  the pairing; it is the oracle of the box table of `verify._dual_cells`,
   a Walsh synthesis.  `gap_table` is the gap on the fine grid
   itself: the int64 box table, 4^n times the net's grid, of
   `2^(ng)·points` at each cell's corner less `2^(ns)·points` spread over
@@ -114,7 +115,6 @@ from dyadnet.f2core import (
     _rank,
     _reduce,
     _rev_packed,
-    _rev_words,
     _unpack,
     bit_reverse,
     parity,
@@ -724,7 +724,7 @@ def m_dual_sum(ctx: DiscrepancyContext, Y) -> Fraction:
             if prod == 0:
                 break
         if prod:
-            total += _character(_rev_words(L, ctx.s), shift) * prod
+            total += _character(_rev_packed(p, ctx.n, ctx.s), shift) * prod
     return Fraction(ctx.cardinality * total, 1 << (g * ctx.n))
 
 
@@ -809,7 +809,7 @@ def dual_table_modes(ctx: DiscrepancyContext) -> list[int]:
     an index is the shift's character there, with the shift reversed."""
     n, s = ctx.n, ctx.s
     dual = ctx.packed_dual
-    rev_shift = _rev_words(ctx.shift, s)
+    rev_shift = _rev_packed(_index(ctx.shift, 1 << s), n, s)
     indicator = np.zeros(1 << (n * s), dtype=np.int64)
     np.add.at(indicator, np.array(dual, dtype=np.int64),
               [_character(rev_shift, p) for p in dual])

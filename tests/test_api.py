@@ -1,8 +1,10 @@
 """The public surface: every exported name resolves and has a caller in
 the library, the result records are immutable value tuples, the integer
 layers and the CLI start without numpy, click or `inspect`, only `norms`
-loads numpy, no command loads `dataclasses`, and `certify` runs without
-the rational and statistics modules."""
+loads numpy, no command loads `dataclasses`, `certify` runs without the
+rational and statistics modules, and the sampler layers without `walsh`.
+Its AST guards keep each shared route in one place: the box sum, the
+masked rank, the packed position and the dual route."""
 
 import ast
 import importlib
@@ -219,6 +221,83 @@ def test_every_packed_position_is_the_one_index():
     assert {name: f for name, f in found.items() if f} == {}
 
 
+# The dual route's names: the tensor character, the reversal of a point
+# (`_rev_words` was a second entry to it) and the synthesis module.
+DUAL_ROUTE = {"walsh", "_character", "_rev_packed", "_rev_words"}
+
+
+def dual_route_imports(source: str) -> set[str]:
+    """The names in DUAL_ROUTE that the source imports, at any depth, by
+    `import` or `from ... import`; a module counts by its last part."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = {a.name.rsplit(".", 1)[-1] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names} | {(node.module or "").rsplit(".", 1)[-1]}
+        else:
+            continue
+        found |= DUAL_ROUTE & names
+    return found
+
+
+def bit_reverse_readers(source: str) -> set[str]:
+    """The functions (dotted through classes and nesting) whose own bodies
+    read `bit_reverse`, by name or attribute, called or passed on;
+    "<module>" for a read outside every function."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            name = (child.attr if isinstance(child, ast.Attribute)
+                    else child.id if isinstance(child, ast.Name) else None)
+            if name == "bit_reverse":
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_dual_route_names_are_found():
+    source = ("from . import nets, walsh\n"
+              "from .f2core import _character as ch, _index, bit_reverse\n"
+              "import dyadnet.f2core\n"
+              "def late():\n"
+              "    from dyadnet.f2core import _rev_packed\n"
+              "    from .walsh import synthesis\n"
+              "    return _rev_packed, synthesis\n"
+              "def rev(w, s):\n    return bit_reverse(w, s)\n"
+              "class C:\n    def words(self, ws, s):\n"
+              "        return [dyadnet.f2core.bit_reverse(w, s) for w in ws]\n"
+              "def outer(s):\n    def inner(w):\n        return w\n"
+              "    return list(map(bit_reverse, [1], [s]))\n"
+              "TABLE = [bit_reverse(w, 3) for w in range(8)]\n"
+              "def plain(w):\n    return w\n")
+    assert dual_route_imports(source) == {"walsh", "_character", "_rev_packed"}
+    assert dual_route_imports("import dyadnet.walsh as w\nfrom .f2core import _rev_words\n") == {
+        "walsh", "_rev_words"}
+    assert bit_reverse_readers(source) == {"rev", "C.words", "outer", "<module>"}
+
+
+def test_the_dual_route_lives_in_f2core_and_verify():
+    # `verify._dual_cells` is the one dual route, a Walsh synthesis signed
+    # by `f2core._character`, and `f2core._rev_packed` the one reversal of
+    # a point: no other module imports their names or the synthesis, and
+    # nothing else reverses a word.
+    sources = {path.stem: path.read_text()
+               for path in Path(dyadnet.__file__).parent.glob("*.py")}
+    imports = {name: dual_route_imports(text) for name, text in sources.items()
+               if name not in {"f2core", "verify"}}
+    assert {name: found for name, found in imports.items() if found} == {}
+    readers = {name: bit_reverse_readers(text) for name, text in sources.items()}
+    assert {name: found for name, found in readers.items() if found} == {
+        "f2core": {"_rev_packed"}}
+
+
 def test_every_public_name_has_a_production_caller():
     assert set(dyadnet.__all__) <= referenced_names()
 
@@ -303,10 +382,18 @@ print(json.dumps(state))
 """
 
 
-def run_startup_probe(**env) -> dict:
+# The layers that the sampler commands (`norms`, `sweep`) import, alone.
+LAYER_PROBE = """
+import json, sys
+import dyadnet.norms, dyadnet.discrepancy
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("dyadnet"))))
+"""
+
+
+def run_startup_probe(probe: str = STARTUP_PROBE, **env):
     src = str(Path(dyadnet.__file__).resolve().parent.parent)
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env={**base, "PYTHONPATH": src, **env}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -343,6 +430,14 @@ def test_cli_starts_without_click_inspect_or_dataclasses():
     # package imports `dataclasses`, also once numpy is loaded.
     assert "dataclasses" not in state["verify"]
     assert "dataclasses" not in state["norms"]
+
+
+def test_sampler_layers_load_no_walsh():
+    # The Walsh synthesis serves only `verify`'s dual route, so the
+    # layers a `norms` or `sweep` child imports leave it unloaded.
+    loaded = set(run_startup_probe(LAYER_PROBE))
+    assert {"dyadnet.norms", "dyadnet.discrepancy"} <= loaded
+    assert "dyadnet.walsh" not in loaded
 
 
 def test_cli_runs_blas_single_threaded():

@@ -83,6 +83,19 @@ class TestGen:
         assert tried == [1, 2, 3, 4]
         assert "# shift_applied: 4" in out
 
+    def test_unreachable_rescale_count_is_runtime_error(self, cli):
+        # At n = 1 every shift permutes the grid, so no shift opens a
+        # threshold window above 1/2: the first try and all 64 retries fail.
+        result = cli(["gen", "--net", "sobol", "--n", "1", "--s", "4", "--count", "8"])
+        assert (result.code, result.stdout) == (1, b"")
+        assert result.stderr == ("Error: no admissible threshold for count=8 after 65 "
+                                 "shift(s): threshold window below 1/2 (next=1/2)\n")
+
+    def test_count_outside_the_rescale_range_is_input_error(self, cli):
+        result = cli(["gen", "--s", "4", "--count", "5"])
+        assert (result.code, result.stdout) == (2, b"")
+        assert result.stderr == "Error: count 5 outside [2^(s-1), 2^s] for s=4\n"
+
     def test_file_net_round_trip(self, cli, tmp_path):
         gen = sobol_generators(2, 4)
         p = tmp_path / "net.txt"
@@ -116,6 +129,21 @@ class TestCertify:
         bad.write_text("not a net\n")
         result = cli(["certify", "--net", f"file:{bad}", "--s", "3"])
         assert result.code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--s", "6"], "source has s=7, requested s=6"),
+        (["--n", "3"], "source has n=4, requested n=3"),
+    ])
+    def test_file_shape_mismatch_is_input_error(self, cli, tmp_path, flags, message):
+        p = tmp_path / "sobol47.txt"
+        p.write_text(format_generator_file(sobol_generators(4, 7)))
+        result = cli(["certify", "--net", f"file:{p}", *flags])
+        assert (result.code, result.stderr) == (2, f"Error: cannot load net: {message}\n")
+
+    def test_sobol_without_n_is_input_error(self, cli):
+        result = cli(["certify", "--net", "sobol", "--s", "4"])
+        assert (result.code, result.stderr) == (
+            2, "Error: cannot load net: sobol builtin needs n and s\n")
 
     def test_singular_file_exit_code(self, cli, tmp_path):
         singular = tmp_path / "singular.txt"

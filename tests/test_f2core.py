@@ -16,7 +16,6 @@ from dyadnet.f2core import (
     _rank,
     _reduce,
     _rev_packed,
-    _rev_words,
     _span,
     _unpack,
 )
@@ -274,7 +273,7 @@ class TestCharacterCompatibility:
 class TestPackedOrder:
     """`_index` is the one packed-order position: a base-side numeral,
     coordinate 0 fastest, and `_unpack`'s inverse at side 2^s; the words
-    it lays out for `_rev_words` and `_leading_digits_mask` agree with a
+    it lays out for `_rev_packed` and `_leading_digits_mask` agree with a
     bit-by-bit construction."""
 
     @pytest.mark.parametrize("side", range(2, 10))
@@ -297,15 +296,16 @@ class TestPackedOrder:
     @pytest.mark.parametrize("gen", [van_der_corput_generators(s) for s in range(1, 7)]
                              + [sobol_generators(3, 4), sobol_generators(4, 3)],
                              ids=lambda g: f"{g.n}-{g.s}")
-    def test_rev_words_and_leading_mask_match_bits(self, gen):
+    def test_rev_packed_and_leading_mask_match_bits(self, gen):
         n, s = gen.n, gen.s
         for d in product(range(s + 1), repeat=n):
             # The leading d_j digits of coordinate j; reversed, the trailing.
             assert _leading_digits_mask(d, s) == self._packed(lambda j, i: i < d[j], n, s), d
             lead = [(1 << s) - (1 << (s - dj)) for dj in d]
-            assert _rev_words(lead, s) == self._packed(lambda j, i: i >= s - d[j], n, s), d
+            assert _rev_packed(_index(lead, 1 << s), n, s) == self._packed(
+                lambda j, i: i >= s - d[j], n, s), d
         for w in gen.point_words:
-            assert _rev_words(w, s) == self._packed(
+            assert _rev_packed(_index(w, 1 << s), n, s) == self._packed(
                 lambda j, i: (w[j] >> i) & 1, n, s), w
 
 
@@ -313,7 +313,7 @@ class TestOneCharacter:
     def test_no_hand_written_character_outside_f2core(self):
         # The tensor character is f2core._character; outside f2core no
         # function pairs a bit reversal with parity by hand.
-        reversals = {"bit_reverse", "_rev_packed", "_rev_words"}
+        reversals = {"bit_reverse", "_rev_packed"}
         offenders = []
         for path in sorted(Path(dyadnet.__file__).parent.glob("*.py")):
             if path.stem == "f2core":

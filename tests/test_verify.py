@@ -11,7 +11,6 @@ from dyadnet.discrepancy import (
     DiscrepancyContext,
     RouteUnavailableError,
     _box_table,
-    _dual_cells,
     _point_counts,
     approximation_gap,
 )
@@ -23,6 +22,7 @@ from dyadnet.nets import (
     van_der_corput_generators,
 )
 from dyadnet.verify import (
+    _dual_cells,
     check_approximation_gap,
     check_delta_identities,
     check_poisson,
@@ -594,6 +594,32 @@ class TestNegativeControls:
         res = check_route_equivalence(corrupted)
         assert not res.passed
         assert res.witness is not None
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_odd_support_sign_flip_fails_route_equivalence(self, monkeypatch, n):
+        # The dual route's sign, mutated: every coefficient whose index has
+        # an odd number of nonzero coordinates (reversal keeps the count)
+        # is negated before the synthesis.  Sobol' nets in 3 and 4
+        # dimensions have such dual words, so every shift fails.
+        synthesis = walsh.synthesis
+        for s in range(2, 5):
+            def flipped(coefficients, s=s):
+                return synthesis([-c if sum(map(bool, _unpack(q, n, s))) % 2 else c
+                                  for q, c in enumerate(coefficients)])
+
+            monkeypatch.setattr(walsh, "synthesis", flipped)
+            for seed in (0, 3, 5):
+                ctx = DiscrepancyContext.build(sobol_generators(n, s).subspace,
+                                               random_shift(n, s, seed))
+                assert not check_route_equivalence(ctx).passed, (n, s, seed)
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_planar_dual_words_have_both_coordinates_nonzero(self, s):
+        # So an odd-support sign flip never reaches a dual word of the
+        # planar builtin, and the default (planar) verify bundle cannot
+        # see it; the 3-D and 4-D nets above do.
+        dual = van_der_corput_generators(s).subspace.dual().enumerate_packed()
+        assert all(all(_unpack(p, 2, s)) for p in dual if p)
 
     def test_corrupted_dual_fails_delta_cardinality_bound(self, vdc_ctx):
         # A member with the wrong leading positions grows the strictly-below
