@@ -262,7 +262,8 @@ def _exact_coord(c: Fraction, s: int) -> str:
 def certify(net, n, s, box_check, fmt, out):
     """Certify the deficiency exactly by rank conditions, with box-count
     cross-check.  The `exhaustive` column is always true; it stays for
-    readers of the earlier output."""
+    readers of the earlier output, and because the benchmark's
+    `perfbench/workloads.py::check_certify` gates on it."""
     gen_set = _load_net(net, n, s)
     config = {"net": net, "n": gen_set.n, "s": gen_set.s, "box_check": box_check}
     deficiency = certify_deficiency(gen_set.subspace)

@@ -3,16 +3,19 @@ the library, the result records are immutable value tuples, the integer
 layers and the CLI start without numpy, click or `inspect`, only `norms`
 loads numpy, no command loads `dataclasses`, `certify` runs without the
 rational and statistics modules, and the sampler layers without `walsh`.
-Its AST guards keep each shared route in one place: the box sum, the
-masked rank, the packed position and the dual route."""
+One AST walker and one table, ROUTES, keep each shared route in one
+place: the box sum, the masked rank, the packed position, the dual route
+and the bit reversal."""
 
 import ast
+import functools
 import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -20,205 +23,125 @@ import dyadnet
 from dyadnet.discrepancy import GapReport
 from dyadnet.verify import IdentityResult
 
+# The running sums: `itertools.accumulate`, and numpy's `cumsum`.
+RUNNING_SUMS = {"accumulate", "cumsum"}
+
+
+class Scope:
+    """What one scope's own body holds, its nested functions and classes
+    left out; `functions` are the functions that hold it, itself included."""
+
+    def __init__(self, functions: tuple[str, ...]):
+        self.functions = functions
+        # Identifiers loaded, identifiers bound or deleted, attribute names.
+        self.loads, self.stores, self.attrs = set(), set(), set()
+        # The names imported (a module by its last part), and those bound.
+        self.imports, self.bound = set(), set()
+        self.sums, self.shifts = [], []  # running-sum calls, shifts by a product
+
+    @property
+    def names(self) -> set[str]:
+        return self.loads | self.stores | self.attrs
+
+
+def scopes(source: str) -> dict[str, Scope]:
+    """Each scope of a module by its path, dotted through classes and
+    nesting, and "<module>" outside every function and class."""
+    found: dict[str, Scope] = {}
+
+    def visit(node, path, functions):
+        scope = found.setdefault(".".join(path) or "<module>", Scope(functions))
+        todo = list(ast.iter_child_nodes(node))
+        while todo:
+            child = todo.pop()
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = (*path, child.name)
+                is_class = isinstance(child, ast.ClassDef)
+                visit(child, inner, functions if is_class else (*functions, ".".join(inner)))
+                continue
+            todo.extend(ast.iter_child_nodes(child))
+            if isinstance(child, ast.Name):
+                (scope.loads if isinstance(child.ctx, ast.Load) else scope.stores).add(child.id)
+            elif isinstance(child, ast.Attribute):
+                scope.attrs.add(child.attr)
+            elif isinstance(child, ast.Import):
+                scope.imports.update(a.name.rsplit(".", 1)[-1] for a in child.names)
+                scope.bound.update(a.asname or a.name.split(".")[0] for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                scope.imports.update({a.name for a in child.names}
+                                     | {(child.module or "").rsplit(".", 1)[-1]})
+                if child.module != "__future__":
+                    scope.bound.update(a.asname or a.name for a in child.names)
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in RUNNING_SUMS:
+                    scope.sums.append(child)
+            elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.LShift):
+                # The inline packing form `w << (j * s)`; a size
+                # `1 << (...)` is no packing.
+                shifted, amount = ((child.left, child.right) if isinstance(child, ast.BinOp)
+                                   else (child.target, child.value))
+                if not (isinstance(shifted, ast.Constant) and shifted.value == 1) and any(
+                        isinstance(c, ast.BinOp) and isinstance(c.op, ast.Mult)
+                        for c in ast.walk(amount)):
+                    scope.shifts.append(child)
+
+    visit(ast.parse(source), (), ())
+    return found
+
+
+@functools.cache
+def package() -> dict[str, dict[str, Scope]]:
+    """The scopes of each module of the package, by module name."""
+    return {path.stem: scopes(path.read_text())
+            for path in Path(dyadnet.__file__).parent.glob("*.py")}
+
+
 def referenced_names() -> set[str]:
     """Names read by the package's modules other than `__init__.py`:
     loaded identifiers and attribute names, not imports or definitions."""
-    names = set()
-    for path in Path(dyadnet.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+    return {name for module, found in package().items() if module != "__init__"
+            for scope in found.values() for name in scope.loads | scope.attrs}
 
 
-def unread_imports(source: str) -> set[str]:
+def unread_imports(module: dict[str, Scope]) -> set[str]:
     """Names a module binds by import but never loads; an `import a.b`
     binds `a`, and `from __future__` imports bind nothing."""
-    tree = ast.parse(source)
-    imported, loaded = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update(a.asname or a.name for a in node.names)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            loaded.add(node.id)
-    return imported - loaded
+    return (set().union(*(s.bound for s in module.values()))
+            - set().union(*(s.loads for s in module.values())))
 
 
 def test_unread_imports_are_found():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from .f2core import _index, _unpack\nx = np.zeros(_unpack(1, 1, 1))\n")
-    assert unread_imports(source) == {"os", "_index"}
+    assert unread_imports(scopes(source)) == {"os", "_index"}
 
 
 def test_no_module_imports_a_name_it_never_reads():
     # `__init__.py` imports to re-export, so it is left out.
-    for path in Path(dyadnet.__file__).parent.glob("*.py"):
-        if path.name != "__init__.py":
-            assert unread_imports(path.read_text()) == set(), path.name
+    for name, module in package().items():
+        if name != "__init__":
+            assert unread_imports(module) == set(), name
 
 
-# The running sums: `itertools.accumulate`, and numpy's `cumsum`.
-RUNNING_SUMS = {"accumulate", "cumsum"}
-
-
-def running_sum_callers(source: str) -> set[str]:
-    """The functions (dotted through classes and nesting) whose bodies
-    call a running sum, by any name or attribute path; "<module>" for a
-    call outside every function."""
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, [*scope, child.name])
-                continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in RUNNING_SUMS:
-                    found.add(".".join(scope) or "<module>")
-            visit(child, scope)
-
-    visit(ast.parse(source), [])
-    return found
-
-
-def test_running_sum_callers_are_found():
-    source = ("import numpy as np\nfrom numpy import cumsum\nnp.cumsum([1])\n"
-              "def f(a):\n    return a.cumsum()\n"
-              "class C:\n    def g(self, a):\n        return cumsum(a, axis=0)\n"
-              "import itertools\nfrom itertools import accumulate\n"
-              "def h(a):\n    def inner():\n        return accumulate(a)\n"
-              "    return list(itertools.accumulate(a, initial=0))\n")
-    assert running_sum_callers(source) == {"<module>", "f", "C.g", "h", "h.inner"}
-
-
-def test_every_box_sum_is_the_one_prefix_sum():
-    # `discrepancy._box_table` is the one exclusive prefix sum; a check
-    # that needs box sums writes signed cells for it instead of summing.
-    callers = {path.name: running_sum_callers(path.read_text())
-               for path in Path(dyadnet.__file__).parent.glob("*.py")}
-    assert {name: c for name, c in callers.items() if c} == {
-        "discrepancy.py": {"_box_table"}}
+def own_body(holds: Callable[[Scope], object]):
+    """The finder of the scopes whose own body `holds`."""
+    return lambda module: {path for path, scope in module.items() if holds(scope)}
 
 
 # The GF(2) rank and the leading-digit mask of a box shape.
 MASKED_RANK = {"_rank", "_leading_digits_mask"}
 
 
-def masked_rank_callers(source: str) -> set[str]:
-    """The functions (dotted through classes and nesting) whose bodies,
-    nested functions included, read both the rank and the leading-digit
-    mask, by any name or attribute path, called or not; "<module>" when
-    code outside every function reads both."""
+def masked_rank(module: dict[str, Scope]) -> set[str]:
+    """The functions that read both names of MASKED_RANK, the reads of
+    their nested functions included. A class body is no function: its
+    reads count for the functions around it, or for "<module>"."""
     read: dict[str, set[str]] = {}
-
-    def visit(node, scope, functions):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = [*scope, child.name]
-                is_function = not isinstance(child, ast.ClassDef)
-                visit(child, inner, [*functions, ".".join(inner)] if is_function else functions)
-                continue
-            name = (child.attr if isinstance(child, ast.Attribute)
-                    else child.id if isinstance(child, ast.Name) else None)
-            if name in MASKED_RANK:
-                for f in functions or ["<module>"]:
-                    read.setdefault(f, set()).add(name)
-            visit(child, scope, functions)
-
-    visit(ast.parse(source), [], [])
+    for scope in module.values():
+        for f in scope.functions or ("<module>",):
+            read.setdefault(f, set()).update(MASKED_RANK & scope.names)
     return {f for f, names in read.items() if names == MASKED_RANK}
-
-
-def test_masked_rank_callers_are_found():
-    source = ("from dyadnet import f2core, nets\n"
-              "from dyadnet.f2core import _rank\n"
-              "from dyadnet.nets import _leading_digits_mask\n"
-              "TABLE = [_rank([_leading_digits_mask(d, 3)]) for d in ((1,), (2,))]\n"
-              "def inline(d, s, basis):\n"
-              "    return _rank(map(_leading_digits_mask(d, s).__and__, basis))\n"
-              "def hoisted(d, s, basis):\n"
-              "    mask = nets._leading_digits_mask(d, s)\n"
-              "    return f2core._rank(b & mask for b in basis)\n"
-              "class C:\n"
-              "    def method(self, d, s):\n"
-              "        rank = _rank\n"
-              "        return rank([_leading_digits_mask(d, s)])\n"
-              "def outer(d, s, basis):\n"
-              "    mask = _leading_digits_mask(d, s)\n"
-              "    def inner():\n"
-              "        return _rank(b & mask for b in basis)\n"
-              "    return inner()\n"
-              "def mask_only(d, s):\n"
-              "    return _leading_digits_mask(d, s)\n"
-              "def rank_only(basis):\n"
-              "    return _rank(basis)\n")
-    assert masked_rank_callers(source) == {"<module>", "inline", "hoisted", "C.method", "outer"}
-
-
-def test_the_masked_rank_is_the_one_shape_rank():
-    # `nets._shape_rank` is the one route to the rank of a net's basis
-    # under a box shape's leading-digit mask; every other route calls it.
-    callers = {path.name: masked_rank_callers(path.read_text())
-               for path in Path(dyadnet.__file__).parent.glob("*.py")}
-    assert {name: c for name, c in callers.items() if c} == {"nets.py": {"_shape_rank"}}
-
-
-def product_shifts(source: str) -> set[str]:
-    """The functions (dotted through classes and nesting) that left-shift
-    by an amount containing a product, the inline packing form
-    `w << (j * s)`; "<module>" for such a shift outside every function.
-    A size `1 << (...)` is no packing and is skipped."""
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, [*scope, child.name])
-                continue
-            if isinstance(child, ast.BinOp):
-                shifted, amount = child.left, child.right
-            elif isinstance(child, ast.AugAssign):
-                shifted, amount = child.target, child.value
-            else:
-                shifted = None
-            if (shifted is not None and isinstance(child.op, ast.LShift)
-                    and not (isinstance(shifted, ast.Constant) and shifted.value == 1)
-                    and any(isinstance(c, ast.BinOp) and isinstance(c.op, ast.Mult)
-                            for c in ast.walk(amount))):
-                found.add(".".join(scope) or "<module>")
-            visit(child, scope)
-
-    visit(ast.parse(source), [])
-    return found
-
-
-def test_product_shifts_are_found():
-    source = ("def pack(words, s):\n    out = 0\n    for j, w in enumerate(words):\n"
-              "        out |= w << (j * s)\n    return out\n"
-              "class C:\n    def rev(self, words, s):\n"
-              "        return sum(bit_reverse(w, s) << (j * s) for j, w in enumerate(words))\n"
-              "def mask(shape, s):\n    m = 0\n    for j, d in enumerate(shape):\n"
-              "        m |= ((1 << d) - 1) << (s - d + j * s)\n    return m\n"
-              "def augmented(w, j, s):\n    w <<= j * s\n    return w\n"
-              "TOP = 5 << (2 * 3)\n"
-              "def size(n, s):\n    return 1 << (n * s)\n"
-              "def plain(w, s):\n    return (w << s) * 2\n")
-    assert product_shifts(source) == {"pack", "C.rev", "mask", "augmented", "<module>"}
-
-
-def test_every_packed_position_is_the_one_index():
-    # `f2core._index` lays out every digit word in packed order; no
-    # function packs words with its own `w << (j * s)`.
-    found = {path.name: product_shifts(path.read_text())
-             for path in Path(dyadnet.__file__).parent.glob("*.py")}
-    assert {name: f for name, f in found.items() if f} == {}
 
 
 # The dual route's names: the tensor character, the reversal of a point
@@ -226,76 +149,128 @@ def test_every_packed_position_is_the_one_index():
 DUAL_ROUTE = {"walsh", "_character", "_rev_packed", "_rev_words"}
 
 
-def dual_route_imports(source: str) -> set[str]:
-    """The names in DUAL_ROUTE that the source imports, at any depth, by
-    `import` or `from ... import`; a module counts by its last part."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = {a.name.rsplit(".", 1)[-1] for a in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            names = {a.name for a in node.names} | {(node.module or "").rsplit(".", 1)[-1]}
-        else:
-            continue
-        found |= DUAL_ROUTE & names
-    return found
+class Route(NamedTuple):
+    """One evaluation route: on every module but the `exempt` ones, what
+    `finds` reports must be what `owners` lists, by module."""
+    finds: Callable[[dict[str, Scope]], set[str]]
+    owners: dict[str, set[str]]
+    exempt: frozenset[str] = frozenset()
 
 
-def bit_reverse_readers(source: str) -> set[str]:
-    """The functions (dotted through classes and nesting) whose own bodies
-    read `bit_reverse`, by name or attribute, called or passed on;
-    "<module>" for a read outside every function."""
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, [*scope, child.name])
-                continue
-            name = (child.attr if isinstance(child, ast.Attribute)
-                    else child.id if isinstance(child, ast.Name) else None)
-            if name == "bit_reverse":
-                found.add(".".join(scope) or "<module>")
-            visit(child, scope)
-
-    visit(ast.parse(source), [])
-    return found
-
-
-def test_dual_route_names_are_found():
-    source = ("from . import nets, walsh\n"
-              "from .f2core import _character as ch, _index, bit_reverse\n"
-              "import dyadnet.f2core\n"
-              "def late():\n"
-              "    from dyadnet.f2core import _rev_packed\n"
-              "    from .walsh import synthesis\n"
-              "    return _rev_packed, synthesis\n"
-              "def rev(w, s):\n    return bit_reverse(w, s)\n"
-              "class C:\n    def words(self, ws, s):\n"
-              "        return [dyadnet.f2core.bit_reverse(w, s) for w in ws]\n"
-              "def outer(s):\n    def inner(w):\n        return w\n"
-              "    return list(map(bit_reverse, [1], [s]))\n"
-              "TABLE = [bit_reverse(w, 3) for w in range(8)]\n"
-              "def plain(w):\n    return w\n")
-    assert dual_route_imports(source) == {"walsh", "_character", "_rev_packed"}
-    assert dual_route_imports("import dyadnet.walsh as w\nfrom .f2core import _rev_words\n") == {
-        "walsh", "_rev_words"}
-    assert bit_reverse_readers(source) == {"rev", "C.words", "outer", "<module>"}
-
-
-def test_the_dual_route_lives_in_f2core_and_verify():
+ROUTES = {
+    # `discrepancy._box_table` is the one exclusive prefix sum; a check
+    # that needs box sums writes signed cells for it instead of summing.
+    "box-sum": Route(own_body(lambda scope: scope.sums), {"discrepancy": {"_box_table"}}),
+    # `nets._shape_rank` is the one route to the rank of a net's basis
+    # under a box shape's leading-digit mask; every other route calls it.
+    "masked-rank": Route(masked_rank, {"nets": {"_shape_rank"}}),
+    # `f2core._index` lays out every digit word in packed order.
+    "packed-position": Route(own_body(lambda scope: scope.shifts), {}),
     # `verify._dual_cells` is the one dual route, a Walsh synthesis signed
-    # by `f2core._character`, and `f2core._rev_packed` the one reversal of
-    # a point: no other module imports their names or the synthesis, and
-    # nothing else reverses a word.
-    sources = {path.stem: path.read_text()
-               for path in Path(dyadnet.__file__).parent.glob("*.py")}
-    imports = {name: dual_route_imports(text) for name, text in sources.items()
-               if name not in {"f2core", "verify"}}
-    assert {name: found for name, found in imports.items() if found} == {}
-    readers = {name: bit_reverse_readers(text) for name, text in sources.items()}
-    assert {name: found for name, found in readers.items() if found} == {
-        "f2core": {"_rev_packed"}}
+    # by `f2core._character`: no other module imports its names.
+    "dual-route": Route(lambda module: DUAL_ROUTE & set().union(
+        *(scope.imports for scope in module.values())), {}, frozenset({"f2core", "verify"})),
+    # `f2core._rev_packed` is the one reversal of a point.
+    "bit-reversal": Route(own_body(lambda scope: "bit_reverse" in scope.names),
+                          {"f2core": {"_rev_packed"}}),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_route_has_its_one_owner(route):
+    finds, owners, exempt = ROUTES[route]
+    found = {name: finds(module) for name, module in package().items() if name not in exempt}
+    assert {name: f for name, f in found.items() if f} == owners
+
+
+DUAL_SOURCE = ("from . import nets, walsh\n"
+               "from .f2core import _character as ch, _index, bit_reverse\n"
+               "import dyadnet.f2core\n"
+               "def late():\n"
+               "    from dyadnet.f2core import _rev_packed\n"
+               "    from .walsh import synthesis\n"
+               "    return _rev_packed, synthesis\n"
+               "def rev(w, s):\n    return bit_reverse(w, s)\n"
+               "class C:\n    def words(self, ws, s):\n"
+               "        return [dyadnet.f2core.bit_reverse(w, s) for w in ws]\n"
+               "def outer(s):\n    def inner(w):\n        return w\n"
+               "    return list(map(bit_reverse, [1], [s]))\n"
+               "TABLE = [bit_reverse(w, 3) for w in range(8)]\n"
+               "def plain(w):\n    return w\n")
+
+# Forms that the guards caught in the package: `f2core._pack` and
+# `_rev_words` before `_index` and `_rev_packed` replaced them, the inline
+# masked rank of `nets.certify_deficiency`, and `discrepancy`'s imports
+# of the dual route before it moved to `verify`.
+PACKING_EXCERPT = ("def _pack(words, s):\n    out = 0\n    for j, w in enumerate(words):\n"
+                   "        out |= w << (j * s)\n    return out\n"
+                   "def _rev_words(words, s):\n    out = 0\n    for j, w in enumerate(words):\n"
+                   "        out |= bit_reverse(w, s) << (j * s)\n    return out\n")
+
+# Sources, and what each route finds in them.
+SAMPLES = [
+    ("box-sum", "import numpy as np\nfrom numpy import cumsum\nnp.cumsum([1])\n"
+     "def f(a):\n    return a.cumsum()\n"
+     "class C:\n    def g(self, a):\n        return cumsum(a, axis=0)\n"
+     "import itertools\nfrom itertools import accumulate\n"
+     "def h(a):\n    def inner():\n        return accumulate(a)\n"
+     "    return list(itertools.accumulate(a, initial=0))\n",
+     {"<module>", "f", "C.g", "h", "h.inner"}),
+    ("masked-rank", "from dyadnet import f2core, nets\n"
+     "from dyadnet.f2core import _rank\n"
+     "from dyadnet.nets import _leading_digits_mask\n"
+     "TABLE = [_rank([_leading_digits_mask(d, 3)]) for d in ((1,), (2,))]\n"
+     "def inline(d, s, basis):\n"
+     "    return _rank(map(_leading_digits_mask(d, s).__and__, basis))\n"
+     "def hoisted(d, s, basis):\n"
+     "    mask = nets._leading_digits_mask(d, s)\n"
+     "    return f2core._rank(b & mask for b in basis)\n"
+     "class C:\n"
+     "    def method(self, d, s):\n"
+     "        rank = _rank\n"
+     "        return rank([_leading_digits_mask(d, s)])\n"
+     "def outer(d, s, basis):\n"
+     "    mask = _leading_digits_mask(d, s)\n"
+     "    def inner():\n"
+     "        return _rank(b & mask for b in basis)\n"
+     "    return inner()\n"
+     "def mask_only(d, s):\n"
+     "    return _leading_digits_mask(d, s)\n"
+     "def rank_only(basis):\n"
+     "    return _rank(basis)\n",
+     {"<module>", "inline", "hoisted", "C.method", "outer"}),
+    ("masked-rank", "def certify_deficiency(sub):\n    n, s = sub.n, sub.s\n    m = 1\n"
+     "    while m <= s and all(\n"
+     "        _rank(map(_leading_digits_mask(d, s).__and__, sub.basis)) == m\n"
+     "        for d in _compositions(m, n)\n    ):\n        m += 1\n    return s + 1 - m\n",
+     {"certify_deficiency"}),
+    ("packed-position", "def pack(words, s):\n    out = 0\n    for j, w in enumerate(words):\n"
+     "        out |= w << (j * s)\n    return out\n"
+     "class C:\n    def rev(self, words, s):\n"
+     "        return sum(bit_reverse(w, s) << (j * s) for j, w in enumerate(words))\n"
+     "def mask(shape, s):\n    m = 0\n    for j, d in enumerate(shape):\n"
+     "        m |= ((1 << d) - 1) << (s - d + j * s)\n    return m\n"
+     "def augmented(w, j, s):\n    w <<= j * s\n    return w\n"
+     "TOP = 5 << (2 * 3)\n"
+     "def size(n, s):\n    return 1 << (n * s)\n"
+     "def plain(w, s):\n    return (w << s) * 2\n",
+     {"pack", "C.rev", "mask", "augmented", "<module>"}),
+    ("packed-position", PACKING_EXCERPT, {"_pack", "_rev_words"}),
+    ("dual-route", DUAL_SOURCE, {"walsh", "_character", "_rev_packed"}),
+    ("dual-route", "import dyadnet.walsh as w\nfrom .f2core import _rev_words\n",
+     {"walsh", "_rev_words"}),
+    ("dual-route", "from .f2core import (\n    F2Subspace,\n    _character,\n    _index,\n"
+     "    _rev_packed,\n    _rev_words,\n)\nfrom . import walsh\n",
+     {"_character", "_rev_packed", "_rev_words", "walsh"}),
+    ("bit-reversal", DUAL_SOURCE, {"rev", "C.words", "outer", "<module>"}),
+    ("bit-reversal", PACKING_EXCERPT, {"_rev_words"}),
+]
+
+
+@pytest.mark.parametrize("route, source, expected", SAMPLES,
+                         ids=[f"{route}-{k}" for k, (route, _, _) in enumerate(SAMPLES)])
+def test_routes_find_their_forms(route, source, expected):
+    assert ROUTES[route].finds(scopes(source)) == expected
 
 
 def test_every_public_name_has_a_production_caller():
@@ -399,30 +374,33 @@ def run_startup_probe(probe: str = STARTUP_PROBE, **env):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_cli_loads_numpy_only_for_the_array_commands():
+@pytest.fixture(scope="module")
+def state():
+    """The modules loaded at each step of STARTUP_PROBE, run once."""
+    return run_startup_probe()
+
+
+def test_cli_loads_numpy_only_for_the_array_commands(state):
     # `verify` works on lists of Python ints; the Monte Carlo layer `norms`
     # is the one that loads numpy.
-    state = run_startup_probe()
     steps = ("import", "certify", "gen", "verify", "norms")
     assert {k: "numpy" in state[k] for k in steps} == {
         "import": False, "certify": False, "gen": False, "verify": False, "norms": True}
 
 
-def test_cli_loads_fractions_and_statistics_only_where_used():
+def test_cli_loads_fractions_and_statistics_only_where_used(state):
     # `certify` works on integer words; `gen` builds Fraction points, and
     # only `sweep` takes a median.
-    state = run_startup_probe()
     assert state["import"] == state["certify"] == []
     assert "fractions" in state["gen"]
     assert "statistics" not in state["verify"]
     assert "statistics" not in state["norms"]
 
 
-def test_cli_starts_without_click_inspect_or_dataclasses():
+def test_cli_starts_without_click_inspect_or_dataclasses(state):
     # The command line is argparse, and the integer layers' value types are
     # plain classes: click and `dataclasses` (which imports `inspect`) were
     # the largest imports of a `certify` or `gen` process.
-    state = run_startup_probe()
     assert {step: sorted({"click", "inspect", "dataclasses"} & set(state[step]))
             for step in ("import", "certify", "gen")} == {
         "import": [], "certify": [], "gen": []}
@@ -440,10 +418,9 @@ def test_sampler_layers_load_no_walsh():
     assert "dyadnet.walsh" not in loaded
 
 
-def test_cli_runs_blas_single_threaded():
+def test_cli_runs_blas_single_threaded(state):
     # numpy's OpenBLAS would start a worker thread per extra core; no array
     # layer uses threaded BLAS, so the CLI pins the pool before numpy loads.
-    state = run_startup_probe()
     assert state["blas_env"] == "1"
     if state["threads"] is not None:
         assert state["threads"] == 1

@@ -687,6 +687,22 @@ cli.run()
 """
 
 
+def workflow_step(name: str) -> str:
+    """The `run:` block of the `shell: bash` step `name` of the CI
+    workflow, without its indentation.  It is read by hand, since the
+    YAML parser is no test dependency."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    keys, block = workflow.read_text().split(f"- name: {name}\n", 1)[1].split("run: |\n", 1)
+    assert keys.split() == ["shell:", "bash"], keys
+    indent = re.match(" *", block).group()
+    lines = []
+    for line in block.splitlines():
+        if line.strip() and not line.startswith(indent):
+            break
+        lines.append(line[len(indent):])
+    return "\n".join(lines).rstrip() + "\n"
+
+
 class TestProcess:
     @pytest.mark.parametrize("args", [
         ["certify", "--net", "sobol", "--n", "4", "--s", "7"],
@@ -787,3 +803,18 @@ class TestProcess:
     def test_console_script_uses_the_process_entry(self):
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         assert re.search(r'^dyadnet = "dyadnet\.cli:run"$', pyproject, re.M)
+
+    def test_console_script_step(self, tmp_path):
+        # The workflow's "Console script" step, run as GitHub's `shell:
+        # bash` runs it, with `dyadnet` and `python` on PATH as this
+        # interpreter's entry and the interpreter itself.
+        shims = tmp_path / "bin"
+        shims.mkdir()
+        for name, head in (("dyadnet", " -m dyadnet.cli"), ("python", "")):
+            (shims / name).write_text(f'#!/bin/sh\nexec "{sys.executable}"{head} "$@"\n')
+            (shims / name).chmod(0o755)
+        (tmp_path / "step.sh").write_text(workflow_step("Console script"))
+        env = {**CHILD_ENV, "PATH": f"{shims}{os.pathsep}{os.environ['PATH']}"}
+        proc = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "step.sh"],
+                              cwd=tmp_path, env=env, capture_output=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr.decode()[-2000:]
