@@ -4,8 +4,8 @@ layers and the CLI start without numpy, click or `inspect`, only `norms`
 loads numpy, no command loads `dataclasses`, `certify` runs without the
 rational and statistics modules, and the sampler layers without `walsh`.
 One AST walker and one table, ROUTES, keep each shared route in one
-place: the box sum, the masked rank, the packed position, the dual route
-and the bit reversal."""
+place: the box sum, the masked rank, the packed position, the dual route,
+the bit reversal and the tensor character."""
 
 import ast
 import functools
@@ -129,19 +129,18 @@ def own_body(holds: Callable[[Scope], object]):
     return lambda module: {path for path, scope in module.items() if holds(scope)}
 
 
-# The GF(2) rank and the leading-digit mask of a box shape.
-MASKED_RANK = {"_rank", "_leading_digits_mask"}
-
-
-def masked_rank(module: dict[str, Scope]) -> set[str]:
-    """The functions that read both names of MASKED_RANK, the reads of
-    their nested functions included. A class body is no function: its
-    reads count for the functions around it, or for "<module>"."""
-    read: dict[str, set[str]] = {}
-    for scope in module.values():
-        for f in scope.functions or ("<module>",):
-            read.setdefault(f, set()).update(MASKED_RANK & scope.names)
-    return {f for f, names in read.items() if names == MASKED_RANK}
+def reads_each(*groups: set[str]):
+    """The finder of the functions that read a name of every one of
+    `groups`, the reads of their nested functions included. A class body
+    is no function: its reads count for the functions around it, or for
+    "<module>"."""
+    def finds(module: dict[str, Scope]) -> set[str]:
+        read: dict[str, set[str]] = {}
+        for scope in module.values():
+            for f in scope.functions or ("<module>",):
+                read.setdefault(f, set()).update(scope.names)
+        return {f for f, names in read.items() if all(g & names for g in groups)}
+    return finds
 
 
 # The dual route's names: the tensor character, the reversal of a point
@@ -162,8 +161,10 @@ ROUTES = {
     # that needs box sums writes signed cells for it instead of summing.
     "box-sum": Route(own_body(lambda scope: scope.sums), {"discrepancy": {"_box_table"}}),
     # `nets._shape_rank` is the one route to the rank of a net's basis
-    # under a box shape's leading-digit mask; every other route calls it.
-    "masked-rank": Route(masked_rank, {"nets": {"_shape_rank"}}),
+    # under a box shape's leading-digit mask, the one function that reads
+    # both `_rank` and `_leading_digits_mask`; every other route calls it.
+    "masked-rank": Route(reads_each({"_rank"}, {"_leading_digits_mask"}),
+                         {"nets": {"_shape_rank"}}),
     # `f2core._index` lays out every digit word in packed order.
     "packed-position": Route(own_body(lambda scope: scope.shifts), {}),
     # `verify._dual_cells` is the one dual route, a Walsh synthesis signed
@@ -173,6 +174,10 @@ ROUTES = {
     # `f2core._rev_packed` is the one reversal of a point.
     "bit-reversal": Route(own_body(lambda scope: "bit_reverse" in scope.names),
                           {"f2core": {"_rev_packed"}}),
+    # `f2core._character` is the one tensor character: outside f2core no
+    # function pairs a parity with a bit reversal by hand.
+    "character": Route(reads_each({"parity"}, {"bit_reverse", "_rev_packed"}), {},
+                       frozenset({"f2core"})),
 }
 
 
@@ -264,6 +269,16 @@ SAMPLES = [
      {"_character", "_rev_packed", "_rev_words", "walsh"}),
     ("bit-reversal", DUAL_SOURCE, {"rev", "C.words", "outer", "<module>"}),
     ("bit-reversal", PACKING_EXCERPT, {"_rev_words"}),
+    ("character", "from dyadnet import f2core\n"
+     "from dyadnet.f2core import _character, _rev_packed, bit_reverse, parity\n"
+     "def by_hand(a, b, n, s):\n    return parity(_rev_packed(a, n, s) & b)\n"
+     "def nested(a, b, s):\n    r = f2core.bit_reverse(a, s)\n"
+     "    def inner():\n        return f2core.parity(r & b)\n    return inner()\n"
+     "def poisson(pivots, dual, n, s):\n"
+     "    rev = [_rev_packed(p, n, s) for p in pivots]\n"
+     "    return all(_character(r, L) > 0 for L in dual for r in rev)\n"
+     "def parity_only(a):\n    return parity(a)\n",
+     {"by_hand", "nested"}),
 ]
 
 

@@ -410,106 +410,168 @@ class TestSweep:
         assert result.code == 2
 
 
-# The stdout sha256 of commands, recorded at commit 9b13492 (the
-# single-net Sobol verify runs at (3, 5) and (4, 3), which reach the 3-D
-# and 4-D groups, at c5f9c00; at (3, 6) and (4, 4) at d6e964b, where the
-# group check still read whole-grid tables; at (3, 7), which refused the
-# whole suite there, once each check refused on its own).  The certify,
-# verify and gen lines are
-# integer or Fraction arithmetic; the norms and sweep floats are seeded
-# and reduced in a fixed order.  The provenance header names the package
-# version, so a version bump changes every digest.
+# Each command's exit code and stdout sha256, recorded at commit 9b13492
+# (the single-net Sobol verify runs at (3, 5) and (4, 3), which reach the
+# 3-D and 4-D groups, at c5f9c00; at (3, 6) and (4, 4) at d6e964b, where
+# the group check still read whole-grid tables; at (3, 7), which refused
+# the whole suite there, once each check refused on its own; verify at
+# (4, 5), (5, 4), (10, 1), (1, 3) and (5, 5) and at van der Corput s = 10,
+# the 200-point gen and the 256-sample norms and sweep runs at 48f12bb).
+# The certify, verify and gen lines are integer or Fraction arithmetic;
+# the norms and sweep floats are seeded and reduced in a fixed order.  The
+# provenance header names the package version, so a version bump changes
+# every digest.
 PINNED_STDOUT = {
     "certify-sobol-4-7": (
-        ["certify", "--net", "sobol", "--n", "4", "--s", "7"],
+        ["certify", "--net", "sobol", "--n", "4", "--s", "7"], 0,
         "3836733620838c5d29962bde7f7411819afbbed7600b8f991e4250d326044a0a"),
+    # The rank walk over the compositions and the box check at n = 5.
     "certify-sobol-5-5": (
-        ["certify", "--net", "sobol", "--n", "5", "--s", "5"],
+        ["certify", "--net", "sobol", "--n", "5", "--s", "5"], 0,
         "0f8913f33f4128753b5fd84f88b67aa25bdfad017d98dd4c925c375accc38969"),
+    # Also the output of a bare `verify`.
     "verify-shift-seed-0": (
-        ["verify", "--shift-seed", "0"],
+        ["verify", "--shift-seed", "0"], 0,
         "83d5666fe0664cbd5ddfe378b10f1017418de43ae2fa762ba9ae37f35b6e85be"),
-    # The verify bundle of the benchmark.s certify pass at seed 3.
+    # The verify bundle of the benchmark's certify pass at seed 3.
     "verify-shift-seed-3": (
-        ["verify", "--shift-seed", "3"],
+        ["verify", "--shift-seed", "3"], 0,
         "b5cb4e4e0ae3f34077f6d2918e06821696cde0bec9ef53c4a5fae5f39c8d6672"),
     "verify-sobol-3": (
-        ["verify", "--net", "sobol", "--n", "3"],
+        ["verify", "--net", "sobol", "--n", "3"], 0,
         "37f55088dd6bfb9a7143ea18893ca1954452201fc40f570a14866c5dc59e77d9"),
+    # Groups that repeat their strictly-below subgroups and include
+    # one-member cosets.
     "verify-sobol-3-5": (
-        ["verify", "--net", "sobol", "--n", "3", "--s", "5"],
+        ["verify", "--net", "sobol", "--n", "3", "--s", "5"], 0,
         "4eeaec0f5ac6952d2a51bf18a03decad302b25a1d5e09bdebb65caf7065b474b"),
     # 143 nonempty groups, 51 of them one-member cosets with Lambda0 = {0}.
     "verify-sobol-3-5-shift-seed-1": (
-        ["verify", "--net", "sobol", "--n", "3", "--s", "5", "--shift-seed", "1"],
+        ["verify", "--net", "sobol", "--n", "3", "--s", "5", "--shift-seed", "1"], 0,
         "b8c7485ad040a2c6ecf077600fef652ad591518880a3f5286ba344945eb0be0b"),
+    # A 4-D dual.
     "verify-sobol-4-3": (
-        ["verify", "--net", "sobol", "--n", "4", "--s", "3"],
+        ["verify", "--net", "sobol", "--n", "4", "--s", "3"], 0,
         "1244e0d2ce5e24708ea5830bfeebbac1b0e1c0a8bcf366d2343b5956154878ea"),
+    # The group check once took seconds here.
     "verify-sobol-3-6": (
-        ["verify", "--net", "sobol", "--n", "3", "--s", "6"],
+        ["verify", "--net", "sobol", "--n", "3", "--s", "6"], 0,
         "4ecdb1c252e6851d6fbeb0502c5cd24a74e8c36da41c05d00e1415e481094b2c"),
+    # 478 groups with 4-D strictly-below subgroups.
     "verify-sobol-4-4": (
-        ["verify", "--net", "sobol", "--n", "4", "--s", "4"],
+        ["verify", "--net", "sobol", "--n", "4", "--s", "4"], 0,
         "eeb864ccc934980a99016b336bb94b08b687952e533bed13d9e8541f0b83eba8"),
     # 2^21 cells and a 129^3 gap table, both within the cap: four passing rows.
     "verify-sobol-3-7": (
-        ["verify", "--net", "sobol", "--n", "3", "--s", "7"],
+        ["verify", "--net", "sobol", "--n", "3", "--s", "7"], 0,
         "819542d4c26489c9cb4100f109e302cda2b1fcd45ee33662d3703c5abdcdcf7b"),
-    # 2^26 cells, an 8193^2 gap table and a 2^13-word dual: passing Poisson
-    # and Delta rows, refused route-equivalence and gap rows; exits 1.
+    # 2^20 cells and a 33^4 gap table, both within the cap: four passing rows.
+    "verify-sobol-4-5": (
+        ["verify", "--net", "sobol", "--n", "4", "--s", "5"], 0,
+        "8addb097076a3d334b3dd479d073edb665748287e9971023a05b474887fafc89"),
+    # The Delta check ranks each group's shape (nets._shape_rank) on a 5-D
+    # net whose dual has 2^16 words; all four rows pass.
+    "verify-sobol-5-4": (
+        ["verify", "--net", "sobol", "--n", "5", "--s", "4"], 0,
+        "5c6b49b47ec0070499af31c94c95ced9f860c66d8b0ddfe47c19872bfea8982b"),
+    # A 3^10 gap table over 2^10 cells, laid out through f2core._index at
+    # side 3, the one packed-order position.
+    "verify-sobol-10-1": (
+        ["verify", "--net", "sobol", "--n", "10", "--s", "1"], 0,
+        "e59fe71ef1e2f84ab6349f8c5e8c6b5bbaf4c21745af20d9137d5f34f78326de"),
+    # The dual is {0}, so the Delta row passes with 0 checked.
+    "verify-sobol-1-3": (
+        ["verify", "--net", "sobol", "--n", "1", "--s", "3"], 0,
+        "cddb86f73ceff3febbe119b636ba3565e379dd813a96c467731ec4275d305502"),
+    # Route equivalence once took 23 s here, in int64 mode products.
+    "verify-van-der-corput-10": (
+        ["verify", "--s", "10"], 0,
+        "33fad46727c17124a463e71b4cf736b210cf3ae4dee9f27b33c8f3899c462eee"),
+    # Both grid tables above the cap, 2^26 cells and an 8193^2 gap table:
+    # each grid check refuses on its own, so the run exits 1 after its
+    # rows.  Poisson summation and the Delta identities build no grid
+    # table and read only the 2^13-word dual, so both rows pass.
     "verify-van-der-corput-13": (
-        ["verify", "--s", "13"],
+        ["verify", "--s", "13"], 1,
         "e7246db437e0388b4f092a590cf97c0ae5097ba2b9244ea396a0c3c1f41a62a7"),
+    # As van der Corput s = 13: 2^25 cells and a 33^5 gap table refused,
+    # passing Poisson and Delta rows over a 2^20-word dual; exits 1.
+    "verify-sobol-5-5": (
+        ["verify", "--net", "sobol", "--n", "5", "--s", "5"], 1,
+        "cdf28afb3a05aedeb6b6df1de2ee9d21948bbc8d5dea19c3f7517877a7cbcffe"),
     "gen-float": (
         ["gen", "--net", "sobol", "--n", "3", "--s", "10", "--count", "700",
-         "--shift-seed", "3"],
+         "--shift-seed", "3"], 0,
         "1429a076d441785cf32045de417b932510a364c6231783613c7f3999f54e84f1"),
     # The benchmark's gen command: 12000 of 2^14 rescaled points.
     "gen-benchmark-12000": (
         ["gen", "--net", "sobol", "--n", "3", "--s", "14", "--count", "12000",
-         "--shift-seed", "6"],
+         "--shift-seed", "6"], 0,
         "750e685848b34ff9eecc292da6fb02f5fcd51e2413ffd0d4c2008ce4395553de"),
     "gen-exact": (
         ["gen", "--net", "sobol", "--n", "3", "--s", "10", "--count", "700",
-         "--shift-seed", "3", "--exact"],
+         "--shift-seed", "3", "--exact"], 0,
         "0b930180305035626804adfee913fe866aa583dcbcb696d7b68ead5e3594b76b"),
+    "gen-sobol-3-8-count-200": (
+        ["gen", "--net", "sobol", "--n", "3", "--s", "8", "--count", "200",
+         "--shift-seed", "1"], 0,
+        "0a9745b8e25db2207c7936b0ec3f01cd4b45e6504d26121a3144b97898ae33b2"),
     # The order of the net listing: gen without --count prints the points
     # in listing order, and m_sampler's float sums follow packed_net.
     "norms-benchmark-seed-3": (
         ["norms", "--net", "sobol", "--n", "3", "--s", "6", "--target", "both",
-         "--samples", "16384", "--q-grid", "1,2,4,8", "--seed", "3", "--shift-seed", "3"],
+         "--samples", "16384", "--q-grid", "1,2,4,8", "--seed", "3", "--shift-seed", "3"], 0,
         "5f0bf24cae7a1c3e3f89c1ea26ff0958a9010f767629ebd4c68b71236c7fb305"),
     "gen-listing-order": (
-        ["gen", "--net", "sobol", "--n", "3", "--s", "8", "--shift-seed", "5"],
+        ["gen", "--net", "sobol", "--n", "3", "--s", "8", "--shift-seed", "5"], 0,
         "f268e8c2e70a2e7b19b87f4ece39009408bede1254700e4ec2fb9b143de165fd"),
     "gen-listing-order-exact": (
-        ["gen", "--net", "sobol", "--n", "3", "--s", "8", "--shift-seed", "5", "--exact"],
+        ["gen", "--net", "sobol", "--n", "3", "--s", "8", "--shift-seed", "5", "--exact"], 0,
         "d84f751c781f7b0644d40790bfd907d9f63f1299a4b1e4a0e098c6eefd9e3215"),
     "sweep-sobol-3": (
         ["sweep", "--net", "sobol", "--n", "3", "--s-min", "4", "--s-max", "6",
-         "--shifts", "3", "--samples", "2048"],
+         "--shifts", "3", "--samples", "2048"], 0,
         "d2be0310755db4f1da3c6b518e3fd050260e13191467bd8b8aebe82b5f577ff2"),
+    "sweep-sobol-3-4-5": (
+        ["sweep", "--net", "sobol", "--n", "3", "--s-min", "4", "--s-max", "5",
+         "--shifts", "2", "--samples", "256"], 0,
+        "7cd0337da3ed07c5fd71db27c422006740a9080f0fbb086f53d3cc94da4e95c9"),
     "certify-sobol-6-10-csv": (
-        ["certify", "--net", "sobol", "--n", "6", "--s", "10", "--format", "csv"],
+        ["certify", "--net", "sobol", "--n", "6", "--s", "10", "--format", "csv"], 0,
         "504bcf2a9b9ac10b7229cb0b6d0c115a7d99b4b36cfae18d503c03641ca13e7d"),
     # Stratified sampling and a --theta other than (n+1)/2.
     "norms-stratified-theta": (
         ["norms", "--net", "sobol", "--n", "3", "--s", "5", "--samples", "2048",
          "--q-grid", "1,2,4", "--stratified", "--theta", "1.5", "--seed", "7",
-         "--shift-seed", "2"],
+         "--shift-seed", "2"], 0,
         "d40142d7eb192d25762825f9480dcb95577ae61a073be70521b6c82e9922bb94"),
+    "norms-van-der-corput-4": (
+        ["norms", "--net", "van-der-corput", "--s", "4", "--samples", "256",
+         "--q-grid", "2"], 0,
+        "646c55e70576d3b93832194203143728377a04dc237333b38c7f417ee6ec994a"),
+    # The D_N target on a net of 2^13 points.
+    "norms-sobol-3-13-dn": (
+        ["norms", "--net", "sobol", "--n", "3", "--s", "13", "--target", "dn",
+         "--samples", "256", "--q-grid", "2"], 0,
+        "1ca80424fda5ab444238c502b8d67ee8e2fdda309484911693b0039beed7970d"),
+    # A dual of 2^40 words, above the enumeration cap: the cap gates only
+    # the dual route, and the M target never lists the dual.
+    "norms-sobol-5-10-m": (
+        ["norms", "--net", "sobol", "--n", "5", "--s", "10", "--target", "m",
+         "--q-grid", "2", "--samples", "256"], 0,
+        "f99cc52f9d31dc44ae73ee0d5023b3310d291e128410a32c507c652a26cefc19"),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_STDOUT)
 def test_pinned_stdout(cli, name):
-    args, digest = PINNED_STDOUT[name]
+    args, code, digest = PINNED_STDOUT[name]
     result = cli(args)
-    if name == "verify-van-der-corput-13":
-        assert result.code == 1 and "approximation-gap refused" in result.stderr
+    assert result.code == code, result.stderr
+    if code == 0:
+        assert result.stderr == ""
     else:
-        assert (result.code, result.stderr) == (0, ""), result.stderr
+        assert "Traceback" not in result.stderr
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
@@ -703,6 +765,31 @@ def workflow_step(name: str) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
+def console_script_entry() -> str:
+    """The `module:attr` that pyproject.toml's [project.scripts] declares
+    for `dyadnet`, read by hand, since `tomllib` is no module of Python 3.10."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    return re.search(r'^\[project\.scripts\]\ndyadnet = "(.+)"$', pyproject, re.M).group(1)
+
+
+def run_step(script: str, entry: str, tmp_path):
+    """Run `script` as GitHub's `shell: bash` runs a step, with `python`,
+    this interpreter, and `dyadnet` first on PATH.  The `dyadnet` shim
+    imports and calls `entry`, a `module:attr`, as pip's console-script
+    wrapper does."""
+    module, attr = entry.split(":")
+    script_head = f" -c 'import sys; from {module} import {attr}; sys.exit({attr}())'"
+    shims = tmp_path / "bin"
+    shims.mkdir()
+    for name, head in (("dyadnet", script_head), ("python", "")):
+        (shims / name).write_text(f'#!/bin/sh\nexec "{sys.executable}"{head} "$@"\n')
+        (shims / name).chmod(0o755)
+    (tmp_path / "step.sh").write_text(script)
+    env = {**CHILD_ENV, "PATH": f"{shims}{os.pathsep}{os.environ['PATH']}"}
+    return subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "step.sh"],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=600)
+
+
 class TestProcess:
     @pytest.mark.parametrize("args", [
         ["certify", "--net", "sobol", "--n", "4", "--s", "7"],
@@ -801,20 +888,12 @@ class TestProcess:
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"\nAborted!\n")
 
     def test_console_script_uses_the_process_entry(self):
-        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-        assert re.search(r'^dyadnet = "dyadnet\.cli:run"$', pyproject, re.M)
+        assert console_script_entry() == "dyadnet.cli:run"
 
     def test_console_script_step(self, tmp_path):
-        # The workflow's "Console script" step, run as GitHub's `shell:
-        # bash` runs it, with `dyadnet` and `python` on PATH as this
-        # interpreter's entry and the interpreter itself.
-        shims = tmp_path / "bin"
-        shims.mkdir()
-        for name, head in (("dyadnet", " -m dyadnet.cli"), ("python", "")):
-            (shims / name).write_text(f'#!/bin/sh\nexec "{sys.executable}"{head} "$@"\n')
-            (shims / name).chmod(0o755)
-        (tmp_path / "step.sh").write_text(workflow_step("Console script"))
-        env = {**CHILD_ENV, "PATH": f"{shims}{os.pathsep}{os.environ['PATH']}"}
-        proc = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "step.sh"],
-                              cwd=tmp_path, env=env, capture_output=True, timeout=600)
+        proc = run_step(workflow_step("Console script"), console_script_entry(), tmp_path)
         assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+
+    def test_a_missing_script_entry_fails_the_step(self, tmp_path):
+        proc = run_step(workflow_step("Console script"), "dyadnet.cli:no_such_entry", tmp_path)
+        assert proc.returncode != 0 and b"ImportError" in proc.stderr

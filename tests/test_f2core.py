@@ -1,8 +1,6 @@
-import ast
 import random
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +17,6 @@ from dyadnet.f2core import (
     _span,
     _unpack,
 )
-import dyadnet
 from dyadnet.nets import (
     _leading_digits_mask,
     net_points,
@@ -308,26 +305,3 @@ class TestPackedOrder:
             assert _rev_packed(_index(w, 1 << s), n, s) == self._packed(
                 lambda j, i: (w[j] >> i) & 1, n, s), w
 
-
-class TestOneCharacter:
-    def test_no_hand_written_character_outside_f2core(self):
-        # The tensor character is f2core._character; outside f2core no
-        # function pairs a bit reversal with parity by hand.
-        reversals = {"bit_reverse", "_rev_packed"}
-        offenders = []
-        for path in sorted(Path(dyadnet.__file__).parent.glob("*.py")):
-            if path.stem == "f2core":
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                called = {
-                    c.func.id if isinstance(c.func, ast.Name) else c.func.attr
-                    for c in ast.walk(node)
-                    if isinstance(c, ast.Call)
-                    and isinstance(c.func, (ast.Name, ast.Attribute))
-                }
-                name = f"{path.stem}.{node.name}"
-                if "parity" in called and called & reversals:
-                    offenders.append(name)
-        assert offenders == []
